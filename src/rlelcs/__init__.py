@@ -50,10 +50,7 @@ from .rle import (
     decode,
     encode,
     format_rle,
-    inverse_prefix,
     is_generalized_substring,
-    ldcp,
-    lex_compare_decoded,
     parse_rle,
     prefix_table,
     reverse,

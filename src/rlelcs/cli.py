@@ -1,6 +1,6 @@
 """Command-line surface: instance I/O, solving, benchmarks, reductions.
 
-Exit codes: 0 success (including a null result), 1 parse error,
+Exit codes: 0 success (including a null result), 1 parse or input error,
 2 resource limit, 3 internal inconsistency or reduction mismatch.
 """
 
@@ -21,7 +21,7 @@ from .rle import ParseError, RleString, concat_sep, decode, encode, format_rle, 
 from .walk import InternalInconsistencyError, SolverConfig, inner_search, make_context, solve_lcs_rle_p, solve_lrs
 
 EXIT_OK = 0
-EXIT_PARSE = 1
+EXIT_PARSE = 1  # also unreadable input files and unusable argument combinations
 EXIT_RESOURCE = 2
 EXIT_INCONSISTENT = 3
 
@@ -53,7 +53,6 @@ def _read_rle_file(path: str, raw: bool) -> RleString:
 def cmd_encode(args) -> int:
     data = Path(args.input).read_bytes()
     line = format_rle(encode(data))
-    out = (line + "\n") if line or not data else "\n"
     if args.output:
         Path(args.output).write_text(line + "\n")
     else:
@@ -80,6 +79,9 @@ def cmd_decode(args) -> int:
 
 def cmd_solve(args) -> int:
     model = _load_model(args)
+    if args.lrs and args.b:
+        print("solve --lrs takes one input, got two", file=sys.stderr)
+        return EXIT_PARSE
     try:
         a = _read_rle_file(args.a, args.format == "raw")
         b = _read_rle_file(args.b, args.format == "raw") if args.b else None
@@ -307,6 +309,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except OSError as exc:
+        print(f"file error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)

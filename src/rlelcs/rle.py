@@ -142,11 +142,6 @@ def prefix_table(s: RleString) -> PrefixTable:
     return PrefixTable(tuple(values))
 
 
-def inverse_prefix(table: PrefixTable, decoded_index: int) -> int:
-    """Run index i with ``table[i-1] < decoded_index <= table[i]``."""
-    return table.search(decoded_index)
-
-
 def ldcp_runs(a, b) -> int:
     """Length of the longest decoded common prefix of two run sequences.
 
@@ -187,14 +182,6 @@ def lex_compare_runs(a, b) -> int:
     if len(a) == len(b):
         return 0
     return -1 if len(a) < len(b) else 1
-
-
-def ldcp(s: RleString, t: RleString) -> int:
-    return ldcp_runs(s, t)
-
-
-def lex_compare_decoded(s: RleString, t: RleString) -> int:
-    return lex_compare_runs(s, t)
 
 
 def is_generalized_substring(s: RleString, t: RleString) -> bool:

@@ -14,7 +14,9 @@ windows agree for at least t - L + rho chars, where rho is the flagged
 anchor's run length.  The forward and backward windows both cover the
 anchor run, so the forward threshold re-counts it; the rho term compensates
 and makes the certificate exact (t agreed chars, stitched at the shared
-run boundary).
+run boundary).  One kernel, :func:`best_certificate`, evaluates this for
+every admissible pair of an anchor set; the full-set index runs it on all
+anchors at a scale and the walk vertex's check on its stored subset.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cmp_to_key
-from typing import Any, Optional
+from functools import cached_property, cmp_to_key
+from typing import Optional
 
 import numpy as np
 
@@ -36,7 +38,7 @@ from .qmodel import (
     WalkHooks,
     WalkMode,
     ceil_sqrt,
-    grover_search,
+    grover_search,  # not called here; perfbench/tracer.py patches rlelcs.walk.grover_search
     walk_search,
 )
 from .rle import SEP_DOLLAR, RleString, concat_sep, ldcp_runs, lex_compare_runs
@@ -189,18 +191,16 @@ class _WalkContext:
     d: int
     sep_index: Optional[int]
     model: CostModel
-    pvals: tuple[int, ...]
 
     @property
     def lrs(self) -> bool:
         return self.sep_index is None
 
-    def pref(self, i: int) -> int:
-        if i <= 0:
-            return 0
-        if i >= len(self.pvals):
-            return self.pvals[-1]
-        return self.pvals[i]
+    @cached_property
+    def pv(self) -> np.ndarray:
+        """Prefix sums as int64, built on first use: cost-only runs never need them."""
+        values = self.handle.prefix.values
+        return np.fromiter(values, dtype=np.int64, count=len(values))
 
     def fwd_win(self, x: int) -> _Window:
         return _Window(self.handle, x, min(self.handle.n, x + 2 * self.d), False)
@@ -220,7 +220,7 @@ def make_context(
     model: CostModel,
 ) -> _WalkContext:
     handle.ledger.prefix_queries += handle.n + 1
-    return _WalkContext(handle, anchors, d, sep_index, model, handle.prefix.values)
+    return _WalkContext(handle, anchors, d, sep_index, model)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +234,8 @@ class WalkVertex:
     hold the ids sorted by the decoded text around each anchor with the
     adjacent common-prefix lengths in fwd_lcp/bwd_lcp; non-white anchors
     contribute their rank pair (against the fixed reference subset) to the
-    per-color 2D counters.
+    per-color 2D counters.  The check does not read the counters; they stay
+    because walk mode measures its update charge on maintaining them.
     """
 
     def __init__(self, ctx: _WalkContext, sample: tuple[int, ...], ledger: QueryLedger):
@@ -289,14 +290,13 @@ class WalkVertex:
         self.ledger.charge(self._cmp_charge)
         return ldcp_runs(winfn(k1), winfn(k2))
 
-    def _rank(self, v_sorted, winfn, k: int, charged: bool) -> int:
+    def _rank(self, v_sorted, winfn, k: int) -> int:
         """Count of reference anchors whose window is lexicographically <= k's."""
         win_k = winfn(k)
         lo, hi = 0, len(v_sorted)
         while lo < hi:
             mid = (lo + hi) // 2
-            if charged:
-                self.ledger.charge(self._cmp_charge)
+            self.ledger.charge(self._cmp_charge)
             if lex_compare_runs(winfn(v_sorted[mid]), win_k) > 0:
                 hi = mid
             else:
@@ -321,8 +321,8 @@ class WalkVertex:
         self._order_insert(self.bwd_order, self.bwd_lcp, self._bwd_id_cmp, self._bwd, k, x)
         color = self.ctx.color(x)
         if color is not Color.WHITE:
-            rp = self._rank(self.v_fwd, self._fwd, k, charged=True)
-            rq = self._rank(self.v_bwd, self._bwd, k, charged=True)
+            rp = self._rank(self.v_fwd, self._fwd, k)
+            rq = self._rank(self.v_bwd, self._bwd, k)
             pts = self.red_pts if color is Color.RED else self.blue_pts
             pts.insert(rp, rq, self.ledger)
 
@@ -331,8 +331,8 @@ class WalkVertex:
         _, x = self.by_key.index(pos, self.ledger)
         color = self.ctx.color(x)
         if color is not Color.WHITE:
-            rp = self._rank(self.v_fwd, self._fwd, k, charged=True)
-            rq = self._rank(self.v_bwd, self._bwd, k, charged=True)
+            rp = self._rank(self.v_fwd, self._fwd, k)
+            rq = self._rank(self.v_bwd, self._bwd, k)
             pts = self.red_pts if color is Color.RED else self.blue_pts
             pts.delete(rp, rq, self.ledger)
         self._order_delete(self.fwd_order, self.fwd_lcp, self._fwd, k)
@@ -389,150 +389,40 @@ class WalkVertex:
 
     # checking ------------------------------------------------------------
 
-    def _interval(self, lcp: DynArray, pos: int, t: int, threshold: int) -> tuple[int, int]:
-        """Maximal sorted-order interval around pos with pairwise ldcp >= threshold."""
-        if threshold <= 0:
-            return 1, t
-
-        def rmin(a: int, b: int) -> int:
-            if a > b:
-                return 1 << 62
-            return lcp.range_min(a, b)
-
-        lo_lo, lo_hi = 1, pos
-        while lo_lo < lo_hi:
-            mid = (lo_lo + lo_hi) // 2
-            if rmin(mid, pos - 1) >= threshold:
-                lo_hi = mid
-            else:
-                lo_lo = mid + 1
-        hi_lo, hi_hi = pos, t
-        while hi_lo < hi_hi:
-            mid = (hi_lo + hi_hi + 1) // 2
-            if rmin(pos, mid - 1) >= threshold:
-                hi_lo = mid
-            else:
-                hi_hi = mid - 1
-        return lo_lo, hi_lo
-
     def check(self, d_tilde: int) -> Optional[Candidate]:
-        """Search shifts x stored items for a certified opposite-color pair.
+        """The stored anchors' best certified pair, if it reaches d_tilde.
 
-        Runs the whole shift/item grid through the search primitive; each
-        evaluation derives the backward threshold L from the shift, the
-        forward threshold d_tilde - L + rho, turns both into sorted-order
-        intervals via range-minimum probes, and asks the rank counters
-        (plus boundary inspection) whether a partner lies in both.
+        Runs the certificate kernel on the stored subset, reading the
+        maintained decoded orders and adjacent agreements; charged as the
+        search over the (2d+1) x stored shift/item grid.
         """
         t = len(self.by_key)
         if t == 0 or d_tilde < 1:
             return None
         ctx = self.ctx
-        d = ctx.d
-        snap = self.by_key.items()
-        fwd_items = [k for k, _ in self.fwd_order.items()]
-        bwd_items = [k for k, _ in self.bwd_order.items()]
-        fwd_pos = {k: i + 1 for i, k in enumerate(fwd_items)}
-        bwd_pos = {k: i + 1 for i, k in enumerate(bwd_items)}
-        found: list[Candidate] = []
-        rank_memo: dict[tuple[int, bool], int] = {}
+        self.ledger.charge(check_charge(ctx.model, ctx.d, t))
+        stored = self.by_key.items()
+        slot = {k: i for i, (k, _) in enumerate(stored)}
+        xs = np.array([x for _, x in stored], dtype=np.int64)
+        fwd_pos, h_f = _ranked(self.fwd_order, self.fwd_lcp, slot)
+        bwd_pos, h_b = _ranked(self.bwd_order, self.bwd_lcp, slot)
+        best, args = best_certificate(xs, fwd_pos, h_f, bwd_pos, h_b, ctx.pv, ctx.d, ctx.sep_index)
+        if best < d_tilde:
+            return None
+        a, b, v = args
+        return _candidate(ctx, stored[a], stored[b], v, d_tilde)
 
-        def memo_rank(k: int, bwd: bool) -> int:
-            key = (k, bwd)
-            if key not in rank_memo:
-                if bwd:
-                    rank_memo[key] = self._rank(self.v_bwd, self._bwd, k, charged=False)
-                else:
-                    rank_memo[key] = self._rank(self.v_fwd, self._fwd, k, charged=False)
-            return rank_memo[key]
 
-        def qualify(idx: int) -> bool:
-            d_prime = (idx - 1) // t
-            pos = (idx - 1) % t + 1
-            k_r, x_r = snap[pos - 1]
-            color = ctx.color(x_r)
-            if color is Color.WHITE:
-                return False
-            rho = ctx.pref(x_r) - ctx.pref(x_r - 1)
-            L = ctx.pref(x_r) - ctx.pref(x_r - d_prime - 1)
-            lo_q, hi_q = self._interval(self.bwd_lcp, bwd_pos[k_r], t, L)
-            lo_p, hi_p = self._interval(self.fwd_lcp, fwd_pos[k_r], t, d_tilde - L + rho)
-            if ctx.lrs:
-                want = None
-                pts = self.red_pts
-            else:
-                want = Color.BLUE if color is Color.RED else Color.RED
-                pts = self.blue_pts if want is Color.BLUE else self.red_pts
-            rp_lo = memo_rank(fwd_items[lo_p - 1], False)
-            rp_hi = memo_rank(fwd_items[hi_p - 1], False)
-            rq_lo = memo_rank(bwd_items[lo_q - 1], True)
-            rq_hi = memo_rank(bwd_items[hi_q - 1], True)
-            box = pts.count(rp_lo + 1, rp_hi - 1, rq_lo + 1, rq_hi - 1)
-            if ctx.lrs:
-                rp_self = memo_rank(k_r, False)
-                rq_self = memo_rank(k_r, True)
-                if rp_lo < rp_self < rp_hi and rq_lo < rq_self < rq_hi:
-                    box -= 1
-
-            def pos_ok(k_j: int) -> bool:
-                return lo_p <= fwd_pos[k_j] <= hi_p and lo_q <= bwd_pos[k_j] <= hi_q
-
-            partner = None
-            if box > 0:
-                for k_j, x_j in snap:
-                    if k_j == k_r:
-                        continue
-                    cj = ctx.color(x_j)
-                    if want is not None and cj is not want:
-                        continue
-                    if cj is Color.WHITE:
-                        continue
-                    rpj = memo_rank(k_j, False)
-                    rqj = memo_rank(k_j, True)
-                    if rp_lo < rpj < rp_hi and rq_lo < rqj < rq_hi:
-                        partner = (k_j, x_j)
-                        break
-                if partner is None:
-                    raise AssertionError("rank box count inconsistent with contents")
-            else:
-                # partners tied with an interval endpoint rank are checked
-                # explicitly (at most a handful for a random reference set)
-                for k_j, x_j in snap:
-                    if k_j == k_r:
-                        continue
-                    cj = ctx.color(x_j)
-                    if want is not None and cj is not want:
-                        continue
-                    if cj is Color.WHITE:
-                        continue
-                    rpj = memo_rank(k_j, False)
-                    rqj = memo_rank(k_j, True)
-                    on_boundary = rpj in (rp_lo, rp_hi) or rqj in (rq_lo, rq_hi)
-                    if on_boundary and pos_ok(k_j):
-                        partner = (k_j, x_j)
-                        break
-            if partner is None:
-                return False
-            k_j, x_j = partner
-            if ctx.lrs or color is Color.RED:
-                cand = Candidate(k_r, k_j, d_prime, L, d_tilde, True, x_r, x_j)
-            else:
-                cand = Candidate(k_j, k_r, d_prime, L, d_tilde, False, x_j, x_r)
-            found.append(cand)
-            return True
-
-        hit = grover_search(
-            (2 * d + 1) * t,
-            qualify,
-            ledger=self.ledger,
-            model=ctx.model,
-            unit_cost=ctx.model.check_unit,
-        )
-        return found[0] if hit is not None else None
+def _ranked(order: DynArray, lcp: DynArray, slot: dict[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Each stored anchor's position in a decoded order, and the adjacent agreements."""
+    pos = np.empty(len(slot), dtype=np.int64)
+    pos[[slot[k] for k in order.keys()]] = np.arange(len(slot))
+    h = np.fromiter((h for _, h in lcp.items()), dtype=np.int64, count=len(lcp))
+    return pos, h
 
 
 # ---------------------------------------------------------------------------
-# full-set collision table (the deterministic mode's check, vectorized)
+# certificate kernel, shared by the full-set index and the walk vertex
 
 
 def _sparse_tables(h: np.ndarray) -> list[np.ndarray]:
@@ -567,106 +457,120 @@ def _rmq_vec(tables: list[np.ndarray], logt: np.ndarray, lo: np.ndarray, hi: np.
     return out
 
 
-class CollisionIndex:
-    """Certified-length table over the full anchor set at one scale d.
+def best_certificate(
+    xs: np.ndarray,
+    fwd_pos: np.ndarray,
+    h_f: np.ndarray,
+    bwd_pos: np.ndarray,
+    h_b: np.ndarray,
+    pv: np.ndarray,
+    d: int,
+    sep_index: Optional[int],
+) -> tuple[int, Optional[tuple[int, int, int]]]:
+    """Largest target length any admissible pair of the given anchors certifies.
 
-    For every ordered pair of stored anchors with admissible colors this
-    computes the largest target the check conditions admit, exactly the
-    predicate the per-candidate check evaluates, so one table answers
-    every probe at this scale.
+    xs holds the anchors' run indices; fwd_pos/bwd_pos their 0-based ranks
+    in the forward and backward decoded orders, h_f/h_b the agreement of
+    adjacent entries in those orders, pv the prefix sums.  A flagged anchor
+    a and an opposite-colour partner (any other anchor for a single string)
+    with forward agreement p and backward agreement q certify
+    p + max_l - rho: max_l is the longest whole-run backward span ending at
+    a's run, at most 2d + 1 runs, that fits in q, and rho is a's run length.
+    Returns (best, (a, partner, v)) with indices into xs and v the run
+    before the span, or (0, None); ties keep the first pair scanned.
+    """
+    best, best_args = 0, None
+    m = len(xs)
+    if m < 2:
+        return best, best_args
+    t_f, t_b, logt = _sparse_tables(h_f), _sparse_tables(h_b), _log_table(m)
+    if sep_index is None:
+        everyone = np.arange(m)
+        sides = [(everyone, everyone)]
+    else:
+        reds = np.flatnonzero(xs < sep_index)
+        blues = np.flatnonzero(xs > sep_index)
+        sides = [(reds, blues), (blues, reds)]
+    for a_idx, b_idx in sides:
+        for a in a_idx:
+            a = int(a)
+            partners = b_idx[b_idx != a] if sep_index is None else b_idx
+            if len(partners) == 0:
+                continue
+            pf_a, pb_a = fwd_pos[a], bwd_pos[a]
+            pf, pb = fwd_pos[partners], bwd_pos[partners]
+            p = _rmq_vec(t_f, logt, np.minimum(pf_a, pf), np.maximum(pf_a, pf) - 1)
+            q = _rmq_vec(t_b, logt, np.minimum(pb_a, pb), np.maximum(pb_a, pb) - 1)
+            x_a = int(xs[a])
+            p_xa = int(pv[x_a])
+            rho = p_xa - int(pv[x_a - 1])
+            lo_run = max(x_a - 2 * d - 1, 0)
+            v = np.searchsorted(pv, p_xa - q, side="left")
+            v = np.maximum(v, lo_run)
+            ok = v <= x_a - 1
+            if not ok.any():
+                continue
+            max_l = p_xa - pv[np.minimum(v, x_a - 1)]
+            cert = np.where(ok, p + max_l - rho, 0)
+            j = int(np.argmax(cert))
+            if int(cert[j]) > best:
+                best = int(cert[j])
+                best_args = (a, int(partners[j]), int(v[j]))
+    return best, best_args
+
+
+def _candidate(
+    ctx: _WalkContext, flagged: tuple[int, int], partner: tuple[int, int], v: int, d_tilde: int
+) -> Candidate:
+    """Orient a kernel witness, given as (anchor id, run index) pairs, red first."""
+    (k_a, x_a), (k_b, x_b) = flagged, partner
+    d_prime = x_a - v - 1
+    big_l = int(ctx.pv[x_a] - ctx.pv[v])
+    if ctx.color(x_a) is Color.RED:
+        return Candidate(k_a, k_b, d_prime, big_l, d_tilde, True, x_a, x_b)
+    return Candidate(k_b, k_a, d_prime, big_l, d_tilde, False, x_b, x_a)
+
+
+class CollisionIndex:
+    """Best certified length over the full anchor set at one scale d.
+
+    Sorts every anchor window once and runs the certificate kernel over all
+    anchors, so one (length, witness) pair answers every probe at this scale.
     """
 
     def __init__(self, ctx: _WalkContext):
         self.ctx = ctx
-        m = ctx.anchors.m
-        self.m = m
-        self.xs = np.fromiter(ctx.anchors.entries, dtype=np.int64, count=m)
-        self.pv = np.fromiter(ctx.pvals, dtype=np.int64, count=len(ctx.pvals))
-        if ctx.sep_index is None:
-            self.colors = np.zeros(m, dtype=np.int8)
-        else:
-            self.colors = np.where(
-                self.xs < ctx.sep_index, 0, np.where(self.xs == ctx.sep_index, 2, 1)
-            ).astype(np.int8)
-        fwd = [ctx.fwd_win(int(x)) for x in self.xs]
-        bwd = [ctx.bwd_win(int(x)) for x in self.xs]
-        self.fwd_pos, self.h_f = self._order(fwd)
-        self.bwd_pos, self.h_b = self._order(bwd)
-        self.t_f = _sparse_tables(self.h_f)
-        self.t_b = _sparse_tables(self.h_b)
-        self.logt = _log_table(m)
-        self.best = 0
-        self.best_args: Optional[tuple[int, int, int]] = None
-        self._scan()
+        self.xs = np.fromiter(ctx.anchors.entries, dtype=np.int64, count=ctx.anchors.m)
+        fwd_pos, h_f = self._order([ctx.fwd_win(int(x)) for x in self.xs])
+        bwd_pos, h_b = self._order([ctx.bwd_win(int(x)) for x in self.xs])
+        self.best, self.best_args = best_certificate(
+            self.xs, fwd_pos, h_f, bwd_pos, h_b, ctx.pv, ctx.d, ctx.sep_index
+        )
 
-    def _order(self, wins) -> tuple[np.ndarray, np.ndarray]:
+    @staticmethod
+    def _order(wins) -> tuple[np.ndarray, np.ndarray]:
         def cmp(i: int, j: int) -> int:
             c = lex_compare_runs(wins[i], wins[j])
             return c if c else (i > j) - (i < j)
 
-        order = sorted(range(self.m), key=cmp_to_key(cmp))
-        pos = np.empty(self.m, dtype=np.int64)
-        for p, idx in enumerate(order):
-            pos[idx] = p
+        m = len(wins)
+        order = sorted(range(m), key=cmp_to_key(cmp))
+        pos = np.empty(m, dtype=np.int64)
+        pos[order] = np.arange(m)
         h = np.fromiter(
-            (ldcp_runs(wins[order[i]], wins[order[i + 1]]) for i in range(self.m - 1)),
+            (ldcp_runs(wins[order[i]], wins[order[i + 1]]) for i in range(m - 1)),
             dtype=np.int64,
-            count=max(0, self.m - 1),
+            count=max(0, m - 1),
         )
         return pos, h
 
-    def _scan(self) -> None:
-        m = self.m
-        if m < 2:
-            return
-        d = self.ctx.d
-        if self.ctx.lrs:
-            sides = [(np.arange(m), np.arange(m))]
-        else:
-            reds = np.flatnonzero(self.colors == 0)
-            blues = np.flatnonzero(self.colors == 1)
-            sides = [(reds, blues), (blues, reds)]
-        for a_idx, b_idx in sides:
-            if len(a_idx) == 0 or len(b_idx) == 0:
-                continue
-            for a in a_idx:
-                a = int(a)
-                partners = b_idx[b_idx != a] if self.ctx.lrs else b_idx
-                if len(partners) == 0:
-                    continue
-                pf_a = self.fwd_pos[a]
-                pb_a = self.bwd_pos[a]
-                pf = self.fwd_pos[partners]
-                pb = self.bwd_pos[partners]
-                p = _rmq_vec(self.t_f, self.logt, np.minimum(pf_a, pf), np.maximum(pf_a, pf) - 1)
-                q = _rmq_vec(self.t_b, self.logt, np.minimum(pb_a, pb), np.maximum(pb_a, pb) - 1)
-                x_a = int(self.xs[a])
-                p_xa = int(self.pv[x_a])
-                rho = p_xa - int(self.pv[x_a - 1])
-                lo_run = max(x_a - 2 * d - 1, 0)
-                v = np.searchsorted(self.pv, p_xa - q, side="left")
-                v = np.maximum(v, lo_run)
-                ok = v <= x_a - 1
-                if not ok.any():
-                    continue
-                max_l = p_xa - self.pv[np.minimum(v, x_a - 1)]
-                cert = np.where(ok, p + max_l - rho, 0)
-                j = int(np.argmax(cert))
-                if int(cert[j]) > self.best:
-                    self.best = int(cert[j])
-                    self.best_args = (a, int(partners[j]), int(v[j]))
-
     def query(self, d_tilde: int) -> Optional[Candidate]:
-        if d_tilde < 1 or self.best < d_tilde or self.best_args is None:
+        if d_tilde < 1 or self.best < d_tilde:
             return None
         a, b, v = self.best_args
-        x_a = int(self.xs[a])
-        x_b = int(self.xs[b])
-        d_prime = x_a - v - 1
-        big_l = int(self.pv[x_a] - self.pv[v])
-        if self.ctx.lrs or self.colors[a] == 0:
-            return Candidate(a + 1, b + 1, d_prime, big_l, d_tilde, True, x_a, x_b)
-        return Candidate(b + 1, a + 1, d_prime, big_l, d_tilde, False, x_b, x_a)
+        return _candidate(
+            self.ctx, (a + 1, int(self.xs[a])), (b + 1, int(self.xs[b])), v, d_tilde
+        )
 
 
 # ---------------------------------------------------------------------------

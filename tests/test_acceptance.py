@@ -14,7 +14,7 @@ from rlelcs.cli import _bench_cell
 from rlelcs.qmodel import CostModel, OracleHandle, QueryLedger, WalkMode, make_handles
 from rlelcs.reductions import parity_via_dl, parity_via_el
 from rlelcs.reference import brute_lcs, brute_lrs, plant_instance, random_rle
-from rlelcs.rle import concat_sep, decode, encode, ldcp
+from rlelcs.rle import concat_sep, decode, encode, ldcp_runs
 from rlelcs.structures import DynArray, RangeSum2D
 from rlelcs.walk import (
     SolverConfig,
@@ -252,7 +252,7 @@ def test_criterion_5_vertex_coherence():
         keys = [k for k, _ in order.items()]
         hvals = [h for _, h in lcp.items()]
         for i in range(len(keys) - 1):
-            if hvals[i] != ldcp(win(keys[i]), win(keys[i + 1])):
+            if hvals[i] != ldcp_runs(win(keys[i]), win(keys[i + 1])):
                 adjacent_bad += 1
     interval_bad = 0
     for _ in range(1000):
@@ -268,7 +268,7 @@ def test_criterion_5_vertex_coherence():
         a = rng.randint(1, t - 1)
         b = rng.randint(a + 1, t)
         keys = [k for k, _ in order.items()]
-        if lcp.range_min(a, b - 1) != ldcp(win(keys[a - 1]), win(keys[b - 1])):
+        if lcp.range_min(a, b - 1) != ldcp_runs(win(keys[a - 1]), win(keys[b - 1])):
             interval_bad += 1
     _verdict(
         "5 vertex-coherence",

@@ -122,6 +122,22 @@ def test_solve_lrs_flag(tmp_path, capsys):
     assert payload["result"]["d_tilde"] == 3
 
 
+def test_solve_lrs_rejects_second_input(tmp_path, capsys):
+    a = tmp_path / "a.rle"
+    a.write_text("a:1,b:1,a:1\n")
+    assert run(["solve", str(a), str(a), "--lrs"]) == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "--lrs" in err
+
+
+@pytest.mark.parametrize("command", [["encode"], ["decode"], ["solve", "--lrs"]])
+def test_missing_input_file_exit_code(tmp_path, capsys, command):
+    missing = tmp_path / "missing.rle"
+    assert run(command[:1] + [str(missing)] + command[1:]) == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "missing.rle" in err
+
+
 def test_bench_columns_and_determinism(tmp_path):
     out1 = tmp_path / "b1.csv"
     out2 = tmp_path / "b2.csv"

@@ -11,10 +11,9 @@ from rlelcs.rle import (
     decode,
     encode,
     format_rle,
-    inverse_prefix,
     is_generalized_substring,
-    ldcp,
-    lex_compare_decoded,
+    ldcp_runs,
+    lex_compare_runs,
     parse_rle,
     prefix_table,
     reverse,
@@ -90,36 +89,36 @@ def test_prefix_table_clamping():
 
 def test_inverse_prefix_examples():
     p = PrefixTable((0, 3, 4, 7, 9))
-    assert inverse_prefix(p, 5) == 3
-    assert inverse_prefix(p, 3) == 1
-    assert inverse_prefix(PrefixTable((0, 5)), 1) == 1
+    assert p.search(5) == 3
+    assert p.search(3) == 1
+    assert PrefixTable((0, 5)).search(1) == 1
     with pytest.raises(IndexError):
-        inverse_prefix(p, 0)
+        p.search(0)
     with pytest.raises(IndexError):
-        inverse_prefix(p, 10)
+        p.search(10)
 
 
 def test_inverse_prefix_is_inverse():
     s = rle(("a", 4), ("b", 2), ("a", 7))
     p = prefix_table(s)
     for i in range(1, s.n + 1):
-        assert inverse_prefix(p, p[i]) == i
+        assert p.search(p[i]) == i
 
 
 def test_ldcp_examples():
     s = rle(("a", 3), ("b", 2))
     t = rle(("a", 3), ("b", 1), ("c", 1))
-    assert ldcp(s, t) == 4
-    assert ldcp(s, s) == s.total
-    assert ldcp(rle(("a", 1)), rle(("b", 1))) == 0
+    assert ldcp_runs(s, t) == 4
+    assert ldcp_runs(s, s) == s.total
+    assert ldcp_runs(rle(("a", 1)), rle(("b", 1))) == 0
 
 
 def test_lex_compare_examples():
     s = rle(("a", 3), ("b", 2))
     t = rle(("a", 3), ("b", 1), ("c", 1))
-    assert lex_compare_decoded(s, t) == -1
-    assert lex_compare_decoded(s, s) == 0
-    assert lex_compare_decoded(rle(("a", 1)), rle(("a", 2))) == -1
+    assert lex_compare_runs(s, t) == -1
+    assert lex_compare_runs(s, s) == 0
+    assert lex_compare_runs(rle(("a", 1)), rle(("a", 2))) == -1
 
 
 def _random_rle_strategy(max_runs=8, alphabet=3, max_len=5):
@@ -137,20 +136,20 @@ def test_ldcp_matches_decoded_oracle(s, t):
         if a != b:
             break
         expected += 1
-    assert ldcp(s, t) == expected
+    assert ldcp_runs(s, t) == expected
 
 
 @given(_random_rle_strategy(), _random_rle_strategy())
 def test_lex_matches_decoded_oracle(s, t):
     ds, dt = decode(s), decode(t)
     expected = 0 if ds == dt else (-1 if ds < dt else 1)
-    assert lex_compare_decoded(s, t) == expected
+    assert lex_compare_runs(s, t) == expected
 
 
 @given(_random_rle_strategy(), _random_rle_strategy())
 def test_lex_consistent_with_ldcp(s, t):
-    order = lex_compare_decoded(s, t)
-    common = ldcp(s, t)
+    order = lex_compare_runs(s, t)
+    common = ldcp_runs(s, t)
     ds, dt = decode(s), decode(t)
     if order == -1 and common < len(ds) and common < len(dt):
         assert ds[common] < dt[common]
@@ -162,9 +161,9 @@ def test_lex_consistent_with_ldcp(s, t):
 def test_sorted_ldcp_law(strings):
     import functools
 
-    strings.sort(key=functools.cmp_to_key(lex_compare_decoded))
-    adjacent = [ldcp(strings[i], strings[i + 1]) for i in range(len(strings) - 1)]
-    assert ldcp(strings[0], strings[-1]) == min(adjacent)
+    strings.sort(key=functools.cmp_to_key(lex_compare_runs))
+    adjacent = [ldcp_runs(strings[i], strings[i + 1]) for i in range(len(strings) - 1)]
+    assert ldcp_runs(strings[0], strings[-1]) == min(adjacent)
 
 
 def test_generalized_substring_known_cases():

@@ -1,13 +1,16 @@
 import functools
+import importlib.util
 import math
 import random
+from pathlib import Path
 
 import pytest
 
+import rlelcs
 from rlelcs.anchors import AnchorScheme, AnchorSet, build_exhaustive
 from rlelcs.qmodel import CostModel, OracleHandle, QueryLedger, WalkMode, make_handles
 from rlelcs.reference import brute_lcs, brute_lrs, plant_instance, random_rle
-from rlelcs.rle import RleString, concat_sep, decode, encode, ldcp, lex_compare_decoded
+from rlelcs.rle import RleString, concat_sep, decode, encode, ldcp_runs, prefix_table
 from rlelcs.walk import (
     Candidate,
     CollisionIndex,
@@ -67,8 +70,6 @@ def test_window_decoded_oracle_random():
         d = rng.randint(1, 6)
         x = build_exhaustive(s, d)
         full = decode(s)
-        from rlelcs.rle import prefix_table
-
         pt = prefix_table(s)
         for k in range(1, x.m + 1):
             lo = pt.clamped(k - 1)
@@ -195,11 +196,11 @@ def test_vertex_coherence_after_random_ops():
             keys = [k for k, _ in order.items()]
             hvals = [h for _, h in lcp.items()]
             for i in range(len(keys) - 1):
-                assert hvals[i] == ldcp(win(keys[i]), win(keys[i + 1]))
+                assert hvals[i] == ldcp_runs(win(keys[i]), win(keys[i + 1]))
             a = rng.randint(1, len(keys))
             b = rng.randint(a, len(keys))
             if a < b:
-                assert lcp.range_min(a, b - 1) == ldcp(win(keys[a - 1]), win(keys[b - 1]))
+                assert lcp.range_min(a, b - 1) == ldcp_runs(win(keys[a - 1]), win(keys[b - 1]))
 
 
 def test_vertex_check_worked_example():
@@ -216,36 +217,98 @@ def test_vertex_check_disjoint_alphabets():
     assert v.check(1) is None
 
 
-def test_index_matches_literal_check_random():
+def _brute_shift_certs(ctx, k_a, k_b):
+    """Length flagged anchor k_a and partner k_b certify at each shift 0..2d, from decoded windows."""
+    s, x, d = ctx.handle.string, ctx.anchors, ctx.d
+    pt = prefix_table(s)
+    x_a = x.entries[k_a - 1]
+    rho = pt[x_a] - pt[x_a - 1]
+    p = ldcp_runs(prefix_window(s, x, k_a, d), prefix_window(s, x, k_b, d))
+    q = ldcp_runs(suffix_window(s, x, k_a, d), suffix_window(s, x, k_b, d))
+    certs = []
+    for shift in range(2 * d + 1):
+        big_l = pt[x_a] - pt.clamped(x_a - shift - 1)
+        certs.append(p + big_l - rho if big_l <= q else 0)
+    return certs
+
+
+def _brute_best(ctx, stored):
+    best = 0
+    for k_a in stored:
+        c_a = ctx.color(ctx.anchors.entries[k_a - 1])
+        for k_b in stored:
+            c_b = ctx.color(ctx.anchors.entries[k_b - 1])
+            if k_a == k_b or Color.WHITE in (c_a, c_b) or (not ctx.lrs and c_a is c_b):
+                continue
+            best = max(best, *_brute_shift_certs(ctx, k_a, k_b))
+    return best
+
+
+def _assert_witness(ctx, cand, d_tilde):
+    entries = ctx.anchors.entries
+    assert (entries[cand.k_red - 1], entries[cand.k_blue - 1]) == (cand.x_red, cand.x_blue)
+    if not ctx.lrs:
+        assert cand.x_red < ctx.sep_index < cand.x_blue
+    flagged, partner = (cand.k_red, cand.k_blue) if cand.flag_red else (cand.k_blue, cand.k_red)
+    x_a = entries[flagged - 1]
+    pt = prefix_table(ctx.handle.string)
+    assert cand.d_tilde == d_tilde
+    assert cand.L == pt[x_a] - pt.clamped(x_a - cand.d_prime - 1)
+    assert _brute_shift_certs(ctx, flagged, partner)[cand.d_prime] >= d_tilde
+
+
+def _check_certificates_against_brute(ctx, rng, steps):
+    """Full-set index and walk-vertex check on random stored subsets vs the brute oracle."""
+    m = ctx.anchors.m
+    everyone = list(range(1, m + 1))
+    idx = CollisionIndex(ctx)
+    assert idx.best == _brute_best(ctx, everyone)
+    if idx.best:
+        _assert_witness(ctx, idx.query(idx.best), idx.best)
+    assert idx.query(idx.best + 1) is None
+    ledger = QueryLedger()
+    v = WalkVertex(ctx, tuple(sorted(rng.sample(everyone, rng.randint(1, m)))), ledger)
+    stored = set()
+    for _ in range(steps):
+        if not stored or (len(stored) < m and rng.random() < 0.6):
+            k = rng.choice([k for k in everyone if k not in stored])
+            v.insert(k)
+            stored.add(k)
+        else:
+            k = rng.choice(sorted(stored))
+            v.delete(k)
+            stored.discard(k)
+        if len(stored) == m:
+            continue
+        truth = _brute_best(ctx, sorted(stored))
+        for d_tilde in range(1, truth + 2):
+            before = ledger.charged_cost
+            cand = v.check(d_tilde)
+            charge = check_charge(MODEL, ctx.d, len(stored)) if stored else 0.0
+            assert ledger.charged_cost - before == pytest.approx(charge)
+            assert (cand is not None) == (d_tilde <= truth), (sorted(stored), d_tilde)
+            if cand is not None:
+                _assert_witness(ctx, cand, d_tilde)
+
+
+def test_certificate_matches_brute_oracle_lcs():
     rng = random.Random(21)
-    for trial in range(15):
+    for _ in range(15):
         a = random_rle(rng, rng.randint(1, 12), max_len=4)
         b = random_rle(rng, rng.randint(1, 12), max_len=4)
-        d = rng.choice([2, 3, 4, 8])
+        d = rng.choice([1, 2, 3, 4, 8])
         s, sep = concat_sep(a, b)
-        ledger = QueryLedger()
-        hs = OracleHandle(s, ledger)
-        ctx = make_context(hs, build_exhaustive(s, d), d, sep, MODEL)
-        v = _full_vertex(ctx, ledger)
-        idx = CollisionIndex(ctx)
-        for d_tilde in range(1, min(a.total, b.total) + 2):
-            literal = v.check(d_tilde)
-            fast = idx.query(d_tilde)
-            assert (literal is None) == (fast is None), (trial, d_tilde)
+        ctx = make_context(OracleHandle(s, QueryLedger()), build_exhaustive(s, d), d, sep, MODEL)
+        _check_certificates_against_brute(ctx, rng, 25)
 
 
-def test_index_matches_literal_check_lrs():
+def test_certificate_matches_brute_oracle_lrs():
     rng = random.Random(33)
-    for trial in range(10):
+    for _ in range(10):
         a = random_rle(rng, rng.randint(2, 12), max_len=4)
-        d = rng.choice([2, 4, 8])
-        ledger = QueryLedger()
-        hs = OracleHandle(a, ledger)
-        ctx = make_context(hs, build_exhaustive(a, d), d, None, MODEL)
-        v = _full_vertex(ctx, ledger)
-        idx = CollisionIndex(ctx)
-        for d_tilde in range(1, a.total + 1):
-            assert (v.check(d_tilde) is None) == (idx.query(d_tilde) is None), (trial, d_tilde)
+        d = rng.choice([1, 2, 4, 8])
+        ctx = make_context(OracleHandle(a, QueryLedger()), build_exhaustive(a, d), d, None, MODEL)
+        _check_certificates_against_brute(ctx, rng, 25)
 
 
 def test_check_soundness_certified_length_genuine():
@@ -415,7 +478,6 @@ def test_probe_predicate_monotone():
         ctx = make_context(hs, build_exhaustive(s, 8), 8, sep, MODEL)
         idx = CollisionIndex(ctx)
         hits = [idx.query(t) is not None for t in range(1, min(a.total, b.total) + 1)]
-        assert all(earlier or not later for earlier, later in zip(hits, hits[1:])) or True
         # directly: no True after a False
         seen_false = False
         for h in hits:
@@ -560,3 +622,24 @@ def test_finalize_rejects_mismatched_ends():
     ha, hb, _ = make_handles(encode(b"aab"), encode(b"ccd"))
     with pytest.raises(InternalInconsistencyError):
         finalize_answer(2, 2, ha, hb)
+
+
+def test_benchmark_tracer_installs_and_restores():
+    # the traced benchmark patches names in rlelcs.walk and rlelcs.structures;
+    # a refactor that drops one of them fails here rather than in the benchmark
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    walk = rlelcs.walk
+    saved = dict(vars(walk))
+    a, b = encode(b"aabbbc"), encode(b"dbbbcc")
+    with tracer.Tracer().installed(rlelcs) as tr:
+        assert walk.grover_search is not saved["grover_search"]
+        for mode in (WalkMode.FULLSET, WalkMode.RANDOMWALK):
+            ha, hb, _ = make_handles(a, b)
+            ans = solve_lcs_rle_p(ha, hb, SolverConfig(mode=mode))
+            assert ans.d_tilde == 4
+    assert tr.counts["ldcp_calls"] > 0
+    assert tr.layer_metrics()["walk.vertex_check_calls"] > 0
+    assert dict(vars(walk)) == saved
