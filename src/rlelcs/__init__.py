@@ -17,9 +17,7 @@ from .qmodel import (
     WalkMode,
     grover_search,
     make_handles,
-    minimum_find,
     walk_search,
-    with_whp,
 )
 from .reductions import (
     ElParityResult,

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .qmodel import CostModel, QueryLedger
 from .rle import RleString
 
 
@@ -102,20 +101,10 @@ def build_minimizer(s: RleString, d: int, seed: int, *, d_min: int = 8) -> Ancho
     return AnchorSet(tuple(sorted(selected)), d, AnchorScheme.MINIMIZER)
 
 
-def anchor_at(
-    anchors: AnchorSet,
-    k: int,
-    *,
-    ledger: Optional[QueryLedger] = None,
-    model: Optional[CostModel] = None,
-    d: Optional[int] = None,
-) -> int:
-    """k-th anchor (1-based).  Charges anchor_factor * sqrt(d) per lookup."""
+def anchor_at(anchors: AnchorSet, k: int) -> int:
+    """k-th anchor (1-based); its anchor_factor * sqrt(d) charge is in insert_charge."""
     if not 1 <= k <= anchors.m:
         raise IndexError(f"anchor index {k} out of range 1..{anchors.m}")
-    if ledger is not None:
-        factor = model.anchor_factor if model is not None else 1.0
-        ledger.charge(factor * math.sqrt(d if d is not None else anchors.d))
     return anchors.entries[k - 1]
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -29,22 +30,29 @@ EXIT_INCONSISTENT = 3
 def _load_model(args) -> CostModel:
     model = CostModel()
     if getattr(args, "config", None):
-        model = CostModel.from_file(args.config, base=model)
-    overrides = {}
+        try:
+            model = CostModel.from_file(args.config, base=model)
+        except (KeyError, ValueError) as exc:
+            raise ParseError(f"{args.config}: {exc.args[0]}") from exc
     if getattr(args, "d_min", None) is not None:
-        overrides["d_min"] = args.d_min
-    if overrides:
-        import dataclasses
-
-        model = dataclasses.replace(model, **overrides)
+        try:
+            model = dataclasses.replace(model, d_min=args.d_min)
+        except ValueError as exc:
+            raise ParseError(f"--d-min: {exc}") from exc
     return model
 
 
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
+
+
 def _read_rle_file(path: str, raw: bool) -> RleString:
-    data = Path(path).read_bytes()
     if raw:
-        return encode(data)
-    lines = [ln for ln in data.decode("utf-8").splitlines() if ln.strip()]
+        return encode(Path(path).read_bytes())
+    lines = [ln for ln in _read_text(path).splitlines() if ln.strip()]
     if len(lines) > 1:
         raise ParseError(f"{path}: expected one RLE string per file, found {len(lines)} lines")
     return parse_rle(lines[0]) if lines else RleString(())
@@ -61,7 +69,7 @@ def cmd_encode(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    text = Path(args.input).read_text()
+    text = _read_text(args.input)
     chunks = []
     for lineno, line in enumerate(text.splitlines(), 1):
         try:

@@ -2,9 +2,10 @@
 
 Every primitive runs an ordinary deterministic procedure but charges the
 idealized quantum cost to a :class:`QueryLedger`.  Success probabilities are
-1 classically, so probability boosting appears only as the cost multiplier
-:func:`with_whp`.  Charges never depend on where (or whether) a satisfying
-element lies, only on the search-space size.
+1 classically; the log factors of probability boosting are folded into the
+cost model's constants.  Charges never depend on where (or whether) a
+satisfying element lies, only on the search-space size, and the walk driver
+charges only the formulas its hooks declare.
 """
 
 from __future__ import annotations
@@ -37,10 +38,6 @@ class QueryLedger:
             raise ValueError("charges must be non-negative")
         self.charged_cost += amount
 
-    def absorb_counters(self, other: "QueryLedger") -> None:
-        self.run_queries += other.run_queries
-        self.prefix_queries += other.prefix_queries
-
     def as_dict(self) -> dict[str, Any]:
         return {
             "run_queries": self.run_queries,
@@ -61,7 +58,6 @@ class CostModel:
     grover_factor: float = 1.0
     minfind_factor: float = 1.0
     anchor_factor: float = 1.0
-    whp_log_base: float = 2.0
     insert_comp_factor: float = 8.0
     setup_sort_factor: float = 2.0
     check_unit: float = 1.0
@@ -72,10 +68,8 @@ class CostModel:
 
     def __post_init__(self):
         for f in fields(self):
-            if getattr(self, f.name) <= 0:
-                raise ValueError(f"{f.name} must be positive")
-        if self.whp_log_base <= 1:
-            raise ValueError("whp_log_base must exceed 1")
+            if not 0 < getattr(self, f.name) < math.inf:
+                raise ValueError(f"{f.name} must be positive and finite")
 
     @classmethod
     def from_items(cls, items: dict[str, str], base: "CostModel | None" = None) -> "CostModel":
@@ -98,7 +92,7 @@ class CostModel:
                 continue
             key, sep, value = line.partition("=")
             if not sep:
-                raise ValueError(f"{path}:{lineno}: expected key=value")
+                raise ValueError(f"line {lineno}: expected key=value")
             items[key.strip()] = value.strip()
         return cls.from_items(items, base)
 
@@ -177,38 +171,6 @@ def grover_search(
     return None
 
 
-def minimum_find(
-    space_size: int,
-    key: Callable[[int], Any],
-    *,
-    ledger: QueryLedger,
-    model: CostModel,
-    unit_cost: float = 1.0,
-) -> int:
-    """Argmin index in 1..space_size (ties break to the smallest index)."""
-    if space_size < 1:
-        raise ValueError("space_size must be >= 1")
-    ledger.charge(model.minfind_factor * ceil_sqrt(space_size) * unit_cost)
-    best_i = 1
-    best = key(1)
-    for i in range(2, space_size + 1):
-        k = key(i)
-        if k < best:
-            best, best_i = k, i
-    return best_i
-
-
-def with_whp(inner_cost: float, n_scale: int, *, model: CostModel | None = None) -> float:
-    """Cost of a subroutine boosted to high success probability."""
-    if inner_cost < 0:
-        raise ValueError("inner_cost must be >= 0")
-    if n_scale < 2:
-        raise ValueError("n_scale must be >= 2")
-    base = model.whp_log_base if model is not None else 2.0
-    reps = math.ceil(math.log(n_scale, base) - 1e-12)
-    return inner_cost * reps
-
-
 class WalkMode(str, Enum):
     FULLSET = "fullset"
     RANDOMWALK = "walk"
@@ -217,19 +179,19 @@ class WalkMode(str, Enum):
 
 @dataclass
 class WalkHooks:
-    """Vertex-state operations for the walk driver.
+    """Vertex-state operations for the walk driver, with their declared charges.
 
-    Executed modes measure each hook's charge on a scratch ledger; a hook
-    may instead declare its per-call charge, which takes precedence and is
-    the only source available to the no-execution mode.
+    The charges are per call (one setup, one update per swap, one check per
+    round) and are the only charge source in every mode; the no-execution
+    mode needs no operations.
     """
 
-    setup: Callable[[Sequence[int], QueryLedger], Any] | None = None
-    update: Callable[[Any, int, int, QueryLedger], None] | None = None
-    check: Callable[[Any, QueryLedger], Any | None] | None = None
-    setup_cost: float | None = None
-    update_cost: float | None = None
-    check_cost: float | None = None
+    setup_cost: float
+    update_cost: float
+    check_cost: float
+    setup: Callable[[Sequence[int]], Any] | None = None
+    update: Callable[[Any, int, int], None] | None = None
+    check: Callable[[Any], Any | None] | None = None
 
 
 def walk_search(
@@ -242,96 +204,56 @@ def walk_search(
     ledger: QueryLedger,
     model: CostModel,
     rng=None,
-    step_budget: int | None = None,
-    stats_out: dict | None = None,
 ) -> Any | None:
     """Walk-search driver over r-subsets of an m-element set.
 
-    All modes add ``s + (1/sqrt(delta)) * (sqrt(r_used) * u + c)`` to the
-    ledger, with per-call hook charges measured during execution (or taken
-    from the hooks' declared values).  Returns a marked-vertex report if any
-    check reports one; always returns None when nothing is marked.
+    Every mode charges ``s + (1/sqrt(delta)) * (sqrt(r) * u + c)`` from the
+    hooks' declared costs, then runs the hooks if the mode executes them.
+    Returns a marked-vertex report if any check reports one; always returns
+    None when nothing is marked.
     """
     if not 1 <= r <= m:
         raise ValueError(f"need 1 <= r <= m, got r={r} m={m}")
     if not 0 < delta_bound <= 1:
         raise ValueError("delta_bound must be in (0, 1]")
+    if mode is not WalkMode.COSTONLY and (hooks.setup is None or hooks.check is None):
+        raise ValueError("executed modes need setup and check hooks")
+    if mode is WalkMode.RANDOMWALK and hooks.update is None:
+        raise ValueError("random-walk mode needs an update hook")
 
-    def finalize(s: float, u: float, c: float, r_used: int, report):
-        total = s + (1.0 / math.sqrt(delta_bound)) * (math.sqrt(r_used) * u + c)
-        ledger.charge(total)
-        if stats_out is not None:
-            stats_out.update(
-                {"setup": s, "update": u, "check": c, "r_used": r_used, "total": total}
-            )
-        return report
+    s, u, c = hooks.setup_cost, hooks.update_cost, hooks.check_cost
+    ledger.charge(s + (1.0 / math.sqrt(delta_bound)) * (math.sqrt(r) * u + c))
 
     if mode is WalkMode.COSTONLY:
-        return finalize(
-            hooks.setup_cost or 0.0, hooks.update_cost or 0.0, hooks.check_cost or 0.0, r, None
-        )
+        return None
 
-    if hooks.setup is None or hooks.check is None:
-        raise ValueError("executed modes need setup and check hooks")
-
-    scratch = QueryLedger()
     if mode is WalkMode.FULLSET:
-        state = hooks.setup(tuple(range(1, m + 1)), scratch)
-        s_meas = scratch.charged_cost
-        report = hooks.check(state, scratch)
-        c_meas = scratch.charged_cost - s_meas
-        ledger.absorb_counters(scratch)
-        s = hooks.setup_cost if hooks.setup_cost is not None else s_meas
-        u = hooks.update_cost if hooks.update_cost is not None else 0.0
-        c = hooks.check_cost if hooks.check_cost is not None else c_meas
-        return finalize(s, u, c, m, report)
+        return hooks.check(hooks.setup(tuple(range(1, m + 1))))
 
     if mode is WalkMode.RANDOMWALK:
-        if hooks.update is None:
-            raise ValueError("random-walk mode needs an update hook")
         import random as _random
 
         rng = rng if rng is not None else _random.Random(0)
         inside = set(rng.sample(range(1, m + 1), r))
         outside = [i for i in range(1, m + 1) if i not in inside]
-        state = hooks.setup(tuple(sorted(inside)), scratch)
-        s_meas = scratch.charged_cost
-        budget = step_budget
-        if budget is None:
-            budget = int(
-                model.step_budget_factor
-                * math.ceil(m / r)
-                * math.ceil(1.0 / math.sqrt(delta_bound))
-            )
+        state = hooks.setup(tuple(sorted(inside)))
+        budget = int(
+            model.step_budget_factor * math.ceil(m / r) * math.ceil(1.0 / math.sqrt(delta_bound))
+        )
         swaps = math.isqrt(r - 1) + 1 if r > 1 else 1
-        u_total, u_calls, c_total, c_calls = 0.0, 0, 0.0, 0
-        report = None
         for _ in range(max(1, budget)):
-            before = scratch.charged_cost
-            report = hooks.check(state, scratch)
-            c_total += scratch.charged_cost - before
-            c_calls += 1
-            if report is not None:
-                break
+            report = hooks.check(state)
+            # with r = m the full set is the only vertex: one check decides
+            if report is not None or not outside:
+                return report
             for _ in range(swaps):
                 out_pos = rng.randrange(len(outside))
                 removed = rng.choice(sorted(inside))
                 added = outside[out_pos]
-                before = scratch.charged_cost
-                hooks.update(state, removed, added, scratch)
-                u_total += scratch.charged_cost - before
-                u_calls += 1
+                hooks.update(state, removed, added)
                 inside.discard(removed)
                 inside.add(added)
                 outside[out_pos] = removed
-        ledger.absorb_counters(scratch)
-        s = hooks.setup_cost if hooks.setup_cost is not None else s_meas
-        u = hooks.update_cost if hooks.update_cost is not None else (
-            u_total / u_calls if u_calls else 0.0
-        )
-        c = hooks.check_cost if hooks.check_cost is not None else (
-            c_total / c_calls if c_calls else 0.0
-        )
-        return finalize(s, u, c, r, report)
+        return None
 
     raise ValueError(f"unknown mode {mode!r}")

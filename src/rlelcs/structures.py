@@ -1,18 +1,16 @@
-"""Walk-vertex auxiliary structures: dynamic key-value array, 2D range counts.
+"""Canonical structures: the walk vertex's dynamic key-value array, 2D range counts.
 
 Both structures keep a canonical representation: what they serialize to is a
 pure function of their current contents, never of the insert/delete history
-that produced them.  Operations optionally charge their idealized cost to a
-ledger (log-squared for the 2D counter, logarithmic for the array).
+that produced them.  Neither charges the ledger: a walk is charged from the
+declared formulas in :mod:`rlelcs.walk`.  No solver path uses the 2D counter
+any more; the benchmark's tracer still patches its methods.
 """
 
 from __future__ import annotations
 
-import math
 from collections import Counter
-from typing import Iterator, Optional
-
-from .qmodel import QueryLedger
+from typing import Iterator
 
 
 class DynArray:
@@ -36,46 +34,37 @@ class DynArray:
     def __len__(self) -> int:
         return len(self._items)
 
-    def _charge(self, ledger: Optional[QueryLedger]) -> None:
-        if ledger is not None:
-            ledger.charge(math.log2(len(self._items) + 2))
-
-    def index(self, i: int, ledger: Optional[QueryLedger] = None) -> tuple[int, int]:
+    def index(self, i: int) -> tuple[int, int]:
         if not 1 <= i <= len(self._items):
             raise IndexError(f"position {i} out of range 1..{len(self._items)}")
-        self._charge(ledger)
         return self._items[i - 1]
 
-    def insert(self, i: int, key: int, value: int, ledger: Optional[QueryLedger] = None) -> None:
+    def insert(self, i: int, key: int, value: int) -> None:
         if not 1 <= i <= len(self._items) + 1:
             raise IndexError(f"position {i} out of range 1..{len(self._items) + 1}")
         if key in self._keys:
             raise ValueError(f"duplicate key {key}")
-        self._charge(ledger)
         self._items.insert(i - 1, (int(key), int(value)))
         self._keys.add(key)
 
-    def delete(self, i: int, ledger: Optional[QueryLedger] = None) -> tuple[int, int]:
+    def delete(self, i: int) -> tuple[int, int]:
         if not 1 <= i <= len(self._items):
             raise IndexError(f"position {i} out of range 1..{len(self._items)}")
-        self._charge(ledger)
         key, value = self._items.pop(i - 1)
         self._keys.remove(key)
         return key, value
 
-    def locate(self, key: int, ledger: Optional[QueryLedger] = None) -> int:
+    def locate(self, key: int) -> int:
         if key not in self._keys:
             raise KeyError(key)
-        self._charge(ledger)
         for pos, (k, _) in enumerate(self._items, 1):
             if k == key:
                 return pos
         raise AssertionError("key set out of sync")
 
-    def range_min(self, a: int, b: int, ledger: Optional[QueryLedger] = None) -> int:
+    def range_min(self, a: int, b: int) -> int:
         if not (1 <= a <= b <= len(self._items)):
             raise IndexError(f"range {a}..{b} invalid for size {len(self._items)}")
-        self._charge(ledger)
         return min(v for _, v in self._items[a - 1 : b])
 
     def items(self) -> list[tuple[int, int]]:
@@ -119,10 +108,6 @@ class RangeSum2D:
         self._tree = [[0] * self._dim for _ in range(self._dim)]
         self._points: Counter[tuple[int, int]] = Counter()
 
-    def _charge(self, ledger: Optional[QueryLedger]) -> None:
-        if ledger is not None:
-            ledger.charge(math.log2(self.size + 2) ** 2)
-
     def _check(self, x: int, y: int) -> None:
         if not (0 <= x <= self.size and 0 <= y <= self.size):
             raise IndexError(f"point ({x}, {y}) outside universe 0..{self.size}")
@@ -150,25 +135,22 @@ class RangeSum2D:
             xi -= xi & -xi
         return total
 
-    def insert(self, x: int, y: int, ledger: Optional[QueryLedger] = None) -> None:
+    def insert(self, x: int, y: int) -> None:
         self._check(x, y)
-        self._charge(ledger)
         self._points[(x, y)] += 1
         self._add(x, y, 1)
 
-    def delete(self, x: int, y: int, ledger: Optional[QueryLedger] = None) -> None:
+    def delete(self, x: int, y: int) -> None:
         self._check(x, y)
         if self._points[(x, y)] <= 0:
             raise KeyError(f"point ({x}, {y}) not present")
-        self._charge(ledger)
         self._points[(x, y)] -= 1
         if self._points[(x, y)] == 0:
             del self._points[(x, y)]
         self._add(x, y, -1)
 
-    def count(self, x1: int, x2: int, y1: int, y2: int, ledger: Optional[QueryLedger] = None) -> int:
+    def count(self, x1: int, x2: int, y1: int, y2: int) -> int:
         """Points in [x1, x2] x [y1, y2], inclusive; empty ranges count 0."""
-        self._charge(ledger)
         if x1 > x2 or y1 > y2:
             return 0
         x1, y1 = max(x1, 0), max(y1, 0)

@@ -4,8 +4,8 @@ The solver nests a binary search on the decoded answer length inside a
 halving sweep over encoded window scales d.  At each scale it walks over
 r-subsets of an anchor set on the concatenation A $ B; a vertex stores the
 chosen anchors sorted by the text read forward from each anchor and by the
-text read backward into it, with adjacent decoded-common-prefix lengths and
-rank structures that let the check count opposite-color partners.
+text read backward into it, with adjacent decoded-common-prefix lengths.
+Every mode charges the declared formulas below, whether it executes or not.
 
 A candidate pair certifies a target length t via two agreement conditions
 anchored at the pair's run ends: the backward windows agree for at least L
@@ -42,7 +42,7 @@ from .qmodel import (
     walk_search,
 )
 from .rle import SEP_DOLLAR, RleString, concat_sep, ldcp_runs, lex_compare_runs
-from .structures import DynArray, RangeSum2D
+from .structures import DynArray
 
 
 class InternalInconsistencyError(RuntimeError):
@@ -228,34 +228,21 @@ def make_context(
 
 
 class WalkVertex:
-    """Stored-anchor state for one walk: five dynamic arrays, rank counters.
+    """Stored-anchor state for one walk: five dynamic arrays.
 
     by_key holds (anchor id, run index) sorted by id; fwd_order/bwd_order
     hold the ids sorted by the decoded text around each anchor with the
-    adjacent common-prefix lengths in fwd_lcp/bwd_lcp; non-white anchors
-    contribute their rank pair (against the fixed reference subset) to the
-    per-color 2D counters.  The check does not read the counters; they stay
-    because walk mode measures its update charge on maintaining them.
+    adjacent common-prefix lengths in fwd_lcp/bwd_lcp.
     """
 
-    def __init__(self, ctx: _WalkContext, sample: tuple[int, ...], ledger: QueryLedger):
+    def __init__(self, ctx: _WalkContext):
         self.ctx = ctx
-        self.ledger = ledger
         self.by_key = DynArray()
         self.fwd_order = DynArray()
         self.fwd_lcp = DynArray()
         self.bwd_order = DynArray()
         self.bwd_lcp = DynArray()
-        self.red_pts = RangeSum2D(ctx.anchors.m + 1)
-        self.blue_pts = RangeSum2D(ctx.anchors.m + 1)
-        self._cmp_charge = comparison_charge(ctx.model, ctx.d)
         self._wins: dict[tuple[int, bool], _Window] = {}
-        # reference subset, held in both decoded orders; building it costs
-        # one sorting pass of comparisons, same order as the setup
-        self.sample = tuple(sorted(sample))
-        ledger.charge(ctx.model.setup_sort_factor * max(1, len(sample)) * self._cmp_charge)
-        self.v_fwd = sorted(self.sample, key=cmp_to_key(self._fwd_id_cmp))
-        self.v_bwd = sorted(self.sample, key=cmp_to_key(self._bwd_id_cmp))
 
     # window helpers ---------------------------------------------------
 
@@ -282,27 +269,6 @@ class WalkVertex:
         c = lex_compare_runs(self._bwd(k1), self._bwd(k2))
         return c if c else (k1 > k2) - (k1 < k2)
 
-    def _charged_cmp(self, cmpfn, k1: int, k2: int) -> int:
-        self.ledger.charge(self._cmp_charge)
-        return cmpfn(k1, k2)
-
-    def _charged_ldcp(self, winfn, k1: int, k2: int) -> int:
-        self.ledger.charge(self._cmp_charge)
-        return ldcp_runs(winfn(k1), winfn(k2))
-
-    def _rank(self, v_sorted, winfn, k: int) -> int:
-        """Count of reference anchors whose window is lexicographically <= k's."""
-        win_k = winfn(k)
-        lo, hi = 0, len(v_sorted)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            self.ledger.charge(self._cmp_charge)
-            if lex_compare_runs(winfn(v_sorted[mid]), win_k) > 0:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
-
     # mutation ----------------------------------------------------------
 
     def insert(self, k: int) -> None:
@@ -314,38 +280,22 @@ class WalkVertex:
             pass
         else:
             raise ValueError(f"anchor {k} already stored")
-        x = anchor_at(self.ctx.anchors, k, ledger=self.ledger, model=self.ctx.model, d=self.ctx.d)
-        pos = self._bisect_by_key(k)
-        self.by_key.insert(pos, k, x, self.ledger)
+        x = anchor_at(self.ctx.anchors, k)
+        self.by_key.insert(self._bisect_by_key(k), k, x)
         self._order_insert(self.fwd_order, self.fwd_lcp, self._fwd_id_cmp, self._fwd, k, x)
         self._order_insert(self.bwd_order, self.bwd_lcp, self._bwd_id_cmp, self._bwd, k, x)
-        color = self.ctx.color(x)
-        if color is not Color.WHITE:
-            rp = self._rank(self.v_fwd, self._fwd, k)
-            rq = self._rank(self.v_bwd, self._bwd, k)
-            pts = self.red_pts if color is Color.RED else self.blue_pts
-            pts.insert(rp, rq, self.ledger)
 
     def delete(self, k: int) -> None:
-        pos = self.by_key.locate(k, self.ledger)
-        _, x = self.by_key.index(pos, self.ledger)
-        color = self.ctx.color(x)
-        if color is not Color.WHITE:
-            rp = self._rank(self.v_fwd, self._fwd, k)
-            rq = self._rank(self.v_bwd, self._bwd, k)
-            pts = self.red_pts if color is Color.RED else self.blue_pts
-            pts.delete(rp, rq, self.ledger)
+        pos = self.by_key.locate(k)
         self._order_delete(self.fwd_order, self.fwd_lcp, self._fwd, k)
         self._order_delete(self.bwd_order, self.bwd_lcp, self._bwd, k)
-        self.by_key.delete(pos, self.ledger)
-        # uncomputing the anchor entry mirrors the insertion charge
-        self.ledger.charge(self.ctx.model.anchor_factor * math.sqrt(self.ctx.d))
+        self.by_key.delete(pos)
 
     def _bisect_by_key(self, k: int) -> int:
         lo, hi = 1, len(self.by_key) + 1
         while lo < hi:
             mid = (lo + hi) // 2
-            if self.by_key.index(mid, self.ledger)[0] > k:
+            if self.by_key.index(mid)[0] > k:
                 hi = mid
             else:
                 lo = mid + 1
@@ -356,36 +306,35 @@ class WalkVertex:
         lo, hi = 1, t + 1
         while lo < hi:
             mid = (lo + hi) // 2
-            other = order.index(mid, self.ledger)[0]
-            if self._charged_cmp(cmpfn, k, other) < 0:
+            if cmpfn(k, order.index(mid)[0]) < 0:
                 hi = mid
             else:
                 lo = mid + 1
         p = lo
-        order.insert(p, k, x, self.ledger)
+        order.insert(p, k, x)
         if t == 0:
             return
         if 1 < p <= t:
-            lcp.delete(p - 1, self.ledger)
+            lcp.delete(p - 1)
         if p > 1:
-            left = order.index(p - 1, self.ledger)[0]
-            lcp.insert(p - 1, left, self._charged_ldcp(winfn, left, k), self.ledger)
+            left = order.index(p - 1)[0]
+            lcp.insert(p - 1, left, ldcp_runs(winfn(left), winfn(k)))
         if p <= t:
-            right = order.index(p + 1, self.ledger)[0]
-            lcp.insert(p, k, self._charged_ldcp(winfn, k, right), self.ledger)
+            right = order.index(p + 1)[0]
+            lcp.insert(p, k, ldcp_runs(winfn(k), winfn(right)))
 
     def _order_delete(self, order: DynArray, lcp: DynArray, winfn, k: int) -> None:
-        p = order.locate(k, self.ledger)
+        p = order.locate(k)
         t = len(order)
-        left = order.index(p - 1, self.ledger)[0] if p > 1 else None
-        right = order.index(p + 1, self.ledger)[0] if p < t else None
+        left = order.index(p - 1)[0] if p > 1 else None
+        right = order.index(p + 1)[0] if p < t else None
         if p < t:
-            lcp.delete(p, self.ledger)
+            lcp.delete(p)
         if p > 1:
-            lcp.delete(p - 1, self.ledger)
-        order.delete(p, self.ledger)
+            lcp.delete(p - 1)
+        order.delete(p)
         if left is not None and right is not None:
-            lcp.insert(p - 1, left, self._charged_ldcp(winfn, left, right), self.ledger)
+            lcp.insert(p - 1, left, ldcp_runs(winfn(left), winfn(right)))
 
     # checking ------------------------------------------------------------
 
@@ -393,14 +342,11 @@ class WalkVertex:
         """The stored anchors' best certified pair, if it reaches d_tilde.
 
         Runs the certificate kernel on the stored subset, reading the
-        maintained decoded orders and adjacent agreements; charged as the
-        search over the (2d+1) x stored shift/item grid.
+        maintained decoded orders and adjacent agreements.
         """
-        t = len(self.by_key)
-        if t == 0 or d_tilde < 1:
+        if len(self.by_key) == 0 or d_tilde < 1:
             return None
         ctx = self.ctx
-        self.ledger.charge(check_charge(ctx.model, ctx.d, t))
         stored = self.by_key.items()
         slot = {k: i for i, (k, _) in enumerate(stored)}
         xs = np.array([x for _, x in stored], dtype=np.int64)
@@ -436,18 +382,15 @@ def _sparse_tables(h: np.ndarray) -> list[np.ndarray]:
     return tables
 
 
-def _log_table(n: int) -> np.ndarray:
-    logt = np.zeros(n + 2, dtype=np.int64)
-    for i in range(2, n + 2):
-        logt[i] = logt[i // 2] + 1
-    return logt
+def _floor_log2(n: np.ndarray) -> np.ndarray:
+    """floor(log2 n) of positive integers, exact below 2**53."""
+    return np.frexp(n)[1] - 1
 
 
-def _rmq_vec(tables: list[np.ndarray], logt: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+def _rmq_vec(tables: list[np.ndarray], lo: np.ndarray, hi: np.ndarray):
     """Vectorized min over h[lo..hi] (inclusive, 0-based, lengths >= 1)."""
-    length = hi - lo + 1
     out = np.empty(lo.shape, dtype=np.int64)
-    ks = logt[length]
+    ks = _floor_log2(hi - lo + 1)
     for k in np.unique(ks):
         mask = ks == k
         t = tables[k]
@@ -483,7 +426,7 @@ def best_certificate(
     m = len(xs)
     if m < 2:
         return best, best_args
-    t_f, t_b, logt = _sparse_tables(h_f), _sparse_tables(h_b), _log_table(m)
+    t_f, t_b = _sparse_tables(h_f), _sparse_tables(h_b)
     if sep_index is None:
         everyone = np.arange(m)
         sides = [(everyone, everyone)]
@@ -499,8 +442,8 @@ def best_certificate(
                 continue
             pf_a, pb_a = fwd_pos[a], bwd_pos[a]
             pf, pb = fwd_pos[partners], bwd_pos[partners]
-            p = _rmq_vec(t_f, logt, np.minimum(pf_a, pf), np.maximum(pf_a, pf) - 1)
-            q = _rmq_vec(t_b, logt, np.minimum(pb_a, pb), np.maximum(pb_a, pb) - 1)
+            p = _rmq_vec(t_f, np.minimum(pf_a, pf), np.maximum(pf_a, pf) - 1)
+            q = _rmq_vec(t_b, np.minimum(pb_a, pb), np.maximum(pb_a, pb) - 1)
             x_a = int(xs[a])
             p_xa = int(pv[x_a])
             rho = p_xa - int(pv[x_a - 1])
@@ -591,7 +534,9 @@ def inner_search(
 
     The full-set mode decides the existence question exactly; the random
     walk samples subsets up to a step budget; the cost-only mode charges
-    the search without executing it.
+    the search without executing it.  The random walk and the cost-only
+    mode declare the same charges, so both add exactly
+    :func:`walk_charge` to the ledger.
     """
     m = ctx.anchors.m
     if not 1 <= r <= m:
@@ -599,15 +544,6 @@ def inner_search(
     model = ctx.model
     d = ctx.d
     delta = (r / m) ** 2
-
-    if mode is WalkMode.COSTONLY:
-        hooks = WalkHooks(
-            setup_cost=setup_charge(model, d, r),
-            update_cost=update_charge(model, d),
-            check_cost=check_charge(model, d, r),
-        )
-        walk_search(m, r, delta, hooks, mode=mode, ledger=ledger, model=model)
-        return None
 
     if mode is WalkMode.FULLSET:
         index = None
@@ -618,37 +554,34 @@ def inner_search(
             if index_cache is not None:
                 index_cache[d] = index
         hooks = WalkHooks(
-            setup=lambda subset, scratch: index,
-            check=lambda state, scratch: state.query(d_tilde),
             setup_cost=setup_charge(model, d, m),
             update_cost=0.0,
             check_cost=check_charge(model, d, m),
+            setup=lambda subset: index,
+            check=lambda state: state.query(d_tilde),
         )
         return walk_search(m, m, delta, hooks, mode=mode, ledger=ledger, model=model)
 
+    hooks = WalkHooks(
+        setup_cost=setup_charge(model, d, r),
+        update_cost=update_charge(model, d),
+        check_cost=check_charge(model, d, r),
+    )
     if mode is WalkMode.RANDOMWALK:
-        rng = rng if rng is not None else random.Random(0)
-        sample = tuple(sorted(rng.sample(range(1, m + 1), r)))
 
-        def setup(subset, scratch):
-            vertex = WalkVertex(ctx, sample, scratch)
+        def setup(subset):
+            vertex = WalkVertex(ctx)
             for k in subset:
                 vertex.insert(k)
             return vertex
 
-        def update(vertex, removed, added, scratch):
+        def update(vertex, removed, added):
             vertex.delete(removed)
             vertex.insert(added)
 
-        def check(vertex, scratch):
-            return vertex.check(d_tilde)
-
-        hooks = WalkHooks(setup=setup, update=update, check=check)
-        return walk_search(
-            m, r, delta, hooks, mode=mode, ledger=ledger, model=model, rng=rng
-        )
-
-    raise ValueError(f"unknown mode {mode!r}")
+        hooks.setup, hooks.update = setup, update
+        hooks.check = lambda vertex: vertex.check(d_tilde)
+    return walk_search(m, r, delta, hooks, mode=mode, ledger=ledger, model=model, rng=rng)
 
 
 # ---------------------------------------------------------------------------

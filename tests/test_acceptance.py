@@ -232,7 +232,7 @@ def test_criterion_5_vertex_coherence():
     d = 4
     anchors = build_exhaustive(s, d)
     ctx = make_context(hs, anchors, d, sep, MODEL)
-    vertex = WalkVertex(ctx, tuple(range(1, anchors.m + 1)), ledger)
+    vertex = WalkVertex(ctx)
     stored = set()
     for _ in range(1000):
         if not stored or (len(stored) < anchors.m and rng.random() < 0.55):

@@ -10,7 +10,6 @@ from rlelcs.anchors import (
     anchor_at,
     validate_anchor_set,
 )
-from rlelcs.qmodel import CostModel, QueryLedger
 from rlelcs.reference import plant_instance
 from rlelcs.rle import RleString, concat_sep, encode
 
@@ -29,11 +28,6 @@ def test_anchor_at_lookup_and_charge():
     x = build_exhaustive(s, d=9)
     assert anchor_at(x, 5) == 5
     assert anchor_at(x, x.m) == x.entries[-1]
-    ledger = QueryLedger()
-    anchor_at(x, 1, ledger=ledger, model=CostModel(anchor_factor=2.0))
-    assert ledger.charged_cost == pytest.approx(2.0 * math.sqrt(9))
-    anchor_at(x, 1, ledger=ledger, model=CostModel(), d=16)
-    assert ledger.charged_cost == pytest.approx(2.0 * 3 + 4.0)
     with pytest.raises(IndexError):
         anchor_at(x, 0)
     with pytest.raises(IndexError):

@@ -138,6 +138,41 @@ def test_missing_input_file_exit_code(tmp_path, capsys, command):
     assert len(err.strip().splitlines()) == 1 and "missing.rle" in err
 
 
+@pytest.mark.parametrize("command", [["decode"], ["solve", "--lrs"]])
+def test_non_utf8_rle_text_exit_code(tmp_path, capsys, command):
+    bad = tmp_path / "bad.rle"
+    bad.write_bytes(b"\xff\xfea:3\n")
+    assert run(command[:1] + [str(bad)] + command[1:]) == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "bad.rle" in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "bogus_key = 1\n",
+        "grover_factor = abc\n",
+        "grover_factor = 0\n",
+        "grover_factor = nan\n",
+        "step_budget_factor = inf\n",
+    ],
+)
+def test_bad_config_exit_code(tmp_path, capsys, text):
+    cfg = tmp_path / "model.cfg"
+    cfg.write_text(text)
+    a = tmp_path / "a.rle"
+    a.write_text("a:1,b:1,a:1\n")
+    assert run(["solve", str(a), "--lrs", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "model.cfg" in err
+
+
+def test_bad_d_min_exit_code(capsys):
+    assert run(["validate-anchors", "--scheme", "exhaustive", "--d-min", "0"]) == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "d_min" in err
+
+
 def test_bench_columns_and_determinism(tmp_path):
     out1 = tmp_path / "b1.csv"
     out2 = tmp_path / "b2.csv"

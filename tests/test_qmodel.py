@@ -11,9 +11,7 @@ from rlelcs.qmodel import (
     ceil_sqrt,
     grover_search,
     make_handles,
-    minimum_find,
     walk_search,
-    with_whp,
 )
 from rlelcs.rle import RleString, encode
 
@@ -82,24 +80,6 @@ def test_grover_search_examples():
     assert ledger3.charged_cost == pytest.approx(2.5)
 
 
-def test_minimum_find_examples():
-    model = CostModel()
-    ledger = QueryLedger()
-    keys = [4, 2, 7]
-    assert minimum_find(3, lambda i: keys[i - 1], ledger=ledger, model=model) == 2
-    keys = [5, 5]
-    assert minimum_find(2, lambda i: keys[i - 1], ledger=QueryLedger(), model=model) == 1
-    ledger = QueryLedger()
-    minimum_find(9, lambda i: i, ledger=ledger, model=model)
-    assert ledger.charged_cost == pytest.approx(3.0)
-
-
-def test_with_whp_examples():
-    assert with_whp(10, 16) == pytest.approx(40)
-    assert with_whp(7.5, 2) == pytest.approx(7.5)
-    assert with_whp(0, 100) == 0
-
-
 def test_ledger_monotone_and_dump():
     ledger = QueryLedger()
     ledger.charge(1.5)
@@ -120,6 +100,21 @@ def test_cost_model_file_roundtrip(tmp_path):
         CostModel.from_items({"bogus": "1"})
 
 
+def _marking_hooks(marked: set[int], setup_cost=1.0, update_cost=1.0, check_cost=1.0):
+    def setup(subset):
+        return set(subset)
+
+    def update(state, removed, added):
+        state.discard(removed)
+        state.add(added)
+
+    def check(state):
+        hit = sorted(state & marked)
+        return hit if hit else None
+
+    return WalkHooks(setup_cost, update_cost, check_cost, setup=setup, update=update, check=check)
+
+
 def test_walk_search_costonly_formula():
     # declared s=8, u=2, c=3 with delta=1/4, r=4 charges 8 + 2*(2*2+3) = 22
     ledger = QueryLedger()
@@ -129,36 +124,35 @@ def test_walk_search_costonly_formula():
     )
     assert out is None
     assert ledger.charged_cost == pytest.approx(22.0)
+    # executing modes charge the same declared formula, hit or miss
+    for mode in WalkMode:
+        for marked in (set(), {3}):
+            ledger = QueryLedger()
+            walk_search(
+                16, 4, 0.25, _marking_hooks(marked, 8, 2, 3), mode=mode, ledger=ledger,
+                model=CostModel(),
+            )
+            assert ledger.charged_cost == pytest.approx(22.0), (mode, marked)
 
 
 def test_walk_search_rejects_bad_parameters():
+    args = dict(ledger=QueryLedger(), model=CostModel())
     with pytest.raises(ValueError):
-        walk_search(4, 5, 0.5, WalkHooks(), mode=WalkMode.COSTONLY, ledger=QueryLedger(), model=CostModel())
-
-
-def _counting_hooks(marked: set[int]):
-    def setup(subset, scratch):
-        scratch.charge(float(len(subset)))
-        return set(subset)
-
-    def update(state, removed, added, scratch):
-        scratch.charge(1.0)
-        state.discard(removed)
-        state.add(added)
-
-    def check(state, scratch):
-        scratch.charge(0.5)
-        hit = sorted(state & marked)
-        return hit if hit else None
-
-    return WalkHooks(setup=setup, update=update, check=check)
+        walk_search(4, 5, 0.5, WalkHooks(0, 0, 0), mode=WalkMode.COSTONLY, **args)
+    with pytest.raises(ValueError):
+        walk_search(4, 2, 0.5, WalkHooks(0, 0, 0), mode=WalkMode.FULLSET, **args)
+    hooks = _marking_hooks(set())
+    hooks.update = None
+    with pytest.raises(ValueError):
+        walk_search(4, 2, 0.5, hooks, mode=WalkMode.RANDOMWALK, **args)
+    assert args["ledger"].charged_cost == 0
 
 
 def test_walk_search_fullset_complete_and_sound():
     # cross-check against exhaustive predicate evaluation at small m
     for m in (1, 3, 8, 64):
         for marked in (set(), {1}, {m}, {2, 5} & set(range(1, m + 1))):
-            hooks = _counting_hooks(marked)
+            hooks = _marking_hooks(marked)
             ledger = QueryLedger()
             report = walk_search(
                 m, max(1, m // 2), 0.5, hooks, mode=WalkMode.FULLSET, ledger=ledger, model=CostModel()
@@ -169,25 +163,10 @@ def test_walk_search_fullset_complete_and_sound():
                 assert report is None
 
 
-def test_walk_search_fullset_measured_charge():
-    hooks = _counting_hooks({2})
-    ledger = QueryLedger()
-    stats = {}
-    walk_search(
-        5, 2, 4 / 25, hooks, mode=WalkMode.FULLSET, ledger=ledger, model=CostModel(), stats_out=stats
-    )
-    # full set: setup charges 5, one check charges 0.5, u measured 0
-    assert stats["setup"] == pytest.approx(5.0)
-    assert stats["check"] == pytest.approx(0.5)
-    assert stats["update"] == 0.0
-    expected = 5.0 + (1 / math.sqrt(4 / 25)) * (math.sqrt(5) * 0 + 0.5)
-    assert ledger.charged_cost == pytest.approx(expected)
-
-
 def test_walk_search_randomwalk_modes():
     import random
 
-    hooks = _counting_hooks({3})
+    hooks = _marking_hooks({3})
     report = walk_search(
         6,
         2,
@@ -199,7 +178,7 @@ def test_walk_search_randomwalk_modes():
         rng=random.Random(1),
     )
     assert report == [3]
-    hooks = _counting_hooks(set())
+    hooks = _marking_hooks(set())
     report = walk_search(
         6,
         2,
@@ -211,6 +190,11 @@ def test_walk_search_randomwalk_modes():
         rng=random.Random(1),
     )
     assert report is None
+    # with r = m no swap exists: one check over the whole set decides
+    report = walk_search(
+        3, 3, 1.0, hooks, mode=WalkMode.RANDOMWALK, ledger=QueryLedger(), model=CostModel()
+    )
+    assert report is None
 
 
 def test_make_handles_share_ledger():
@@ -219,11 +203,3 @@ def test_make_handles_share_ledger():
     hb.query_run(1)
     assert ledger.run_queries == 2
 
-
-def test_with_whp_configurable_base():
-    model = CostModel(whp_log_base=4.0)
-    assert with_whp(10, 16, model=model) == pytest.approx(20)
-    with pytest.raises(ValueError):
-        with_whp(1, 1)
-    with pytest.raises(ValueError):
-        with_whp(-1, 4)

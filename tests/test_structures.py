@@ -1,9 +1,7 @@
-import math
 import random
 
 import pytest
 
-from rlelcs.qmodel import QueryLedger
 from rlelcs.structures import DynArray, RangeSum2D
 
 
@@ -30,15 +28,6 @@ def test_dynarray_contract_errors():
         a.insert(3, 8, 8)
     with pytest.raises(IndexError):
         a.range_min(1, 2)
-
-
-def test_dynarray_charges():
-    a = DynArray()
-    ledger = QueryLedger()
-    a.insert(1, 1, 1, ledger)
-    assert ledger.charged_cost == pytest.approx(math.log2(2))
-    a.index(1, ledger)
-    assert ledger.charged_cost == pytest.approx(math.log2(2) + math.log2(3))
 
 
 class ListOracle:
@@ -166,9 +155,6 @@ def test_rangesum2d_errors_and_charges():
         r.delete(1, 1)
     with pytest.raises(IndexError):
         r.insert(5, 0)
-    ledger = QueryLedger()
-    r.insert(0, 0, ledger)
-    assert ledger.charged_cost == pytest.approx(math.log2(6) ** 2)
 
 
 class GridOracle:

@@ -4,6 +4,7 @@ import math
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rlelcs
@@ -12,6 +13,7 @@ from rlelcs.qmodel import CostModel, OracleHandle, QueryLedger, WalkMode, make_h
 from rlelcs.reference import brute_lcs, brute_lrs, plant_instance, random_rle
 from rlelcs.rle import RleString, concat_sep, decode, encode, ldcp_runs, prefix_table
 from rlelcs.walk import (
+    _floor_log2,
     Candidate,
     CollisionIndex,
     Color,
@@ -37,15 +39,13 @@ from rlelcs.walk import (
 MODEL = CostModel()
 
 
-def _context(a: bytes, b: bytes, d: int, ledger=None):
+def _context(a: bytes, b: bytes, d: int):
     s, sep = concat_sep(encode(a), encode(b))
-    ledger = ledger if ledger is not None else QueryLedger()
-    hs = OracleHandle(s, ledger)
-    return make_context(hs, build_exhaustive(s, d), d, sep, MODEL), ledger
+    return make_context(OracleHandle(s, QueryLedger()), build_exhaustive(s, d), d, sep, MODEL)
 
 
-def _full_vertex(ctx, ledger):
-    v = WalkVertex(ctx, tuple(range(1, ctx.anchors.m + 1)), ledger)
+def _full_vertex(ctx):
+    v = WalkVertex(ctx)
     for k in range(1, ctx.anchors.m + 1):
         v.insert(k)
     return v
@@ -87,8 +87,8 @@ def test_color_assignment():
 
 
 def test_vertex_insert_into_empty_then_orders_match_oracle():
-    ctx, ledger = _context(b"aabbbc", b"dbbbcc", 2)
-    v = WalkVertex(ctx, tuple(range(1, 8)), ledger)
+    ctx = _context(b"aabbbc", b"dbbbcc", 2)
+    v = WalkVertex(ctx)
     v.insert(3)
     assert v.by_key.items() == [(3, 3)]
     assert len(v.fwd_lcp) == 0 and len(v.bwd_lcp) == 0
@@ -119,14 +119,12 @@ def _vertex_state(v):
         v.fwd_lcp.serialize(),
         v.bwd_order.serialize(),
         v.bwd_lcp.serialize(),
-        v.red_pts.serialize(),
-        v.blue_pts.serialize(),
     )
 
 
 def test_vertex_insert_delete_restores_representation():
-    ctx, ledger = _context(b"aabbbc", b"dbbbcc", 2)
-    v = _full_vertex(ctx, ledger)
+    ctx = _context(b"aabbbc", b"dbbbcc", 2)
+    v = _full_vertex(ctx)
     before = _vertex_state(v)
     v.delete(4)
     v.insert(4)
@@ -138,8 +136,8 @@ def test_vertex_insert_delete_restores_representation():
 
 
 def test_vertex_delete_from_singleton():
-    ctx, ledger = _context(b"ab", b"ba", 2)
-    v = WalkVertex(ctx, (1, 2, 3), ledger)
+    ctx = _context(b"ab", b"ba", 2)
+    v = WalkVertex(ctx)
     v.insert(2)
     v.delete(2)
     assert len(v.by_key) == 0
@@ -148,10 +146,9 @@ def test_vertex_delete_from_singleton():
 
 def test_vertex_random_ops_match_rebuild_oracle():
     rng = random.Random(5)
-    ctx, ledger = _context(b"abbacccbbaabcab", b"bbaccabbbcaa", 3)
+    ctx = _context(b"abbacccbbaabcab", b"bbaccabbbcaa", 3)
     m = ctx.anchors.m
-    sample = tuple(range(1, m + 1))
-    v = WalkVertex(ctx, sample, ledger)
+    v = WalkVertex(ctx)
     stored = set()
     for step in range(300):
         if not stored or (len(stored) < m and rng.random() < 0.55):
@@ -163,7 +160,7 @@ def test_vertex_random_ops_match_rebuild_oracle():
             v.delete(k)
             stored.discard(k)
         if step % 50 == 49:
-            rebuilt = WalkVertex(ctx, sample, QueryLedger())
+            rebuilt = WalkVertex(ctx)
             for k in sorted(stored):
                 rebuilt.insert(k)
             assert _vertex_state(v) == _vertex_state(rebuilt)
@@ -173,10 +170,10 @@ def test_vertex_coherence_after_random_ops():
     # adjacent stored agreement values always equal the decoded oracle, and
     # interval range-min equals the endpoint pair's agreement
     rng = random.Random(11)
-    ctx, ledger = _context(b"aabbacbbacccab", b"bbacbbacaab", 3)
+    ctx = _context(b"aabbacbbacccab", b"bbacbbacaab", 3)
     s, x = ctx.handle.string, ctx.anchors
     m = x.m
-    v = WalkVertex(ctx, tuple(range(1, m + 1)), ledger)
+    v = WalkVertex(ctx)
     stored = set()
     for step in range(200):
         if not stored or (len(stored) < m and rng.random() < 0.6):
@@ -204,16 +201,16 @@ def test_vertex_coherence_after_random_ops():
 
 
 def test_vertex_check_worked_example():
-    ctx, ledger = _context(b"aabbbc", b"dbbbcc", 2)
-    v = _full_vertex(ctx, ledger)
+    ctx = _context(b"aabbbc", b"dbbbcc", 2)
+    v = _full_vertex(ctx)
     cand = v.check(4)
     assert cand == Candidate(2, 6, 0, 3, 4, True, 2, 6)
     assert v.check(5) is None  # longer than any common decoded substring
 
 
 def test_vertex_check_disjoint_alphabets():
-    ctx, ledger = _context(b"aa", b"bb", 2)
-    v = _full_vertex(ctx, ledger)
+    ctx = _context(b"aa", b"bb", 2)
+    v = _full_vertex(ctx)
     assert v.check(1) is None
 
 
@@ -266,8 +263,7 @@ def _check_certificates_against_brute(ctx, rng, steps):
     if idx.best:
         _assert_witness(ctx, idx.query(idx.best), idx.best)
     assert idx.query(idx.best + 1) is None
-    ledger = QueryLedger()
-    v = WalkVertex(ctx, tuple(sorted(rng.sample(everyone, rng.randint(1, m)))), ledger)
+    v = WalkVertex(ctx)
     stored = set()
     for _ in range(steps):
         if not stored or (len(stored) < m and rng.random() < 0.6):
@@ -282,10 +278,7 @@ def _check_certificates_against_brute(ctx, rng, steps):
             continue
         truth = _brute_best(ctx, sorted(stored))
         for d_tilde in range(1, truth + 2):
-            before = ledger.charged_cost
             cand = v.check(d_tilde)
-            charge = check_charge(MODEL, ctx.d, len(stored)) if stored else 0.0
-            assert ledger.charged_cost - before == pytest.approx(charge)
             assert (cand is not None) == (d_tilde <= truth), (sorted(stored), d_tilde)
             if cand is not None:
                 _assert_witness(ctx, cand, d_tilde)
@@ -375,7 +368,8 @@ def test_inner_search_charge_identity():
     # the ledger delta matches the walk formula instantiation exactly
     inst = plant_instance(20, 5, 12, 4)
     s, sep = concat_sep(inst.a, inst.b)
-    for mode in (WalkMode.COSTONLY, WalkMode.FULLSET):
+    deltas = {}
+    for mode in (WalkMode.COSTONLY, WalkMode.FULLSET, WalkMode.RANDOMWALK):
         ledger = QueryLedger()
         hs = OracleHandle(s, ledger)
         x = build_exhaustive(s, 8)
@@ -385,11 +379,14 @@ def test_inner_search_charge_identity():
         before = ledger.charged_cost
         inner_search(ctx, 5, r, mode=mode, ledger=ledger)
         delta = ledger.charged_cost - before
-        if mode is WalkMode.COSTONLY:
-            assert delta == pytest.approx(walk_charge(MODEL, 8, r, m, (r / m) ** 2))
+        deltas[mode] = delta
+        if mode is not WalkMode.FULLSET:
+            # the walk declares the cost-only triple, so both charge walk_charge
+            assert delta == walk_charge(MODEL, 8, r, m, (r / m) ** 2)
         else:
             expected = setup_charge(MODEL, 8, m) + (m / r) * check_charge(MODEL, 8, m)
             assert delta == pytest.approx(expected)
+    assert deltas[WalkMode.RANDOMWALK] == deltas[WalkMode.COSTONLY]
 
 
 def test_inner_search_randomwalk_mode():
@@ -529,6 +526,30 @@ def test_solve_randomwalk_mode_end_to_end():
         assert got <= inst.d_tilde  # sound even when the walk misses
         hits += got == inst.d_tilde
     assert hits >= 3  # the sampled walk finds the plant most of the time
+
+
+def test_solve_randomwalk_charge_independent_of_seed():
+    # walk mode charges declared formulas, so the walk's random path cannot move the charge
+    inst = plant_instance(10, 4, 12, 3)
+    charges = set()
+    for seed in range(5):
+        ha, hb, ledger = make_handles(inst.a, inst.b)
+        solve_lcs_rle_p(ha, hb, SolverConfig(mode=WalkMode.RANDOMWALK, seed=seed))
+        charges.add(ledger.charged_cost)
+    assert len(charges) == 1 and charges.pop() > 0
+
+
+def test_solve_randomwalk_whole_anchor_set_miss():
+    # three runs give r = m = 3: the walk has no swap to make after a miss
+    ha, hb, _ = make_handles(encode(b"a"), encode(b"b"))
+    assert solve_lcs_rle_p(ha, hb, SolverConfig(mode=WalkMode.RANDOMWALK)) is None
+
+
+def test_floor_log2_matches_bit_length():
+    ns = list(range(1, 4097))
+    ns += [(1 << k) + e for k in range(1, 41) for e in (-1, 0, 1)]
+    got = _floor_log2(np.array(ns, dtype=np.int64))
+    assert got.tolist() == [n.bit_length() - 1 for n in ns]
 
 
 def test_solve_costonly_deterministic_and_answerless():
