@@ -19,7 +19,15 @@ from .qmodel import CostModel, OracleHandle, QueryLedger, WalkMode
 from .reductions import gadget_dl, parity_via_dl, parity_via_el
 from .reference import ResourceLimitError, brute_lcs, plant_instance
 from .rle import ParseError, RleString, concat_sep, decode, encode, format_rle, parse_rle
-from .walk import InternalInconsistencyError, SolverConfig, inner_search, make_context, solve_lcs_rle_p, solve_lrs
+from .walk import (
+    DecodedLengthError,
+    InternalInconsistencyError,
+    SolverConfig,
+    inner_search,
+    make_context,
+    solve_lcs_rle_p,
+    solve_lrs,
+)
 
 EXIT_OK = 0
 EXIT_PARSE = 1  # also unreadable input files and unusable argument combinations
@@ -111,6 +119,9 @@ def cmd_solve(args) -> int:
                 print("solve needs two inputs unless --lrs is given", file=sys.stderr)
                 return EXIT_PARSE
             ans = solve_lcs_rle_p(OracleHandle(a, ledger), OracleHandle(b, ledger), config)
+    except DecodedLengthError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     except InternalInconsistencyError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT

@@ -25,7 +25,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property, cmp_to_key
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -45,8 +45,16 @@ from .rle import SEP_DOLLAR, RleString, concat_sep, ldcp_runs, lex_compare_runs
 from .structures import DynArray
 
 
+# Decoded lengths stay below this, so the kernel's sum of two fits int64.
+DECODED_LENGTH_BOUND = 1 << 62
+
+
 class InternalInconsistencyError(RuntimeError):
     """A produced answer failed verification; signals an anchor/check bug."""
+
+
+class DecodedLengthError(ValueError):
+    """The string to solve decodes to DECODED_LENGTH_BOUND or more."""
 
 
 class Color(Enum):
@@ -181,6 +189,116 @@ def walk_charge(model: CostModel, d: int, r: int, m: int, delta: float) -> float
 
 
 # ---------------------------------------------------------------------------
+# run-token ranks: the full-set index's window order without a comparator
+
+
+def _dense_ranks(*keys: np.ndarray) -> np.ndarray:
+    """1-based dense ranks of the rows of keys, the last key primary (as np.lexsort)."""
+    order = np.lexsort(keys)
+    new = np.zeros(len(order), dtype=bool)
+    new[:1] = True
+    for key in keys:
+        ordered = key[order]
+        new[1:] |= ordered[1:] != ordered[:-1]
+    ranks = np.empty(len(order), dtype=np.int32)
+    ranks[order] = np.cumsum(new)
+    return ranks
+
+
+class _TokenRanks:
+    """Prefix-doubling ranks of one run sequence's tokens (Manber & Myers).
+
+    A run (c, len) is the token (c, 0, len) when the next char is smaller or
+    absent and (c, 1, -len) when it is larger, so the decoded order of run
+    sequences is the lexicographic order of their tokens.  A window's last
+    run has no next char inside the window: its end token is (c, 0, len).
+    Runs are 1-based; ``levels[k][i]`` ranks tokens i..i + 2**k - 1 among
+    all such blocks, ``end[i]`` ranks run i's end token among the tokens.
+    Rank 0 pads past the end (index n + 1), so a window cut short by the
+    end of the string sorts before its extensions.
+    """
+
+    def __init__(self, chars: np.ndarray, lens: np.ndarray):
+        n = self.n = len(chars)
+        self.chars = np.concatenate(([-1], chars, [-1]))
+        self.lens = np.concatenate(([0], lens, [0]))
+        self.prefix = np.concatenate(([0], np.cumsum(lens)))
+        rising = np.zeros(n, dtype=np.int64)
+        rising[:-1] = chars[1:] > chars[:-1]
+        tokens = _dense_ranks(
+            np.concatenate((np.where(rising == 1, -lens, lens), lens)),
+            np.concatenate((rising, np.zeros(n, dtype=np.int64))),
+            np.concatenate((chars, chars)),
+        )
+        level = np.zeros(n + 2, dtype=np.int32)
+        level[1 : n + 1] = tokens[:n]
+        self.end = np.zeros(n + 2, dtype=np.int32)
+        self.end[1 : n + 1] = tokens[n:]
+        self.levels = [level]
+        runs = np.arange(1, n + 1)
+        half = 1
+        while 2 * half <= n:
+            nxt = np.zeros(n + 2, dtype=np.int32)
+            nxt[1 : n + 1] = _dense_ranks(level[np.minimum(runs + half, n + 1)], level[1 : n + 1])
+            self.levels.append(nxt)
+            level = nxt
+            half *= 2
+
+    def window_order(self, starts: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+        """Sort the windows of ``width`` runs from each start, clamped at run n.
+
+        Returns each window's 0-based rank in decoded order, ties broken by
+        its index in starts, and the decoded common-prefix length of each
+        adjacent pair in that order.
+        """
+        n, m = self.n, len(starts)
+        span = min(width - 1, n)  # token positions that can hold a run
+        k = span.bit_length() - 1
+        order = np.lexsort(
+            (
+                np.arange(m),
+                self.end[np.minimum(starts + width - 1, n + 1)],
+                self.levels[k][np.minimum(starts + span - (1 << k), n + 1)],
+                self.levels[k][starts],
+            )
+        )
+        pos = np.empty(m, dtype=np.int64)
+        pos[order] = np.arange(m)
+        u, w = starts[order[:-1]], starts[order[1:]]
+        # equal leading runs, by binary lifting, capped at the shorter window
+        cap = np.minimum(n + 1 - np.maximum(u, w), width)
+        same = np.zeros(len(u), dtype=np.int64)
+        for k in reversed(range(min(width, n).bit_length())):
+            level = self.levels[k]
+            step = same + (1 << k)
+            same = np.where((step <= cap) & (level[u + same] == level[w + same]), step, same)
+        h = self.prefix[u + same - 1] - self.prefix[u - 1]
+        # the first unequal token adds its shorter run when the chars match:
+        # lengths differ, or only the chars after the run do
+        cu, cw = u + same, w + same
+        tail = (same < cap) & (self.chars[cu] == self.chars[cw])
+        return pos, h + np.where(tail, np.minimum(self.lens[cu], self.lens[cw]), 0)
+
+
+class _RunTokens:
+    """Token ranks of a string's runs, forward and reversed, built on first use.
+
+    One solve shares one instance across its scales, so the runs are read
+    once, with n counted run queries, by the first full-set index.
+    """
+
+    def __init__(self, handle: OracleHandle):
+        self.handle = handle
+
+    @cached_property
+    def tables(self) -> tuple[_TokenRanks, _TokenRanks]:
+        runs = [self.handle.query_run(i) for i in range(1, self.handle.n + 1)]
+        chars = np.array([c for c, _ in runs], dtype=np.int64)
+        lens = np.array([length for _, length in runs], dtype=np.int64)
+        return _TokenRanks(chars, lens), _TokenRanks(chars[::-1], lens[::-1])
+
+
+# ---------------------------------------------------------------------------
 # shared context
 
 
@@ -191,6 +309,7 @@ class _WalkContext:
     d: int
     sep_index: Optional[int]
     model: CostModel
+    tokens: _RunTokens
 
     @property
     def lrs(self) -> bool:
@@ -218,9 +337,11 @@ def make_context(
     d: int,
     sep_index: Optional[int],
     model: CostModel,
+    tokens: Optional[_RunTokens] = None,
 ) -> _WalkContext:
+    """Context for one scale; the contexts of one solve pass one shared ``tokens``."""
     handle.ledger.prefix_queries += handle.n + 1
-    return _WalkContext(handle, anchors, d, sep_index, model)
+    return _WalkContext(handle, anchors, d, sep_index, model, tokens or _RunTokens(handle))
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +521,11 @@ def _rmq_vec(tables: list[np.ndarray], lo: np.ndarray, hi: np.ndarray):
     return out
 
 
+# Pairs the kernel evaluates per numpy pass: large enough to amortize the
+# per-pass overhead, small enough that the pass's temporaries stay near 1 MiB.
+_PAIR_BATCH = 4096
+
+
 def best_certificate(
     xs: np.ndarray,
     fwd_pos: np.ndarray,
@@ -420,14 +546,17 @@ def best_certificate(
     p + max_l - rho: max_l is the longest whole-run backward span ending at
     a's run, at most 2d + 1 runs, that fits in q, and rho is a's run length.
     Returns (best, (a, partner, v)) with indices into xs and v the run
-    before the span, or (0, None); ties keep the first pair scanned.
+    before the span, or (0, None).  Pairs are scanned by side (red flagged
+    first), then flagged anchor, then partner, in batches of _PAIR_BATCH;
+    ties keep the first pair scanned.
     """
     best, best_args = 0, None
     m = len(xs)
     if m < 2:
         return best, best_args
     t_f, t_b = _sparse_tables(h_f), _sparse_tables(h_b)
-    if sep_index is None:
+    lrs = sep_index is None
+    if lrs:
         everyone = np.arange(m)
         sides = [(everyone, everyone)]
     else:
@@ -435,30 +564,31 @@ def best_certificate(
         blues = np.flatnonzero(xs > sep_index)
         sides = [(reds, blues), (blues, reds)]
     for a_idx, b_idx in sides:
-        for a in a_idx:
-            a = int(a)
-            partners = b_idx[b_idx != a] if sep_index is None else b_idx
-            if len(partners) == 0:
-                continue
-            pf_a, pb_a = fwd_pos[a], bwd_pos[a]
-            pf, pb = fwd_pos[partners], bwd_pos[partners]
-            p = _rmq_vec(t_f, np.minimum(pf_a, pf), np.maximum(pf_a, pf) - 1)
-            q = _rmq_vec(t_b, np.minimum(pb_a, pb), np.maximum(pb_a, pb) - 1)
-            x_a = int(xs[a])
-            p_xa = int(pv[x_a])
-            rho = p_xa - int(pv[x_a - 1])
-            lo_run = max(x_a - 2 * d - 1, 0)
+        per_a = len(b_idx) - lrs  # a single string's anchor is not its own partner
+        if per_a < 1:
+            continue
+        total = len(a_idx) * per_a
+        for start in range(0, total, _PAIR_BATCH):
+            f = np.arange(start, min(start + _PAIR_BATCH, total))
+            a = a_idx[f // per_a]
+            j = f % per_a
+            b = j + (j >= a) if lrs else b_idx[j]
+            pf_a, pf_b = fwd_pos[a], fwd_pos[b]
+            p = _rmq_vec(t_f, np.minimum(pf_a, pf_b), np.maximum(pf_a, pf_b) - 1)
+            pb_a, pb_b = bwd_pos[a], bwd_pos[b]
+            q = _rmq_vec(t_b, np.minimum(pb_a, pb_b), np.maximum(pb_a, pb_b) - 1)
+            x_a = xs[a]
+            p_xa = pv[x_a]
+            rho = p_xa - pv[x_a - 1]
             v = np.searchsorted(pv, p_xa - q, side="left")
-            v = np.maximum(v, lo_run)
+            v = np.maximum(v, np.maximum(x_a - 2 * d - 1, 0))
             ok = v <= x_a - 1
-            if not ok.any():
-                continue
             max_l = p_xa - pv[np.minimum(v, x_a - 1)]
             cert = np.where(ok, p + max_l - rho, 0)
-            j = int(np.argmax(cert))
-            if int(cert[j]) > best:
-                best = int(cert[j])
-                best_args = (a, int(partners[j]), int(v[j]))
+            i = int(np.argmax(cert))
+            if int(cert[i]) > best:
+                best = int(cert[i])
+                best_args = (int(a[i]), int(b[i]), int(v[i]))
     return best, best_args
 
 
@@ -477,35 +607,21 @@ def _candidate(
 class CollisionIndex:
     """Best certified length over the full anchor set at one scale d.
 
-    Sorts every anchor window once and runs the certificate kernel over all
-    anchors, so one (length, witness) pair answers every probe at this scale.
+    Orders every anchor window from the solve's run-token ranks and runs the
+    certificate kernel over all anchors, so one (length, witness) pair
+    answers every probe at this scale.
     """
 
     def __init__(self, ctx: _WalkContext):
         self.ctx = ctx
         self.xs = np.fromiter(ctx.anchors.entries, dtype=np.int64, count=ctx.anchors.m)
-        fwd_pos, h_f = self._order([ctx.fwd_win(int(x)) for x in self.xs])
-        bwd_pos, h_b = self._order([ctx.bwd_win(int(x)) for x in self.xs])
+        fwd, bwd = ctx.tokens.tables
+        width = 2 * ctx.d + 1
+        fwd_pos, h_f = fwd.window_order(self.xs, width)
+        bwd_pos, h_b = bwd.window_order(ctx.handle.n + 1 - self.xs, width)
         self.best, self.best_args = best_certificate(
             self.xs, fwd_pos, h_f, bwd_pos, h_b, ctx.pv, ctx.d, ctx.sep_index
         )
-
-    @staticmethod
-    def _order(wins) -> tuple[np.ndarray, np.ndarray]:
-        def cmp(i: int, j: int) -> int:
-            c = lex_compare_runs(wins[i], wins[j])
-            return c if c else (i > j) - (i < j)
-
-        m = len(wins)
-        order = sorted(range(m), key=cmp_to_key(cmp))
-        pos = np.empty(m, dtype=np.int64)
-        pos[order] = np.arange(m)
-        h = np.fromiter(
-            (ldcp_runs(wins[order[i]], wins[order[i + 1]]) for i in range(m - 1)),
-            dtype=np.int64,
-            count=max(0, m - 1),
-        )
-        return pos, h
 
     def query(self, d_tilde: int) -> Optional[Candidate]:
         if d_tilde < 1 or self.best < d_tilde:
@@ -674,18 +790,28 @@ def _boundary_map(s: RleString, prefix) -> dict:
 
 
 def _double_run_best(bmap_a, bmap_b, distinct: bool):
+    """Best min(xa, xb) + min(ya, yb) over boundary pairs with equal char pairs.
+
+    Pairs are scanned by key, then a's boundary, then b's, in numpy blocks
+    of about _PAIR_BATCH pairs; ties keep the first pair scanned.  With
+    ``distinct`` a boundary is not paired with itself.
+    """
     best = None
     for key, items_a in bmap_a.items():
         items_b = bmap_b.get(key)
         if not items_b:
             continue
-        for xa, ya, ea in items_a:
-            for xb, yb, eb in items_b:
-                if distinct and ea == eb:
-                    continue
-                val = min(xa, xb) + min(ya, yb)
-                if best is None or val > best.value:
-                    best = _FallbackHit(val, ea, eb)
+        xa, ya, ea = np.array(items_a, dtype=np.int64).T
+        xb, yb, eb = np.array(items_b, dtype=np.int64).T
+        rows = max(1, _PAIR_BATCH // len(xb))
+        for lo in range(0, len(xa), rows):
+            block = slice(lo, lo + rows)
+            val = np.minimum.outer(xa[block], xb) + np.minimum.outer(ya[block], yb)
+            if distinct:
+                val[np.equal.outer(ea[block], eb)] = 0
+            i, j = divmod(int(np.argmax(val)), len(xb))
+            if val[i, j] > (0 if best is None else best.value):
+                best = _FallbackHit(int(val[i, j]), int(ea[lo + i]), int(eb[j]))
     return best
 
 
@@ -873,10 +999,11 @@ def _solve(
         return anchor_cache[d]
 
     ctx_cache: dict[int, _WalkContext] = {}
+    tokens = _RunTokens(hs)
 
     def ctx_for(d: int) -> _WalkContext:
         if d not in ctx_cache:
-            ctx_cache[d] = make_context(hs, anchors_for(d), d, sep_index, model)
+            ctx_cache[d] = make_context(hs, anchors_for(d), d, sep_index, model, tokens)
         return ctx_cache[d]
 
     index_cache: dict[int, CollisionIndex] = {}
@@ -950,6 +1077,11 @@ def _solve(
     return answer
 
 
+def _check_decoded_length(total: int) -> None:
+    if total >= DECODED_LENGTH_BOUND:
+        raise DecodedLengthError(f"decoded length {total} is not below 2**62")
+
+
 def solve_lcs_rle_p(
     ha: OracleHandle, hb: OracleHandle, config: Optional[SolverConfig] = None
 ) -> Optional[LcsAnswer]:
@@ -957,8 +1089,11 @@ def solve_lcs_rle_p(
 
     Returns None exactly when the inputs share no character.  The two
     handles should share one ledger; all charges go to the first handle's.
+    Raises DecodedLengthError when A $ B decodes to DECODED_LENGTH_BOUND or
+    more.
     """
     config = config or SolverConfig()
+    _check_decoded_length(ha.total + 1 + hb.total)
     if ha.total == 0 or hb.total == 0:
         return None
     s, sep_index = concat_sep(ha.string, hb.string, SEP_DOLLAR)
@@ -967,8 +1102,12 @@ def solve_lcs_rle_p(
 
 
 def solve_lrs(ha: OracleHandle, config: Optional[SolverConfig] = None) -> Optional[LcsAnswer]:
-    """Longest repeated decoded substring of one oracle-backed RLE string."""
+    """Longest repeated decoded substring of one oracle-backed RLE string.
+
+    Raises DecodedLengthError when it decodes to DECODED_LENGTH_BOUND or more.
+    """
     config = config or SolverConfig()
+    _check_decoded_length(ha.total)
     if ha.total < 2:
         return None
     return _solve(ha, None, ha, ha, config)

@@ -167,6 +167,25 @@ def test_bad_config_exit_code(tmp_path, capsys, text):
     assert len(err.strip().splitlines()) == 1 and "model.cfg" in err
 
 
+@pytest.mark.parametrize(
+    "texts",
+    [
+        ["a:9223372036854775808,b:2", "a:3,b:2"],  # A alone overflows int64
+        ["a:9223372036854775808,b:2"],  # the same string, solved with --lrs
+        ["a:9223372036854775000,b:2"] * 2,  # each fits int64, A $ B does not
+    ],
+)
+def test_solve_decoded_length_bound_exit_code(tmp_path, capsys, texts):
+    paths = []
+    for i, text in enumerate(texts):
+        paths.append(tmp_path / f"in{i}.rle")
+        paths[-1].write_text(text + "\n")
+    extra = ["--lrs"] if len(paths) == 1 else []
+    assert run(["solve", *map(str, paths), *extra]) == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "2**62" in err
+
+
 def test_bad_d_min_exit_code(capsys):
     assert run(["validate-anchors", "--scheme", "exhaustive", "--d-min", "0"]) == 1
     err = capsys.readouterr().err

@@ -11,9 +11,24 @@ import rlelcs
 from rlelcs.anchors import AnchorScheme, AnchorSet, build_exhaustive
 from rlelcs.qmodel import CostModel, OracleHandle, QueryLedger, WalkMode, make_handles
 from rlelcs.reference import brute_lcs, brute_lrs, plant_instance, random_rle
-from rlelcs.rle import RleString, concat_sep, decode, encode, ldcp_runs, prefix_table
+from rlelcs.rle import (
+    RleString,
+    concat_sep,
+    decode,
+    encode,
+    ldcp_runs,
+    lex_compare_runs,
+    prefix_table,
+)
 from rlelcs.walk import (
+    _PAIR_BATCH,
+    _RunTokens,
+    _boundary_map,
+    _double_run_best,
+    _d_values,
     _floor_log2,
+    _rmq_vec,
+    _sparse_tables,
     Candidate,
     CollisionIndex,
     Color,
@@ -21,6 +36,7 @@ from rlelcs.walk import (
     LcsAnswer,
     SolverConfig,
     WalkVertex,
+    best_certificate,
     color_of,
     check_charge,
     finalize_answer,
@@ -302,6 +318,170 @@ def test_certificate_matches_brute_oracle_lrs():
         d = rng.choice([1, 2, 4, 8])
         ctx = make_context(OracleHandle(a, QueryLedger()), build_exhaustive(a, d), d, None, MODEL)
         _check_certificates_against_brute(ctx, rng, 25)
+
+
+def _comparator_order(wins):
+    """Decoded window order by comparator sort, ties by index, with adjacent ldcp: the oracle."""
+
+    def cmp(i, j):
+        c = lex_compare_runs(wins[i], wins[j])
+        return c if c else (i > j) - (i < j)
+
+    m = len(wins)
+    order = sorted(range(m), key=functools.cmp_to_key(cmp))
+    pos = np.empty(m, dtype=np.int64)
+    pos[order] = np.arange(m)
+    h = [ldcp_runs(wins[order[i]], wins[order[i + 1]]) for i in range(m - 1)]
+    return pos.tolist(), h
+
+
+def _index_orders(ctx):
+    """Forward and backward (pos, h) of the context's anchors, as the full-set index builds them."""
+    xs = np.array(ctx.anchors.entries, dtype=np.int64)
+    fwd, bwd = ctx.tokens.tables
+    width = 2 * ctx.d + 1
+    return fwd.window_order(xs, width), bwd.window_order(ctx.handle.n + 1 - xs, width)
+
+
+def _random_context(rng, lrs, n_runs, d, subset):
+    """Context over a random string (small alphabet, short runs, so windows often tie)."""
+    alphabet = tuple(b"abc")
+    a = random_rle(rng, n_runs, alphabet=alphabet, max_len=3)
+    if lrs:
+        s, sep = a, None
+    else:
+        s, sep = concat_sep(a, random_rle(rng, n_runs, alphabet=alphabet, max_len=3))
+    entries = list(range(1, s.n + 1))
+    if subset:
+        entries = sorted(rng.sample(entries, rng.randint(1, s.n)))
+    anchors = AnchorSet(tuple(entries), d, AnchorScheme.EXHAUSTIVE)
+    return make_context(OracleHandle(s, QueryLedger()), anchors, d, sep, MODEL)
+
+
+def test_window_order_matches_comparator_oracle():
+    # d not a power of two, 2d >= n (every window clamped), windows clamped
+    # at both ends, LCS and LRS, full and random anchor subsets
+    rng = random.Random(51)
+    for trial in range(48):
+        lrs, subset = trial % 2 == 1, trial % 4 >= 2
+        n_runs = rng.randint(1, 16)
+        for d in (1, 2, 3, 5, 6, 8, 2 * n_runs + 1):
+            ctx = _random_context(rng, lrs, n_runs, d, subset)
+            xs = ctx.anchors.entries
+            for (pos, h), win in zip(_index_orders(ctx), (ctx.fwd_win, ctx.bwd_win)):
+                assert (pos.tolist(), h.tolist()) == _comparator_order([win(x) for x in xs])
+
+
+def _per_anchor_best_certificate(xs, fwd_pos, h_f, bwd_pos, h_b, pv, d, sep_index):
+    """best_certificate as one numpy pass per flagged anchor: the reference for its batches."""
+    best, best_args = 0, None
+    m = len(xs)
+    if m < 2:
+        return best, best_args
+    t_f, t_b = _sparse_tables(h_f), _sparse_tables(h_b)
+    if sep_index is None:
+        everyone = np.arange(m)
+        sides = [(everyone, everyone)]
+    else:
+        sides = [
+            (np.flatnonzero(xs < sep_index), np.flatnonzero(xs > sep_index)),
+            (np.flatnonzero(xs > sep_index), np.flatnonzero(xs < sep_index)),
+        ]
+    for a_idx, b_idx in sides:
+        for a in a_idx:
+            a = int(a)
+            partners = b_idx[b_idx != a] if sep_index is None else b_idx
+            if len(partners) == 0:
+                continue
+            pf, pb = fwd_pos[partners], bwd_pos[partners]
+            p = _rmq_vec(t_f, np.minimum(fwd_pos[a], pf), np.maximum(fwd_pos[a], pf) - 1)
+            q = _rmq_vec(t_b, np.minimum(bwd_pos[a], pb), np.maximum(bwd_pos[a], pb) - 1)
+            x_a = int(xs[a])
+            p_xa = int(pv[x_a])
+            rho = p_xa - int(pv[x_a - 1])
+            v = np.maximum(np.searchsorted(pv, p_xa - q, side="left"), max(x_a - 2 * d - 1, 0))
+            ok = v <= x_a - 1
+            cert = np.where(ok, p + p_xa - pv[np.minimum(v, x_a - 1)] - rho, 0)
+            j = int(np.argmax(cert))
+            if int(cert[j]) > best:
+                best = int(cert[j])
+                best_args = (a, int(partners[j]), int(v[j]))
+    return best, best_args
+
+
+def _kernel_args(ctx):
+    (fwd_pos, h_f), (bwd_pos, h_b) = _index_orders(ctx)
+    xs = np.array(ctx.anchors.entries, dtype=np.int64)
+    return xs, fwd_pos, h_f, bwd_pos, h_b, ctx.pv, ctx.d, ctx.sep_index
+
+
+def test_best_certificate_batches_match_per_anchor_loop(monkeypatch):
+    # one LCS context with more admissible pairs than one batch holds; a
+    # periodic text makes many pairs tie, so the first-maximum rule decides
+    motif = [("a", 2), ("b", 1), ("c", 3), ("b", 2)]
+    a = RleString.from_pairs(motif * 17 + [("a", 1)])
+    b = RleString.from_pairs([("c", 1)] + motif * 16 + [("a", 2), ("b", 1), ("c", 2)])
+    s, sep = concat_sep(a, b)
+    ctx = make_context(OracleHandle(s, QueryLedger()), build_exhaustive(s, 5), 5, sep, MODEL)
+    assert 2 * a.n * b.n > _PAIR_BATCH
+    args = _kernel_args(ctx)
+    best, witness = best_certificate(*args)
+    assert best > 0
+    assert (best, witness) == _per_anchor_best_certificate(*args)
+    # batch boundaries inside and between flagged anchors, LCS and LRS, subsets
+    rng = random.Random(62)
+    for batch in (7, 1):
+        monkeypatch.setattr(rlelcs.walk, "_PAIR_BATCH", batch)
+        for trial in range(24):
+            n_runs, d = rng.randint(1, 12), rng.choice([1, 2, 3, 4])
+            ctx = _random_context(rng, trial % 2 == 1, n_runs, d, trial % 3 == 0)
+            args = _kernel_args(ctx)
+            assert best_certificate(*args) == _per_anchor_best_certificate(*args)
+
+
+def _loop_double_run_best(bmap_a, bmap_b, distinct):
+    """_double_run_best as a pair-by-pair loop: the reference for its numpy blocks."""
+    best = None
+    for key, items_a in bmap_a.items():
+        for xa, ya, ea in items_a:
+            for xb, yb, eb in bmap_b.get(key, ()):
+                if distinct and ea == eb:
+                    continue
+                val = min(xa, xb) + min(ya, yb)
+                if best is None or val > best[0]:
+                    best = (val, ea, eb)
+    return best
+
+
+def test_double_run_best_matches_loop(monkeypatch):
+    # LCS (two maps) and LRS (one map, no self-pairs); blocks of whole and partial rows
+    rng = random.Random(71)
+    for batch in (_PAIR_BATCH, 5, 1):
+        monkeypatch.setattr(rlelcs.walk, "_PAIR_BATCH", batch)
+        for _ in range(30):
+            a = random_rle(rng, rng.randint(1, 40), alphabet=tuple(b"abc"), max_len=4)
+            b = random_rle(rng, rng.randint(1, 40), alphabet=tuple(b"abc"), max_len=4)
+            map_a = _boundary_map(a, prefix_table(a).values)
+            map_b = _boundary_map(b, prefix_table(b).values)
+            for maps, distinct in (((map_a, map_b), False), ((map_a, map_a), True)):
+                got = _double_run_best(*maps, distinct)
+                want = _loop_double_run_best(*maps, distinct)
+                assert (got and (got.value, got.end_a, got.end_b)) == want
+
+
+def test_index_builds_read_each_run_once_per_solve():
+    # the contexts of one solve share their run-token ranks: every scale's
+    # index together reads the n runs once, as n run queries
+    inst = plant_instance(40, 6, 18, 2)
+    s, sep = concat_sep(inst.a, inst.b)
+    ledger = QueryLedger()
+    hs = OracleHandle(s, ledger)
+    tokens = _RunTokens(hs)
+    scales = _d_values(hs.n, 1)
+    assert len(scales) > 1
+    for d in scales:
+        CollisionIndex(make_context(hs, build_exhaustive(s, d), d, sep, MODEL, tokens))
+    assert ledger.run_queries == hs.n
 
 
 def test_check_soundness_certified_length_genuine():
