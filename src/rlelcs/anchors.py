@@ -66,7 +66,14 @@ def _span_hashes(s: RleString, span: int, seed: int) -> list[int]:
     return out
 
 
-def build_minimizer(s: RleString, d: int, seed: int, *, d_min: int = 8) -> AnchorSet:
+def build_minimizer(
+    s: RleString,
+    d: int,
+    seed: int,
+    *,
+    d_min: int = 8,
+    span_hashes: Optional[dict[int, list[int]]] = None,
+) -> AnchorSet:
     """Window minima of a seeded hash of short run tuples.
 
     Windows span w = ceil(d/2) consecutive positions; each position is
@@ -76,7 +83,8 @@ def build_minimizer(s: RleString, d: int, seed: int, *, d_min: int = 8) -> Ancho
     a fully interior window (w + span + 1 <= d), whose minimum lands at
     the same offset in both occurrences: aligned anchors.  Raises for
     d below d_min, where that argument breaks down (callers fall back to
-    the exhaustive scheme there).
+    the exhaustive scheme there).  Calls for one string and seed may share
+    ``span_hashes``, which keeps the position hashes of each span.
     """
     if d < d_min:
         raise ValueError(f"minimizer needs d >= {d_min}, got {d}")
@@ -86,7 +94,11 @@ def build_minimizer(s: RleString, d: int, seed: int, *, d_min: int = 8) -> Ancho
     if s.n < w:
         return AnchorSet((1,), d, AnchorScheme.MINIMIZER)
     span = min(8, max(1, w // 2))
-    hashes = _span_hashes(s, span, seed)
+    if span_hashes is None:
+        span_hashes = {}
+    if span not in span_hashes:
+        span_hashes[span] = _span_hashes(s, span, seed)
+    hashes = span_hashes[span]
     selected: set[int] = set()
     window: deque[tuple[int, int]] = deque()  # (hash, 0-based position)
     for i, h in enumerate(hashes):

@@ -22,6 +22,7 @@ from .rle import ParseError, RleString, concat_sep, decode, encode, format_rle, 
 from .walk import (
     DecodedLengthError,
     InternalInconsistencyError,
+    NoSeparatorError,
     SolverConfig,
     inner_search,
     make_context,
@@ -119,7 +120,7 @@ def cmd_solve(args) -> int:
                 print("solve needs two inputs unless --lrs is given", file=sys.stderr)
                 return EXIT_PARSE
             ans = solve_lcs_rle_p(OracleHandle(a, ledger), OracleHandle(b, ledger), config)
-    except DecodedLengthError as exc:
+    except (DecodedLengthError, NoSeparatorError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except InternalInconsistencyError as exc:

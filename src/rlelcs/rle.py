@@ -17,8 +17,9 @@ SEP_DOLLAR = ord("$")
 SEP_AT = ord("@")
 SEP_HASH = ord("#")
 
-# Code points reserved for concatenation sentinels and reduction gadgets;
-# user alphabets and instance generators must avoid them.
+# Code points of the concatenation sentinel and the reduction gadgets'
+# separators; instance generators avoid them.  The solver takes another
+# sentinel when an input contains ``$``.
 RESERVED_SEPARATORS = frozenset({SEP_DOLLAR, SEP_AT, SEP_HASH})
 
 

@@ -57,6 +57,10 @@ class DecodedLengthError(ValueError):
     """The string to solve decodes to DECODED_LENGTH_BOUND or more."""
 
 
+class NoSeparatorError(ValueError):
+    """Two inputs together use all 256 byte values, so none can separate them."""
+
+
 class Color(Enum):
     RED = 0
     BLUE = 1
@@ -157,9 +161,19 @@ class LcsAnswer:
 # configurable constants of the cost model)
 
 
+def minfind_charge(model: CostModel, *sizes: int) -> float:
+    """Minimum finding over each of the given search-space sizes."""
+    return model.minfind_factor * sum(ceil_sqrt(size) for size in sizes)
+
+
+def grover_charge(model: CostModel, space: int) -> float:
+    """One Grover search over a space of the given size."""
+    return model.grover_factor * ceil_sqrt(space)
+
+
 def comparison_charge(model: CostModel, d: int) -> float:
     """One lexicographic window comparison: minimum finding over 2d+1 runs."""
-    return model.minfind_factor * ceil_sqrt(2 * d + 1)
+    return minfind_charge(model, 2 * d + 1)
 
 
 def insert_charge(model: CostModel, d: int) -> float:
@@ -178,7 +192,7 @@ def update_charge(model: CostModel, d: int) -> float:
 
 def check_charge(model: CostModel, d: int, stored: int) -> float:
     space = (2 * d + 1) * max(1, stored)
-    return model.grover_factor * ceil_sqrt(space) * model.check_unit
+    return grover_charge(model, space) * model.check_unit
 
 
 def walk_charge(model: CostModel, d: int, r: int, m: int, delta: float) -> float:
@@ -492,14 +506,13 @@ def _ranked(order: DynArray, lcp: DynArray, slot: dict[int, int]) -> tuple[np.nd
 # certificate kernel, shared by the full-set index and the walk vertex
 
 
-def _sparse_tables(h: np.ndarray) -> list[np.ndarray]:
-    tables = [h]
-    k = 1
-    while (1 << k) <= len(h):
-        prev = tables[-1]
+def _sparse_tables(h: np.ndarray) -> np.ndarray:
+    """Row k holds the minimum of h over the 2**k entries from each start (row tails unused)."""
+    tables = np.zeros((max(1, len(h).bit_length()), len(h)), dtype=np.int64)
+    tables[0] = h
+    for k in range(1, len(tables)):
         half = 1 << (k - 1)
-        tables.append(np.minimum(prev[:-half], prev[half:]))
-        k += 1
+        tables[k, :-half] = np.minimum(tables[k - 1, :-half], tables[k - 1, half:])
     return tables
 
 
@@ -508,22 +521,107 @@ def _floor_log2(n: np.ndarray) -> np.ndarray:
     return np.frexp(n)[1] - 1
 
 
-def _rmq_vec(tables: list[np.ndarray], lo: np.ndarray, hi: np.ndarray):
+def _rmq_vec(tables: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Vectorized min over h[lo..hi] (inclusive, 0-based, lengths >= 1)."""
-    out = np.empty(lo.shape, dtype=np.int64)
-    ks = _floor_log2(hi - lo + 1)
-    for k in np.unique(ks):
-        mask = ks == k
-        t = tables[k]
-        left = lo[mask]
-        right = hi[mask] - (1 << int(k)) + 1
-        out[mask] = np.minimum(t[left], t[right])
-    return out
+    k = _floor_log2(hi - lo + 1)
+    return np.minimum(tables[k, lo], tables[k, hi + 1 - (1 << k)])
 
 
 # Pairs the kernel evaluates per numpy pass: large enough to amortize the
 # per-pass overhead, small enough that the pass's temporaries stay near 1 MiB.
+# A pass scores a block of flagged anchors against every anchor, so it holds
+# _PAIR_BATCH // m rows (at least one).
 _PAIR_BATCH = 4096
+
+# An anchor's agreement with itself: above every decoded length, and a
+# decoded length added to it still fits int64.
+_SELF = DECODED_LENGTH_BOUND
+
+
+def _row_agreements(pos: np.ndarray, h: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Agreement of each row's anchor with every anchor, columns in anchor order.
+
+    In a decoded order with ranks pos and adjacent agreements h, ranks r < s
+    agree for min(h[r..s-1]): a row is the cumulative minimum of h rightward
+    from its own rank and leftward over the reversed prefix before it.  The
+    row's own column reads _SELF.
+    """
+    right_side = np.arange(len(h)) >= pos[rows][:, None]
+    right = np.minimum.accumulate(np.where(right_side, h, _SELF), axis=1)
+    left = np.minimum.accumulate(np.where(right_side, _SELF, h)[:, ::-1], axis=1)[:, ::-1]
+    # rank s above the row's rank reads right[s - 1], rank s below it left[s]
+    pad = np.full((len(rows), 1), _SELF)
+    by_rank = np.minimum(np.hstack((pad, right)), np.hstack((left, pad)))
+    return by_rank[:, pos]
+
+
+def _snap(pv: np.ndarray, d: int, x_a: np.ndarray, q: np.ndarray):
+    """The longest whole-run backward span ending at run x_a that fits in q.
+
+    Returns v, the run before the span (at most 2d + 1 runs back); whether
+    the span holds the anchor run at least; and max_l - rho, the span's
+    length beyond that run.  The gain never falls as q grows.
+    """
+    v = np.searchsorted(pv, pv[x_a] - q, side="left")
+    v = np.maximum(v, np.maximum(x_a - 2 * d - 1, 0))
+    return v, v <= x_a - 1, pv[x_a - 1] - pv[np.minimum(v, x_a - 1)]
+
+
+def _nearest(is_partner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per rank, the nearest rank before and after it whose anchor is_partner (-1 / m if none)."""
+    m = len(is_partner)
+    ranks = np.arange(m)
+    before = np.maximum.accumulate(np.where(is_partner, ranks, -1))
+    after = np.minimum.accumulate(np.where(is_partner, ranks, m)[::-1])[::-1]
+    return np.concatenate(([-1], before[:-1])), np.concatenate((after[1:], [m]))
+
+
+def _neighbours(pos: np.ndarray, side: Optional[np.ndarray]) -> list[np.ndarray]:
+    """Each anchor's nearest partners before and after it in one decoded order.
+
+    side is 0 (red), 1 (blue) or 2 (white) per anchor, or None for a single
+    string, where every other anchor is a partner.  Anchor indices, -1 where
+    there is none; the entries of the white anchor are never read.
+    """
+    m = len(pos)
+    at = np.empty(m, dtype=np.int64)
+    at[pos] = np.arange(m)
+    if side is None:
+        ranks = [pos - 1, pos + 1]
+    else:
+        of_red, of_blue = _nearest(side[at] == 0), _nearest(side[at] == 1)
+        ranks = [np.where(side == 0, of_blue[k][pos], of_red[k][pos]) for k in (0, 1)]
+    return [np.where((r >= 0) & (r < m), at[np.clip(r, 0, m - 1)], -1) for r in ranks]
+
+
+def _row_bounds(xs, fwd_pos, h_f, bwd_pos, h_b, pv, d, side, flagged):
+    """Per-anchor bound on its row's certificates, and a certificate some pair reaches.
+
+    Agreement only falls with distance in a decoded order, so an anchor's
+    nearest partners in the forward order give its largest p and those in
+    the backward order its largest q; the row bound is p + gain(q) at those
+    maxima, or -1 where no span fits.  The lower bound is the best exact
+    certificate among these at most 4 pairs per flagged anchor.
+    """
+    t_f, t_b = _sparse_tables(h_f), _sparse_tables(h_b)
+    nearest = _neighbours(fwd_pos, side) + _neighbours(bwd_pos, side)
+    partners = np.stack([n[flagged] for n in nearest])
+    has = partners >= 0
+    a = np.broadcast_to(flagged, partners.shape)[has]
+    b = partners[has]
+    p_f, p_b = fwd_pos[a], fwd_pos[b]
+    p = _rmq_vec(t_f, np.minimum(p_f, p_b), np.maximum(p_f, p_b) - 1)
+    q_f, q_b = bwd_pos[a], bwd_pos[b]
+    q = _rmq_vec(t_b, np.minimum(q_f, q_b), np.maximum(q_f, q_b) - 1)
+    _, ok, gain = _snap(pv, d, xs[a], q)
+    lower = int(np.max(np.where(ok, p + gain, 0), initial=0))
+    p_max, q_max = np.full(partners.shape, -1), np.full(partners.shape, -1)
+    p_max[has], q_max[has] = p, q
+    p_max, q_max = p_max.max(axis=0), q_max.max(axis=0)
+    _, ok, gain = _snap(pv, d, xs[flagged], q_max)
+    upper = np.full(len(xs), -1)
+    upper[flagged] = np.where(ok, p_max + gain, -1)
+    return upper, lower
 
 
 def best_certificate(
@@ -547,48 +645,44 @@ def best_certificate(
     a's run, at most 2d + 1 runs, that fits in q, and rho is a's run length.
     Returns (best, (a, partner, v)) with indices into xs and v the run
     before the span, or (0, None).  Pairs are scanned by side (red flagged
-    first), then flagged anchor, then partner, in batches of _PAIR_BATCH;
-    ties keep the first pair scanned.
+    first), then flagged anchor, then partner; ties keep the first pair
+    scanned.
+
+    Each flagged anchor's row of pairs comes from cumulative minima, a block
+    of rows per numpy pass.  When the rows take more than one pass, exact
+    row bounds skip the rows that cannot win: a skipped row could at most
+    tie a pair that is scanned before it.
     """
-    best, best_args = 0, None
     m = len(xs)
     if m < 2:
-        return best, best_args
-    t_f, t_b = _sparse_tables(h_f), _sparse_tables(h_b)
-    lrs = sep_index is None
-    if lrs:
-        everyone = np.arange(m)
-        sides = [(everyone, everyone)]
+        return 0, None
+    if sep_index is None:
+        side = None
+        flagged = np.arange(m)
     else:
-        reds = np.flatnonzero(xs < sep_index)
-        blues = np.flatnonzero(xs > sep_index)
-        sides = [(reds, blues), (blues, reds)]
-    for a_idx, b_idx in sides:
-        per_a = len(b_idx) - lrs  # a single string's anchor is not its own partner
-        if per_a < 1:
-            continue
-        total = len(a_idx) * per_a
-        for start in range(0, total, _PAIR_BATCH):
-            f = np.arange(start, min(start + _PAIR_BATCH, total))
-            a = a_idx[f // per_a]
-            j = f % per_a
-            b = j + (j >= a) if lrs else b_idx[j]
-            pf_a, pf_b = fwd_pos[a], fwd_pos[b]
-            p = _rmq_vec(t_f, np.minimum(pf_a, pf_b), np.maximum(pf_a, pf_b) - 1)
-            pb_a, pb_b = bwd_pos[a], bwd_pos[b]
-            q = _rmq_vec(t_b, np.minimum(pb_a, pb_b), np.maximum(pb_a, pb_b) - 1)
-            x_a = xs[a]
-            p_xa = pv[x_a]
-            rho = p_xa - pv[x_a - 1]
-            v = np.searchsorted(pv, p_xa - q, side="left")
-            v = np.maximum(v, np.maximum(x_a - 2 * d - 1, 0))
-            ok = v <= x_a - 1
-            max_l = p_xa - pv[np.minimum(v, x_a - 1)]
-            cert = np.where(ok, p + max_l - rho, 0)
-            i = int(np.argmax(cert))
-            if int(cert[i]) > best:
-                best = int(cert[i])
-                best_args = (int(a[i]), int(b[i]), int(v[i]))
+        side = np.where(xs < sep_index, 0, np.where(xs > sep_index, 1, 2))
+        flagged = np.concatenate((np.flatnonzero(side == 0), np.flatnonzero(side == 1)))
+    rows_per_pass = max(1, _PAIR_BATCH // m)
+    upper = None
+    if len(flagged) > rows_per_pass:
+        upper, lower = _row_bounds(xs, fwd_pos, h_f, bwd_pos, h_b, pv, d, side, flagged)
+        flagged = flagged[upper[flagged] >= max(lower, 1)]
+    best, best_args = 0, None
+    while len(flagged):
+        rows, flagged = flagged[:rows_per_pass], flagged[rows_per_pass:]
+        p = _row_agreements(fwd_pos, h_f, rows)
+        q = _row_agreements(bwd_pos, h_b, rows)
+        v, ok, gain = _snap(pv, d, xs[rows][:, None], q)
+        if side is None:
+            ok &= np.arange(m) != rows[:, None]
+        else:
+            ok &= side == 1 - side[rows][:, None]
+        cert = np.where(ok, p + gain, 0)
+        i, j = divmod(int(np.argmax(cert)), m)
+        if int(cert[i, j]) > best:
+            best, best_args = int(cert[i, j]), (int(rows[i]), j, int(v[i, j]))
+            if upper is not None:
+                flagged = flagged[upper[flagged] > best]
     return best, best_args
 
 
@@ -850,9 +944,9 @@ def _small_fallback(
     run-boundary pairs with matching char pairs.  Charged once per solve.
     """
     na, nb = ha.n, hb.n
-    charge = model.minfind_factor * (ceil_sqrt(max(1, na)) + ceil_sqrt(max(1, nb)))
+    charge = minfind_charge(model, max(1, na), max(1, nb))
     pairs = max(1, (na - 1) * (nb - 1)) if not lrs else max(1, (na - 1) ** 2)
-    charge += model.grover_factor * ceil_sqrt(pairs)
+    charge += grover_charge(model, pairs)
     ledger.charge(charge)
     if not execute:
         return None
@@ -987,13 +1081,16 @@ def _solve(
     cost_only = config.mode is WalkMode.COSTONLY
 
     anchor_cache: dict[int, AnchorSet] = {}
+    span_hashes: dict[int, list[int]] = {}
 
     def anchors_for(d: int) -> AnchorSet:
         if d not in anchor_cache:
             if config.anchor_sets is not None and d in config.anchor_sets:
                 anchor_cache[d] = config.anchor_sets[d]
             elif config.anchors is AnchorScheme.MINIMIZER and d >= model.d_min:
-                anchor_cache[d] = build_minimizer(hs.string, d, config.seed, d_min=model.d_min)
+                anchor_cache[d] = build_minimizer(
+                    hs.string, d, config.seed, d_min=model.d_min, span_hashes=span_hashes
+                )
             else:
                 anchor_cache[d] = build_exhaustive(hs.string, d)
         return anchor_cache[d]
@@ -1082,6 +1179,17 @@ def _check_decoded_length(total: int) -> None:
         raise DecodedLengthError(f"decoded length {total} is not below 2**62")
 
 
+def _separator(a: RleString, b: RleString) -> int:
+    """``$`` when neither input contains it, else the smallest byte absent from both."""
+    used = {r.char for r in a.runs} | {r.char for r in b.runs}
+    if SEP_DOLLAR not in used:
+        return SEP_DOLLAR
+    free = [c for c in range(256) if c not in used]
+    if not free:
+        raise NoSeparatorError("the inputs use all 256 byte values; none is free to separate them")
+    return free[0]
+
+
 def solve_lcs_rle_p(
     ha: OracleHandle, hb: OracleHandle, config: Optional[SolverConfig] = None
 ) -> Optional[LcsAnswer]:
@@ -1089,14 +1197,16 @@ def solve_lcs_rle_p(
 
     Returns None exactly when the inputs share no character.  The two
     handles should share one ledger; all charges go to the first handle's.
-    Raises DecodedLengthError when A $ B decodes to DECODED_LENGTH_BOUND or
-    more.
+    The solver searches A $ B, with ``$`` replaced by the smallest byte
+    absent from both inputs when they contain it.  Raises DecodedLengthError
+    when A $ B decodes to DECODED_LENGTH_BOUND or more, and NoSeparatorError
+    when no byte is absent.
     """
     config = config or SolverConfig()
     _check_decoded_length(ha.total + 1 + hb.total)
     if ha.total == 0 or hb.total == 0:
         return None
-    s, sep_index = concat_sep(ha.string, hb.string, SEP_DOLLAR)
+    s, sep_index = concat_sep(ha.string, hb.string, _separator(ha.string, hb.string))
     hs = OracleHandle(s, ha.ledger)
     return _solve(hs, sep_index, ha, hb, config)
 

@@ -123,6 +123,26 @@ def test_validate_minimizer_planted_instances():
     assert valid >= int(0.9 * trials)
 
 
+def test_minimizer_shared_span_hashes(monkeypatch):
+    # a solve's scales share one dict of position hashes: span 8 at every
+    # d >= 32 is hashed once, and the anchor sets do not change
+    import rlelcs.anchors as anchors
+
+    s = encode(bytes(random.Random(5).choices(b"abcd", k=2000)))
+    ds = (8, 16, 32, 64, 128, 256)
+    alone = [build_minimizer(s, d, 3) for d in ds]
+    hashed, real = [], anchors._span_hashes
+
+    def counted(s, span, seed):
+        hashed.append(span)
+        return real(s, span, seed)
+
+    monkeypatch.setattr(anchors, "_span_hashes", counted)
+    cache: dict = {}
+    assert [build_minimizer(s, d, 3, span_hashes=cache) for d in ds] == alone
+    assert hashed == [2, 4, 8] and sorted(cache) == [2, 4, 8]
+
+
 def test_minimizer_size_reported():
     # size tracks the window density; reported, not asserted as a bound
     rng = random.Random(17)

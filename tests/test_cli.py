@@ -186,6 +186,23 @@ def test_solve_decoded_length_bound_exit_code(tmp_path, capsys, texts):
     assert len(err.strip().splitlines()) == 1 and "2**62" in err
 
 
+def test_solve_input_with_dollar(tmp_path, capsys):
+    a, b = tmp_path / "a.rle", tmp_path / "b.rle"
+    a.write_text("a:2,$:1,b:3\n")
+    b.write_text("a:2,b:3\n")
+    assert run(["solve", str(a), str(b)]) == 0
+    assert "d_tilde=3" in capsys.readouterr().out
+
+
+def test_solve_no_free_separator_exit_code(tmp_path, capsys):
+    a, b = tmp_path / "a.raw", tmp_path / "b.raw"
+    a.write_bytes(bytes(range(0, 256, 2)))
+    b.write_bytes(bytes(range(1, 256, 2)))
+    assert run(["solve", str(a), str(b), "--format", "raw"]) == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "256 byte values" in err
+
+
 def test_bad_d_min_exit_code(capsys):
     assert run(["validate-anchors", "--scheme", "exhaustive", "--d-min", "0"]) == 1
     err = capsys.readouterr().err

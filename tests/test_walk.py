@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rlelcs
 from rlelcs.anchors import AnchorScheme, AnchorSet, build_exhaustive
@@ -28,12 +30,15 @@ from rlelcs.walk import (
     _d_values,
     _floor_log2,
     _rmq_vec,
+    _row_bounds,
+    _separator,
     _sparse_tables,
     Candidate,
     CollisionIndex,
     Color,
     InternalInconsistencyError,
     LcsAnswer,
+    NoSeparatorError,
     SolverConfig,
     WalkVertex,
     best_certificate,
@@ -343,9 +348,9 @@ def _index_orders(ctx):
     return fwd.window_order(xs, width), bwd.window_order(ctx.handle.n + 1 - xs, width)
 
 
-def _random_context(rng, lrs, n_runs, d, subset):
+def _random_context(rng, lrs, n_runs, d, subset, alphabet=b"abc"):
     """Context over a random string (small alphabet, short runs, so windows often tie)."""
-    alphabet = tuple(b"abc")
+    alphabet = tuple(alphabet)
     a = random_rle(rng, n_runs, alphabet=alphabet, max_len=3)
     if lrs:
         s, sep = a, None
@@ -415,6 +420,18 @@ def _kernel_args(ctx):
     return xs, fwd_pos, h_f, bwd_pos, h_b, ctx.pv, ctx.d, ctx.sep_index
 
 
+def _spy(monkeypatch, name):
+    """Record the arguments of every call to a rlelcs.walk function."""
+    calls, fn = [], getattr(rlelcs.walk, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(rlelcs.walk, name, wrapper)
+    return calls
+
+
 def test_best_certificate_batches_match_per_anchor_loop(monkeypatch):
     # one LCS context with more admissible pairs than one batch holds; a
     # periodic text makes many pairs tie, so the first-maximum rule decides
@@ -425,18 +442,93 @@ def test_best_certificate_batches_match_per_anchor_loop(monkeypatch):
     ctx = make_context(OracleHandle(s, QueryLedger()), build_exhaustive(s, 5), 5, sep, MODEL)
     assert 2 * a.n * b.n > _PAIR_BATCH
     args = _kernel_args(ctx)
+    bounds, blocks = _spy(monkeypatch, "_row_bounds"), _spy(monkeypatch, "_row_agreements")
     best, witness = best_certificate(*args)
     assert best > 0
     assert (best, witness) == _per_anchor_best_certificate(*args)
+    assert len(bounds) == 1 and max(len(call[2]) for call in blocks) > 1
     # batch boundaries inside and between flagged anchors, LCS and LRS, subsets
     rng = random.Random(62)
     for batch in (7, 1):
         monkeypatch.setattr(rlelcs.walk, "_PAIR_BATCH", batch)
+        del bounds[:], blocks[:]
         for trial in range(24):
             n_runs, d = rng.randint(1, 12), rng.choice([1, 2, 3, 4])
             ctx = _random_context(rng, trial % 2 == 1, n_runs, d, trial % 3 == 0)
             args = _kernel_args(ctx)
             assert best_certificate(*args) == _per_anchor_best_certificate(*args)
+        # both paths ran: the row bounds, and blocks of several rows when m <= 3
+        assert bounds
+        assert (max(len(call[2]) for call in blocks) > 1) == (batch == 7)
+
+
+def _periodic_context(rng, lrs, d, subset, alphabet=b"abc"):
+    """Context over a motif repeated to up to 40 runs, one run length redrawn half the time."""
+    motif = [(alphabet[i % 3], rng.randint(1, 3)) for i in range(rng.choice([2, 3, 4, 6]))]
+    if len(motif) == 4:
+        motif[3] = (alphabet[1], motif[3][1])  # a b c b: chars repeat inside the motif
+    runs = [motif[i % len(motif)] for i in range(rng.randint(2, 40))]
+    if rng.random() < 0.5:
+        i = rng.randrange(len(runs))
+        runs[i] = (runs[i][0], rng.randint(1, 3))
+    a = RleString.from_pairs(runs)
+    b = RleString.from_pairs(runs[rng.randrange(len(runs)) :])  # a suffix of a
+    s, sep = (a, None) if lrs else concat_sep(a, b)
+    entries = list(range(1, s.n + 1))
+    if subset:
+        entries = sorted(rng.sample(entries, rng.randint(1, s.n)))
+    anchors = AnchorSet(tuple(entries), d, AnchorScheme.EXHAUSTIVE)
+    return make_context(OracleHandle(s, QueryLedger()), anchors, d, sep, MODEL)
+
+
+def _white_between_partners(ctx, pos):
+    """Whether the white anchor sits between a red and a blue anchor in a decoded order."""
+    xs = np.array(ctx.anchors.entries)
+    at = np.empty(len(xs), dtype=np.int64)
+    at[pos] = np.arange(len(xs))
+    colours = [ctx.color(int(x)) for x in xs[at]]
+    return any(
+        colours[r] is Color.WHITE and {colours[r - 1], colours[r + 1]} == {Color.RED, Color.BLUE}
+        for r in range(1, len(colours) - 1)
+    )
+
+
+def test_best_certificate_row_bounds_match_per_anchor_loop(monkeypatch):
+    # bounds forced on small anchor sets (one row per pass): LCS and LRS,
+    # random and periodic texts, full sets and subsets, d from 1 to past 2n;
+    # "!" sorts before the separator "$" and "a" after it, so the white
+    # anchor can sit between a red and a blue anchor in a decoded order
+    monkeypatch.setattr(rlelcs.walk, "_PAIR_BATCH", 1)
+    blocks = _spy(monkeypatch, "_row_agreements")
+    rng = random.Random(83)
+    seen = {"white between partners": 0, "witness row bound at LB": 0, "rows skipped": 0}
+    for trial in range(240):
+        lrs, subset, periodic = trial % 2 == 1, trial % 3 == 0, trial % 4 >= 2
+        d = rng.choice([1, 2, 3, 4, 5, 8, 16, 81])
+        alphabet = b"!ab" if trial % 8 < 4 else b"abc"
+        if periodic:
+            ctx = _periodic_context(rng, lrs, d, subset, alphabet)
+        else:
+            ctx = _random_context(rng, lrs, rng.randint(1, 20), d, subset, alphabet)
+        args = _kernel_args(ctx)
+        del blocks[:]
+        got = best_certificate(*args)
+        want = _per_anchor_best_certificate(*args)
+        assert got == want, (trial, ctx.handle.string, d)
+        xs, fwd_pos, _, bwd_pos = args[:4]
+        if not lrs:
+            seen["white between partners"] += any(
+                _white_between_partners(ctx, pos) for pos in (fwd_pos, bwd_pos)
+            )
+        if want[1] is None:
+            continue
+        side = None if lrs else np.where(xs < ctx.sep_index, 0, np.where(xs > ctx.sep_index, 1, 2))
+        flagged = np.arange(len(xs)) if lrs else np.flatnonzero(side < 2)
+        upper, lower = _row_bounds(*args[:7], side, flagged)
+        assert lower <= want[0] <= upper[want[1][0]]
+        seen["witness row bound at LB"] += int(upper[want[1][0]]) == lower
+        seen["rows skipped"] += len(blocks) < len(flagged)
+    assert all(seen.values()), seen
 
 
 def _loop_double_run_best(bmap_a, bmap_b, distinct):
@@ -676,6 +768,51 @@ def test_solve_matches_brute_on_random_sample():
             assert verify_candidate(ans, ha, hb)
 
 
+_SEPARATOR_BYTES = st.sampled_from(b"$@#a")
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.one_of(_SEPARATOR_BYTES, st.integers(0, 255)), min_size=1, max_size=24).map(bytes),
+    st.lists(st.one_of(_SEPARATOR_BYTES, st.integers(0, 255)), min_size=1, max_size=24).map(bytes),
+)
+def test_solve_matches_brute_over_all_byte_values(raw_a, raw_b):
+    # any byte can be solved, the old separators included
+    a, b = encode(raw_a), encode(raw_b)
+    ha, hb, _ = make_handles(a, b)
+    ans = solve_lcs_rle_p(ha, hb)
+    assert (ans.d_tilde if ans else 0) == brute_lcs(a, b).length
+    if ans:
+        assert verify_candidate(ans, ha, hb)
+
+
+def test_separator_is_dollar_unless_an_input_uses_it():
+    assert _separator(encode(b"ab"), encode(b"a@#")) == ord("$")
+    assert _separator(encode(b"a$\x00"), encode(b"\x01b")) == 2
+    with pytest.raises(NoSeparatorError):
+        _separator(encode(bytes(range(256))), encode(b""))
+    ha, hb, _ = make_handles(encode(bytes(range(0, 256, 2))), encode(bytes(range(1, 256, 2))))
+    with pytest.raises(NoSeparatorError):
+        solve_lcs_rle_p(ha, hb)
+
+
+def test_solve_hashes_each_minimizer_span_once(monkeypatch):
+    import rlelcs.anchors as anchors
+
+    inst = plant_instance(300, 40, 120, 9)
+    spans, real = [], anchors._span_hashes
+
+    def counted(s, span, seed):
+        spans.append(span)
+        return real(s, span, seed)
+
+    monkeypatch.setattr(anchors, "_span_hashes", counted)
+    ha, hb, _ = make_handles(inst.a, inst.b)
+    ans = solve_lcs_rle_p(ha, hb, SolverConfig(anchors=AnchorScheme.MINIMIZER))
+    assert ans.d_tilde == brute_lcs(inst.a, inst.b).length
+    assert len(spans) == len(set(spans)) and 8 in spans
+
+
 def test_solve_lrs_examples_and_random():
     ha, _, _ = make_handles(encode(b"abcabc"), encode(b""))
     assert solve_lrs(ha).d_tilde == 3
@@ -730,6 +867,15 @@ def test_floor_log2_matches_bit_length():
     ns += [(1 << k) + e for k in range(1, 41) for e in (-1, 0, 1)]
     got = _floor_log2(np.array(ns, dtype=np.int64))
     assert got.tolist() == [n.bit_length() - 1 for n in ns]
+
+
+def test_rmq_vec_matches_slice_minimum():
+    rng = np.random.default_rng(7)
+    for n in range(1, 41):
+        h = rng.integers(0, 9, size=n)
+        lo, hi = np.triu_indices(n)
+        want = [int(h[i : j + 1].min()) for i, j in zip(lo, hi)]
+        assert _rmq_vec(_sparse_tables(h), lo, hi).tolist() == want
 
 
 def test_solve_costonly_deterministic_and_answerless():
