@@ -51,7 +51,6 @@ from .rle import (
     is_generalized_substring,
     parse_rle,
     prefix_table,
-    reverse,
 )
 from .structures import DynArray, RangeSum2D
 from .walk import (
@@ -65,12 +64,9 @@ from .walk import (
     finalize_answer,
     inner_search,
     make_context,
-    prefix_window,
     solve_lcs_rle_p,
     solve_lrs,
-    suffix_window,
     verify_candidate,
-    walk_charge,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -64,7 +64,6 @@ class CostModel:
     d_min: int = 8
     r_const: float = 1.0
     step_budget_factor: float = 20.0
-    desk_bound: int = 10_000_000
 
     def __post_init__(self):
         for f in fields(self):

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .anchors import AnchorSet, anchor_at
 from .rle import RESERVED_SEPARATORS, RleString, Run, decode, encode
 
 
@@ -97,6 +98,20 @@ def brute_lrs(a: RleString, *, bound: int = DESK_BOUND) -> BruteLrs:
             best_1 = end - length + 2  # 1-based start of first copy
             best_2 = best_1 + shift
     return BruteLrs(best_len, best_1, best_2)
+
+
+def prefix_window(s: RleString, anchors: AnchorSet, k: int, d: int) -> RleString:
+    """Runs from anchor k forward, 2d runs past it, clamped at the end."""
+    x = anchor_at(anchors, k)
+    hi = min(s.n, x + 2 * d)
+    return RleString(s.runs[x - 1 : hi])
+
+
+def suffix_window(s: RleString, anchors: AnchorSet, k: int, d: int) -> RleString:
+    """Runs from 2d before anchor k up to it, reversed, clamped at the start."""
+    x = anchor_at(anchors, k)
+    lo = max(1, x - 2 * d)
+    return RleString(tuple(reversed(s.runs[lo - 1 : x])))
 
 
 DEFAULT_ALPHABET = (ord("a"), ord("b"), ord("c"), ord("d"))

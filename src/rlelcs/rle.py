@@ -226,10 +226,6 @@ def concat_sep(a: RleString, b: RleString, sep: int | str = SEP_DOLLAR) -> tuple
     return RleString(runs), a.n + 1
 
 
-def reverse(s: RleString) -> RleString:
-    return RleString(tuple(reversed(s.runs)))
-
-
 _PRINTABLE = set(range(0x21, 0x7F)) - {ord(","), ord(":"), ord("\\")}
 
 

@@ -16,7 +16,8 @@ anchor run, so the forward threshold re-counts it; the rho term compensates
 and makes the certificate exact (t agreed chars, stitched at the shared
 run boundary).  One kernel, :func:`best_certificate`, evaluates this for
 every admissible pair of an anchor set; the full-set index runs it on all
-anchors at a scale and the walk vertex's check on its stored subset.
+anchors at a scale and the walk vertex's check on its stored subset.  Both
+read one window order per scale, ranked from the solve's run tokens.
 """
 
 from __future__ import annotations
@@ -41,7 +42,13 @@ from .qmodel import (
     grover_search,  # not called here; perfbench/tracer.py patches rlelcs.walk.grover_search
     walk_search,
 )
-from .rle import SEP_DOLLAR, RleString, concat_sep, ldcp_runs, lex_compare_runs
+from .rle import (
+    SEP_DOLLAR,
+    RleString,
+    concat_sep,
+    ldcp_runs,  # not called here; perfbench/tracer.py patches rlelcs.walk.ldcp_runs
+    lex_compare_runs,  # not called here; perfbench/tracer.py patches it likewise
+)
 from .structures import DynArray
 
 
@@ -75,51 +82,6 @@ def color_of(x_run: int, sep_index: Optional[int]) -> Color:
     if x_run == sep_index:
         return Color.WHITE
     return Color.BLUE
-
-
-class _Window:
-    """Lazy run slice of the concatenated string, optionally reversed.
-
-    Materializes its runs through the oracle on first access, so query
-    counters tick once per covered run.
-    """
-
-    __slots__ = ("handle", "lo", "hi", "rev", "_runs")
-
-    def __init__(self, handle: OracleHandle, lo: int, hi: int, rev: bool):
-        self.handle = handle
-        self.lo = lo
-        self.hi = hi
-        self.rev = rev
-        self._runs: Optional[list] = None
-
-    def __len__(self) -> int:
-        return max(0, self.hi - self.lo + 1)
-
-    def _fetch(self) -> list:
-        if self._runs is None:
-            runs = [self.handle.query_run(i) for i in range(self.lo, self.hi + 1)]
-            if self.rev:
-                runs.reverse()
-            self._runs = runs
-        return self._runs
-
-    def __getitem__(self, i: int):
-        return self._fetch()[i]
-
-
-def prefix_window(s: RleString, anchors: AnchorSet, k: int, d: int) -> RleString:
-    """Runs from the anchor forward, 2d runs past it, clamped at the end."""
-    x = anchor_at(anchors, k)
-    hi = min(s.n, x + 2 * d)
-    return RleString(s.runs[x - 1 : hi])
-
-
-def suffix_window(s: RleString, anchors: AnchorSet, k: int, d: int) -> RleString:
-    """Runs from 2d before the anchor up to it, reversed, clamped at start."""
-    x = anchor_at(anchors, k)
-    lo = max(1, x - 2 * d)
-    return RleString(tuple(reversed(s.runs[lo - 1 : x])))
 
 
 @dataclass(frozen=True)
@@ -195,15 +157,8 @@ def check_charge(model: CostModel, d: int, stored: int) -> float:
     return grover_charge(model, space) * model.check_unit
 
 
-def walk_charge(model: CostModel, d: int, r: int, m: int, delta: float) -> float:
-    """Full search charge: setup + (1/sqrt(delta)) (sqrt(r) update + check)."""
-    return setup_charge(model, d, r) + (1.0 / math.sqrt(delta)) * (
-        math.sqrt(r) * update_charge(model, d) + check_charge(model, d, r)
-    )
-
-
 # ---------------------------------------------------------------------------
-# run-token ranks: the full-set index's window order without a comparator
+# run-token ranks: each scale's window order without a comparator
 
 
 def _dense_ranks(*keys: np.ndarray) -> np.ndarray:
@@ -298,7 +253,8 @@ class _RunTokens:
     """Token ranks of a string's runs, forward and reversed, built on first use.
 
     One solve shares one instance across its scales, so the runs are read
-    once, with n counted run queries, by the first full-set index.
+    once, with n counted run queries, by the first scale that orders its
+    windows.
     """
 
     def __init__(self, handle: OracleHandle):
@@ -335,11 +291,26 @@ class _WalkContext:
         values = self.handle.prefix.values
         return np.fromiter(values, dtype=np.int64, count=len(values))
 
-    def fwd_win(self, x: int) -> _Window:
-        return _Window(self.handle, x, min(self.handle.n, x + 2 * self.d), False)
+    @cached_property
+    def window_order(self) -> tuple[np.ndarray, tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+        """The anchors' run indices, and their forward and backward (pos, h) window orders.
 
-    def bwd_win(self, x: int) -> _Window:
-        return _Window(self.handle, max(1, x - 2 * self.d), x, True)
+        Ranks are 0-based in decoded order, ties broken by anchor index, and
+        h holds the agreement of adjacent entries, from the solve's token ranks.
+        """
+        xs = np.fromiter(self.anchors.entries, dtype=np.int64, count=self.anchors.m)
+        fwd, bwd = self.tokens.tables
+        width = 2 * self.d + 1
+        return xs, fwd.window_order(xs, width), bwd.window_order(self.handle.n + 1 - xs, width)
+
+    @cached_property
+    def vertex_orders(self) -> tuple[tuple[list, list], tuple[list, list]]:
+        """Forward and backward (ranks, range-minimum rows of h) as lists.
+
+        Only a walk vertex reads them, one scalar at a time.
+        """
+        _, fwd, bwd = self.window_order
+        return tuple((pos.tolist(), _sparse_tables(h).tolist()) for pos, h in (fwd, bwd))
 
     def color(self, x: int) -> Color:
         return color_of(x, self.sep_index)
@@ -367,7 +338,9 @@ class WalkVertex:
 
     by_key holds (anchor id, run index) sorted by id; fwd_order/bwd_order
     hold the ids sorted by the decoded text around each anchor with the
-    adjacent common-prefix lengths in fwd_lcp/bwd_lcp.
+    adjacent common-prefix lengths in fwd_lcp/bwd_lcp.  Both come from the
+    context's window order: an anchor is placed by its rank, and two
+    anchors agree for the range minimum of h between their ranks.
     """
 
     def __init__(self, ctx: _WalkContext):
@@ -377,32 +350,6 @@ class WalkVertex:
         self.fwd_lcp = DynArray()
         self.bwd_order = DynArray()
         self.bwd_lcp = DynArray()
-        self._wins: dict[tuple[int, bool], _Window] = {}
-
-    # window helpers ---------------------------------------------------
-
-    def _x_of(self, k: int) -> int:
-        return self.ctx.anchors.entries[k - 1]
-
-    def _fwd(self, k: int) -> _Window:
-        win = self._wins.get((k, False))
-        if win is None:
-            win = self._wins[(k, False)] = self.ctx.fwd_win(self._x_of(k))
-        return win
-
-    def _bwd(self, k: int) -> _Window:
-        win = self._wins.get((k, True))
-        if win is None:
-            win = self._wins[(k, True)] = self.ctx.bwd_win(self._x_of(k))
-        return win
-
-    def _fwd_id_cmp(self, k1: int, k2: int) -> int:
-        c = lex_compare_runs(self._fwd(k1), self._fwd(k2))
-        return c if c else (k1 > k2) - (k1 < k2)
-
-    def _bwd_id_cmp(self, k1: int, k2: int) -> int:
-        c = lex_compare_runs(self._bwd(k1), self._bwd(k2))
-        return c if c else (k1 > k2) - (k1 < k2)
 
     # mutation ----------------------------------------------------------
 
@@ -417,13 +364,15 @@ class WalkVertex:
             raise ValueError(f"anchor {k} already stored")
         x = anchor_at(self.ctx.anchors, k)
         self.by_key.insert(self._bisect_by_key(k), k, x)
-        self._order_insert(self.fwd_order, self.fwd_lcp, self._fwd_id_cmp, self._fwd, k, x)
-        self._order_insert(self.bwd_order, self.bwd_lcp, self._bwd_id_cmp, self._bwd, k, x)
+        fwd, bwd = self.ctx.vertex_orders
+        _order_insert(self.fwd_order, self.fwd_lcp, fwd, k, x)
+        _order_insert(self.bwd_order, self.bwd_lcp, bwd, k, x)
 
     def delete(self, k: int) -> None:
         pos = self.by_key.locate(k)
-        self._order_delete(self.fwd_order, self.fwd_lcp, self._fwd, k)
-        self._order_delete(self.bwd_order, self.bwd_lcp, self._bwd, k)
+        fwd, bwd = self.ctx.vertex_orders
+        _order_delete(self.fwd_order, self.fwd_lcp, fwd, k)
+        _order_delete(self.bwd_order, self.bwd_lcp, bwd, k)
         self.by_key.delete(pos)
 
     def _bisect_by_key(self, k: int) -> int:
@@ -435,41 +384,6 @@ class WalkVertex:
             else:
                 lo = mid + 1
         return lo
-
-    def _order_insert(self, order: DynArray, lcp: DynArray, cmpfn, winfn, k: int, x: int) -> None:
-        t = len(order)
-        lo, hi = 1, t + 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if cmpfn(k, order.index(mid)[0]) < 0:
-                hi = mid
-            else:
-                lo = mid + 1
-        p = lo
-        order.insert(p, k, x)
-        if t == 0:
-            return
-        if 1 < p <= t:
-            lcp.delete(p - 1)
-        if p > 1:
-            left = order.index(p - 1)[0]
-            lcp.insert(p - 1, left, ldcp_runs(winfn(left), winfn(k)))
-        if p <= t:
-            right = order.index(p + 1)[0]
-            lcp.insert(p, k, ldcp_runs(winfn(k), winfn(right)))
-
-    def _order_delete(self, order: DynArray, lcp: DynArray, winfn, k: int) -> None:
-        p = order.locate(k)
-        t = len(order)
-        left = order.index(p - 1)[0] if p > 1 else None
-        right = order.index(p + 1)[0] if p < t else None
-        if p < t:
-            lcp.delete(p)
-        if p > 1:
-            lcp.delete(p - 1)
-        order.delete(p)
-        if left is not None and right is not None:
-            lcp.insert(p - 1, left, ldcp_runs(winfn(left), winfn(right)))
 
     # checking ------------------------------------------------------------
 
@@ -492,6 +406,52 @@ class WalkVertex:
             return None
         a, b, v = args
         return _candidate(ctx, stored[a], stored[b], v, d_tilde)
+
+
+def _agreement(ranked: tuple[list, list], k1: int, k2: int) -> int:
+    """Decoded agreement of anchors k1 != k2: the minimum of h between their ranks."""
+    rank, rows = ranked
+    lo, hi = sorted((rank[k1 - 1], rank[k2 - 1]))
+    level = (hi - lo).bit_length() - 1
+    return min(rows[level][lo], rows[level][hi - (1 << level)])
+
+
+def _order_insert(order: DynArray, lcp: DynArray, ranked: tuple[list, list], k: int, x: int) -> None:
+    ranks = ranked[0]
+    t = len(order)
+    lo, hi = 1, t + 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if ranks[k - 1] < ranks[order.index(mid)[0] - 1]:
+            hi = mid
+        else:
+            lo = mid + 1
+    p = lo
+    order.insert(p, k, x)
+    if t == 0:
+        return
+    if 1 < p <= t:
+        lcp.delete(p - 1)
+    if p > 1:
+        left = order.index(p - 1)[0]
+        lcp.insert(p - 1, left, _agreement(ranked, left, k))
+    if p <= t:
+        right = order.index(p + 1)[0]
+        lcp.insert(p, k, _agreement(ranked, k, right))
+
+
+def _order_delete(order: DynArray, lcp: DynArray, ranked: tuple[list, list], k: int) -> None:
+    p = order.locate(k)
+    t = len(order)
+    left = order.index(p - 1)[0] if p > 1 else None
+    right = order.index(p + 1)[0] if p < t else None
+    if p < t:
+        lcp.delete(p)
+    if p > 1:
+        lcp.delete(p - 1)
+    order.delete(p)
+    if left is not None and right is not None:
+        lcp.insert(p - 1, left, _agreement(ranked, left, right))
 
 
 def _ranked(order: DynArray, lcp: DynArray, slot: dict[int, int]) -> tuple[np.ndarray, np.ndarray]:
@@ -701,18 +661,13 @@ def _candidate(
 class CollisionIndex:
     """Best certified length over the full anchor set at one scale d.
 
-    Orders every anchor window from the solve's run-token ranks and runs the
-    certificate kernel over all anchors, so one (length, witness) pair
-    answers every probe at this scale.
+    Runs the certificate kernel over all anchors in the context's window
+    order, so one (length, witness) pair answers every probe at this scale.
     """
 
     def __init__(self, ctx: _WalkContext):
         self.ctx = ctx
-        self.xs = np.fromiter(ctx.anchors.entries, dtype=np.int64, count=ctx.anchors.m)
-        fwd, bwd = ctx.tokens.tables
-        width = 2 * ctx.d + 1
-        fwd_pos, h_f = fwd.window_order(self.xs, width)
-        bwd_pos, h_b = bwd.window_order(ctx.handle.n + 1 - self.xs, width)
+        self.xs, (fwd_pos, h_f), (bwd_pos, h_b) = ctx.window_order
         self.best, self.best_args = best_certificate(
             self.xs, fwd_pos, h_f, bwd_pos, h_b, ctx.pv, ctx.d, ctx.sep_index
         )
@@ -745,8 +700,8 @@ def inner_search(
     The full-set mode decides the existence question exactly; the random
     walk samples subsets up to a step budget; the cost-only mode charges
     the search without executing it.  The random walk and the cost-only
-    mode declare the same charges, so both add exactly
-    :func:`walk_charge` to the ledger.
+    mode declare the same setup, update and check charges, so both add the
+    same amount to the ledger.
     """
     m = ctx.anchors.m
     if not 1 <= r <= m:

@@ -13,17 +13,22 @@ from rlelcs.anchors import AnchorScheme, build_exhaustive, build_minimizer, vali
 from rlelcs.cli import _bench_cell
 from rlelcs.qmodel import CostModel, OracleHandle, QueryLedger, WalkMode, make_handles
 from rlelcs.reductions import parity_via_dl, parity_via_el
-from rlelcs.reference import brute_lcs, brute_lrs, plant_instance, random_rle
+from rlelcs.reference import (
+    brute_lcs,
+    brute_lrs,
+    plant_instance,
+    prefix_window,
+    random_rle,
+    suffix_window,
+)
 from rlelcs.rle import concat_sep, decode, encode, ldcp_runs
 from rlelcs.structures import DynArray, RangeSum2D
 from rlelcs.walk import (
     SolverConfig,
     WalkVertex,
     make_context,
-    prefix_window,
     solve_lcs_rle_p,
     solve_lrs,
-    suffix_window,
     verify_candidate,
 )
 

@@ -151,6 +151,7 @@ def test_non_utf8_rle_text_exit_code(tmp_path, capsys, command):
     "text",
     [
         "bogus_key = 1\n",
+        "desk_bound = 5\n",  # a removed key is an unknown key
         "grover_factor = abc\n",
         "grover_factor = 0\n",
         "grover_factor = nan\n",

@@ -16,7 +16,6 @@ from rlelcs.rle import (
     lex_compare_runs,
     parse_rle,
     prefix_table,
-    reverse,
 )
 
 
@@ -192,13 +191,6 @@ def test_concat_sep():
 def test_concat_sep_rejects_separator_in_input():
     with pytest.raises(ValueError):
         concat_sep(rle(("$", 1)), rle(("b", 1)), "$")
-
-
-def test_reverse():
-    assert reverse(rle(("a", 3), ("b", 1))).runs == (Run(98, 1), Run(97, 3))
-    pal = rle(("a", 1), ("b", 2), ("a", 1))
-    assert reverse(pal) == pal
-    assert reverse(RleString(())).runs == ()
 
 
 def test_text_format_roundtrip():

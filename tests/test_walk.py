@@ -12,7 +12,14 @@ from hypothesis import strategies as st
 import rlelcs
 from rlelcs.anchors import AnchorScheme, AnchorSet, build_exhaustive
 from rlelcs.qmodel import CostModel, OracleHandle, QueryLedger, WalkMode, make_handles
-from rlelcs.reference import brute_lcs, brute_lrs, plant_instance, random_rle
+from rlelcs.reference import (
+    brute_lcs,
+    brute_lrs,
+    plant_instance,
+    prefix_window,
+    random_rle,
+    suffix_window,
+)
 from rlelcs.rle import (
     RleString,
     concat_sep,
@@ -47,17 +54,24 @@ from rlelcs.walk import (
     finalize_answer,
     inner_search,
     make_context,
-    prefix_window,
     setup_charge,
     solve_lcs_rle_p,
     solve_lrs,
-    suffix_window,
     update_charge,
     verify_candidate,
-    walk_charge,
 )
 
 MODEL = CostModel()
+
+
+def walk_charge(model: CostModel, d: int, r: int, m: int, delta: float) -> float:
+    """Full search charge: setup + (1/sqrt(delta)) (sqrt(r) update + check).
+
+    The oracle for what walk_search adds to the ledger in walk and cost-only mode.
+    """
+    return setup_charge(model, d, r) + (1.0 / math.sqrt(delta)) * (
+        math.sqrt(r) * update_charge(model, d) + check_charge(model, d, r)
+    )
 
 
 def _context(a: bytes, b: bytes, d: int):
@@ -340,14 +354,6 @@ def _comparator_order(wins):
     return pos.tolist(), h
 
 
-def _index_orders(ctx):
-    """Forward and backward (pos, h) of the context's anchors, as the full-set index builds them."""
-    xs = np.array(ctx.anchors.entries, dtype=np.int64)
-    fwd, bwd = ctx.tokens.tables
-    width = 2 * ctx.d + 1
-    return fwd.window_order(xs, width), bwd.window_order(ctx.handle.n + 1 - xs, width)
-
-
 def _random_context(rng, lrs, n_runs, d, subset, alphabet=b"abc"):
     """Context over a random string (small alphabet, short runs, so windows often tie)."""
     alphabet = tuple(alphabet)
@@ -372,9 +378,10 @@ def test_window_order_matches_comparator_oracle():
         n_runs = rng.randint(1, 16)
         for d in (1, 2, 3, 5, 6, 8, 2 * n_runs + 1):
             ctx = _random_context(rng, lrs, n_runs, d, subset)
-            xs = ctx.anchors.entries
-            for (pos, h), win in zip(_index_orders(ctx), (ctx.fwd_win, ctx.bwd_win)):
-                assert (pos.tolist(), h.tolist()) == _comparator_order([win(x) for x in xs])
+            s, x = ctx.handle.string, ctx.anchors
+            for (pos, h), win in zip(ctx.window_order[1:], (prefix_window, suffix_window)):
+                wins = [win(s, x, k, d) for k in range(1, x.m + 1)]
+                assert (pos.tolist(), h.tolist()) == _comparator_order(wins)
 
 
 def _per_anchor_best_certificate(xs, fwd_pos, h_f, bwd_pos, h_b, pv, d, sep_index):
@@ -415,8 +422,7 @@ def _per_anchor_best_certificate(xs, fwd_pos, h_f, bwd_pos, h_b, pv, d, sep_inde
 
 
 def _kernel_args(ctx):
-    (fwd_pos, h_f), (bwd_pos, h_b) = _index_orders(ctx)
-    xs = np.array(ctx.anchors.entries, dtype=np.int64)
+    xs, (fwd_pos, h_f), (bwd_pos, h_b) = ctx.window_order
     return xs, fwd_pos, h_f, bwd_pos, h_b, ctx.pv, ctx.d, ctx.sep_index
 
 
@@ -573,6 +579,35 @@ def test_index_builds_read_each_run_once_per_solve():
     assert len(scales) > 1
     for d in scales:
         CollisionIndex(make_context(hs, build_exhaustive(s, d), d, sep, MODEL, tokens))
+    assert ledger.run_queries == hs.n
+
+
+def test_walk_vertices_read_each_run_once_per_solve():
+    # walk vertices place anchors and take agreements from the scale's window
+    # order, so inserts, deletes and checks at every scale add no run query
+    # to the n that the shared run-token ranks read
+    inst = plant_instance(40, 6, 18, 2)
+    s, sep = concat_sep(inst.a, inst.b)
+    ledger = QueryLedger()
+    hs = OracleHandle(s, ledger)
+    tokens = _RunTokens(hs)
+    rng = random.Random(12)
+    checks = 0
+    for d in _d_values(hs.n, 1):
+        ctx = make_context(hs, build_exhaustive(s, d), d, sep, MODEL, tokens)
+        v = WalkVertex(ctx)
+        stored = set()
+        for _ in range(60):
+            if not stored or (len(stored) < ctx.anchors.m and rng.random() < 0.6):
+                k = rng.choice([k for k in range(1, ctx.anchors.m + 1) if k not in stored])
+                v.insert(k)
+                stored.add(k)
+            else:
+                k = rng.choice(sorted(stored))
+                v.delete(k)
+                stored.discard(k)
+            checks += v.check(inst.d_tilde) is not None
+    assert checks > 0
     assert ledger.run_queries == hs.n
 
 
@@ -987,6 +1022,6 @@ def test_benchmark_tracer_installs_and_restores():
             ha, hb, _ = make_handles(a, b)
             ans = solve_lcs_rle_p(ha, hb, SolverConfig(mode=mode))
             assert ans.d_tilde == 4
-    assert tr.counts["ldcp_calls"] > 0
+    assert tr.counts["dynarray_ops"] > 0
     assert tr.layer_metrics()["walk.vertex_check_calls"] > 0
     assert dict(vars(walk)) == saved
