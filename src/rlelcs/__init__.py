@@ -48,7 +48,6 @@ from .rle import (
     decode,
     encode,
     format_rle,
-    is_generalized_substring,
     parse_rle,
     prefix_table,
 )

@@ -24,6 +24,7 @@ from .walk import (
     InternalInconsistencyError,
     NoSeparatorError,
     SolverConfig,
+    WalkSizeError,
     inner_search,
     make_context,
     solve_lcs_rle_p,
@@ -34,6 +35,9 @@ EXIT_OK = 0
 EXIT_PARSE = 1  # also unreadable input files and unusable argument combinations
 EXIT_RESOURCE = 2
 EXIT_INCONSISTENT = 3
+
+# decode writes at most this many bytes; it materializes its whole output
+DECODE_BOUND = 1 << 30
 
 
 def _load_model(args) -> CostModel:
@@ -79,14 +83,18 @@ def cmd_encode(args) -> int:
 
 def cmd_decode(args) -> int:
     text = _read_text(args.input)
-    chunks = []
+    strings = []
     for lineno, line in enumerate(text.splitlines(), 1):
         try:
-            chunks.append(decode(parse_rle(line)))
+            strings.append(parse_rle(line))
         except ParseError as exc:
             print(f"{args.input}:{lineno}: {exc}", file=sys.stderr)
             return EXIT_PARSE
-    blob = b"".join(chunks)
+    total = sum(s.total for s in strings)
+    if total > DECODE_BOUND:
+        print(f"resource limit: decoding gives {total} bytes, over {DECODE_BOUND}", file=sys.stderr)
+        return EXIT_RESOURCE
+    blob = b"".join(decode(s) for s in strings)
     if args.output:
         Path(args.output).write_bytes(blob)
     else:
@@ -120,6 +128,9 @@ def cmd_solve(args) -> int:
                 print("solve needs two inputs unless --lrs is given", file=sys.stderr)
                 return EXIT_PARSE
             ans = solve_lcs_rle_p(OracleHandle(a, ledger), OracleHandle(b, ledger), config)
+    except WalkSizeError as exc:
+        print(f"resource limit: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
     except (DecodedLengthError, NoSeparatorError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_PARSE

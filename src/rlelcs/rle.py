@@ -185,32 +185,6 @@ def lex_compare_runs(a, b) -> int:
     return -1 if len(a) < len(b) else 1
 
 
-def is_generalized_substring(s: RleString, t: RleString) -> bool:
-    """True iff the decoding of ``s`` occurs inside the decoding of ``t``.
-
-    Run-aligned reference semantics: interior runs must match exactly,
-    boundary runs may sit inside longer runs of ``t``.
-    """
-    k = s.n
-    if k == 0:
-        return True
-    if k == 1:
-        c, length = s.runs[0]
-        return any(r.char == c and r.length >= length for r in t.runs)
-    first, last = s.runs[0], s.runs[-1]
-    interior = s.runs[1:-1]
-    for j in range(t.n - k + 1):
-        tj = t.runs[j]
-        if tj.char != first.char or tj.length < first.length:
-            continue
-        if tuple(t.runs[j + 1 : j + k - 1]) != interior:
-            continue
-        tl = t.runs[j + k - 1]
-        if tl.char == last.char and tl.length >= last.length:
-            return True
-    return False
-
-
 def concat_sep(a: RleString, b: RleString, sep: int | str = SEP_DOLLAR) -> tuple[RleString, int]:
     """Concatenate ``a``, a one-char separator run, and ``b``.
 

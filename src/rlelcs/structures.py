@@ -17,10 +17,10 @@ class DynArray:
     """Position-indexed array of (key, value) pairs with distinct keys.
 
     Positions are 1-based.  Supports indexing, positional insert/delete
-    with shifting, key location, and range-minimum over values.  The
-    canonical serialized form is the pre-order walk of the midpoint-
-    balanced tree over the current sequence, so any two instances with
-    equal contents serialize identically.
+    with shifting, key membership and location, and range-minimum over
+    values.  The canonical serialized form is the pre-order walk of the
+    midpoint-balanced tree over the current sequence, so any two instances
+    with equal contents serialize identically.
     """
 
     __slots__ = ("_items", "_keys")
@@ -33,6 +33,9 @@ class DynArray:
 
     def __len__(self) -> int:
         return len(self._items)
+
+    def __contains__(self, key: int) -> bool:
+        return key in self._keys
 
     def index(self, i: int) -> tuple[int, int]:
         if not 1 <= i <= len(self._items):

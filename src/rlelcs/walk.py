@@ -14,19 +14,22 @@ windows agree for at least t - L + rho chars, where rho is the flagged
 anchor's run length.  The forward and backward windows both cover the
 anchor run, so the forward threshold re-counts it; the rho term compensates
 and makes the certificate exact (t agreed chars, stitched at the shared
-run boundary).  One kernel, :func:`best_certificate`, evaluates this for
-every admissible pair of an anchor set; the full-set index runs it on all
-anchors at a scale and the walk vertex's check on its stored subset.  Both
-read one window order per scale, ranked from the solve's run tokens.
+run boundary).  One row scorer, :func:`_score_rows`, evaluates this for a
+flagged anchor against every anchor.  The kernel :func:`best_certificate`
+runs it for the full-set index on all anchors at a scale; a walk vertex's
+check reads the scale's pair table, which it fills once.  Both read one
+window order per scale, ranked from the solve's run tokens.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from operator import itemgetter
 from typing import Optional
 
 import numpy as np
@@ -55,6 +58,12 @@ from .structures import DynArray
 # Decoded lengths stay below this, so the kernel's sum of two fits int64.
 DECODED_LENGTH_BOUND = 1 << 62
 
+# Walk mode solves strings (A $ B, or the LRS string) of at most this many
+# runs.  A planted walk-mode solve of 769 runs took 55 s on a 2-vCPU x86-64
+# VM with Python 3.11; each scale's pair table then holds 16 * 800**2 bytes,
+# under 10 MiB.
+WALK_RUN_BOUND = 800
+
 
 class InternalInconsistencyError(RuntimeError):
     """A produced answer failed verification; signals an anchor/check bug."""
@@ -62,6 +71,10 @@ class InternalInconsistencyError(RuntimeError):
 
 class DecodedLengthError(ValueError):
     """The string to solve decodes to DECODED_LENGTH_BOUND or more."""
+
+
+class WalkSizeError(ValueError):
+    """A walk-mode solve's string has more than WALK_RUN_BOUND runs."""
 
 
 class NoSeparatorError(ValueError):
@@ -304,6 +317,17 @@ class _WalkContext:
         return xs, fwd.window_order(xs, width), bwd.window_order(self.handle.n + 1 - xs, width)
 
     @cached_property
+    def pair_table(self) -> tuple[list[array], list[array]]:
+        """Certificate and witness run of every anchor pair (see _pair_table), rows as arrays.
+
+        Only a walk vertex's check reads it, one row at a time; the two
+        tables hold 16 m^2 bytes.
+        """
+        xs, (fwd_pos, h_f), (bwd_pos, h_b) = self.window_order
+        tables = _pair_table(xs, fwd_pos, h_f, bwd_pos, h_b, self.pv, self.d, self.sep_index)
+        return tuple([array("q", row.tobytes()) for row in table] for table in tables)
+
+    @cached_property
     def vertex_orders(self) -> tuple[tuple[list, list], tuple[list, list]]:
         """Forward and backward (ranks, range-minimum rows of h) as lists.
 
@@ -340,7 +364,8 @@ class WalkVertex:
     hold the ids sorted by the decoded text around each anchor with the
     adjacent common-prefix lengths in fwd_lcp/bwd_lcp.  Both come from the
     context's window order: an anchor is placed by its rank, and two
-    anchors agree for the range minimum of h between their ranks.
+    anchors agree for the range minimum of h between their ranks.  The
+    check reads only by_key and the context's pair table.
     """
 
     def __init__(self, ctx: _WalkContext):
@@ -356,11 +381,7 @@ class WalkVertex:
     def insert(self, k: int) -> None:
         if not 1 <= k <= self.ctx.anchors.m:
             raise IndexError(f"anchor id {k} out of range")
-        try:
-            self.by_key.locate(k)
-        except KeyError:
-            pass
-        else:
+        if k in self.by_key:
             raise ValueError(f"anchor {k} already stored")
         x = anchor_at(self.ctx.anchors, k)
         self.by_key.insert(self._bisect_by_key(k), k, x)
@@ -387,25 +408,41 @@ class WalkVertex:
 
     # checking ------------------------------------------------------------
 
-    def check(self, d_tilde: int) -> Optional[Candidate]:
-        """The stored anchors' best certified pair, if it reaches d_tilde.
+    def best(self) -> tuple[int, Optional[tuple[tuple[int, int], tuple[int, int], int]]]:
+        """The stored anchors' best certificate and its witness, or (0, None).
 
-        Runs the certificate kernel on the stored subset, reading the
-        maintained decoded orders and adjacent agreements.
+        The witness is (flagged, partner, v), the first two as (anchor id,
+        run index).  Reads the scale's pair table in the kernel's scan
+        order: red flagged anchors first, then flagged anchor by id, then
+        partner by id; ties keep the first pair, as in best_certificate.
         """
-        if len(self.by_key) == 0 or d_tilde < 1:
-            return None
-        ctx = self.ctx
         stored = self.by_key.items()
-        slot = {k: i for i, (k, _) in enumerate(stored)}
-        xs = np.array([x for _, x in stored], dtype=np.int64)
-        fwd_pos, h_f = _ranked(self.fwd_order, self.fwd_lcp, slot)
-        bwd_pos, h_b = _ranked(self.bwd_order, self.bwd_lcp, slot)
-        best, args = best_certificate(xs, fwd_pos, h_f, bwd_pos, h_b, ctx.pv, ctx.d, ctx.sep_index)
+        if len(stored) < 2:
+            return 0, None
+        sep = self.ctx.sep_index
+        # run indices increase with anchor id, so red anchors come first
+        flagged = stored if sep is None else [a for a in stored if a[1] != sep]
+        cert, witness_v = self.ctx.pair_table
+        partners = itemgetter(*[k - 1 for k, _ in stored])
+        best = 0
+        for a in flagged:
+            row = partners(cert[a[0] - 1])
+            top = max(row)
+            if top > best:
+                best, flag, j = top, a, row.index(top)
+        if best == 0:
+            return 0, None
+        partner = stored[j]
+        return best, (flag, partner, witness_v[flag[0] - 1][partner[0] - 1])
+
+    def check(self, d_tilde: int) -> Optional[Candidate]:
+        """The stored anchors' best certified pair, if it reaches d_tilde."""
+        if d_tilde < 1:
+            return None
+        best, witness = self.best()
         if best < d_tilde:
             return None
-        a, b, v = args
-        return _candidate(ctx, stored[a], stored[b], v, d_tilde)
+        return _candidate(self.ctx, *witness, d_tilde)
 
 
 def _agreement(ranked: tuple[list, list], k1: int, k2: int) -> int:
@@ -452,14 +489,6 @@ def _order_delete(order: DynArray, lcp: DynArray, ranked: tuple[list, list], k: 
     order.delete(p)
     if left is not None and right is not None:
         lcp.insert(p - 1, left, _agreement(ranked, left, right))
-
-
-def _ranked(order: DynArray, lcp: DynArray, slot: dict[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """Each stored anchor's position in a decoded order, and the adjacent agreements."""
-    pos = np.empty(len(slot), dtype=np.int64)
-    pos[[slot[k] for k in order.keys()]] = np.arange(len(slot))
-    h = np.fromiter((h for _, h in lcp.items()), dtype=np.int64, count=len(lcp))
-    return pos, h
 
 
 # ---------------------------------------------------------------------------
@@ -584,6 +613,30 @@ def _row_bounds(xs, fwd_pos, h_f, bwd_pos, h_b, pv, d, side, flagged):
     return upper, lower
 
 
+def _sides(xs: np.ndarray, sep_index: Optional[int]) -> Optional[np.ndarray]:
+    """0 (red), 1 (blue) or 2 (white) per anchor, or None for a single string."""
+    if sep_index is None:
+        return None
+    return np.where(xs < sep_index, 0, np.where(xs > sep_index, 1, 2))
+
+
+def _score_rows(xs, fwd_pos, h_f, bwd_pos, h_b, pv, d, side, rows):
+    """Certificate and witness run v of each row's anchor, flagged, with every partner.
+
+    The one home of the certificate arithmetic: a row of cumulative-minimum
+    agreements p and q per decoded order, q snapped to whole runs, and 0
+    where the pair is not admissible (the anchor itself, same colour, white).
+    """
+    p = _row_agreements(fwd_pos, h_f, rows)
+    q = _row_agreements(bwd_pos, h_b, rows)
+    v, ok, gain = _snap(pv, d, xs[rows][:, None], q)
+    if side is None:
+        ok &= np.arange(len(xs)) != rows[:, None]
+    else:
+        ok &= side == 1 - side[rows][:, None]
+    return np.where(ok, p + gain, 0), v
+
+
 def best_certificate(
     xs: np.ndarray,
     fwd_pos: np.ndarray,
@@ -616,11 +669,10 @@ def best_certificate(
     m = len(xs)
     if m < 2:
         return 0, None
-    if sep_index is None:
-        side = None
+    side = _sides(xs, sep_index)
+    if side is None:
         flagged = np.arange(m)
     else:
-        side = np.where(xs < sep_index, 0, np.where(xs > sep_index, 1, 2))
         flagged = np.concatenate((np.flatnonzero(side == 0), np.flatnonzero(side == 1)))
     rows_per_pass = max(1, _PAIR_BATCH // m)
     upper = None
@@ -630,20 +682,32 @@ def best_certificate(
     best, best_args = 0, None
     while len(flagged):
         rows, flagged = flagged[:rows_per_pass], flagged[rows_per_pass:]
-        p = _row_agreements(fwd_pos, h_f, rows)
-        q = _row_agreements(bwd_pos, h_b, rows)
-        v, ok, gain = _snap(pv, d, xs[rows][:, None], q)
-        if side is None:
-            ok &= np.arange(m) != rows[:, None]
-        else:
-            ok &= side == 1 - side[rows][:, None]
-        cert = np.where(ok, p + gain, 0)
+        cert, v = _score_rows(xs, fwd_pos, h_f, bwd_pos, h_b, pv, d, side, rows)
         i, j = divmod(int(np.argmax(cert)), m)
         if int(cert[i, j]) > best:
             best, best_args = int(cert[i, j]), (int(rows[i]), j, int(v[i, j]))
             if upper is not None:
                 flagged = flagged[upper[flagged] > best]
     return best, best_args
+
+
+def _pair_table(xs, fwd_pos, h_f, bwd_pos, h_b, pv, d, sep_index):
+    """Every ordered anchor pair's certificate and witness run v, as two m x m arrays.
+
+    Row a, column b is what flagged anchor a certifies with partner b, 0
+    where the pair is not admissible.  A pair's certificate depends on its
+    two anchors only, so a walk vertex reads any stored subset's pairs here.
+    Rows are scored _PAIR_BATCH pairs per numpy pass, as in best_certificate.
+    """
+    m = len(xs)
+    cert = np.zeros((m, m), dtype=np.int64)
+    v = np.zeros((m, m), dtype=np.int64)
+    side = _sides(xs, sep_index)
+    rows_per_pass = max(1, _PAIR_BATCH // m)
+    for lo in range(0, m, rows_per_pass):
+        rows = np.arange(lo, min(lo + rows_per_pass, m))
+        cert[rows], v[rows] = _score_rows(xs, fwd_pos, h_f, bwd_pos, h_b, pv, d, side, rows)
+    return cert, v
 
 
 def _candidate(
@@ -1025,6 +1089,8 @@ def _solve(
     hb: OracleHandle,
     config: SolverConfig,
 ) -> Optional[LcsAnswer]:
+    if config.mode is WalkMode.RANDOMWALK and hs.n > WALK_RUN_BOUND:
+        raise WalkSizeError(f"walk mode takes at most {WALK_RUN_BOUND} runs, got {hs.n}")
     model = config.model
     ledger = hs.ledger
     lrs = sep_index is None
@@ -1154,8 +1220,9 @@ def solve_lcs_rle_p(
     handles should share one ledger; all charges go to the first handle's.
     The solver searches A $ B, with ``$`` replaced by the smallest byte
     absent from both inputs when they contain it.  Raises DecodedLengthError
-    when A $ B decodes to DECODED_LENGTH_BOUND or more, and NoSeparatorError
-    when no byte is absent.
+    when A $ B decodes to DECODED_LENGTH_BOUND or more, NoSeparatorError
+    when no byte is absent, and WalkSizeError when a walk-mode A $ B has
+    more than WALK_RUN_BOUND runs.
     """
     config = config or SolverConfig()
     _check_decoded_length(ha.total + 1 + hb.total)
@@ -1169,7 +1236,8 @@ def solve_lcs_rle_p(
 def solve_lrs(ha: OracleHandle, config: Optional[SolverConfig] = None) -> Optional[LcsAnswer]:
     """Longest repeated decoded substring of one oracle-backed RLE string.
 
-    Raises DecodedLengthError when it decodes to DECODED_LENGTH_BOUND or more.
+    Raises DecodedLengthError when it decodes to DECODED_LENGTH_BOUND or more,
+    and WalkSizeError when a walk-mode solve gets more than WALK_RUN_BOUND runs.
     """
     config = config or SolverConfig()
     _check_decoded_length(ha.total)

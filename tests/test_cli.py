@@ -1,9 +1,16 @@
+import contextlib
 import csv
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rlelcs.cli import BENCH_COLUMNS, main
+from rlelcs.walk import WALK_RUN_BOUND
 
 
 def run(args):
@@ -267,3 +274,87 @@ def test_bench_doubling_ratio(tmp_path):
     hi = [float(r["charged_cost"]) for r in rows if r["n"] == "2048"]
     ratio = (sum(hi) / len(hi)) / (sum(lo) / len(lo))
     assert 1.35 <= ratio <= 1.9  # 2^(2/3) is about 1.59
+
+
+def test_solve_walk_mode_run_bound_exit_code(tmp_path, capsys):
+    # A $ B has WALK_RUN_BOUND + 1 runs: walk mode exits 2, full-set mode solves
+    a, b = tmp_path / "a.rle", tmp_path / "b.rle"
+    half = WALK_RUN_BOUND // 2
+    a.write_text(",".join("ab"[i % 2] + ":1" for i in range(half)) + "\n")
+    b.write_text(",".join("ab"[i % 2] + ":2" for i in range(WALK_RUN_BOUND - half)) + "\n")
+    assert run(["solve", str(a), str(b), "--mode", "walk"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and str(WALK_RUN_BOUND) in err
+    assert run(["solve", str(a), str(b)]) == 0
+
+
+# malformed RLE text: tokens with odd chars, escapes and counts, joined by
+# odd separators into lines, and non-UTF-8 bytes spliced into the encoding
+_COUNTS = st.one_of(
+    st.integers(-3, 40).map(str),
+    st.sampled_from(["", "0", "-0", "+5", " 7", "1_0", "0x1f", "1e3", "3.0", "\u0663", "nan"]),
+    st.sampled_from([str(2**62), str(2**63), str(2**64), "9" * 30, "9" * 5000]),
+)
+_CHARS = st.one_of(
+    st.sampled_from(["a", "b", "$", ":", ",", "\\", " ", "\u00e9", "\u4e2d", "ab", ""]),
+    st.text(alphabet="\\x0123456789abfgz", max_size=5),
+)
+# the plain-char tokens and the second kind of line are there so that
+# some inputs parse and reach decoding and solving
+_TOKENS = st.one_of(
+    st.builds(lambda c, n: f"{c}:{n}", st.sampled_from("abc"), _COUNTS),
+    st.builds(lambda c, n: f"{c}:{n}", _CHARS, _COUNTS),
+    st.text(max_size=6),
+)
+_LINES = st.lists(
+    st.one_of(
+        st.builds(
+            lambda tokens, sep: sep.join(tokens),
+            st.lists(_TOKENS, max_size=8),
+            st.sampled_from([",", ",,", ", ", ";", " ", ":", ""]),
+        ),
+        st.lists(
+            st.builds(lambda c, n: f"{c}:{n}", st.sampled_from("ab$\u00e9"), st.integers(1, 9)),
+            max_size=8,
+        ).map(",".join),
+    ),
+    max_size=3,
+)
+_RLE_BYTES = st.one_of(
+    st.builds(
+        lambda lines, newline: newline.join(lines).encode(),
+        _LINES,
+        st.sampled_from(["\n", "\r\n", "\n\n", "\r", "\x0b"]),
+    ),
+    st.builds(
+        lambda data, junk, at: data[:at] + junk + data[at:],
+        _LINES.map(lambda lines: "\n".join(lines).encode()),
+        st.binary(min_size=1, max_size=4),
+        st.integers(0, 200),
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=_RLE_BYTES, command=st.sampled_from(["encode", "decode", "solve", "solve --lrs"]))
+@example(data=b"a:4611686018427387904\n", command="decode")
+@example(data=b"a:99999999999999999999\n", command="decode")
+@example(data=b"a:2,b:3\n\nb:2,c:1\n", command="decode")
+def test_cli_malformed_rle_exits_cleanly(data, command):
+    # every input exits 0, 1 or 2 with at most a one-line message, never a traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        src, out = Path(tmp) / "in.rle", Path(tmp) / "out"
+        src.write_bytes(data)
+        name, *extra = command.split()
+        if name == "solve":
+            args = [name, str(src), *([] if extra else [str(src)]), *extra]
+            args += ["--json-out", str(out)]
+        else:
+            args = [name, str(src), "-o", str(out)]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(args)
+    err = stderr.getvalue()
+    assert code in (0, 1, 2), (code, err)
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == (code != 0), err

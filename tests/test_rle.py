@@ -11,7 +11,6 @@ from rlelcs.rle import (
     decode,
     encode,
     format_rle,
-    is_generalized_substring,
     ldcp_runs,
     lex_compare_runs,
     parse_rle,
@@ -163,18 +162,6 @@ def test_sorted_ldcp_law(strings):
     strings.sort(key=functools.cmp_to_key(lex_compare_runs))
     adjacent = [ldcp_runs(strings[i], strings[i + 1]) for i in range(len(strings) - 1)]
     assert ldcp_runs(strings[0], strings[-1]) == min(adjacent)
-
-
-def test_generalized_substring_known_cases():
-    t = rle(("a", 3), ("b", 4), ("c", 2), ("d", 5))
-    assert is_generalized_substring(rle(("a", 1), ("b", 4), ("c", 2), ("d", 2)), t)
-    assert is_generalized_substring(rle(("b", 4), ("c", 2)), t)
-    assert not is_generalized_substring(rle(("c", 1), ("a", 1)), t)
-
-
-@given(_random_rle_strategy(), _random_rle_strategy())
-def test_generalized_substring_matches_bytes(s, t):
-    assert is_generalized_substring(s, t) == (decode(s) in decode(t))
 
 
 def test_concat_sep():

@@ -11,8 +11,10 @@ def test_dynarray_basic_contract():
     a.insert(2, 7, 3)
     assert a.range_min(1, 2) == 3
     assert a.locate(7) == 2
+    assert 5 in a and 7 in a and 6 not in a
     a.delete(1)
     assert a.index(1) == (7, 3)
+    assert 5 not in a
 
 
 def test_dynarray_contract_errors():

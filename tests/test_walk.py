@@ -2,6 +2,7 @@ import functools
 import importlib.util
 import math
 import random
+import time
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rlelcs
-from rlelcs.anchors import AnchorScheme, AnchorSet, build_exhaustive
+from rlelcs.anchors import AnchorScheme, AnchorSet, build_exhaustive, build_minimizer
 from rlelcs.qmodel import CostModel, OracleHandle, QueryLedger, WalkMode, make_handles
 from rlelcs.reference import (
     brute_lcs,
@@ -31,8 +32,10 @@ from rlelcs.rle import (
 )
 from rlelcs.walk import (
     _PAIR_BATCH,
+    WALK_RUN_BOUND,
     _RunTokens,
     _boundary_map,
+    _candidate,
     _double_run_best,
     _d_values,
     _floor_log2,
@@ -47,6 +50,7 @@ from rlelcs.walk import (
     LcsAnswer,
     NoSeparatorError,
     SolverConfig,
+    WalkSizeError,
     WalkVertex,
     best_certificate,
     color_of,
@@ -535,6 +539,127 @@ def test_best_certificate_row_bounds_match_per_anchor_loop(monkeypatch):
         seen["witness row bound at LB"] += int(upper[want[1][0]]) == lower
         seen["rows skipped"] += len(blocks) < len(flagged)
     assert all(seen.values()), seen
+
+
+def _ranked(order, lcp, slot):
+    """Each stored anchor's position in a decoded order, and the adjacent agreements."""
+    pos = np.empty(len(slot), dtype=np.int64)
+    pos[[slot[k] for k in order.keys()]] = np.arange(len(slot))
+    h = np.fromiter((h for _, h in lcp.items()), dtype=np.int64, count=len(lcp))
+    return pos, h
+
+
+def _kernel_best(vertex):
+    """best_certificate on the vertex's stored subset and maintained orders: the
+    oracle for WalkVertex.best, which reads the scale's pair table instead."""
+    ctx = vertex.ctx
+    stored = vertex.by_key.items()
+    if not stored:
+        return 0, None
+    slot = {k: i for i, (k, _) in enumerate(stored)}
+    xs = np.array([x for _, x in stored], dtype=np.int64)
+    fwd_pos, h_f = _ranked(vertex.fwd_order, vertex.fwd_lcp, slot)
+    bwd_pos, h_b = _ranked(vertex.bwd_order, vertex.bwd_lcp, slot)
+    best, args = best_certificate(xs, fwd_pos, h_f, bwd_pos, h_b, ctx.pv, ctx.d, ctx.sep_index)
+    if args is None:
+        return best, None
+    a, b, v = args
+    return best, (stored[a], stored[b], v)
+
+
+def _kernel_check(vertex, d_tilde):
+    best, witness = _kernel_best(vertex)
+    if d_tilde < 1 or best < d_tilde:
+        return None
+    return _candidate(vertex.ctx, *witness, d_tilde)
+
+
+def _minimizer_context(rng, lrs):
+    """Context with minimizer anchors over a planted pair, or over its first string."""
+    d = rng.choice([8, 16])
+    inst = plant_instance(rng.randint(d, 3 * d), d, d, rng.randrange(1000), verify=False)
+    s, sep = (inst.a, None) if lrs else concat_sep(inst.a, inst.b)
+    anchors = build_minimizer(s, d, rng.randrange(1000), d_min=MODEL.d_min)
+    return make_context(OracleHandle(s, QueryLedger()), anchors, d, sep, MODEL)
+
+
+def test_vertex_check_matches_kernel_on_stored_subset(monkeypatch):
+    # random insert/delete/check sequences: the pair-table scan gives the
+    # kernel's (best, witness) and Candidate on every stored subset; LCS with
+    # "!" so the white anchor can sit between partners, LRS, periodic motifs,
+    # minimizer anchors, and batches small enough for the kernel's row bounds
+    tables = _spy(monkeypatch, "_pair_table")
+    rng = random.Random(97)
+    contexts = nonzero = 0
+    for trial in range(96):
+        monkeypatch.setattr(rlelcs.walk, "_PAIR_BATCH", 7 if trial % 5 == 0 else _PAIR_BATCH)
+        lrs, subset, kind = trial % 2 == 1, trial % 3 == 0, trial % 4
+        d = rng.choice([1, 2, 3, 4, 8])
+        if kind == 0:
+            ctx = _random_context(rng, lrs, rng.randint(1, 14), d, subset, b"!ab")
+        elif kind == 1:
+            ctx = _random_context(rng, lrs, rng.randint(1, 14), d, subset)
+        elif kind == 2:
+            ctx = _periodic_context(rng, lrs, d, subset)
+        else:
+            ctx = _minimizer_context(rng, lrs)
+        m = ctx.anchors.m
+        v = WalkVertex(ctx)
+        stored = set()
+        for _ in range(30):
+            if not stored or (len(stored) < m and rng.random() < 0.6):
+                k = rng.choice([k for k in range(1, m + 1) if k not in stored])
+                v.insert(k)
+                stored.add(k)
+            else:
+                k = rng.choice(sorted(stored))
+                v.delete(k)
+                stored.discard(k)
+            want = _kernel_best(v)
+            assert v.best() == want, (trial, sorted(stored))
+            nonzero += want[0] > 0
+            for d_tilde in {0, 1, want[0], want[0] + 1, rng.randint(1, want[0] + 1)}:
+                assert v.check(d_tilde) == _kernel_check(v, d_tilde)
+        contexts += m > 1
+        # built once per context, on the first check with two anchors stored
+        assert len(tables) == contexts
+    assert nonzero > 100
+
+
+def test_pair_table_only_in_walk_mode(monkeypatch):
+    # full-set and cost-only solves never build a pair table; a walk-mode
+    # solve builds at most one per scale
+    tables = _spy(monkeypatch, "_pair_table")
+    inst = plant_instance(12, 4, 12, 5)
+    for mode in (WalkMode.FULLSET, WalkMode.COSTONLY):
+        ha, hb, _ = make_handles(inst.a, inst.b)
+        solve_lcs_rle_p(ha, hb, SolverConfig(mode=mode))
+        ha, _, _ = make_handles(inst.a, encode(b""))
+        solve_lrs(ha, SolverConfig(mode=mode))
+    assert tables == []
+    ha, hb, _ = make_handles(inst.a, inst.b)
+    assert solve_lcs_rle_p(ha, hb, SolverConfig(mode=WalkMode.RANDOMWALK)) is not None
+    assert 1 <= len(tables) <= len(_d_values(inst.a.n + 1 + inst.b.n, MODEL.d_min))
+
+
+def test_walk_mode_run_bound_fires_at_once():
+    # one run past the bound: walk mode raises within milliseconds, full-set
+    # and cost-only solves of the same input are unaffected
+    inst = plant_instance(WALK_RUN_BOUND // 2, 8, 24, 1, verify=False)
+    joined, _ = concat_sep(inst.a, inst.b)
+    assert joined.n == WALK_RUN_BOUND + 1
+    for solve, a, b in ((solve_lcs_rle_p, inst.a, inst.b), (solve_lrs, joined, None)):
+        ha, hb, ledger = make_handles(a, b or encode(b""))
+        handles = (ha,) if b is None else (ha, hb)
+        start = time.perf_counter()
+        with pytest.raises(WalkSizeError, match=str(WALK_RUN_BOUND)):
+            solve(*handles, SolverConfig(mode=WalkMode.RANDOMWALK))
+        assert time.perf_counter() - start < 0.05
+        assert (ledger.charged_cost, ledger.run_queries, ledger.prefix_queries) == (0, 0, 0)
+        ans = solve(*handles, SolverConfig(mode=WalkMode.FULLSET))
+        assert ans is not None and ans.d_tilde >= 24
+        assert solve(*handles, SolverConfig(mode=WalkMode.COSTONLY)) is None
+        assert ledger.charged_cost > 0
 
 
 def _loop_double_run_best(bmap_a, bmap_b, distinct):
