@@ -1,10 +1,11 @@
-"""Canonical structures: the walk vertex's dynamic key-value array, 2D range counts.
+"""Canonical structures: a dynamic key-value array and 2D range counts.
 
 Both structures keep a canonical representation: what they serialize to is a
 pure function of their current contents, never of the insert/delete history
 that produced them.  Neither charges the ledger: a walk is charged from the
-declared formulas in :mod:`rlelcs.walk`.  No solver path uses the 2D counter
-any more; the benchmark's tracer still patches its methods.
+declared formulas in :mod:`rlelcs.walk`.  A walk vertex builds DynArrays as
+read-only views of its sorted lists; no solver path calls their mutators or
+the 2D counter, which stay for their tests and the benchmark's tracer.
 """
 
 from __future__ import annotations

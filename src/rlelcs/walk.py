@@ -2,9 +2,10 @@
 
 The solver nests a binary search on the decoded answer length inside a
 halving sweep over encoded window scales d.  At each scale it walks over
-r-subsets of an anchor set on the concatenation A $ B; a vertex stores the
-chosen anchors sorted by the text read forward from each anchor and by the
-text read backward into it, with adjacent decoded-common-prefix lengths.
+r-subsets of an anchor set on the concatenation A $ B; a vertex keeps the
+chosen anchors in sorted lists, by id and by rank in the order of the text
+read forward from each anchor and of the text read backward into it.  Its
+orders with adjacent decoded-common-prefix lengths are views, built on read.
 Every mode charges the declared formulas below, whether it executes or not.
 
 A candidate pair certifies a target length t via two agreement conditions
@@ -26,6 +27,7 @@ from __future__ import annotations
 import math
 import random
 from array import array
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -328,13 +330,19 @@ class _WalkContext:
         return tuple([array("q", row.tobytes()) for row in table] for table in tables)
 
     @cached_property
-    def vertex_orders(self) -> tuple[tuple[list, list], tuple[list, list]]:
-        """Forward and backward (ranks, range-minimum rows of h) as lists.
+    def vertex_ranks(self) -> tuple[list, list]:
+        """Forward and backward ranks as lists: a walk vertex's updates read one at a time."""
+        _, (fwd_pos, _), (bwd_pos, _) = self.window_order
+        return fwd_pos.tolist(), bwd_pos.tolist()
 
-        Only a walk vertex reads them, one scalar at a time.
+    @cached_property
+    def vertex_agreements(self) -> tuple[list, list]:
+        """Forward and backward range-minimum rows of h as lists.
+
+        Only a vertex's fwd_lcp/bwd_lcp views read them; no solve does.
         """
-        _, fwd, bwd = self.window_order
-        return tuple((pos.tolist(), _sparse_tables(h).tolist()) for pos, h in (fwd, bwd))
+        _, (_, h_f), (_, h_b) = self.window_order
+        return _sparse_tables(h_f).tolist(), _sparse_tables(h_b).tolist()
 
     def color(self, x: int) -> Color:
         return color_of(x, self.sep_index)
@@ -358,53 +366,77 @@ def make_context(
 
 
 class WalkVertex:
-    """Stored-anchor state for one walk: five dynamic arrays.
+    """Stored-anchor state for one walk: sorted lists of ids and ranks.
 
-    by_key holds (anchor id, run index) sorted by id; fwd_order/bwd_order
-    hold the ids sorted by the decoded text around each anchor with the
-    adjacent common-prefix lengths in fwd_lcp/bwd_lcp.  Both come from the
-    context's window order: an anchor is placed by its rank, and two
-    anchors agree for the range minimum of h between their ranks.  The
-    check reads only by_key and the context's pair table.
+    _stored holds (anchor id, run index) sorted by id; _fwd and _bwd hold
+    (rank, anchor id) sorted by the anchor's rank in the context's forward
+    and backward window order, so an update is a bisection and a list
+    insert or delete per list.  The check reads only _stored and the
+    context's pair table.  The read-only DynArray views, built when read:
+    by_key, (anchor id, run index) by id; fwd_order/bwd_order, the same in
+    window order; fwd_lcp/bwd_lcp, (anchor id, agreement with the next
+    anchor) along each order, the range minimum of h between their ranks.
     """
 
     def __init__(self, ctx: _WalkContext):
         self.ctx = ctx
-        self.by_key = DynArray()
-        self.fwd_order = DynArray()
-        self.fwd_lcp = DynArray()
-        self.bwd_order = DynArray()
-        self.bwd_lcp = DynArray()
+        self._stored: list[tuple[int, int]] = []
+        self._ids: set[int] = set()
+        self._fwd: list[tuple[int, int]] = []
+        self._bwd: list[tuple[int, int]] = []
 
     # mutation ----------------------------------------------------------
 
     def insert(self, k: int) -> None:
         if not 1 <= k <= self.ctx.anchors.m:
             raise IndexError(f"anchor id {k} out of range")
-        if k in self.by_key:
+        if k in self._ids:
             raise ValueError(f"anchor {k} already stored")
-        x = anchor_at(self.ctx.anchors, k)
-        self.by_key.insert(self._bisect_by_key(k), k, x)
-        fwd, bwd = self.ctx.vertex_orders
-        _order_insert(self.fwd_order, self.fwd_lcp, fwd, k, x)
-        _order_insert(self.bwd_order, self.bwd_lcp, bwd, k, x)
+        self._ids.add(k)
+        insort(self._stored, (k, anchor_at(self.ctx.anchors, k)))
+        fwd, bwd = self.ctx.vertex_ranks
+        insort(self._fwd, (fwd[k - 1], k))
+        insort(self._bwd, (bwd[k - 1], k))
 
     def delete(self, k: int) -> None:
-        pos = self.by_key.locate(k)
-        fwd, bwd = self.ctx.vertex_orders
-        _order_delete(self.fwd_order, self.fwd_lcp, fwd, k)
-        _order_delete(self.bwd_order, self.bwd_lcp, bwd, k)
-        self.by_key.delete(pos)
+        if k not in self._ids:
+            raise KeyError(k)
+        self._ids.remove(k)
+        self._stored.pop(bisect_left(self._stored, (k,)))
+        fwd, bwd = self.ctx.vertex_ranks
+        self._fwd.remove((fwd[k - 1], k))
+        self._bwd.remove((bwd[k - 1], k))
 
-    def _bisect_by_key(self, k: int) -> int:
-        lo, hi = 1, len(self.by_key) + 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.by_key.index(mid)[0] > k:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
+    # read-only views -----------------------------------------------------
+
+    @property
+    def by_key(self) -> DynArray:
+        return DynArray(self._stored)
+
+    @property
+    def fwd_order(self) -> DynArray:
+        return self._order(self._fwd)
+
+    @property
+    def fwd_lcp(self) -> DynArray:
+        return self._lcp(self._fwd, 0)
+
+    @property
+    def bwd_order(self) -> DynArray:
+        return self._order(self._bwd)
+
+    @property
+    def bwd_lcp(self) -> DynArray:
+        return self._lcp(self._bwd, 1)
+
+    def _order(self, ranked: list[tuple[int, int]]) -> DynArray:
+        return DynArray((k, anchor_at(self.ctx.anchors, k)) for _, k in ranked)
+
+    def _lcp(self, ranked: list[tuple[int, int]], side: int) -> DynArray:
+        rows = self.ctx.vertex_agreements[side]
+        return DynArray(
+            (k, _agreement(rows, lo, hi)) for (lo, k), (hi, _) in zip(ranked, ranked[1:])
+        )
 
     # checking ------------------------------------------------------------
 
@@ -416,7 +448,7 @@ class WalkVertex:
         order: red flagged anchors first, then flagged anchor by id, then
         partner by id; ties keep the first pair, as in best_certificate.
         """
-        stored = self.by_key.items()
+        stored = self._stored
         if len(stored) < 2:
             return 0, None
         sep = self.ctx.sep_index
@@ -445,50 +477,10 @@ class WalkVertex:
         return _candidate(self.ctx, *witness, d_tilde)
 
 
-def _agreement(ranked: tuple[list, list], k1: int, k2: int) -> int:
-    """Decoded agreement of anchors k1 != k2: the minimum of h between their ranks."""
-    rank, rows = ranked
-    lo, hi = sorted((rank[k1 - 1], rank[k2 - 1]))
+def _agreement(rows: list[list[int]], lo: int, hi: int) -> int:
+    """Decoded agreement of the anchors at ranks lo < hi: the minimum of h[lo..hi-1]."""
     level = (hi - lo).bit_length() - 1
     return min(rows[level][lo], rows[level][hi - (1 << level)])
-
-
-def _order_insert(order: DynArray, lcp: DynArray, ranked: tuple[list, list], k: int, x: int) -> None:
-    ranks = ranked[0]
-    t = len(order)
-    lo, hi = 1, t + 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if ranks[k - 1] < ranks[order.index(mid)[0] - 1]:
-            hi = mid
-        else:
-            lo = mid + 1
-    p = lo
-    order.insert(p, k, x)
-    if t == 0:
-        return
-    if 1 < p <= t:
-        lcp.delete(p - 1)
-    if p > 1:
-        left = order.index(p - 1)[0]
-        lcp.insert(p - 1, left, _agreement(ranked, left, k))
-    if p <= t:
-        right = order.index(p + 1)[0]
-        lcp.insert(p, k, _agreement(ranked, k, right))
-
-
-def _order_delete(order: DynArray, lcp: DynArray, ranked: tuple[list, list], k: int) -> None:
-    p = order.locate(k)
-    t = len(order)
-    left = order.index(p - 1)[0] if p > 1 else None
-    right = order.index(p + 1)[0] if p < t else None
-    if p < t:
-        lcp.delete(p)
-    if p > 1:
-        lcp.delete(p - 1)
-    order.delete(p)
-    if left is not None and right is not None:
-        lcp.insert(p - 1, left, _agreement(ranked, left, right))
 
 
 # ---------------------------------------------------------------------------

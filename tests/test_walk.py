@@ -30,6 +30,7 @@ from rlelcs.rle import (
     lex_compare_runs,
     prefix_table,
 )
+from rlelcs.structures import DynArray
 from rlelcs.walk import (
     _PAIR_BATCH,
     WALK_RUN_BOUND,
@@ -642,6 +643,171 @@ def test_pair_table_only_in_walk_mode(monkeypatch):
     assert 1 <= len(tables) <= len(_d_values(inst.a.n + 1 + inst.b.n, MODEL.d_min))
 
 
+def _oracle_agreement(ranked, k1, k2):
+    """Decoded agreement of anchors k1 != k2: the minimum of h between their ranks."""
+    rank, rows = ranked
+    lo, hi = sorted((rank[k1 - 1], rank[k2 - 1]))
+    level = (hi - lo).bit_length() - 1
+    return min(rows[level][lo], rows[level][hi - (1 << level)])
+
+
+def _order_insert(order, lcp, ranked, k, x):
+    ranks = ranked[0]
+    t = len(order)
+    lo, hi = 1, t + 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if ranks[k - 1] < ranks[order.index(mid)[0] - 1]:
+            hi = mid
+        else:
+            lo = mid + 1
+    p = lo
+    order.insert(p, k, x)
+    if t == 0:
+        return
+    if 1 < p <= t:
+        lcp.delete(p - 1)
+    if p > 1:
+        left = order.index(p - 1)[0]
+        lcp.insert(p - 1, left, _oracle_agreement(ranked, left, k))
+    if p <= t:
+        right = order.index(p + 1)[0]
+        lcp.insert(p, k, _oracle_agreement(ranked, k, right))
+
+
+def _order_delete(order, lcp, ranked, k):
+    p = order.locate(k)
+    t = len(order)
+    left = order.index(p - 1)[0] if p > 1 else None
+    right = order.index(p + 1)[0] if p < t else None
+    if p < t:
+        lcp.delete(p)
+    if p > 1:
+        lcp.delete(p - 1)
+    order.delete(p)
+    if left is not None and right is not None:
+        lcp.insert(p - 1, left, _oracle_agreement(ranked, left, right))
+
+
+class _DynArrayVertex:
+    """The rank-keyed vertex kept in five DynArrays updated in place: the
+    oracle for WalkVertex's sorted lists and the views built from them."""
+
+    VIEWS = ("by_key", "fwd_order", "fwd_lcp", "bwd_order", "bwd_lcp")
+
+    def __init__(self, ctx):
+        self.ctx = ctx
+        _, *orders = ctx.window_order
+        self.fwd, self.bwd = ((pos.tolist(), _sparse_tables(h).tolist()) for pos, h in orders)
+        for name in self.VIEWS:
+            setattr(self, name, DynArray())
+
+    def insert(self, k):
+        x = self.ctx.anchors.entries[k - 1]
+        lo, hi = 1, len(self.by_key) + 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if self.by_key.index(mid)[0] > k:
+                hi = mid
+            else:
+                lo = mid + 1
+        self.by_key.insert(lo, k, x)
+        _order_insert(self.fwd_order, self.fwd_lcp, self.fwd, k, x)
+        _order_insert(self.bwd_order, self.bwd_lcp, self.bwd, k, x)
+
+    def delete(self, k):
+        pos = self.by_key.locate(k)
+        _order_delete(self.fwd_order, self.fwd_lcp, self.fwd, k)
+        _order_delete(self.bwd_order, self.bwd_lcp, self.bwd, k)
+        self.by_key.delete(pos)
+
+
+def _views(v):
+    views = {name: getattr(v, name) for name in _DynArrayVertex.VIEWS}
+    return {name: (view.items(), view.serialize()) for name, view in views.items()}
+
+
+def test_vertex_views_match_dynarray_oracle():
+    # random insert/delete sequences on LCS, LRS, periodic motifs and
+    # minimizer anchor sets: after every step each view of the sorted-list
+    # vertex holds the contents and serialized form of the in-place oracle
+    rng = random.Random(83)
+    steps = 0
+    for trial in range(48):
+        lrs, subset, kind = trial % 2 == 1, trial % 3 == 0, trial % 4
+        d = rng.choice([1, 2, 3, 4, 8])
+        if kind == 0:
+            ctx = _random_context(rng, lrs, rng.randint(1, 14), d, subset, b"!ab")
+        elif kind == 1:
+            ctx = _random_context(rng, lrs, rng.randint(1, 14), d, subset)
+        elif kind == 2:
+            ctx = _periodic_context(rng, lrs, d, subset)
+        else:
+            ctx = _minimizer_context(rng, lrs)
+        m = ctx.anchors.m
+        v, oracle = WalkVertex(ctx), _DynArrayVertex(ctx)
+        stored = set()
+        for _ in range(40):
+            if not stored or (len(stored) < m and rng.random() < 0.6):
+                k = rng.choice([k for k in range(1, m + 1) if k not in stored])
+                v.insert(k)
+                oracle.insert(k)
+                stored.add(k)
+            else:
+                k = rng.choice(sorted(stored))
+                v.delete(k)
+                oracle.delete(k)
+                stored.discard(k)
+            assert _views(v) == _views(oracle), (trial, sorted(stored))
+            steps += len(stored) > 2
+    assert steps > 500
+
+
+def test_vertex_error_contract_leaves_views_unchanged():
+    ctx = _context(b"aabbbc", b"dbbbcc", 2)
+    m = ctx.anchors.m
+    v = WalkVertex(ctx)
+    with pytest.raises(KeyError):
+        v.delete(1)
+    for k in (2, 5, 7):
+        v.insert(k)
+    before = _views(v)
+    for op, k, error in (
+        (v.insert, 0, IndexError),
+        (v.insert, m + 1, IndexError),
+        (v.insert, 5, ValueError),
+        (v.delete, 3, KeyError),
+        (v.delete, m + 1, KeyError),
+    ):
+        with pytest.raises(error):
+            op(k)
+        assert _views(v) == before, (op.__name__, k)
+    # the failed calls left the vertex usable: 5 is stored once, 3 is not
+    v.delete(5)
+    with pytest.raises(KeyError):
+        v.delete(5)
+    v.insert(3)
+    assert [k for k, _ in v.by_key.items()] == [2, 3, 7]
+
+
+def test_walk_mode_never_builds_range_minimum_rows(monkeypatch):
+    # vertex updates read only the rank lists; the range-minimum rows are
+    # built for the agreement views alone, which no solve reads
+    tables = _spy(monkeypatch, "_sparse_tables")
+    pairs = _spy(monkeypatch, "_pair_table")
+    inst = plant_instance(12, 4, 12, 5)
+    ha, hb, _ = make_handles(inst.a, inst.b)
+    assert solve_lcs_rle_p(ha, hb, SolverConfig(mode=WalkMode.RANDOMWALK)) is not None
+    ha, _, _ = make_handles(inst.a, encode(b""))
+    solve_lrs(ha, SolverConfig(mode=WalkMode.RANDOMWALK))
+    assert pairs and tables == []
+    v = WalkVertex(_context(b"aabbbc", b"dbbbcc", 2))
+    v.insert(1)
+    v.insert(4)
+    assert len(v.fwd_lcp) == len(v.bwd_lcp) == 1
+    assert len(tables) == 2
+
+
 def test_walk_mode_run_bound_fires_at_once():
     # one run past the bound: walk mode raises within milliseconds, full-set
     # and cost-only solves of the same input are unaffected
@@ -1132,21 +1298,26 @@ def test_finalize_rejects_mismatched_ends():
 
 
 def test_benchmark_tracer_installs_and_restores():
-    # the traced benchmark patches names in rlelcs.walk and rlelcs.structures;
-    # a refactor that drops one of them fails here rather than in the benchmark
+    # the traced benchmark patches names in rlelcs.walk and DynArray's methods
+    # in rlelcs.structures; a refactor that drops one of them fails here
+    # rather than in the benchmark
     path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
     walk = rlelcs.walk
     saved = dict(vars(walk))
+    dyn = rlelcs.structures.DynArray
+    methods = ("index", "insert", "delete", "locate", "range_min")
+    saved_dyn = [vars(dyn)[name] for name in methods]
     a, b = encode(b"aabbbc"), encode(b"dbbbcc")
     with tracer.Tracer().installed(rlelcs) as tr:
         assert walk.grover_search is not saved["grover_search"]
+        assert all(vars(dyn)[name] is not fn for name, fn in zip(methods, saved_dyn))
         for mode in (WalkMode.FULLSET, WalkMode.RANDOMWALK):
             ha, hb, _ = make_handles(a, b)
             ans = solve_lcs_rle_p(ha, hb, SolverConfig(mode=mode))
             assert ans.d_tilde == 4
-    assert tr.counts["dynarray_ops"] > 0
     assert tr.layer_metrics()["walk.vertex_check_calls"] > 0
     assert dict(vars(walk)) == saved
+    assert all(vars(dyn)[name] is fn for name, fn in zip(methods, saved_dyn))
