@@ -12,10 +12,11 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
+
+import numpy as np
 
 from .rle import RleString
 
@@ -55,15 +56,15 @@ def build_exhaustive(s: RleString, d: int = 1) -> AnchorSet:
     return AnchorSet(tuple(range(1, s.n + 1)), d, AnchorScheme.EXHAUSTIVE)
 
 
-def _span_hashes(s: RleString, span: int, seed: int) -> list[int]:
-    """Seeded hash of the run tuple starting at each position (clamped)."""
-    packed = [struct.pack("<Bq", r.char, r.length) for r in s.runs]
+def _span_hashes(s: RleString, span: int, seed: int) -> np.ndarray:
+    """Seeded hash of the run tuple starting at each position (clamped), as uint64."""
+    body = b"".join(struct.pack("<Bq", r.char, r.length) for r in s.runs)  # 9 bytes a run
     prefix = struct.pack("<Q", seed & 0xFFFFFFFFFFFFFFFF)
-    out = []
-    for i in range(len(packed)):
-        blob = prefix + b"".join(packed[i : i + span])
-        out.append(int.from_bytes(hashlib.blake2b(blob, digest_size=8).digest(), "little"))
-    return out
+    digests = b"".join(
+        hashlib.blake2b(prefix + body[9 * i : 9 * (i + span)], digest_size=8).digest()
+        for i in range(s.n)
+    )
+    return np.frombuffer(digests, dtype="<u8")
 
 
 def build_minimizer(
@@ -72,7 +73,7 @@ def build_minimizer(
     seed: int,
     *,
     d_min: int = 8,
-    span_hashes: Optional[dict[int, list[int]]] = None,
+    span_hashes: Optional[dict[int, np.ndarray]] = None,
 ) -> AnchorSet:
     """Window minima of a seeded hash of short run tuples.
 
@@ -84,7 +85,7 @@ def build_minimizer(
     the same offset in both occurrences: aligned anchors.  Raises for
     d below d_min, where that argument breaks down (callers fall back to
     the exhaustive scheme there).  Calls for one string and seed may share
-    ``span_hashes``, which keeps the position hashes of each span.
+    ``span_hashes``, which keeps each span's positions argsorted by hash.
     """
     if d < d_min:
         raise ValueError(f"minimizer needs d >= {d_min}, got {d}")
@@ -97,20 +98,17 @@ def build_minimizer(
     if span_hashes is None:
         span_hashes = {}
     if span not in span_hashes:
-        span_hashes[span] = _span_hashes(s, span, seed)
-    hashes = span_hashes[span]
-    selected: set[int] = set()
-    window: deque[tuple[int, int]] = deque()  # (hash, 0-based position)
-    for i, h in enumerate(hashes):
-        while window and window[-1][0] > h:
-            window.pop()
-        window.append((h, i))
-        lo = i - w + 1
-        while window[0][1] < lo:
-            window.popleft()
-        if lo >= 0:
-            selected.add(window[0][1] + 1)
-    return AnchorSet(tuple(sorted(selected)), d, AnchorScheme.MINIMIZER)
+        span_hashes[span] = np.argsort(_span_hashes(s, span, seed), kind="stable")
+    order = span_hashes[span]
+    # rank by (hash, position): a window's leftmost minimum has its least rank
+    win = np.empty(s.n, dtype=np.int64)
+    win[order] = np.arange(s.n)
+    width = 1  # win[i] is the least rank in positions i..i + width - 1
+    while width < w:
+        step = min(width, w - width)
+        win, width = np.minimum(win[:-step], win[step:]), width + step
+    entries = np.flatnonzero(np.bincount(order[win])) + 1  # np.unique would import numpy.ma
+    return AnchorSet(tuple(entries.tolist()), d, AnchorScheme.MINIMIZER)
 
 
 def anchor_at(anchors: AnchorSet, k: int) -> int:

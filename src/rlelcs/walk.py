@@ -199,7 +199,10 @@ class _TokenRanks:
     Runs are 1-based; ``levels[k][i]`` ranks tokens i..i + 2**k - 1 among
     all such blocks, ``end[i]`` ranks run i's end token among the tokens.
     Rank 0 pads past the end (index n + 1), so a window cut short by the
-    end of the string sorts before its extensions.
+    end of the string sorts before its extensions.  Level k + 1 ranks one
+    key, ``levels[k][i] * (2n + 2) + levels[k][i + 2**k]`` (level-0 ranks
+    reach 2n: end tokens are ranked too); once a level holds n distinct
+    ranks, every later level is that array again, unsorted.
     """
 
     def __init__(self, chars: np.ndarray, lens: np.ndarray):
@@ -219,14 +222,13 @@ class _TokenRanks:
         self.end = np.zeros(n + 2, dtype=np.int32)
         self.end[1 : n + 1] = tokens[n:]
         self.levels = [level]
-        runs = np.arange(1, n + 1)
-        half = 1
-        while 2 * half <= n:
-            nxt = np.zeros(n + 2, dtype=np.int32)
-            nxt[1 : n + 1] = _dense_ranks(level[np.minimum(runs + half, n + 1)], level[1 : n + 1])
-            self.levels.append(nxt)
-            level = nxt
-            half *= 2
+        for k in range(1, n.bit_length()):
+            if k == 1 or level.max() < n:
+                key = level[1 : n + 1].astype(np.int64) * (2 * n + 2)
+                key += level[np.minimum(np.arange(1, n + 1) + (1 << (k - 1)), n + 1)]
+                level = np.zeros(n + 2, dtype=np.int32)
+                level[1 : n + 1] = _dense_ranks(key)
+            self.levels.append(level)
 
     def window_order(self, starts: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
         """Sort the windows of ``width`` runs from each start, clamped at run n.
@@ -1094,7 +1096,7 @@ def _solve(
     cost_only = config.mode is WalkMode.COSTONLY
 
     anchor_cache: dict[int, AnchorSet] = {}
-    span_hashes: dict[int, list[int]] = {}
+    span_hashes: dict[int, np.ndarray] = {}
 
     def anchors_for(d: int) -> AnchorSet:
         if d not in anchor_cache:

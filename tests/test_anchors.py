@@ -1,16 +1,21 @@
+import hashlib
 import math
 import random
+import struct
+from collections import deque
 
 import pytest
 
 from rlelcs.anchors import (
     AnchorScheme,
+    AnchorSet,
+    _span_hashes,
     build_exhaustive,
     build_minimizer,
     anchor_at,
     validate_anchor_set,
 )
-from rlelcs.reference import plant_instance
+from rlelcs.reference import plant_instance, random_rle
 from rlelcs.rle import RleString, concat_sep, encode
 
 
@@ -141,6 +146,71 @@ def test_minimizer_shared_span_hashes(monkeypatch):
     cache: dict = {}
     assert [build_minimizer(s, d, 3, span_hashes=cache) for d in ds] == alone
     assert hashed == [2, 4, 8] and sorted(cache) == [2, 4, 8]
+
+
+def _oracle_span_hashes(s, span, seed):
+    """Position hashes as ints, one blob per position: the list build_minimizer once read."""
+    packed = [struct.pack("<Bq", r.char, r.length) for r in s.runs]
+    prefix = struct.pack("<Q", seed & 0xFFFFFFFFFFFFFFFF)
+    out = []
+    for i in range(len(packed)):
+        blob = prefix + b"".join(packed[i : i + span])
+        out.append(int.from_bytes(hashlib.blake2b(blob, digest_size=8).digest(), "little"))
+    return out
+
+
+def _oracle_minimizer(s, d, seed):
+    """Window minima by a monotone deque, ties to the leftmost position."""
+    w = math.ceil(d / 2)
+    if s.n < w:
+        return AnchorSet((1,), d, AnchorScheme.MINIMIZER)
+    hashes = _oracle_span_hashes(s, min(8, max(1, w // 2)), seed)
+    selected: set[int] = set()
+    window: deque[tuple[int, int]] = deque()  # (hash, 0-based position)
+    for i, h in enumerate(hashes):
+        while window and window[-1][0] > h:
+            window.pop()
+        window.append((h, i))
+        lo = i - w + 1
+        while window[0][1] < lo:
+            window.popleft()
+        if lo >= 0:
+            selected.add(window[0][1] + 1)
+    return AnchorSet(tuple(sorted(selected)), d, AnchorScheme.MINIMIZER)
+
+
+def _periodic(rng, p, reps):
+    """p runs repeated: equal run tuples hash equal, so window minima tie."""
+    runs = [("a", rng.randint(1, 3))]
+    for i in range(1, p):
+        taboo = {runs[-1][0], "a" if i == p - 1 else ""}
+        runs.append((rng.choice([c for c in "abcd" if c not in taboo]), rng.randint(1, 3)))
+    return RleString.from_pairs(runs * reps)
+
+
+def test_minimizer_matches_deque_oracle():
+    rng = random.Random(23)
+    for span, n in ((1, 5), (2, 40), (4, 9), (8, 300), (8, 3)):
+        s = encode(bytes(rng.choices(b"abc", k=4 * n)))
+        assert _span_hashes(s, span, 7).tolist() == _oracle_span_hashes(s, span, 7)
+    cases = []  # (string, d): ties, clamped spans, n < w, n == w, odd d
+    for p in range(2, 9):
+        s = _periodic(rng, p, rng.randint(8, 40))
+        cases += [(s, d) for d in (8, 9, 13, 16, 31, 64)]
+    for n in (1, 4, 5, 6, 12, 13, 40):
+        s = encode(bytes(rng.choices(b"abcd", k=3 * n)))
+        cases += [(s, d) for d in (8, 9, 2 * s.n - 1, 2 * s.n, 2 * s.n + 1, 2 * s.n + 2) if d >= 8]
+    for seed in range(4):
+        inst = plant_instance(150, 40, 60, seed)
+        cases += [(concat_sep(inst.a, inst.b)[0], d) for d in (8, 11, 17, 25, 33)]
+    for k, (s, d) in enumerate(cases):
+        assert build_minimizer(s, d, k) == _oracle_minimizer(s, d, k), (s.n, d)
+    # one cache across a solve's scales, every span shared with odd d
+    for s in (_periodic(rng, 7, 300), random_rle(rng, 2000, max_len=5)):
+        cache: dict = {}
+        for d in [2**k for k in range(3, 10)] + [9, 17, 33, 65, 129, 257, 511]:
+            assert build_minimizer(s, d, 11, span_hashes=cache) == _oracle_minimizer(s, d, 11)
+        assert sorted(cache) == [2, 4, 8]
 
 
 def test_minimizer_size_reported():

@@ -35,10 +35,12 @@ from rlelcs.walk import (
     _PAIR_BATCH,
     WALK_RUN_BOUND,
     _RunTokens,
+    _TokenRanks,
     _boundary_map,
     _candidate,
     _double_run_best,
     _d_values,
+    _dense_ranks,
     _floor_log2,
     _rmq_vec,
     _row_bounds,
@@ -387,6 +389,70 @@ def test_window_order_matches_comparator_oracle():
             for (pos, h), win in zip(ctx.window_order[1:], (prefix_window, suffix_window)):
                 wins = [win(s, x, k, d) for k in range(1, x.m + 1)]
                 assert (pos.tolist(), h.tolist()) == _comparator_order(wins)
+
+
+def _two_key_token_ranks(chars, lens):
+    """Token-rank levels as built before the one-key doubling: every level
+    dense-ranks the two keys (levels[k][i], levels[k][i + 2**k]), none stops early."""
+    n = len(chars)
+    rising = np.zeros(n, dtype=np.int64)
+    rising[:-1] = chars[1:] > chars[:-1]
+    tokens = _dense_ranks(
+        np.concatenate((np.where(rising == 1, -lens, lens), lens)),
+        np.concatenate((rising, np.zeros(n, dtype=np.int64))),
+        np.concatenate((chars, chars)),
+    )
+    level = np.zeros(n + 2, dtype=np.int32)
+    level[1 : n + 1] = tokens[:n]
+    end = np.zeros(n + 2, dtype=np.int32)
+    end[1 : n + 1] = tokens[n:]
+    levels, runs, half = [level], np.arange(1, n + 1), 1
+    while 2 * half <= n:
+        nxt = np.zeros(n + 2, dtype=np.int32)
+        nxt[1 : n + 1] = _dense_ranks(level[np.minimum(runs + half, n + 1)], level[1 : n + 1])
+        levels.append(nxt)
+        level = nxt
+        half *= 2
+    return levels, end
+
+
+def _run_arrays(s):
+    chars = np.array([r.char for r in s.runs], dtype=np.int64)
+    return chars, np.array([r.length for r in s.runs], dtype=np.int64)
+
+
+def test_token_ranks_match_two_key_oracle():
+    # n of 1..3; period-1..8 text, whose block ranks never become distinct;
+    # random text, distinct after a few levels; LCS pairs joined at the
+    # separator; each forward and reversed
+    rng = random.Random(91)
+    strings = [random_rle(rng, n, alphabet=(97, 98), max_len=3) for n in (1, 2, 3) * 4]
+    for p in range(1, 9):
+        strings.append(encode(bytes(rng.choices(b"ab", k=p)) * rng.randint(20, 60)))
+        runs = [("w", rng.randint(1, 4))]  # period p in runs, for p >= 2
+        for i in range(1, p):
+            taboo = {runs[-1][0], "w" if i == p - 1 else ""}
+            runs.append((rng.choice([c for c in "wxyz" if c not in taboo]), rng.randint(1, 4)))
+        if p > 1:
+            strings.append(RleString.from_pairs(runs * rng.randint(20, 40)))
+    strings += [random_rle(rng, rng.randint(40, 300), max_len=6) for _ in range(8)]
+    for seed in range(6):
+        inst = plant_instance(rng.randint(30, 120), 12, 20, seed)
+        strings += [concat_sep(inst.a, inst.b)[0], concat_sep(inst.b, inst.a)[0]]
+    distinct_early = 0
+    for s in strings:
+        chars, lens = _run_arrays(s)
+        for c, ln in ((chars, lens), (chars[::-1], lens[::-1])):
+            levels, end = _two_key_token_ranks(c, ln)
+            ranks = _TokenRanks(c, ln)
+            assert len(ranks.levels) == len(levels)
+            for got, want in zip(ranks.levels, levels):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert np.array_equal(ranks.end, end)
+            # a level of n distinct ranks is appended again, not re-sorted
+            sorted_levels = len({id(level) for level in ranks.levels})
+            distinct_early += sorted_levels < len(levels)
+    assert distinct_early >= 16
 
 
 def _per_anchor_best_certificate(xs, fwd_pos, h_f, bwd_pos, h_b, pv, d, sep_index):
