@@ -721,6 +721,10 @@ class CollisionIndex:
 
     Runs the certificate kernel over all anchors in the context's window
     order, so one (length, witness) pair answers every probe at this scale.
+    Over the same anchors, best never rises as d falls: a narrower window
+    never agrees for longer, _snap's span floor x_a - 2d - 1 only rises and
+    admissibility ignores d, so no pair's certificate grows (_ceiling uses
+    this).
     """
 
     def __init__(self, ctx: _WalkContext):
@@ -739,6 +743,23 @@ class CollisionIndex:
         )
 
 
+def _ceiling(index_cache: dict[int, CollisionIndex], ctx: _WalkContext) -> float:
+    """Least best of the cached indexes above ctx.d over the same anchor entries, else inf.
+
+    It bounds this scale's best from above: with the same anchors each
+    pair's certificate never falls as d grows (see CollisionIndex).
+    """
+    entries = ctx.anchors.entries
+    return min(
+        (
+            index.best
+            for d, index in index_cache.items()
+            if d > ctx.d and index.ctx.anchors.entries == entries
+        ),
+        default=math.inf,
+    )
+
+
 # ---------------------------------------------------------------------------
 # one anchored search at a fixed scale
 
@@ -751,7 +772,7 @@ def inner_search(
     mode: WalkMode,
     ledger: QueryLedger,
     rng: Optional[random.Random] = None,
-    index_cache: Optional[dict] = None,
+    index_cache: Optional[dict[int, CollisionIndex]] = None,
 ) -> Optional[Candidate]:
     """Walk search over r-subsets of the anchor set for one (d, d_tilde).
 
@@ -760,6 +781,12 @@ def inner_search(
     the search without executing it.  The random walk and the cost-only
     mode declare the same setup, update and check charges, so both add the
     same amount to the ledger.
+
+    ``index_cache`` holds one solve's full-set indexes by scale.  A scale
+    whose anchor entries equal those of a cached larger scale whose best is
+    below d_tilde builds no index and reports None: narrowing the windows
+    over the same anchors never raises a certificate (see CollisionIndex).
+    Its charges are those of a scale that builds.
     """
     m = ctx.anchors.m
     if not 1 <= r <= m:
@@ -769,19 +796,16 @@ def inner_search(
     delta = (r / m) ** 2
 
     if mode is WalkMode.FULLSET:
-        index = None
-        if index_cache is not None:
-            index = index_cache.get(d)
-        if index is None:
-            index = CollisionIndex(ctx)
-            if index_cache is not None:
-                index_cache[d] = index
+        cache = {} if index_cache is None else index_cache
+        if d not in cache and _ceiling(cache, ctx) >= d_tilde:
+            cache[d] = CollisionIndex(ctx)
+        index = cache.get(d)  # None: a larger scale rules d_tilde out
         hooks = WalkHooks(
             setup_cost=setup_charge(model, d, m),
             update_cost=0.0,
             check_cost=check_charge(model, d, m),
             setup=lambda subset: index,
-            check=lambda state: state.query(d_tilde),
+            check=lambda state: None if state is None else state.query(d_tilde),
         )
         return walk_search(m, m, delta, hooks, mode=mode, ledger=ledger, model=model)
 

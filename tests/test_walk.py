@@ -42,6 +42,7 @@ from rlelcs.walk import (
     _d_values,
     _dense_ranks,
     _floor_log2,
+    _pair_table,
     _rmq_vec,
     _row_bounds,
     _separator,
@@ -1070,6 +1071,187 @@ def test_inner_search_randomwalk_mode():
         ledger=ledger, rng=random.Random(0),
     )
     assert miss is None
+
+
+def _scale_contexts(s, sep):
+    """Exhaustive-anchor contexts of s at every scale of _d_values(n, 1), largest first."""
+    hs = OracleHandle(s, QueryLedger())
+    tokens = _RunTokens(hs)
+    return [
+        make_context(hs, build_exhaustive(s, d), d, sep, MODEL, tokens) for d in _d_values(s.n, 1)
+    ]
+
+
+def _periodic_runs(rng, period, n_runs):
+    """A motif of period runs over "abc" repeated to n_runs runs, one length redrawn half the time.
+
+    The motif's first and last chars differ, so its repeats never merge.
+    """
+    while True:
+        chars = [rng.choice(b"abc")]
+        for _ in range(period - 1):
+            chars.append(rng.choice([c for c in b"abc" if c != chars[-1]]))
+        if chars[-1] != chars[0]:
+            break
+    lens = [rng.randint(1, 3) for _ in range(period)]
+    runs = [(chars[i % period], lens[i % period]) for i in range(n_runs)]
+    if rng.random() < 0.5:
+        i = rng.randrange(n_runs)
+        runs[i] = (runs[i][0], rng.randint(1, 3))
+    return runs
+
+
+def _byte_rle(rng, n_chars, alphabet):
+    """encode() of n_chars bytes drawn from alphabet, which may hold "$" and "!"."""
+    return encode(bytes(rng.choice(alphabet) for _ in range(n_chars)))
+
+
+def test_certificates_never_rise_as_scale_falls():
+    # the invariant the full-set scale ceiling rests on: over the same
+    # anchors, every pair's certificate at d is at most the one at 2d, so the
+    # kernel's best never rises as d falls.  LCS with "!" (and "$") in the
+    # alphabet, LRS, and run-periodic strings of period 2-8, alone and paired
+    rng = random.Random(131)
+    cases = []
+    for trial in range(16):
+        alphabet = b"!ab" if trial % 2 else b"$!ab"
+        a, b = (_byte_rle(rng, rng.randint(1, 40), alphabet) for _ in range(2))
+        cases += [concat_sep(a, b, _separator(a, b)), (a, None)]
+    for period in range(2, 9):
+        for _ in range(2):
+            runs = _periodic_runs(rng, period, rng.randint(2 * period, 40))
+            a = RleString.from_pairs(runs)
+            b = RleString.from_pairs(runs[rng.randrange(len(runs)) :])
+            cases += [concat_sep(a, b), (a, None)]
+    falls = drops = 0
+    for s, sep in cases:
+        contexts = _scale_contexts(s, sep)
+        tables = [_pair_table(*_kernel_args(ctx))[0] for ctx in contexts]
+        bests = [best_certificate(*_kernel_args(ctx))[0] for ctx in contexts]
+        for ctx, wide, narrow in zip(contexts[1:], tables, tables[1:]):
+            assert (narrow <= wide).all(), (s, sep, ctx.d)
+            falls += int((narrow < wide).sum())
+        assert bests == sorted(bests, reverse=True), (s, sep, bests)
+        drops += bests[0] > bests[-1]
+    assert falls > 1000 and drops > 20
+
+
+def _with_and_without_ceiling(a, b, config):
+    """(answer, ledger counters, index builds) of one solve with the scale ceiling,
+    then of the same solve with no ceiling (the lookup returns inf): the oracle.
+    b None solves the LRS of a."""
+    builds, init, out = [], CollisionIndex.__init__, []
+
+    def counted_init(self, ctx):
+        builds.append(ctx.d)
+        init(self, ctx)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(CollisionIndex, "__init__", counted_init)
+        for lookup in (rlelcs.walk._ceiling, lambda index_cache, ctx: math.inf):
+            patch.setattr(rlelcs.walk, "_ceiling", lookup)
+            builds.clear()
+            if b is None:
+                ha, _, ledger = make_handles(a, RleString(()))
+                ans = solve_lrs(ha, config)
+            else:
+                ha, hb, ledger = make_handles(a, b)
+                ans = solve_lcs_rle_p(ha, hb, config)
+            counters = (ledger.charged_cost, ledger.run_queries, ledger.prefix_queries)
+            out.append((ans, counters, len(builds)))
+    return out
+
+
+def test_inner_search_ceiling_rules_out_only_longer_probes():
+    # a cached index at a larger scale over the same entries skips a scale
+    # for probes above its best, at the charge of a scale that builds, and
+    # not for probes it could still answer
+    inst = plant_instance(40, 6, 18, 2)
+    s, sep = concat_sep(inst.a, inst.b)
+    hs = OracleHandle(s, QueryLedger())
+    tokens = _RunTokens(hs)
+    scales = [make_context(hs, build_exhaustive(s, d), d, sep, MODEL, tokens) for d in (16, 8)]
+    wide, narrow = scales
+    m, cache = s.n, {}
+
+    def search(ctx, d_tilde, index_cache):
+        ledger, mode = QueryLedger(), WalkMode.FULLSET
+        cand = inner_search(ctx, d_tilde, m, mode=mode, ledger=ledger, index_cache=index_cache)
+        return cand, ledger.charged_cost
+
+    assert search(wide, 1, cache)[0] is not None
+    ceiling, truth = cache[16].best, CollisionIndex(narrow).best
+    assert 1 <= truth <= ceiling
+    assert search(narrow, ceiling + 1, cache) == (None, search(narrow, ceiling + 1, None)[1])
+    assert list(cache) == [16]
+    got = search(narrow, truth, cache)
+    assert got == (CollisionIndex(narrow).query(truth), search(narrow, truth, None)[1])
+    assert list(cache) == [16, 8]
+
+
+def test_scale_ceiling_exhaustive_builds_one_index_per_solve():
+    # exhaustive anchors keep the same entries at every scale, so a full-set
+    # solve builds only its top scale's index; answers, charges and both
+    # query counters equal the solve that builds every scale it visits
+    rng = random.Random(151)
+    plants = [plant_instance(rng.randint(8, 60), 6, 20, seed) for seed in range(8)]
+    pairs = [(inst.a, inst.b) for inst in plants]
+    for trial in range(16):
+        alphabet = b"!ab" if trial % 2 else b"$!abc"
+        a, b = (_byte_rle(rng, rng.randint(2, 80), alphabet) for _ in range(2))
+        pairs += [(a, b), (a, None)]
+    for period in range(2, 9):
+        runs = _periodic_runs(rng, period, rng.randint(20, 60))
+        pairs.append((RleString.from_pairs(runs), None))
+    skipped = 0
+    for a, b in pairs:
+        got, want = _with_and_without_ceiling(a, b, SolverConfig())
+        assert got[:2] == want[:2], (a, b)
+        assert got[2] == 1, (a, b)
+        skipped += want[2] - got[2]
+    assert skipped > 50
+
+
+def test_scale_ceiling_minimizer_builds_as_many_as_oracle():
+    # minimizer anchor sets differ from scale to scale: nothing is skipped
+    rng = random.Random(157)
+    config = SolverConfig(anchors=AnchorScheme.MINIMIZER)
+    for seed in range(6):
+        inst = plant_instance(rng.randint(64, 200), 24, 60, seed, verify=False)
+        config.seed = seed
+        for b in (inst.b, None):
+            got, want = _with_and_without_ceiling(inst.a, b, config)
+            assert got == want and got[2] > 1, seed
+
+
+def test_scale_ceiling_anchor_overrides():
+    # per-scale anchor overrides: scales whose entries equal a larger scale's
+    # are skipped once it rules a probe out, scales with their own entries
+    # still build; either way answers and counters equal the oracle's
+    rng = random.Random(163)
+    shared = differing = 0
+    for seed in range(12):
+        a = random_rle(rng, rng.randint(10, 40), max_len=4)
+        b = random_rle(rng, rng.randint(10, 40), max_len=4)
+        s, _ = concat_sep(a, b)
+        scales = _d_values(s.n, MODEL.d_min)
+        all_runs = range(1, s.n + 1)
+        keep = tuple(sorted(rng.sample(all_runs, s.n // 2)))
+        # the same entries at every scale, then a different number at each
+        same = {d: keep for d in scales}
+        own = {d: tuple(sorted(rng.sample(all_runs, s.n - i))) for i, d in enumerate(scales)}
+        for entries in (same, own):
+            sets = {d: AnchorSet(e, d, AnchorScheme.EXHAUSTIVE) for d, e in entries.items()}
+            config = SolverConfig(anchor_sets=sets, seed=seed, use_fallback=seed % 2 == 0)
+            got, want = _with_and_without_ceiling(a, b, config)
+            assert got[:2] == want[:2], seed
+            if entries is same:
+                assert got[2] == 1, seed
+                shared += want[2] > 1
+            else:
+                assert got[2] == want[2], seed
+                differing += got[2] > 1
+    assert shared > 3 and differing > 3
 
 
 def test_finalize_and_verify_worked_example():
