@@ -11,6 +11,7 @@ charges only the formulas its hooks declare.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 from pathlib import Path
@@ -233,9 +234,10 @@ def walk_search(
         import random as _random
 
         rng = rng if rng is not None else _random.Random(0)
-        inside = set(rng.sample(range(1, m + 1), r))
-        outside = [i for i in range(1, m + 1) if i not in inside]
-        state = hooks.setup(tuple(sorted(inside)))
+        # rng.choice draws by position, so inside is kept sorted by id
+        inside = sorted(rng.sample(range(1, m + 1), r))
+        outside = sorted(set(range(1, m + 1)).difference(inside))
+        state = hooks.setup(tuple(inside))
         budget = int(
             model.step_budget_factor * math.ceil(m / r) * math.ceil(1.0 / math.sqrt(delta_bound))
         )
@@ -247,11 +249,11 @@ def walk_search(
                 return report
             for _ in range(swaps):
                 out_pos = rng.randrange(len(outside))
-                removed = rng.choice(sorted(inside))
+                removed = rng.choice(inside)
                 added = outside[out_pos]
                 hooks.update(state, removed, added)
-                inside.discard(removed)
-                inside.add(added)
+                del inside[bisect_left(inside, removed)]
+                insort(inside, added)
                 outside[out_pos] = removed
         return None
 

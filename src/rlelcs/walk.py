@@ -3,10 +3,12 @@
 The solver nests a binary search on the decoded answer length inside a
 halving sweep over encoded window scales d.  At each scale it walks over
 r-subsets of an anchor set on the concatenation A $ B; a vertex keeps the
-chosen anchors in sorted lists, by id and by rank in the order of the text
-read forward from each anchor and of the text read backward into it.  Its
-orders with adjacent decoded-common-prefix lengths are views, built on read.
-Every mode charges the declared formulas below, whether it executes or not.
+chosen anchor ids and the count of stored pairs that certify the walk's
+target, so a check with no such pair reads one number.  Its orders, by id
+and by rank in the order of the text read forward from each anchor and of
+the text read backward into it, with adjacent decoded-common-prefix lengths,
+are views built on read.  Every mode charges the declared formulas below,
+whether it executes or not.
 
 A candidate pair certifies a target length t via two agreement conditions
 anchored at the pair's run ends: the backward windows agree for at least L
@@ -17,21 +19,18 @@ anchor run, so the forward threshold re-counts it; the rho term compensates
 and makes the certificate exact (t agreed chars, stitched at the shared
 run boundary).  One row scorer, :func:`_score_rows`, evaluates this for a
 flagged anchor against every anchor.  The kernel :func:`best_certificate`
-runs it for the full-set index on all anchors at a scale; a walk vertex's
-check reads the scale's pair table, which it fills once.  Both read one
-window order per scale, ranked from the solve's run tokens.
+runs it for the full-set index on all anchors at a scale; a walk vertex
+reads the scale's pair table, which it fills once.  Both read one window
+order per scale, ranked from the solve's run tokens.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from array import array
-from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from operator import itemgetter
 from typing import Optional
 
 import numpy as np
@@ -61,10 +60,12 @@ from .structures import DynArray
 DECODED_LENGTH_BOUND = 1 << 62
 
 # Walk mode solves strings (A $ B, or the LRS string) of at most this many
-# runs.  A planted walk-mode solve of 769 runs took 55 s on a 2-vCPU x86-64
-# VM with Python 3.11; each scale's pair table then holds 16 * 800**2 bytes,
-# under 10 MiB.
-WALK_RUN_BOUND = 800
+# runs.  Memory binds, not time: a solve keeps one 16 * m**2-byte pair table
+# per scale it visits, so at this bound up to 8 tables of 16 MiB.  Planted
+# walk-mode solves (plant_instance(n, n // 8, 3 * (n // 8), 1)) on a 2-vCPU
+# x86-64 VM with Python 3.11 took 1.7 s at 769 runs, 4.0 s at 1 024, 6.9 s
+# at 1 600 and 10.0 s at 2 048, at a peak RSS of 99, 165, 353 and 620 MiB.
+WALK_RUN_BOUND = 1024
 
 
 class InternalInconsistencyError(RuntimeError):
@@ -321,19 +322,19 @@ class _WalkContext:
         return xs, fwd.window_order(xs, width), bwd.window_order(self.handle.n + 1 - xs, width)
 
     @cached_property
-    def pair_table(self) -> tuple[list[array], list[array]]:
-        """Certificate and witness run of every anchor pair (see _pair_table), rows as arrays.
+    def pair_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Certificate and witness run of every anchor pair (see _pair_table).
 
-        Only a walk vertex's check reads it, one row at a time; the two
+        Only walk vertices read it: each walk search marks its pairs once,
+        and a vertex's best() reads the stored anchors' block.  The two
         tables hold 16 m^2 bytes.
         """
         xs, (fwd_pos, h_f), (bwd_pos, h_b) = self.window_order
-        tables = _pair_table(xs, fwd_pos, h_f, bwd_pos, h_b, self.pv, self.d, self.sep_index)
-        return tuple([array("q", row.tobytes()) for row in table] for table in tables)
+        return _pair_table(xs, fwd_pos, h_f, bwd_pos, h_b, self.pv, self.d, self.sep_index)
 
     @cached_property
     def vertex_ranks(self) -> tuple[list, list]:
-        """Forward and backward ranks as lists: a walk vertex's updates read one at a time."""
+        """Forward and backward ranks as lists: a walk vertex's order views read them."""
         _, (fwd_pos, _), (bwd_pos, _) = self.window_order
         return fwd_pos.tolist(), bwd_pos.tolist()
 
@@ -368,24 +369,32 @@ def make_context(
 
 
 class WalkVertex:
-    """Stored-anchor state for one walk: sorted lists of ids and ranks.
+    """Stored-anchor state for one walk: the ids, and the count of marked stored pairs.
 
-    _stored holds (anchor id, run index) sorted by id; _fwd and _bwd hold
-    (rank, anchor id) sorted by the anchor's rank in the context's forward
-    and backward window order, so an update is a bisection and a list
-    insert or delete per list.  The check reads only _stored and the
-    context's pair table.  The read-only DynArray views, built when read:
-    by_key, (anchor id, run index) by id; fwd_order/bwd_order, the same in
-    window order; fwd_lcp/bwd_lcp, (anchor id, agreement with the next
-    anchor) along each order, the range minimum of h between their ranks.
+    A walk search fixes its target length, the vertex's threshold.  A pair
+    is marked when its pair-table certificate, with either anchor flagged,
+    reaches the threshold; each anchor's marked partners are one bitmask
+    row, built from the scale's pair table when the vertex is made.  An
+    insert or delete adds or subtracts the marked pairs the anchor forms
+    with the stored ids, so a check at or above the threshold with no
+    marked pair returns None without reading a pair; any other check runs
+    best().  The default threshold, inf, marks nothing and builds no rows.
+    The read-only DynArray views, built when read: by_key, (anchor id, run
+    index) by id; fwd_order/bwd_order, the same in the context's forward
+    and backward window order; fwd_lcp/bwd_lcp, (anchor id, agreement with
+    the next anchor) along each order, the range minimum of h between their
+    ranks.
     """
 
-    def __init__(self, ctx: _WalkContext):
+    def __init__(self, ctx: _WalkContext, threshold: float = math.inf):
         self.ctx = ctx
-        self._stored: list[tuple[int, int]] = []
+        self.threshold = threshold
+        self.marked_pairs = 0
         self._ids: set[int] = set()
-        self._fwd: list[tuple[int, int]] = []
-        self._bwd: list[tuple[int, int]] = []
+        self._mask = 0  # bit k - 1 set for each stored id k
+        self._rows = (
+            [0] * ctx.anchors.m if threshold == math.inf else _marked_rows(ctx, threshold)
+        )
 
     # mutation ----------------------------------------------------------
 
@@ -395,44 +404,48 @@ class WalkVertex:
         if k in self._ids:
             raise ValueError(f"anchor {k} already stored")
         self._ids.add(k)
-        insort(self._stored, (k, anchor_at(self.ctx.anchors, k)))
-        fwd, bwd = self.ctx.vertex_ranks
-        insort(self._fwd, (fwd[k - 1], k))
-        insort(self._bwd, (bwd[k - 1], k))
+        self.marked_pairs += (self._rows[k - 1] & self._mask).bit_count()
+        self._mask |= 1 << (k - 1)
 
     def delete(self, k: int) -> None:
         if k not in self._ids:
             raise KeyError(k)
         self._ids.remove(k)
-        self._stored.pop(bisect_left(self._stored, (k,)))
-        fwd, bwd = self.ctx.vertex_ranks
-        self._fwd.remove((fwd[k - 1], k))
-        self._bwd.remove((bwd[k - 1], k))
+        self._mask ^= 1 << (k - 1)
+        self.marked_pairs -= (self._rows[k - 1] & self._mask).bit_count()
 
     # read-only views -----------------------------------------------------
 
     @property
     def by_key(self) -> DynArray:
-        return DynArray(self._stored)
+        return DynArray(self._entries(sorted(self._ids)))
 
     @property
     def fwd_order(self) -> DynArray:
-        return self._order(self._fwd)
+        return self._order(self._ranked(0))
 
     @property
     def fwd_lcp(self) -> DynArray:
-        return self._lcp(self._fwd, 0)
+        return self._lcp(self._ranked(0), 0)
 
     @property
     def bwd_order(self) -> DynArray:
-        return self._order(self._bwd)
+        return self._order(self._ranked(1))
 
     @property
     def bwd_lcp(self) -> DynArray:
-        return self._lcp(self._bwd, 1)
+        return self._lcp(self._ranked(1), 1)
+
+    def _entries(self, ids: list[int]) -> list[tuple[int, int]]:
+        return [(k, anchor_at(self.ctx.anchors, k)) for k in ids]
+
+    def _ranked(self, side: int) -> list[tuple[int, int]]:
+        """(rank, anchor id) of the stored anchors, sorted by rank in one window order."""
+        ranks = self.ctx.vertex_ranks[side]
+        return sorted((ranks[k - 1], k) for k in self._ids)
 
     def _order(self, ranked: list[tuple[int, int]]) -> DynArray:
-        return DynArray((k, anchor_at(self.ctx.anchors, k)) for _, k in ranked)
+        return DynArray(self._entries([k for _, k in ranked]))
 
     def _lcp(self, ranked: list[tuple[int, int]], side: int) -> DynArray:
         rows = self.ctx.vertex_agreements[side]
@@ -446,37 +459,47 @@ class WalkVertex:
         """The stored anchors' best certificate and its witness, or (0, None).
 
         The witness is (flagged, partner, v), the first two as (anchor id,
-        run index).  Reads the scale's pair table in the kernel's scan
-        order: red flagged anchors first, then flagged anchor by id, then
-        partner by id; ties keep the first pair, as in best_certificate.
+        run index).  Reads the stored anchors' block of the scale's pair
+        table in the kernel's scan order: red flagged anchors first, then
+        flagged anchor by id, then partner by id; ties keep the first pair,
+        as in best_certificate.  Run indices increase with anchor id, so
+        id order puts red anchors first; the white anchor's row is all 0.
         """
-        stored = self._stored
-        if len(stored) < 2:
+        ids = sorted(self._ids)
+        if len(ids) < 2:
             return 0, None
-        sep = self.ctx.sep_index
-        # run indices increase with anchor id, so red anchors come first
-        flagged = stored if sep is None else [a for a in stored if a[1] != sep]
         cert, witness_v = self.ctx.pair_table
-        partners = itemgetter(*[k - 1 for k, _ in stored])
-        best = 0
-        for a in flagged:
-            row = partners(cert[a[0] - 1])
-            top = max(row)
-            if top > best:
-                best, flag, j = top, a, row.index(top)
+        at = np.array(ids) - 1
+        block = cert[np.ix_(at, at)]
+        i, j = divmod(int(np.argmax(block)), len(ids))
+        best = int(block[i, j])
         if best == 0:
             return 0, None
-        partner = stored[j]
-        return best, (flag, partner, witness_v[flag[0] - 1][partner[0] - 1])
+        flag, partner = self._entries([ids[i], ids[j]])
+        return best, (flag, partner, int(witness_v[at[i], at[j]]))
 
     def check(self, d_tilde: int) -> Optional[Candidate]:
         """The stored anchors' best certified pair, if it reaches d_tilde."""
-        if d_tilde < 1:
+        if d_tilde < 1 or (self.marked_pairs == 0 and d_tilde >= self.threshold):
             return None
         best, witness = self.best()
         if best < d_tilde:
             return None
         return _candidate(self.ctx, *witness, d_tilde)
+
+
+def _marked_rows(ctx: _WalkContext, threshold: float) -> list[int]:
+    """Per anchor, a bitmask of the partners whose pair certifies threshold, either side flagged.
+
+    Bit b - 1 of row a - 1 is set when the pair table's certificate of
+    (a, b) or of (b, a) reaches threshold: one packbits over the m x m
+    boolean, one int per row.
+    """
+    cert = ctx.pair_table[0]
+    marked = cert >= threshold
+    marked = marked | marked.T
+    packed = np.packbits(marked, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 def _agreement(rows: list[list[int]], lo: int, hi: int) -> int:
@@ -817,7 +840,7 @@ def inner_search(
     if mode is WalkMode.RANDOMWALK:
 
         def setup(subset):
-            vertex = WalkVertex(ctx)
+            vertex = WalkVertex(ctx, d_tilde)
             for k in subset:
                 vertex.insert(k)
             return vertex

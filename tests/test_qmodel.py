@@ -197,6 +197,68 @@ def test_walk_search_randomwalk_modes():
     assert report is None
 
 
+def _sorted_set_walk(m, r, delta_bound, model, rng):
+    """walk_search's random walk with the subset kept as a set and sorted on
+    every swap: the oracle for its setup subset and its (removed, added) swaps
+    when no check reports."""
+    inside = set(rng.sample(range(1, m + 1), r))
+    outside = [i for i in range(1, m + 1) if i not in inside]
+    setup = tuple(sorted(inside))
+    budget = int(
+        model.step_budget_factor * math.ceil(m / r) * math.ceil(1.0 / math.sqrt(delta_bound))
+    )
+    per_round = math.isqrt(r - 1) + 1 if r > 1 else 1
+    swaps = []
+    for _ in range(max(1, budget)):
+        if not outside:
+            break
+        for _ in range(per_round):
+            out_pos = rng.randrange(len(outside))
+            removed = rng.choice(sorted(inside))
+            added = outside[out_pos]
+            swaps.append((removed, added))
+            inside.discard(removed)
+            inside.add(added)
+            outside[out_pos] = removed
+    return setup, swaps
+
+
+def test_walk_search_swaps_match_sorted_set_oracle():
+    # the sorted subset list draws the ids the set sorted on every swap drew:
+    # same setup subset, same swap stream, so the same RNG state afterwards
+    import random
+
+    model = CostModel(step_budget_factor=2.0)
+    rng = random.Random(17)
+    for _ in range(12):
+        m, seed, delta = rng.randint(1, 30), rng.randrange(10**6), rng.choice([1.0, 0.3])
+        for r in range(1, m + 1):
+            seen = []
+            hooks = WalkHooks(
+                0.0,
+                0.0,
+                0.0,
+                setup=lambda subset: seen.append(subset),
+                update=lambda state, removed, added: seen.append((removed, added)),
+                check=lambda state: None,
+            )
+            walk_rng, oracle_rng = random.Random(seed), random.Random(seed)
+            report = walk_search(
+                m,
+                r,
+                delta,
+                hooks,
+                mode=WalkMode.RANDOMWALK,
+                ledger=QueryLedger(),
+                model=model,
+                rng=walk_rng,
+            )
+            setup, swaps = _sorted_set_walk(m, r, delta, model, oracle_rng)
+            assert report is None
+            assert seen == [setup] + swaps, (m, r, seed)
+            assert walk_rng.getstate() == oracle_rng.getstate()
+
+
 def test_make_handles_share_ledger():
     ha, hb, ledger = make_handles(encode(b"ab"), encode(b"cd"))
     ha.query_run(1)

@@ -1,5 +1,6 @@
 import functools
 import importlib.util
+import itertools
 import math
 import random
 import time
@@ -12,7 +13,14 @@ from hypothesis import strategies as st
 
 import rlelcs
 from rlelcs.anchors import AnchorScheme, AnchorSet, build_exhaustive, build_minimizer
-from rlelcs.qmodel import CostModel, OracleHandle, QueryLedger, WalkMode, make_handles
+from rlelcs.qmodel import (
+    CostModel,
+    OracleHandle,
+    QueryLedger,
+    WalkMode,
+    make_handles,
+    walk_search,
+)
 from rlelcs.reference import (
     brute_lcs,
     brute_lrs,
@@ -694,6 +702,100 @@ def test_vertex_check_matches_kernel_on_stored_subset(monkeypatch):
     assert nonzero > 100
 
 
+def test_vertex_marked_count_matches_brute_count():
+    # the context kinds above, vertices at random thresholds, random inserts
+    # and deletes: after every step the count equals the stored pairs whose
+    # certificate, with either anchor flagged, reaches the threshold, and
+    # checks around the threshold and the best agree with the kernel
+    rng = random.Random(113)
+    marked = skipped = 0
+    for trial in range(64):
+        lrs, subset, kind = trial % 2 == 1, trial % 3 == 0, trial % 4
+        d = rng.choice([1, 2, 3, 4, 8])
+        if kind == 0:
+            ctx = _random_context(rng, lrs, rng.randint(1, 14), d, subset, b"!ab")
+        elif kind == 1:
+            ctx = _random_context(rng, lrs, rng.randint(1, 14), d, subset)
+        elif kind == 2:
+            ctx = _periodic_context(rng, lrs, d, subset)
+        else:
+            ctx = _minimizer_context(rng, lrs)
+        m = ctx.anchors.m
+        cert = _pair_table(*_kernel_args(ctx))[0].tolist()
+        top = max(1, max(map(max, cert)))
+        threshold = rng.choice([1, top, top + 1, rng.randint(1, top)])
+        v = WalkVertex(ctx, threshold)
+        stored = set()
+        for _ in range(30):
+            if not stored or (len(stored) < m and rng.random() < 0.6):
+                k = rng.choice([k for k in range(1, m + 1) if k not in stored])
+                v.insert(k)
+                stored.add(k)
+            else:
+                k = rng.choice(sorted(stored))
+                v.delete(k)
+                stored.discard(k)
+            want = sum(
+                max(cert[a - 1][b - 1], cert[b - 1][a - 1]) >= threshold
+                for a, b in itertools.combinations(stored, 2)
+            )
+            assert v.marked_pairs == want, (trial, threshold, sorted(stored))
+            marked += want > 0
+            best = _kernel_best(v)
+            skipped += want == 0 and len(stored) > 1 and best[0] > 0
+            assert v.best() == best
+            for d_tilde in {threshold - 1, threshold, threshold + 1, best[0] + 1}:
+                assert v.check(d_tilde) == _kernel_check(v, d_tilde)
+    # both sides of the count: marked pairs, and unmarked ones it skips
+    assert marked > 300 and skipped > 100
+
+
+def test_walk_check_runs_best_only_on_its_hit(monkeypatch):
+    # in walk-mode LCS and LRS solves each walk search's vertex runs best() at
+    # most once, on the check that returns its candidate: the marked-pair
+    # count answers every other check; the pair table is built at most once
+    # per scale
+    checks, searches = [], []
+    best, check = WalkVertex.best, WalkVertex.check
+
+    def spy_best(vertex):
+        checks[-1][0] += 1
+        return best(vertex)
+
+    def spy_check(vertex, d_tilde):
+        checks.append([0, None])
+        out = check(vertex, d_tilde)
+        checks[-1][1] = out is not None
+        return out
+
+    def spy_walk_search(*args, **kwargs):
+        start = len(checks)
+        out = walk_search(*args, **kwargs)
+        searches.append(checks[start:])
+        return out
+
+    monkeypatch.setattr(WalkVertex, "best", spy_best)
+    monkeypatch.setattr(WalkVertex, "check", spy_check)
+    monkeypatch.setattr(rlelcs.walk, "walk_search", spy_walk_search)
+    tables = _spy(monkeypatch, "_pair_table")
+    inst = plant_instance(40, 5, 15, 3)
+    joined, _ = concat_sep(inst.a, inst.b)
+    for a, b in ((inst.a, inst.b), (joined, None)):
+        del tables[:]
+        ha, hb, _ = make_handles(a, b or encode(b""))
+        if b is None:
+            ans = solve_lrs(ha, SolverConfig(mode=WalkMode.RANDOMWALK))
+        else:
+            ans = solve_lcs_rle_p(ha, hb, SolverConfig(mode=WalkMode.RANDOMWALK))
+        assert ans is not None and ans.d_tilde >= inst.d_tilde
+        assert 1 <= len(tables) <= len(_d_values(joined.n, MODEL.d_min))
+    for search in searches:
+        assert sum(runs for runs, _ in search) <= 1
+        assert all(runs == hit for runs, hit in search)
+    hits = sum(hit for search in searches for _, hit in search)
+    assert hits > 4 and len(checks) > 100 * hits
+
+
 def test_pair_table_only_in_walk_mode(monkeypatch):
     # full-set and cost-only solves never build a pair table; a walk-mode
     # solve builds at most one per scale
@@ -758,7 +860,7 @@ def _order_delete(order, lcp, ranked, k):
 
 class _DynArrayVertex:
     """The rank-keyed vertex kept in five DynArrays updated in place: the
-    oracle for WalkVertex's sorted lists and the views built from them."""
+    oracle for WalkVertex's views, which it builds when read."""
 
     VIEWS = ("by_key", "fwd_order", "fwd_lcp", "bwd_order", "bwd_lcp")
 
@@ -796,8 +898,8 @@ def _views(v):
 
 def test_vertex_views_match_dynarray_oracle():
     # random insert/delete sequences on LCS, LRS, periodic motifs and
-    # minimizer anchor sets: after every step each view of the sorted-list
-    # vertex holds the contents and serialized form of the in-place oracle
+    # minimizer anchor sets: after every step each view of the vertex holds
+    # the contents and serialized form of the in-place oracle
     rng = random.Random(83)
     steps = 0
     for trial in range(48):
@@ -858,8 +960,8 @@ def test_vertex_error_contract_leaves_views_unchanged():
 
 
 def test_walk_mode_never_builds_range_minimum_rows(monkeypatch):
-    # vertex updates read only the rank lists; the range-minimum rows are
-    # built for the agreement views alone, which no solve reads
+    # the range-minimum rows are built for the agreement views alone, which
+    # no solve reads
     tables = _spy(monkeypatch, "_sparse_tables")
     pairs = _spy(monkeypatch, "_pair_table")
     inst = plant_instance(12, 4, 12, 5)
