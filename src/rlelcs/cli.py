@@ -10,11 +10,10 @@ import argparse
 import csv
 import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
 
-from .anchors import AnchorScheme, build_exhaustive, build_minimizer, validate_anchor_set
+from .anchors import AnchorScheme, validate_anchor_set
 from .qmodel import CostModel, OracleHandle, QueryLedger, WalkMode
 from .reductions import gadget_dl, parity_via_dl, parity_via_el
 from .reference import ResourceLimitError, brute_lcs, plant_instance
@@ -27,8 +26,10 @@ from .walk import (
     WalkSizeError,
     inner_search,
     make_context,
+    scale_anchors,
     solve_lcs_rle_p,
     solve_lrs,
+    subset_size,
 )
 
 EXIT_OK = 0
@@ -163,14 +164,8 @@ def _bench_cell(n: int, d: int, seed: int, mode: WalkMode, scheme: AnchorScheme,
     s, sep = concat_sep(inst.a, inst.b)
     ledger = QueryLedger()
     hs = OracleHandle(s, ledger)
-    if scheme is AnchorScheme.MINIMIZER and d >= model.d_min:
-        anchors = build_minimizer(s, d, seed, d_min=model.d_min)
-    else:
-        anchors = build_exhaustive(s, d)
-    ctx = make_context(hs, anchors, d, sep, model)
-    m = anchors.m
-    r = max(1, min(m, math.ceil(model.r_const * m ** (2.0 / 3.0))))
-    inner_search(ctx, inst.d_tilde, r, mode=mode, ledger=ledger)
+    ctx = make_context(hs, scale_anchors(s, d, scheme, seed, model), d, sep, model)
+    inner_search(ctx, inst.d_tilde, subset_size(model, ctx.anchors.m), mode=mode, ledger=ledger)
     return {
         "n": n,
         "d": d,
@@ -261,10 +256,7 @@ def cmd_validate_anchors(args) -> int:
         seed = args.seed + t
         inst = plant_instance(args.n_runs, args.d, args.d * 2, seed)
         s, sep = concat_sep(inst.a, inst.b)
-        if scheme is AnchorScheme.MINIMIZER:
-            anchors = build_minimizer(s, args.d, seed, d_min=model.d_min)
-        else:
-            anchors = build_exhaustive(s, args.d)
+        anchors = scale_anchors(s, args.d, scheme, seed, model)
         ok, witness = validate_anchor_set(anchors, s, sep, args.d)
         valid += ok
         verdict = "valid" if ok else f"INVALID witness={witness}"

@@ -4,8 +4,9 @@ Both structures keep a canonical representation: what they serialize to is a
 pure function of their current contents, never of the insert/delete history
 that produced them.  Neither charges the ledger: a walk is charged from the
 declared formulas in :mod:`rlelcs.walk`.  A walk vertex builds DynArrays as
-read-only views of its sorted lists; no solver path calls their mutators or
-the 2D counter, which stay for their tests and the benchmark's tracer.
+read-only views of its stored ids in the scale's window order; no solver
+path calls their mutators or the 2D counter, which stay for their tests and
+the benchmark's tracer.
 """
 
 from __future__ import annotations

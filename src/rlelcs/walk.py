@@ -7,8 +7,8 @@ chosen anchor ids and the count of stored pairs that certify the walk's
 target, so a check with no such pair reads one number.  Its orders, by id
 and by rank in the order of the text read forward from each anchor and of
 the text read backward into it, with adjacent decoded-common-prefix lengths,
-are views built on read.  Every mode charges the declared formulas below,
-whether it executes or not.
+are views built on read from the scale's window order.  Every mode charges
+the declared formulas below, whether it executes or not.
 
 A candidate pair certifies a target length t via two agreement conditions
 anchored at the pair's run ends: the backward windows agree for at least L
@@ -20,8 +20,9 @@ and makes the certificate exact (t agreed chars, stitched at the shared
 run boundary).  One row scorer, :func:`_score_rows`, evaluates this for a
 flagged anchor against every anchor.  The kernel :func:`best_certificate`
 runs it for the full-set index on all anchors at a scale; a walk vertex
-reads the scale's pair table, which it fills once.  Both read one window
-order per scale, ranked from the solve's run tokens.
+reads the scale's pair table, one m x m table of certificates filled once,
+and derives the winning pair's witness run again from that pair.  Both read
+one window order per scale, ranked from the solve's run tokens.
 """
 
 from __future__ import annotations
@@ -60,12 +61,13 @@ from .structures import DynArray
 DECODED_LENGTH_BOUND = 1 << 62
 
 # Walk mode solves strings (A $ B, or the LRS string) of at most this many
-# runs.  Memory binds, not time: a solve keeps one 16 * m**2-byte pair table
-# per scale it visits, so at this bound up to 8 tables of 16 MiB.  Planted
-# walk-mode solves (plant_instance(n, n // 8, 3 * (n // 8), 1)) on a 2-vCPU
-# x86-64 VM with Python 3.11 took 1.7 s at 769 runs, 4.0 s at 1 024, 6.9 s
-# at 1 600 and 10.0 s at 2 048, at a peak RSS of 99, 165, 353 and 620 MiB.
-WALK_RUN_BOUND = 1024
+# runs: there a planted solve peaks just under 200 MiB.  Memory binds, not
+# time: a solve keeps one 8 * m**2-byte pair table per scale it visits, so at
+# this bound up to 8 tables of 19.5 MiB.  Planted walk-mode solves
+# (plant_instance(n, n // 8, 3 * (n // 8), 1)) on a shared 2-vCPU x86-64 VM
+# with Python 3.11 took 3.2 s at 769 runs, 7.0 s at 1 023, 13.7 s at 1 600
+# and 17.0 s at 2 048, at a peak RSS of 68, 93, 197 and 332 MiB.
+WALK_RUN_BOUND = 1600
 
 
 class InternalInconsistencyError(RuntimeError):
@@ -322,30 +324,15 @@ class _WalkContext:
         return xs, fwd.window_order(xs, width), bwd.window_order(self.handle.n + 1 - xs, width)
 
     @cached_property
-    def pair_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """Certificate and witness run of every anchor pair (see _pair_table).
+    def pair_table(self) -> np.ndarray:
+        """Certificate of every ordered anchor pair (see _pair_table).
 
         Only walk vertices read it: each walk search marks its pairs once,
-        and a vertex's best() reads the stored anchors' block.  The two
-        tables hold 16 m^2 bytes.
+        and a vertex's best() reads the stored anchors' block.  It holds
+        8 m^2 bytes, the one m x m table a walk-mode scale keeps.
         """
         xs, (fwd_pos, h_f), (bwd_pos, h_b) = self.window_order
         return _pair_table(xs, fwd_pos, h_f, bwd_pos, h_b, self.pv, self.d, self.sep_index)
-
-    @cached_property
-    def vertex_ranks(self) -> tuple[list, list]:
-        """Forward and backward ranks as lists: a walk vertex's order views read them."""
-        _, (fwd_pos, _), (bwd_pos, _) = self.window_order
-        return fwd_pos.tolist(), bwd_pos.tolist()
-
-    @cached_property
-    def vertex_agreements(self) -> tuple[list, list]:
-        """Forward and backward range-minimum rows of h as lists.
-
-        Only a vertex's fwd_lcp/bwd_lcp views read them; no solve does.
-        """
-        _, (_, h_f), (_, h_b) = self.window_order
-        return _sparse_tables(h_f).tolist(), _sparse_tables(h_b).tolist()
 
     def color(self, x: int) -> Color:
         return color_of(x, self.sep_index)
@@ -379,11 +366,11 @@ class WalkVertex:
     with the stored ids, so a check at or above the threshold with no
     marked pair returns None without reading a pair; any other check runs
     best().  The default threshold, inf, marks nothing and builds no rows.
-    The read-only DynArray views, built when read: by_key, (anchor id, run
-    index) by id; fwd_order/bwd_order, the same in the context's forward
-    and backward window order; fwd_lcp/bwd_lcp, (anchor id, agreement with
-    the next anchor) along each order, the range minimum of h between their
-    ranks.
+    The read-only DynArray views, built when read from the context's window
+    order: by_key, (anchor id, run index) by id; fwd_order/bwd_order, the
+    same in the forward and backward window order; fwd_lcp/bwd_lcp, (anchor
+    id, agreement with the next anchor) along each order, the minimum of h
+    between their ranks.
     """
 
     def __init__(self, ctx: _WalkContext, threshold: float = math.inf):
@@ -441,16 +428,16 @@ class WalkVertex:
 
     def _ranked(self, side: int) -> list[tuple[int, int]]:
         """(rank, anchor id) of the stored anchors, sorted by rank in one window order."""
-        ranks = self.ctx.vertex_ranks[side]
-        return sorted((ranks[k - 1], k) for k in self._ids)
+        ranks = self.ctx.window_order[1 + side][0]
+        return sorted((int(ranks[k - 1]), k) for k in self._ids)
 
     def _order(self, ranked: list[tuple[int, int]]) -> DynArray:
         return DynArray(self._entries([k for _, k in ranked]))
 
     def _lcp(self, ranked: list[tuple[int, int]], side: int) -> DynArray:
-        rows = self.ctx.vertex_agreements[side]
+        h = self.ctx.window_order[1 + side][1]
         return DynArray(
-            (k, _agreement(rows, lo, hi)) for (lo, k), (hi, _) in zip(ranked, ranked[1:])
+            (k, _agreement(h, lo, hi)) for (lo, k), (hi, _) in zip(ranked, ranked[1:])
         )
 
     # checking ------------------------------------------------------------
@@ -464,19 +451,19 @@ class WalkVertex:
         flagged anchor by id, then partner by id; ties keep the first pair,
         as in best_certificate.  Run indices increase with anchor id, so
         id order puts red anchors first; the white anchor's row is all 0.
+        The winning pair's v is derived again from that pair alone.
         """
         ids = sorted(self._ids)
         if len(ids) < 2:
             return 0, None
-        cert, witness_v = self.ctx.pair_table
         at = np.array(ids) - 1
-        block = cert[np.ix_(at, at)]
+        block = self.ctx.pair_table[np.ix_(at, at)]
         i, j = divmod(int(np.argmax(block)), len(ids))
         best = int(block[i, j])
         if best == 0:
             return 0, None
         flag, partner = self._entries([ids[i], ids[j]])
-        return best, (flag, partner, int(witness_v[at[i], at[j]]))
+        return best, (flag, partner, _witness_run(self.ctx, at[i], at[j]))
 
     def check(self, d_tilde: int) -> Optional[Candidate]:
         """The stored anchors' best certified pair, if it reaches d_tilde."""
@@ -495,17 +482,22 @@ def _marked_rows(ctx: _WalkContext, threshold: float) -> list[int]:
     (a, b) or of (b, a) reaches threshold: one packbits over the m x m
     boolean, one int per row.
     """
-    cert = ctx.pair_table[0]
-    marked = cert >= threshold
+    marked = ctx.pair_table >= threshold
     marked = marked | marked.T
     packed = np.packbits(marked, axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
-def _agreement(rows: list[list[int]], lo: int, hi: int) -> int:
-    """Decoded agreement of the anchors at ranks lo < hi: the minimum of h[lo..hi-1]."""
-    level = (hi - lo).bit_length() - 1
-    return min(rows[level][lo], rows[level][hi - (1 << level)])
+def _agreement(h: np.ndarray, lo: int, hi: int) -> int:
+    """Decoded agreement of the anchors at ranks lo < hi: the minimum of h[lo:hi]."""
+    return int(h[lo:hi].min())
+
+
+def _witness_run(ctx: _WalkContext, a: int, b: int) -> int:
+    """The witness run v that _score_rows gives flagged anchor a with partner b (0-based)."""
+    xs, _, (bwd_pos, h_b) = ctx.window_order
+    lo, hi = sorted((int(bwd_pos[a]), int(bwd_pos[b])))
+    return int(_snap(ctx.pv, ctx.d, xs[a], _agreement(h_b, lo, hi))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -709,7 +701,7 @@ def best_certificate(
 
 
 def _pair_table(xs, fwd_pos, h_f, bwd_pos, h_b, pv, d, sep_index):
-    """Every ordered anchor pair's certificate and witness run v, as two m x m arrays.
+    """Every ordered anchor pair's certificate, as one m x m array.
 
     Row a, column b is what flagged anchor a certifies with partner b, 0
     where the pair is not admissible.  A pair's certificate depends on its
@@ -718,13 +710,12 @@ def _pair_table(xs, fwd_pos, h_f, bwd_pos, h_b, pv, d, sep_index):
     """
     m = len(xs)
     cert = np.zeros((m, m), dtype=np.int64)
-    v = np.zeros((m, m), dtype=np.int64)
     side = _sides(xs, sep_index)
     rows_per_pass = max(1, _PAIR_BATCH // m)
     for lo in range(0, m, rows_per_pass):
         rows = np.arange(lo, min(lo + rows_per_pass, m))
-        cert[rows], v[rows] = _score_rows(xs, fwd_pos, h_f, bwd_pos, h_b, pv, d, side, rows)
-    return cert, v
+        cert[rows] = _score_rows(xs, fwd_pos, h_f, bwd_pos, h_b, pv, d, side, rows)[0]
+    return cert
 
 
 def _candidate(
@@ -858,58 +849,33 @@ def inner_search(
 # decoded-domain extension and verification
 
 
-def _forward_match(ha: OracleHandle, pos_a: int, hb: OracleHandle, pos_b: int) -> int:
-    """Length of the maximal equal segment reading forward from two positions."""
-    if pos_a < 1 or pos_b < 1 or pos_a > ha.total or pos_b > hb.total:
+def _match(ha: OracleHandle, pos_a: int, hb: OracleHandle, pos_b: int, step: int) -> int:
+    """Length of the maximal equal segment from two positions, read forward (step 1) or back."""
+    end_a, end_b = ha.total, hb.total
+    if not (1 <= pos_a <= end_a and 1 <= pos_b <= end_b):
         return 0
+    back = int(step < 0)  # reading backward, run i's last char is prefix(i - 1) + 1
     ia = ha.inverse_prefix(pos_a)
     ib = hb.inverse_prefix(pos_b)
-    total = 0
+    length = 0
     while True:
         ca, _ = ha.query_run(ia)
         cb, _ = hb.query_run(ib)
         if ca != cb:
-            return total
-        rem_a = ha.query_prefix(ia) - pos_a + 1
-        rem_b = hb.query_prefix(ib) - pos_b + 1
-        step = min(rem_a, rem_b)
-        total += step
-        pos_a += step
-        pos_b += step
+            return length
+        # chars from the position to the end of its run, in reading direction
+        rem_a = abs(ha.query_prefix(ia - back) + back - pos_a) + 1
+        rem_b = abs(hb.query_prefix(ib - back) + back - pos_b) + 1
+        run = min(rem_a, rem_b)
+        length += run
+        pos_a += step * run
+        pos_b += step * run
+        if not (1 <= pos_a <= end_a and 1 <= pos_b <= end_b):
+            return length
         if rem_a <= rem_b:
-            ia += 1
-            if ia > ha.n:
-                return total
+            ia += step
         if rem_b <= rem_a:
-            ib += 1
-            if ib > hb.n:
-                return total
-
-
-def _backward_match(ha: OracleHandle, pos_a: int, hb: OracleHandle, pos_b: int) -> int:
-    """Length of the maximal equal segment reading backward from two positions."""
-    if pos_a < 1 or pos_b < 1 or pos_a > ha.total or pos_b > hb.total:
-        return 0
-    ia = ha.inverse_prefix(pos_a)
-    ib = hb.inverse_prefix(pos_b)
-    total = 0
-    while True:
-        ca, _ = ha.query_run(ia)
-        cb, _ = hb.query_run(ib)
-        if ca != cb:
-            return total
-        rem_a = pos_a - ha.query_prefix(ia - 1)
-        rem_b = pos_b - hb.query_prefix(ib - 1)
-        step = min(rem_a, rem_b)
-        total += step
-        pos_a -= step
-        pos_b -= step
-        if pos_a < 1 or pos_b < 1:
-            return total
-        if rem_a <= rem_b:
-            ia -= 1
-        if rem_b <= rem_a:
-            ib -= 1
+            ib += step
 
 
 @dataclass(frozen=True)
@@ -1043,10 +1009,10 @@ def finalize_answer(
     around the alignment: match backward from the two ends, forward from
     the positions after them, and read the runs the occurrence spans.
     """
-    q = _backward_match(ha, ends_a, hb, ends_b)
+    q = _match(ha, ends_a, hb, ends_b, -1)
     if q == 0:
         raise InternalInconsistencyError("collision ends do not match backward")
-    f = _forward_match(ha, ends_a + 1, hb, ends_b + 1)
+    f = _match(ha, ends_a + 1, hb, ends_b + 1, 1)
     total = q + f
     start_a = ends_a - q + 1
     start_b = ends_b - q + 1
@@ -1072,7 +1038,7 @@ def verify_candidate(ans: LcsAnswer, ha: OracleHandle, hb: OracleHandle) -> bool
         return False
     if not (pb.clamped(ans.i_B - 1) < ans.decoded_start_B <= pb.clamped(ans.i_B)):
         return False
-    if _forward_match(ha, ans.decoded_start_A, hb, ans.decoded_start_B) < d_tilde:
+    if _match(ha, ans.decoded_start_A, hb, ans.decoded_start_B, 1) < d_tilde:
         return False
     end_run = ha.inverse_prefix(ans.decoded_start_A + d_tilde - 1)
     return end_run - ans.i_A + 1 == ans.ell
@@ -1088,13 +1054,31 @@ class SolverConfig:
     anchors: AnchorScheme = AnchorScheme.EXHAUSTIVE
     seed: int = 0
     model: CostModel = field(default_factory=CostModel)
-    verify: bool = True
     use_fallback: bool = True
     # cost-only trajectories branch on (decoded, encoded) answer lengths;
     # without a hint the worst-case trajectory is charged
     truth_hint: Optional[tuple[int, int]] = None
     # per-scale anchor override, used by soundness tests
     anchor_sets: Optional[dict[int, AnchorSet]] = None
+
+
+def scale_anchors(
+    s: RleString,
+    d: int,
+    scheme: AnchorScheme,
+    seed: int,
+    model: CostModel,
+    span_hashes: Optional[dict[int, np.ndarray]] = None,
+) -> AnchorSet:
+    """Scale d's anchors: minimizers when the scheme asks and d >= d_min, else every run."""
+    if scheme is AnchorScheme.MINIMIZER and d >= model.d_min:
+        return build_minimizer(s, d, seed, d_min=model.d_min, span_hashes=span_hashes)
+    return build_exhaustive(s, d)
+
+
+def subset_size(model: CostModel, m: int) -> int:
+    """The walk's subset size r = ceil(r_const * m^(2/3)), clamped to 1..m."""
+    return max(1, min(m, math.ceil(model.r_const * m ** (2.0 / 3.0))))
 
 
 class _HintHit:
@@ -1142,27 +1126,19 @@ def _solve(
     d_values = _d_values(hs.n, model.d_min)
     cost_only = config.mode is WalkMode.COSTONLY
 
-    anchor_cache: dict[int, AnchorSet] = {}
-    span_hashes: dict[int, np.ndarray] = {}
-
-    def anchors_for(d: int) -> AnchorSet:
-        if d not in anchor_cache:
-            if config.anchor_sets is not None and d in config.anchor_sets:
-                anchor_cache[d] = config.anchor_sets[d]
-            elif config.anchors is AnchorScheme.MINIMIZER and d >= model.d_min:
-                anchor_cache[d] = build_minimizer(
-                    hs.string, d, config.seed, d_min=model.d_min, span_hashes=span_hashes
-                )
-            else:
-                anchor_cache[d] = build_exhaustive(hs.string, d)
-        return anchor_cache[d]
-
     ctx_cache: dict[int, _WalkContext] = {}
     tokens = _RunTokens(hs)
+    span_hashes: dict[int, np.ndarray] = {}
 
     def ctx_for(d: int) -> _WalkContext:
         if d not in ctx_cache:
-            ctx_cache[d] = make_context(hs, anchors_for(d), d, sep_index, model, tokens)
+            if config.anchor_sets is not None and d in config.anchor_sets:
+                anchors = config.anchor_sets[d]
+            else:
+                anchors = scale_anchors(
+                    hs.string, d, config.anchors, config.seed, model, span_hashes
+                )
+            ctx_cache[d] = make_context(hs, anchors, d, sep_index, model, tokens)
         return ctx_cache[d]
 
     index_cache: dict[int, CollisionIndex] = {}
@@ -1176,12 +1152,10 @@ def _solve(
     def probe(d_tilde: int):
         for d in d_values:
             ctx = ctx_for(d)
-            m = ctx.anchors.m
-            r = max(1, min(m, math.ceil(model.r_const * m ** (2.0 / 3.0))))
             cand = inner_search(
                 ctx,
                 d_tilde,
-                r,
+                subset_size(model, ctx.anchors.m),
                 mode=config.mode,
                 ledger=ledger,
                 rng=rng,
@@ -1225,7 +1199,7 @@ def _solve(
     else:
         ends_a, ends_b = best_hit.end_a, best_hit.end_b
     answer = finalize_answer(ends_a, ends_b, ha, hb)
-    if config.verify and not verify_candidate(answer, ha, hb):
+    if not verify_candidate(answer, ha, hb):
         raise InternalInconsistencyError(f"answer failed verification: {answer}")
     if answer.d_tilde < lo:
         # the recorded collision certified lo, so its extension cannot be

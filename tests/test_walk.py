@@ -53,8 +53,11 @@ from rlelcs.walk import (
     _pair_table,
     _rmq_vec,
     _row_bounds,
+    _score_rows,
     _separator,
+    _sides,
     _sparse_tables,
+    _witness_run,
     Candidate,
     CollisionIndex,
     Color,
@@ -659,6 +662,20 @@ def _minimizer_context(rng, lrs):
     return make_context(OracleHandle(s, QueryLedger()), anchors, d, sep, MODEL)
 
 
+def _kind_context(rng, trial):
+    """One of four context kinds by trial: random LCS with "!" below the separator,
+    random, periodic motifs and minimizer anchors, each LCS or LRS, full set or subset."""
+    lrs, subset, kind = trial % 2 == 1, trial % 3 == 0, trial % 4
+    d = rng.choice([1, 2, 3, 4, 8])
+    if kind == 0:
+        return _random_context(rng, lrs, rng.randint(1, 14), d, subset, b"!ab")
+    if kind == 1:
+        return _random_context(rng, lrs, rng.randint(1, 14), d, subset)
+    if kind == 2:
+        return _periodic_context(rng, lrs, d, subset)
+    return _minimizer_context(rng, lrs)
+
+
 def test_vertex_check_matches_kernel_on_stored_subset(monkeypatch):
     # random insert/delete/check sequences: the pair-table scan gives the
     # kernel's (best, witness) and Candidate on every stored subset; LCS with
@@ -669,16 +686,7 @@ def test_vertex_check_matches_kernel_on_stored_subset(monkeypatch):
     contexts = nonzero = 0
     for trial in range(96):
         monkeypatch.setattr(rlelcs.walk, "_PAIR_BATCH", 7 if trial % 5 == 0 else _PAIR_BATCH)
-        lrs, subset, kind = trial % 2 == 1, trial % 3 == 0, trial % 4
-        d = rng.choice([1, 2, 3, 4, 8])
-        if kind == 0:
-            ctx = _random_context(rng, lrs, rng.randint(1, 14), d, subset, b"!ab")
-        elif kind == 1:
-            ctx = _random_context(rng, lrs, rng.randint(1, 14), d, subset)
-        elif kind == 2:
-            ctx = _periodic_context(rng, lrs, d, subset)
-        else:
-            ctx = _minimizer_context(rng, lrs)
+        ctx = _kind_context(rng, trial)
         m = ctx.anchors.m
         v = WalkVertex(ctx)
         stored = set()
@@ -710,18 +718,9 @@ def test_vertex_marked_count_matches_brute_count():
     rng = random.Random(113)
     marked = skipped = 0
     for trial in range(64):
-        lrs, subset, kind = trial % 2 == 1, trial % 3 == 0, trial % 4
-        d = rng.choice([1, 2, 3, 4, 8])
-        if kind == 0:
-            ctx = _random_context(rng, lrs, rng.randint(1, 14), d, subset, b"!ab")
-        elif kind == 1:
-            ctx = _random_context(rng, lrs, rng.randint(1, 14), d, subset)
-        elif kind == 2:
-            ctx = _periodic_context(rng, lrs, d, subset)
-        else:
-            ctx = _minimizer_context(rng, lrs)
+        ctx = _kind_context(rng, trial)
         m = ctx.anchors.m
-        cert = _pair_table(*_kernel_args(ctx))[0].tolist()
+        cert = _pair_table(*_kernel_args(ctx)).tolist()
         top = max(1, max(map(max, cert)))
         threshold = rng.choice([1, top, top + 1, rng.randint(1, top)])
         v = WalkVertex(ctx, threshold)
@@ -903,16 +902,7 @@ def test_vertex_views_match_dynarray_oracle():
     rng = random.Random(83)
     steps = 0
     for trial in range(48):
-        lrs, subset, kind = trial % 2 == 1, trial % 3 == 0, trial % 4
-        d = rng.choice([1, 2, 3, 4, 8])
-        if kind == 0:
-            ctx = _random_context(rng, lrs, rng.randint(1, 14), d, subset, b"!ab")
-        elif kind == 1:
-            ctx = _random_context(rng, lrs, rng.randint(1, 14), d, subset)
-        elif kind == 2:
-            ctx = _periodic_context(rng, lrs, d, subset)
-        else:
-            ctx = _minimizer_context(rng, lrs)
+        ctx = _kind_context(rng, trial)
         m = ctx.anchors.m
         v, oracle = WalkVertex(ctx), _DynArrayVertex(ctx)
         stored = set()
@@ -960,8 +950,7 @@ def test_vertex_error_contract_leaves_views_unchanged():
 
 
 def test_walk_mode_never_builds_range_minimum_rows(monkeypatch):
-    # the range-minimum rows are built for the agreement views alone, which
-    # no solve reads
+    # walk-mode LCS and LRS solves build pair tables but no range-minimum rows
     tables = _spy(monkeypatch, "_sparse_tables")
     pairs = _spy(monkeypatch, "_pair_table")
     inst = plant_instance(12, 4, 12, 5)
@@ -970,11 +959,56 @@ def test_walk_mode_never_builds_range_minimum_rows(monkeypatch):
     ha, _, _ = make_handles(inst.a, encode(b""))
     solve_lrs(ha, SolverConfig(mode=WalkMode.RANDOMWALK))
     assert pairs and tables == []
-    v = WalkVertex(_context(b"aabbbc", b"dbbbcc", 2))
-    v.insert(1)
-    v.insert(4)
-    assert len(v.fwd_lcp) == len(v.bwd_lcp) == 1
-    assert len(tables) == 2
+
+
+def _arrays(value):
+    """The numpy arrays in a value, through nested tuples and lists."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, (tuple, list)):
+        return [a for item in value for a in _arrays(item)]
+    return []
+
+
+def test_walk_mode_scale_caches_one_pair_table(monkeypatch):
+    # every context of walk-mode LCS and LRS solves holds one m x m int64
+    # array, its pair table, and no other array of m * m entries or more
+    contexts, make = [], rlelcs.walk.make_context
+
+    def recorded(*args, **kwargs):
+        contexts.append(make(*args, **kwargs))
+        return contexts[-1]
+
+    monkeypatch.setattr(rlelcs.walk, "make_context", recorded)
+    inst = plant_instance(30, 5, 15, 4)
+    ha, hb, _ = make_handles(inst.a, inst.b)
+    assert solve_lcs_rle_p(ha, hb, SolverConfig(mode=WalkMode.RANDOMWALK)) is not None
+    ha, _, _ = make_handles(inst.a, encode(b""))
+    solve_lrs(ha, SolverConfig(mode=WalkMode.RANDOMWALK))
+    assert contexts
+    for ctx in contexts:
+        m = ctx.anchors.m
+        large = [a for value in vars(ctx).values() for a in _arrays(value) if a.size >= m * m]
+        assert m > 1 and len(large) == 1 and large[0] is ctx.pair_table
+        assert large[0].shape == (m, m) and large[0].dtype == np.int64
+
+
+def test_witness_run_matches_score_rows():
+    # the context kinds of the marked-count test: for every admissible pair,
+    # the witness run derived from that pair alone is _score_rows' v
+    rng = random.Random(127)
+    pairs = 0
+    for trial in range(64):
+        ctx = _kind_context(rng, trial)
+        xs, fwd_pos, h_f, bwd_pos, h_b, pv, d, sep = _kernel_args(ctx)
+        side = _sides(xs, sep)
+        rows = np.arange(len(xs))
+        _, v = _score_rows(xs, fwd_pos, h_f, bwd_pos, h_b, pv, d, side, rows)
+        for a, b in itertools.permutations(range(len(xs)), 2):
+            if side is None or side[a] + side[b] == 1:
+                assert _witness_run(ctx, a, b) == v[a, b], (trial, a, b)
+                pairs += 1
+    assert pairs > 2000
 
 
 def test_walk_mode_run_bound_fires_at_once():
@@ -1228,7 +1262,7 @@ def test_certificates_never_rise_as_scale_falls():
     falls = drops = 0
     for s, sep in cases:
         contexts = _scale_contexts(s, sep)
-        tables = [_pair_table(*_kernel_args(ctx))[0] for ctx in contexts]
+        tables = [_pair_table(*_kernel_args(ctx)) for ctx in contexts]
         bests = [best_certificate(*_kernel_args(ctx))[0] for ctx in contexts]
         for ctx, wide, narrow in zip(contexts[1:], tables, tables[1:]):
             assert (narrow <= wide).all(), (s, sep, ctx.d)
@@ -1639,6 +1673,95 @@ def test_candidate_shift_always_in_range():
         assert 0 <= cand.d_prime <= 2 * d
         assert cand.d_prime <= flagged_x - 1
         assert cand.L >= 1
+
+
+def _loop_forward_match(ha, pos_a, hb, pos_b):
+    """The forward matcher as its own loop: the oracle for _match(..., 1)."""
+    if pos_a < 1 or pos_b < 1 or pos_a > ha.total or pos_b > hb.total:
+        return 0
+    ia = ha.inverse_prefix(pos_a)
+    ib = hb.inverse_prefix(pos_b)
+    total = 0
+    while True:
+        ca, _ = ha.query_run(ia)
+        cb, _ = hb.query_run(ib)
+        if ca != cb:
+            return total
+        rem_a = ha.query_prefix(ia) - pos_a + 1
+        rem_b = hb.query_prefix(ib) - pos_b + 1
+        step = min(rem_a, rem_b)
+        total += step
+        pos_a += step
+        pos_b += step
+        if rem_a <= rem_b:
+            ia += 1
+            if ia > ha.n:
+                return total
+        if rem_b <= rem_a:
+            ib += 1
+            if ib > hb.n:
+                return total
+
+
+def _loop_backward_match(ha, pos_a, hb, pos_b):
+    """The backward matcher as its own loop: the oracle for _match(..., -1)."""
+    if pos_a < 1 or pos_b < 1 or pos_a > ha.total or pos_b > hb.total:
+        return 0
+    ia = ha.inverse_prefix(pos_a)
+    ib = hb.inverse_prefix(pos_b)
+    total = 0
+    while True:
+        ca, _ = ha.query_run(ia)
+        cb, _ = hb.query_run(ib)
+        if ca != cb:
+            return total
+        rem_a = pos_a - ha.query_prefix(ia - 1)
+        rem_b = pos_b - hb.query_prefix(ib - 1)
+        step = min(rem_a, rem_b)
+        total += step
+        pos_a -= step
+        pos_b -= step
+        if pos_a < 1 or pos_b < 1:
+            return total
+        if rem_a <= rem_b:
+            ia -= 1
+        if rem_b <= rem_a:
+            ib -= 1
+
+
+def test_match_equals_forward_and_backward_loops():
+    # random handle pairs, one shared handle (LRS), 10**12-long runs: from
+    # positions off both ends, at run boundaries and inside runs, the merged
+    # matcher returns each loop's length with the same run and prefix queries
+    rng = random.Random(167)
+    cases = []
+    for _ in range(60):
+        a, b = (random_rle(rng, rng.randint(1, 12), max_len=4, alphabet=b"abc") for _ in range(2))
+        cases += [(a, b), (a, None)]
+    big = 10**12
+    a = RleString.from_pairs([("a", big), ("b", 5), ("c", big), ("a", 3)])
+    b = RleString.from_pairs([("c", 7), ("a", big), ("b", 5), ("c", big)])
+    cases += [(a, b), (b, a), (a, None)]
+    matched = 0
+    for a, b in cases:
+        ha, hb, _ = make_handles(a, a if b is None else b)
+        hb = ha if b is None else hb
+        spots_a, spots_b = (
+            {0, h.total + 1}
+            | {end + k for end in h.prefix.values for k in (0, 1)}
+            | {rng.randint(1, h.total) for _ in range(4)}
+            for h in (ha, hb)
+        )
+        for pos_a, pos_b in itertools.product(sorted(spots_a), sorted(spots_b)):
+            for step, loop in ((1, _loop_forward_match), (-1, _loop_backward_match)):
+                got, want = QueryLedger(), QueryLedger()
+                ha.ledger = hb.ledger = got
+                length = rlelcs.walk._match(ha, pos_a, hb, pos_b, step)
+                ha.ledger = hb.ledger = want
+                assert length == loop(ha, pos_a, hb, pos_b), (a, b, pos_a, pos_b, step)
+                assert got.as_dict() == want.as_dict(), (a, b, pos_a, pos_b, step)
+                matched += length > 0
+    assert matched > 3000
 
 
 def test_finalize_rejects_mismatched_ends():
