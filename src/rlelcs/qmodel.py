@@ -211,6 +211,11 @@ def walk_search(
     hooks' declared costs, then runs the hooks if the mode executes them.
     Returns a marked-vertex report if any check reports one; always returns
     None when nothing is marked.
+
+    A setup that returns None declares that no vertex is marked.  The
+    full-set mode then returns None without a check; the random walk makes
+    the draws of a walk that never reports (its subset, then each swap's
+    positions) and returns None, calling no update and no check.
     """
     if not 1 <= r <= m:
         raise ValueError(f"need 1 <= r <= m, got r={r} m={m}")
@@ -228,7 +233,8 @@ def walk_search(
         return None
 
     if mode is WalkMode.FULLSET:
-        return hooks.check(hooks.setup(tuple(range(1, m + 1))))
+        state = hooks.setup(tuple(range(1, m + 1)))
+        return None if state is None else hooks.check(state)
 
     if mode is WalkMode.RANDOMWALK:
         import random as _random
@@ -243,13 +249,15 @@ def walk_search(
         )
         swaps = math.isqrt(r - 1) + 1 if r > 1 else 1
         for _ in range(max(1, budget)):
-            report = hooks.check(state)
+            report = None if state is None else hooks.check(state)
             # with r = m the full set is the only vertex: one check decides
             if report is not None or not outside:
                 return report
             for _ in range(swaps):
                 out_pos = rng.randrange(len(outside))
                 removed = rng.choice(inside)
+                if state is None:
+                    continue  # nothing is marked: the draws are all that remain
                 added = outside[out_pos]
                 hooks.update(state, removed, added)
                 del inside[bisect_left(inside, removed)]

@@ -23,6 +23,12 @@ runs it for the full-set index on all anchors at a scale; a walk vertex
 reads the scale's pair table, one m x m table of certificates filled once,
 and derives the winning pair's witness run again from that pair.  Both read
 one window order per scale, ranked from the solve's run tokens.
+
+A scale whose best certificate is below a search's target marks no vertex.
+Over the same anchors no certificate rises as d falls, so a larger scale's
+best bounds a smaller one's: a solve keeps each scale's best, and a scale
+that a larger one rules out builds no index or pair table.  A walk search
+with nothing to mark only makes its random draws.
 """
 
 from __future__ import annotations
@@ -61,12 +67,16 @@ from .structures import DynArray
 DECODED_LENGTH_BOUND = 1 << 62
 
 # Walk mode solves strings (A $ B, or the LRS string) of at most this many
-# runs: there a planted solve peaks just under 200 MiB.  Memory binds, not
-# time: a solve keeps one 8 * m**2-byte pair table per scale it visits, so at
-# this bound up to 8 tables of 19.5 MiB.  Planted walk-mode solves
-# (plant_instance(n, n // 8, 3 * (n // 8), 1)) on a shared 2-vCPU x86-64 VM
-# with Python 3.11 took 3.2 s at 769 runs, 7.0 s at 1 023, 13.7 s at 1 600
-# and 17.0 s at 2 048, at a peak RSS of 68, 93, 197 and 332 MiB.
+# runs.  Memory binds, not time: a solve keeps one 8 * m**2-byte pair table
+# per scale that no larger scale rules out, 19.5 MiB each at this bound.
+# Planted walk-mode solves (plant_instance(n, n // 8, 3 * (n // 8), 1)) with
+# exhaustive anchors build one table, at the top scale, and on a shared
+# 2-vCPU x86-64 VM with Python 3.11 took 0.9 s at 769 runs, 1.2 s at 1 023,
+# 2.6 s at 1 600 and 3.8 s at 2 048, at a peak RSS of 41, 45, 60 and 76 MiB.
+# The bound still allows for the worst case: a solve whose top-scale walk
+# misses a marked pair, or one with minimizer anchors, builds a table at
+# every scale it visits, up to 8 here; built at all 8 scales, the planted
+# 1 600-run tables took the solve to a peak of 196 MiB.
 WALK_RUN_BOUND = 1600
 
 
@@ -386,7 +396,7 @@ class WalkVertex:
     # mutation ----------------------------------------------------------
 
     def insert(self, k: int) -> None:
-        if not 1 <= k <= self.ctx.anchors.m:
+        if not 1 <= k <= len(self._rows):
             raise IndexError(f"anchor id {k} out of range")
         if k in self._ids:
             raise ValueError(f"anchor {k} already stored")
@@ -757,8 +767,16 @@ class CollisionIndex:
         )
 
 
-def _ceiling(index_cache: dict[int, CollisionIndex], ctx: _WalkContext) -> float:
-    """Least best of the cached indexes above ctx.d over the same anchor entries, else inf.
+class _TableBest:
+    """A walk-mode scale's best certificate, its pair table's maximum (as CollisionIndex.best)."""
+
+    def __init__(self, ctx: _WalkContext):
+        self.ctx = ctx
+        self.best = int(ctx.pair_table.max())
+
+
+def _ceiling(index_cache: dict[int, CollisionIndex | _TableBest], ctx: _WalkContext) -> float:
+    """Least best of the cached scales above ctx.d over the same anchor entries, else inf.
 
     It bounds this scale's best from above: with the same anchors each
     pair's certificate never falls as d grows (see CollisionIndex).
@@ -766,9 +784,9 @@ def _ceiling(index_cache: dict[int, CollisionIndex], ctx: _WalkContext) -> float
     entries = ctx.anchors.entries
     return min(
         (
-            index.best
-            for d, index in index_cache.items()
-            if d > ctx.d and index.ctx.anchors.entries == entries
+            scale.best
+            for d, scale in index_cache.items()
+            if d > ctx.d and scale.ctx.anchors.entries == entries
         ),
         default=math.inf,
     )
@@ -786,7 +804,7 @@ def inner_search(
     mode: WalkMode,
     ledger: QueryLedger,
     rng: Optional[random.Random] = None,
-    index_cache: Optional[dict[int, CollisionIndex]] = None,
+    index_cache: Optional[dict[int, CollisionIndex | _TableBest]] = None,
 ) -> Optional[Candidate]:
     """Walk search over r-subsets of the anchor set for one (d, d_tilde).
 
@@ -796,11 +814,14 @@ def inner_search(
     mode declare the same setup, update and check charges, so both add the
     same amount to the ledger.
 
-    ``index_cache`` holds one solve's full-set indexes by scale.  A scale
-    whose anchor entries equal those of a cached larger scale whose best is
-    below d_tilde builds no index and reports None: narrowing the windows
-    over the same anchors never raises a certificate (see CollisionIndex).
-    Its charges are those of a scale that builds.
+    ``index_cache`` holds one solve's scale bests by scale: the full-set
+    mode's indexes and the random walk's pair-table maxima.  A scale whose
+    anchor entries equal those of a cached larger scale whose best is below
+    d_tilde builds no index or pair table and reports None: narrowing the
+    windows over the same anchors never raises a certificate (see
+    CollisionIndex).  The random walk also marks nothing when its own
+    table's maximum is below d_tilde.  Either way its setup returns None, so
+    the walk only makes its draws.  Charges are those of a scale that builds.
     """
     m = ctx.anchors.m
     if not 1 <= r <= m:
@@ -808,18 +829,22 @@ def inner_search(
     model = ctx.model
     d = ctx.d
     delta = (r / m) ** 2
+    cache = {} if index_cache is None else index_cache
+
+    def scale_best(build):
+        """This scale's cached best, built first; None when a larger scale rules d_tilde out."""
+        if d not in cache and _ceiling(cache, ctx) >= d_tilde:
+            cache[d] = build(ctx)
+        return cache.get(d)
 
     if mode is WalkMode.FULLSET:
-        cache = {} if index_cache is None else index_cache
-        if d not in cache and _ceiling(cache, ctx) >= d_tilde:
-            cache[d] = CollisionIndex(ctx)
-        index = cache.get(d)  # None: a larger scale rules d_tilde out
+        index = scale_best(CollisionIndex)
         hooks = WalkHooks(
             setup_cost=setup_charge(model, d, m),
             update_cost=0.0,
             check_cost=check_charge(model, d, m),
             setup=lambda subset: index,
-            check=lambda state: None if state is None else state.query(d_tilde),
+            check=lambda state: state.query(d_tilde),
         )
         return walk_search(m, m, delta, hooks, mode=mode, ledger=ledger, model=model)
 
@@ -831,6 +856,9 @@ def inner_search(
     if mode is WalkMode.RANDOMWALK:
 
         def setup(subset):
+            table = scale_best(_TableBest)
+            if table is None or table.best < d_tilde:
+                return None  # no pair at this scale reaches d_tilde
             vertex = WalkVertex(ctx, d_tilde)
             for k in subset:
                 vertex.insert(k)

@@ -225,7 +225,9 @@ def _sorted_set_walk(m, r, delta_bound, model, rng):
 
 def test_walk_search_swaps_match_sorted_set_oracle():
     # the sorted subset list draws the ids the set sorted on every swap drew:
-    # same setup subset, same swap stream, so the same RNG state afterwards
+    # same setup subset, same swap stream, so the same RNG state afterwards.
+    # A setup that returns None (no vertex is marked) makes the same draws,
+    # and calls no update and no check
     import random
 
     model = CostModel(step_budget_factor=2.0)
@@ -233,30 +235,54 @@ def test_walk_search_swaps_match_sorted_set_oracle():
     for _ in range(12):
         m, seed, delta = rng.randint(1, 30), rng.randrange(10**6), rng.choice([1.0, 0.3])
         for r in range(1, m + 1):
-            seen = []
-            hooks = WalkHooks(
-                0.0,
-                0.0,
-                0.0,
-                setup=lambda subset: seen.append(subset),
-                update=lambda state, removed, added: seen.append((removed, added)),
-                check=lambda state: None,
-            )
-            walk_rng, oracle_rng = random.Random(seed), random.Random(seed)
-            report = walk_search(
-                m,
-                r,
-                delta,
-                hooks,
-                mode=WalkMode.RANDOMWALK,
-                ledger=QueryLedger(),
-                model=model,
-                rng=walk_rng,
-            )
-            setup, swaps = _sorted_set_walk(m, r, delta, model, oracle_rng)
-            assert report is None
-            assert seen == [setup] + swaps, (m, r, seed)
-            assert walk_rng.getstate() == oracle_rng.getstate()
+            oracle_rng = random.Random(seed)
+            setup_subset, swaps = _sorted_set_walk(m, r, delta, model, oracle_rng)
+            for unmarked in (False, True):
+                seen = []
+
+                def setup(subset):
+                    seen.append(subset)
+                    return None if unmarked else seen
+
+                hooks = WalkHooks(
+                    0.0,
+                    0.0,
+                    0.0,
+                    setup=setup,
+                    update=lambda state, removed, added: seen.append((removed, added)),
+                    check=lambda state: seen.append("check"),
+                )
+                walk_rng = random.Random(seed)
+                report = walk_search(
+                    m,
+                    r,
+                    delta,
+                    hooks,
+                    mode=WalkMode.RANDOMWALK,
+                    ledger=QueryLedger(),
+                    model=model,
+                    rng=walk_rng,
+                )
+                assert report is None
+                if unmarked:
+                    assert seen == [setup_subset], (m, r, seed)
+                else:
+                    assert "check" in seen
+                    assert [x for x in seen if x != "check"] == [setup_subset] + swaps, (m, r, seed)
+                assert walk_rng.getstate() == oracle_rng.getstate(), (m, r, seed, unmarked)
+
+
+def test_walk_search_fullset_none_setup_skips_check():
+    # full-set mode: a setup that returns None reports None without a check,
+    # at the charge of a search that checks
+    calls = []
+    for state in (None, {1, 2}):
+        ledger = QueryLedger()
+        hooks = WalkHooks(3.0, 0.0, 2.0, setup=lambda subset: state, check=calls.append)
+        mode = WalkMode.FULLSET
+        report = walk_search(4, 4, 1.0, hooks, mode=mode, ledger=ledger, model=CostModel())
+        assert report is None and ledger.charged_cost == 5.0
+    assert calls == [{1, 2}]
 
 
 def test_make_handles_share_ledger():

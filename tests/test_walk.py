@@ -792,7 +792,10 @@ def test_walk_check_runs_best_only_on_its_hit(monkeypatch):
         assert sum(runs for runs, _ in search) <= 1
         assert all(runs == hit for runs, hit in search)
     hits = sum(hit for search in searches for _, hit in search)
-    assert hits > 4 and len(checks) > 100 * hits
+    # a walk search with no pair at its target builds no vertex and checks
+    # nothing; in those that build one, the count answers most checks
+    built = [search for search in searches if search]
+    assert hits > 4 and sum(map(len, built)) > 5 * hits and len(built) < len(searches)
 
 
 def test_pair_table_only_in_walk_mode(monkeypatch):
@@ -971,8 +974,10 @@ def _arrays(value):
 
 
 def test_walk_mode_scale_caches_one_pair_table(monkeypatch):
-    # every context of walk-mode LCS and LRS solves holds one m x m int64
-    # array, its pair table, and no other array of m * m entries or more
+    # every context of walk-mode LCS and LRS solves holds at most one m x m
+    # int64 array, its pair table, and no other array of m * m entries or
+    # more; with exhaustive anchors over several scales, a scale that a
+    # larger one rules out builds none
     contexts, make = [], rlelcs.walk.make_context
 
     def recorded(*args, **kwargs):
@@ -985,12 +990,17 @@ def test_walk_mode_scale_caches_one_pair_table(monkeypatch):
     assert solve_lcs_rle_p(ha, hb, SolverConfig(mode=WalkMode.RANDOMWALK)) is not None
     ha, _, _ = make_handles(inst.a, encode(b""))
     solve_lrs(ha, SolverConfig(mode=WalkMode.RANDOMWALK))
-    assert contexts
+    assert len(contexts) > 2
+    tables = 0
     for ctx in contexts:
         m = ctx.anchors.m
         large = [a for value in vars(ctx).values() for a in _arrays(value) if a.size >= m * m]
-        assert m > 1 and len(large) == 1 and large[0] is ctx.pair_table
-        assert large[0].shape == (m, m) and large[0].dtype == np.int64
+        assert m > 1 and len(large) <= 1
+        for table in large:
+            assert table is vars(ctx)["pair_table"]
+            assert table.shape == (m, m) and table.dtype == np.int64
+        tables += len(large)
+    assert 0 < tables < len(contexts)
 
 
 def test_witness_run_matches_score_rows():
@@ -1388,6 +1398,46 @@ def test_scale_ceiling_anchor_overrides():
                 assert got[2] == want[2], seed
                 differing += got[2] > 1
     assert shared > 3 and differing > 3
+
+
+def test_walk_search_builds_a_vertex_exactly_when_its_table_reaches_the_target(monkeypatch):
+    # differential: in planted multi-scale walk solves (LCS and LRS, both
+    # anchor schemes), a walk search builds no vertex exactly when the pair
+    # table of its scale, computed here, holds no certificate at its target;
+    # those searches only draw.  With exhaustive anchors the ceiling also
+    # leaves some scales without a table of their own
+    searches, vertices = [], []
+    search, init = rlelcs.walk.inner_search, WalkVertex.__init__
+
+    def spy_search(ctx, d_tilde, *args, **kwargs):
+        start = len(vertices)
+        out = search(ctx, d_tilde, *args, **kwargs)
+        searches.append((ctx, d_tilde, len(vertices) > start))
+        return out
+
+    def spy_init(vertex, ctx, threshold=math.inf):
+        vertices.append(ctx)
+        init(vertex, ctx, threshold)
+
+    monkeypatch.setattr(rlelcs.walk, "inner_search", spy_search)
+    monkeypatch.setattr(WalkVertex, "__init__", spy_init)
+    for seed, n in ((1, 40), (2, 64)):
+        inst = plant_instance(n, n // 8, 3 * (n // 8), seed, verify=False)
+        joined, _ = concat_sep(inst.a, inst.b)
+        for scheme in AnchorScheme:
+            config = SolverConfig(mode=WalkMode.RANDOMWALK, anchors=scheme, seed=seed)
+            ha, hb, _ = make_handles(inst.a, inst.b)
+            assert solve_lcs_rle_p(ha, hb, config) is not None
+            ha, _, _ = make_handles(joined, encode(b""))
+            assert solve_lrs(ha, config) is not None
+    maxima = {}
+    for ctx, d_tilde, built in searches:
+        if id(ctx) not in maxima:
+            maxima[id(ctx)] = int(_pair_table(*_kernel_args(ctx)).max())
+        assert built == (maxima[id(ctx)] >= d_tilde), (ctx.d, d_tilde)
+    drawn = sum(not built for _, _, built in searches)
+    untabled = {id(ctx) for ctx, _, _ in searches if "pair_table" not in vars(ctx)}
+    assert drawn > 100 and len(searches) - drawn > 20 and len(untabled) > 5
 
 
 def test_finalize_and_verify_worked_example():
