@@ -1,8 +1,13 @@
 """Brute-force ground-truth oracles and instance generators.
 
 The only module allowed to materialize decoded strings.  The oracles are
-deliberately naive (quadratic dynamic programming over decoded bytes) so
-they can serve as trustworthy expectations for everything else.
+exact quadratic scans over decoded bytes, simple enough to serve as
+trustworthy expectations for everything else; each one's tie rule is part
+of its result.  A common or repeated substring is a run of True in an
+equality array, which numpy takes in blocks of at most _BRUTE_BLOCK = 2^16
+cells, so the numpy calls scale with blocks, not with decoded rows or
+shifts.  The exception is brute_lcs past its one-pass cut, a row DP with
+four numpy calls per decoded char of A.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .anchors import AnchorSet, anchor_at
-from .rle import RESERVED_SEPARATORS, RleString, Run, decode, encode
+from .rle import RESERVED_SEPARATORS, RleString, Run, decode
 
 
 class ResourceLimitError(RuntimeError):
@@ -38,8 +43,37 @@ class BruteLrs:
     start_2: int
 
 
+# cells of one numpy pass over an oracle's equality array (at least one row)
+_BRUTE_BLOCK = 1 << 16
+# int16 fill values no byte takes: _LEFT heads each row of an equality
+# array, _PAD stands past the ends of the other string
+_LEFT, _PAD = -1, -2
+
+
+def _runs(eq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(starts, lengths) of the runs of True in eq, flattened in row-major order.
+
+    The first and last cells of eq must be False.
+    """
+    step = np.diff(eq.view(np.int8).ravel())
+    starts = np.flatnonzero(step > 0)
+    return starts + 1, np.flatnonzero(step < 0) - starts
+
+
 def brute_lcs(a: RleString, b: RleString, *, bound: int = DESK_BOUND) -> BruteLcs:
-    """Exact decoded LCS by dynamic programming over decoded bytes."""
+    """Exact decoded LCS over decoded bytes.
+
+    The answer is the longest common substring, ties broken by least end in
+    A, then least end in B.  When the skewed (|A|+|B|) x (|A|+1) equality
+    array fits in one block of _BRUTE_BLOCK cells (the one-pass cut), one
+    numpy pass builds it: row r is A against B's diagonal of offset
+    r - |A| + 1, padded where that runs off B (the last row is all
+    padding), column 0 is a False separator, and each common substring is
+    one run of True.  Longer inputs take a row DP over A: two swapped
+    buffers hold the lengths of the common suffixes ending at each position
+    of B, updated in place, four numpy calls per row.  Working memory is
+    O(|A| + |B|) plus at most _BRUTE_BLOCK cells.
+    """
     if a.total * b.total > bound:
         raise ResourceLimitError(f"decoded product {a.total * b.total} exceeds bound {bound}")
     da, db = decode(a), decode(b)
@@ -47,40 +81,52 @@ def brute_lcs(a: RleString, b: RleString, *, bound: int = DESK_BOUND) -> BruteLc
         return BruteLcs(0, 0, 0, 0)
     xa = np.frombuffer(da, dtype=np.uint8)
     xb = np.frombuffer(db, dtype=np.uint8)
-    prev = np.zeros(len(xb) + 1, dtype=np.int64)
-    best_len, best_end_a, best_end_b = 0, 0, 0
-    for i in range(1, len(xa) + 1):
-        cur = np.zeros(len(xb) + 1, dtype=np.int64)
-        match = xb == xa[i - 1]
-        cur[1:][match] = prev[:-1][match] + 1
-        j = int(np.argmax(cur))
-        if cur[j] > best_len:
-            best_len, best_end_a, best_end_b = int(cur[j]), i, j
-        prev = cur
-    if best_len == 0:
-        return BruteLcs(0, 0, 0, 0)
+    na, nb = len(xa), len(xb)
+    if (na + nb) * (na + 1) <= _BRUTE_BLOCK:
+        left = np.concatenate(([_LEFT], xa)).astype(np.int16)
+        right = np.full(2 * na + nb, _PAD, dtype=np.int16)
+        right[na : na + nb] = xb
+        starts, lengths = _runs(np.lib.stride_tricks.sliding_window_view(right, na + 1) == left)
+        if not lengths.size:
+            return BruteLcs(0, 0, 0, 0)
+        best_len = int(lengths.max())
+        row, col = np.divmod(starts[lengths == best_len] + best_len - 1, na + 1)
+        ends_b = col + row - na + 1
+        k = int(np.argmin(col * (nb + 1) + ends_b))
+        best_end_a, best_end_b = int(col[k]), int(ends_b[k])
+    else:
+        prev = np.zeros(nb + 1, dtype=np.int32)
+        cur = np.zeros(nb + 1, dtype=np.int32)
+        eq = np.empty(nb, dtype=bool)
+        best_len, best_end_a, best_end_b = 0, 0, 0
+        for i in range(1, na + 1):
+            np.equal(xb, xa[i - 1], out=eq)
+            np.add(prev[:-1], 1, out=cur[1:])
+            np.multiply(cur[1:], eq, out=cur[1:])
+            j = int(cur.argmax())
+            if cur[j] > best_len:
+                best_len, best_end_a, best_end_b = int(cur[j]), i, j
+            prev, cur = cur, prev
+        if best_len == 0:
+            return BruteLcs(0, 0, 0, 0)
     start_a = best_end_a - best_len + 1
     start_b = best_end_b - best_len + 1
-    sub = encode(da[start_a - 1 : best_end_a])
-    return BruteLcs(best_len, start_a, start_b, sub.n)
-
-
-def _max_equal_run(eq: np.ndarray) -> tuple[int, int]:
-    """(length, end_index) of the longest run of True, vectorized."""
-    if not eq.any():
-        return 0, -1
-    starts = np.flatnonzero(np.concatenate(([True], ~eq[:-1])) & eq)
-    ends = np.flatnonzero(eq & np.concatenate((~eq[1:], [True])))
-    lengths = ends - starts + 1
-    j = int(np.argmax(lengths))
-    return int(lengths[j]), int(ends[j])
+    sub = xa[start_a - 1 : best_end_a]  # its runs: one more than its char changes
+    return BruteLcs(best_len, start_a, start_b, 1 + int(np.count_nonzero(sub[1:] != sub[:-1])))
 
 
 def brute_lrs(a: RleString, *, bound: int = DESK_BOUND) -> BruteLrs:
     """Exact longest repeated substring (occurrences may overlap).
 
-    Scans every start-offset shift and takes the longest run of positional
-    equality between the string and its shifted self.
+    Compares the string with itself at every shift 1 .. n-1; the answer is
+    the longest run of positional equality, ties broken by least shift, then
+    least start.  One numpy pass takes a block of _BRUTE_BLOCK // (n+1)
+    shifts (at least one), in increasing order: the row of shift s is the
+    string against a sliding window of itself s ahead, padded past the end,
+    with a False separator in column 0, and the first longest run in
+    row-major order is the block's answer.  The scan stops at the first
+    shift whose overlap is no longer than the best run.  Working memory is
+    O(n) plus at most max(_BRUTE_BLOCK, n+1) cells.
     """
     if a.total * a.total > bound:
         raise ResourceLimitError(f"decoded square {a.total ** 2} exceeds bound {bound}")
@@ -89,14 +135,23 @@ def brute_lrs(a: RleString, *, bound: int = DESK_BOUND) -> BruteLrs:
     if n < 2:
         return BruteLrs(0, 0, 0)
     x = np.frombuffer(data, dtype=np.uint8)
+    left = np.concatenate(([_LEFT], x)).astype(np.int16)
+    right = np.full(2 * n - 1, _PAD, dtype=np.int16)
+    right[:n] = x
+    # window w of right, against left, compares x[i] with x[i + w + 1]
+    windows = np.lib.stride_tricks.sliding_window_view(right, n + 1)
+    rows = max(1, _BRUTE_BLOCK // (n + 1))
     best_len, best_1, best_2 = 0, 0, 0
-    for shift in range(1, n):
-        eq = x[: n - shift] == x[shift:]
-        length, end = _max_equal_run(eq)
-        if length > best_len:
-            best_len = length
-            best_1 = end - length + 2  # 1-based start of first copy
-            best_2 = best_1 + shift
+    for w0 in range(0, n - 1, rows):
+        if best_len >= n - 1 - w0:
+            break  # no run at shift w0 + 1 or beyond can be longer
+        starts, lengths = _runs(windows[w0 : w0 + rows] == left)
+        if lengths.size:
+            j = int(lengths.argmax())
+            if lengths[j] > best_len:
+                best_len = int(lengths[j])
+                row, best_1 = divmod(int(starts[j]), n + 1)
+                best_2 = best_1 + w0 + row + 1
     return BruteLrs(best_len, best_1, best_2)
 
 

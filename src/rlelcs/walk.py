@@ -310,6 +310,7 @@ class _WalkContext:
     sep_index: Optional[int]
     model: CostModel
     tokens: _RunTokens
+    _charges: dict[int, tuple[float, float, float]] = field(default_factory=dict, repr=False)
 
     @property
     def lrs(self) -> bool:
@@ -346,6 +347,17 @@ class _WalkContext:
 
     def color(self, x: int) -> Color:
         return color_of(x, self.sep_index)
+
+    def charges(self, r: int) -> tuple[float, float, float]:
+        """Declared (setup, update, check) charges of a walk search over r-subsets here."""
+        if r not in self._charges:
+            model, d = self.model, self.d
+            self._charges[r] = (
+                setup_charge(model, d, r),
+                update_charge(model, d),
+                check_charge(model, d, r),
+            )
+        return self._charges[r]
 
 
 def make_context(
@@ -839,20 +851,18 @@ def inner_search(
 
     if mode is WalkMode.FULLSET:
         index = scale_best(CollisionIndex)
+        setup_cost, _, check_cost = ctx.charges(m)
         hooks = WalkHooks(
-            setup_cost=setup_charge(model, d, m),
+            setup_cost=setup_cost,
             update_cost=0.0,
-            check_cost=check_charge(model, d, m),
+            check_cost=check_cost,
             setup=lambda subset: index,
             check=lambda state: state.query(d_tilde),
         )
         return walk_search(m, m, delta, hooks, mode=mode, ledger=ledger, model=model)
 
-    hooks = WalkHooks(
-        setup_cost=setup_charge(model, d, r),
-        update_cost=update_charge(model, d),
-        check_cost=check_charge(model, d, r),
-    )
+    setup_cost, update_cost, check_cost = ctx.charges(r)
+    hooks = WalkHooks(setup_cost=setup_cost, update_cost=update_cost, check_cost=check_cost)
     if mode is WalkMode.RANDOMWALK:
 
         def setup(subset):

@@ -1,7 +1,10 @@
 import random
+from dataclasses import astuple
 
+import numpy as np
 import pytest
 
+from rlelcs import reference
 from rlelcs.reference import (
     ParameterError,
     ResourceLimitError,
@@ -10,7 +13,86 @@ from rlelcs.reference import (
     plant_instance,
     random_rle,
 )
-from rlelcs.rle import decode, encode
+from rlelcs.rle import RleString, Run, decode, encode
+
+
+def row_loop_lcs(a, b):
+    """Reference brute LCS: one fresh DP row per decoded char of A."""
+    da, db = decode(a), decode(b)
+    if not da or not db:
+        return (0, 0, 0, 0)
+    xa = np.frombuffer(da, dtype=np.uint8)
+    xb = np.frombuffer(db, dtype=np.uint8)
+    prev = np.zeros(len(xb) + 1, dtype=np.int64)
+    best_len, best_end_a, best_end_b = 0, 0, 0
+    for i in range(1, len(xa) + 1):
+        cur = np.zeros(len(xb) + 1, dtype=np.int64)
+        match = xb == xa[i - 1]
+        cur[1:][match] = prev[:-1][match] + 1
+        j = int(np.argmax(cur))
+        if cur[j] > best_len:
+            best_len, best_end_a, best_end_b = int(cur[j]), i, j
+        prev = cur
+    if best_len == 0:
+        return (0, 0, 0, 0)
+    start_a = best_end_a - best_len + 1
+    start_b = best_end_b - best_len + 1
+    return (best_len, start_a, start_b, encode(da[start_a - 1 : best_end_a]).n)
+
+
+def shift_loop_lrs(a):
+    """Reference brute LRS: the longest equal run at each shift, one shift at a time."""
+    data = decode(a)
+    n = len(data)
+    if n < 2:
+        return (0, 0, 0)
+    x = np.frombuffer(data, dtype=np.uint8)
+    best_len, best_1, best_2 = 0, 0, 0
+    for shift in range(1, n):
+        eq = x[: n - shift] == x[shift:]
+        if not eq.any():
+            continue
+        starts = np.flatnonzero(np.concatenate(([True], ~eq[:-1])) & eq)
+        ends = np.flatnonzero(eq & np.concatenate((~eq[1:], [True])))
+        lengths = ends - starts + 1
+        j = int(np.argmax(lengths))
+        if lengths[j] > best_len:
+            best_len = int(lengths[j])
+            best_1 = int(ends[j]) - best_len + 2
+            best_2 = best_1 + shift
+    return (best_len, best_1, best_2)
+
+
+# bytes 0, 255 and "$" next to the oracles' int16 fill values; random_rle
+# refuses "$" (a reserved separator), so random_case draws its own runs
+ALPHABETS = ((0, 255, ord("$")), (0, 1), (ord("a"), ord("b")), (97, 98, 99, 100), (36, 255, 0, 7))
+
+
+def random_case(rng, max_runs):
+    alphabet = rng.choice(ALPHABETS)
+    runs, prev = [], -1
+    for _ in range(rng.randint(1, max_runs)):
+        c = rng.choice([c for c in alphabet if c != prev])
+        runs.append(Run(c, rng.randint(1, rng.choice((1, 2, 9)))))
+        prev = c
+    return RleString(tuple(runs))
+
+
+# many equally long common or repeated substrings, one-char and one-run inputs
+TIE_STRINGS = [
+    b"a",
+    b"\x00",
+    b"\xff" * 7,
+    b"$" * 40,
+    b"ab" * 20,
+    b"ba" * 19,
+    b"abc" * 9,
+    b"aab" * 11,
+    b"ab$ab$ba$ba$",
+    b"\x00\xff" * 12 + b"\xff\x00" * 12,
+    b"xyxxyxxyyx" * 3,
+    b"$a$b$a$b$",
+]
 
 
 def test_brute_lcs_worked_example():
@@ -49,10 +131,59 @@ def test_brute_lcs_matches_naive_scan():
         assert brute_lcs(encode(a), encode(b)).length == naive
 
 
+@pytest.mark.parametrize("block", [0, reference._BRUTE_BLOCK], ids=["row-loop", "default"])
+def test_brute_lcs_equals_row_loop_random(monkeypatch, block):
+    # block 0 sends every pair to the row DP; the default sends pairs of up
+    # to about 250 decoded chars to the one-pass skewed array
+    monkeypatch.setattr(reference, "_BRUTE_BLOCK", block)
+    rng = random.Random(14)
+    for _ in range(1000):
+        a, b = random_case(rng, 20), random_case(rng, 20)
+        assert astuple(brute_lcs(a, b)) == row_loop_lcs(a, b), (a, b)
+
+
+def test_brute_lcs_equals_row_loop_on_ties():
+    strings = [encode(t) for t in TIE_STRINGS]
+    for a in strings:
+        for b in strings:
+            assert astuple(brute_lcs(a, b)) == row_loop_lcs(a, b), (a, b)
+
+
+@pytest.mark.parametrize("nb", [384, 385, 386], ids=["below", "at", "above"])
+def test_brute_lcs_equals_row_loop_at_one_pass_cut(nb):
+    na = 127  # (na + nb) * (na + 1) == 2^16 at nb = 385
+    assert ((na + nb) * (na + 1) <= reference._BRUTE_BLOCK) == (nb <= 385)
+    rng = random.Random(nb)
+    for _ in range(6):
+        alphabet = rng.choice(ALPHABETS)
+        a = encode(bytes(rng.choice(alphabet) for _ in range(na)))
+        b = encode(bytes(rng.choice(alphabet) for _ in range(nb)))
+        assert astuple(brute_lcs(a, b)) == row_loop_lcs(a, b)
+        assert astuple(brute_lcs(b, a)) == row_loop_lcs(b, a)
+
+
 def test_brute_lcs_resource_bound():
     big = encode(bytes([97 + (i % 2) for i in range(4000)]))
     with pytest.raises(ResourceLimitError):
         brute_lcs(big, big, bound=10_000)
+
+
+def test_brute_lrs_resource_bound(monkeypatch):
+    with pytest.raises(ResourceLimitError):
+        brute_lrs(encode(bytes([97 + (i % 2) for i in range(4000)])), bound=10_000)
+    assert brute_lrs(encode(b"abab"), bound=16).length == 2  # at the bound
+    with pytest.raises(ResourceLimitError):
+        brute_lrs(encode(b"ababa"), bound=16)
+
+    def no_decode(s):
+        raise AssertionError("decoded past the bound")
+
+    monkeypatch.setattr(reference, "decode", no_decode)
+    huge = RleString((Run(ord("a"), 10**12),))
+    with pytest.raises(ResourceLimitError):
+        brute_lrs(huge)
+    with pytest.raises(ResourceLimitError):
+        brute_lcs(huge, encode(b"a"))
 
 
 def test_brute_lrs_examples():
@@ -75,6 +206,40 @@ def test_brute_lrs_matches_naive():
                     l += 1
                 naive = max(naive, l)
         assert brute_lrs(encode(s)).length == naive
+
+
+@pytest.mark.parametrize("block", [0, reference._BRUTE_BLOCK], ids=["one-shift", "default"])
+def test_brute_lrs_equals_shift_loop_random(monkeypatch, block):
+    # block 0 takes one shift per pass; the default up to 2^16 // (n + 1)
+    monkeypatch.setattr(reference, "_BRUTE_BLOCK", block)
+    rng = random.Random(15)
+    for _ in range(1000):
+        a = random_case(rng, 30)
+        assert astuple(brute_lrs(a)) == shift_loop_lrs(a), a
+    for t in TIE_STRINGS:
+        assert astuple(brute_lrs(encode(t))) == shift_loop_lrs(encode(t)), t
+
+
+def test_brute_lrs_equals_shift_loop_across_blocks():
+    rng = random.Random(16)
+
+    def chars(k):
+        return bytes(rng.choice(b"ab$\x00\xff") for _ in range(k))
+
+    for case in range(16):
+        if case % 2:
+            # a repeated motif with a few changed chars: long runs at many shifts
+            motif = chars(rng.randint(2, 9))
+            text = bytearray(motif * (rng.randint(600, 900) // len(motif)))
+            for i in rng.sample(range(len(text)), 4):
+                text[i] = rng.choice(b"\x00\xffab")
+        else:
+            # one copy of a block far ahead: the answer's shift is past the first block
+            block = chars(rng.randint(40, 120))
+            text = block + chars(rng.randint(500, 700)) + block
+        a = encode(bytes(text))
+        assert len(text) - 1 > 3 * (reference._BRUTE_BLOCK // (len(text) + 1))  # several blocks
+        assert astuple(brute_lrs(a)) == shift_loop_lrs(a)
 
 
 def test_plant_instance_reconfirmed_by_brute():
