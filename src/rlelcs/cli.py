@@ -16,7 +16,7 @@ from pathlib import Path
 from .anchors import AnchorScheme, validate_anchor_set
 from .qmodel import CostModel, OracleHandle, QueryLedger, WalkMode
 from .reductions import gadget_dl, parity_via_dl, parity_via_el
-from .reference import ResourceLimitError, brute_lcs, plant_instance
+from .reference import ParameterError, ResourceLimitError, brute_lcs, plant_instance
 from .rle import ParseError, RleString, concat_sep, decode, encode, format_rle, parse_rle
 from .walk import (
     DecodedLengthError,
@@ -181,10 +181,17 @@ def _bench_cell(n: int, d: int, seed: int, mode: WalkMode, scheme: AnchorScheme,
 BENCH_COLUMNS = ["n", "d", "d_tilde", "mode", "charged_cost", "run_q", "prefix_q", "seed"]
 
 
+def _int_list(text: str, flag: str) -> list[int]:
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError as exc:
+        raise ParseError(f"{flag}: expected comma-separated integers, got {text!r}") from exc
+
+
 def cmd_bench(args) -> int:
     model = _load_model(args)
-    ns = [int(x) for x in args.n_list.split(",")]
-    ds = [int(x) for x in args.d_list.split(",")]
+    ns = _int_list(args.n_list, "--n-list")
+    ds = _int_list(args.d_list, "--d-list")
     mode = WalkMode(args.mode)
     scheme = AnchorScheme(args.anchors)
     rows = []
@@ -215,7 +222,9 @@ def cmd_reductions(args) -> int:
     def el_solver(x, y):
         return brute_lcs(x, y).encoded_length
 
-    if args.bits:
+    if args.bits is not None:
+        if not args.bits or set(args.bits) - {"0", "1"}:
+            raise ParseError(f"--bits: expected a non-empty string of 0s and 1s, got {args.bits!r}")
         cases = [[int(c) for c in args.bits]]
     else:
         cases = []
@@ -231,7 +240,7 @@ def cmd_reductions(args) -> int:
         ok = via_dl == expected and via_el.parity == expected
         mismatches += not ok
         rows.append((bits, via_dl, via_el, expected, ok))
-    if args.bits or len(rows) <= 32:
+    if args.bits is not None or len(rows) <= 32:
         print("bits            gadget decoded  dl  el  k'  calls verdict")
         for bits, via_dl, via_el, expected, ok in rows:
             gadget = gadget_dl(bits)
@@ -332,6 +341,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except ParameterError as exc:
+        print(f"invalid parameters: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except OSError as exc:
         print(f"file error: {exc}", file=sys.stderr)

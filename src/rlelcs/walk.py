@@ -29,6 +29,10 @@ Over the same anchors no certificate rises as d falls, so a larger scale's
 best bounds a smaller one's: a solve keeps each scale's best, and a scale
 that a larger one rules out builds no index or pair table.  A walk search
 with nothing to mark only makes its random draws.
+
+A solve reads its n runs once, with counted run queries, as arrays: every
+scale's window order and prefix sums, the small-run fallback (answers of
+one or two runs, below the anchor regime) and the final positions read them.
 """
 
 from __future__ import annotations
@@ -280,21 +284,27 @@ class _TokenRanks:
 
 
 class _RunTokens:
-    """Token ranks of a string's runs, forward and reversed, built on first use.
+    """A solve's one read of its runs, and their token ranks forward and reversed.
 
-    One solve shares one instance across its scales, so the runs are read
-    once, with n counted run queries, by the first scale that orders its
-    windows.
+    One solve shares one instance across its scales, its small-run fallback
+    and its final positions, so the runs are read once, with n counted run
+    queries, by whichever reads them first.
     """
 
     def __init__(self, handle: OracleHandle):
         self.handle = handle
 
     @cached_property
-    def tables(self) -> tuple[_TokenRanks, _TokenRanks]:
+    def runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Chars, lengths and prefix sums (prefix[0] = 0) as int64 arrays."""
         runs = [self.handle.query_run(i) for i in range(1, self.handle.n + 1)]
         chars = np.array([c for c, _ in runs], dtype=np.int64)
         lens = np.array([length for _, length in runs], dtype=np.int64)
+        return chars, lens, np.concatenate(([0], np.cumsum(lens)))
+
+    @cached_property
+    def tables(self) -> tuple[_TokenRanks, _TokenRanks]:
+        chars, lens, _ = self.runs
         return _TokenRanks(chars, lens), _TokenRanks(chars[::-1], lens[::-1])
 
 
@@ -316,11 +326,10 @@ class _WalkContext:
     def lrs(self) -> bool:
         return self.sep_index is None
 
-    @cached_property
+    @property
     def pv(self) -> np.ndarray:
-        """Prefix sums as int64, built on first use: cost-only runs never need them."""
-        values = self.handle.prefix.values
-        return np.fromiter(values, dtype=np.int64, count=len(values))
+        """Prefix sums as int64, from the solve's one read of its runs."""
+        return self.tokens.runs[2]
 
     @cached_property
     def window_order(self) -> tuple[np.ndarray, tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
@@ -916,121 +925,79 @@ def _match(ha: OracleHandle, pos_a: int, hb: OracleHandle, pos_b: int, step: int
             ib += step
 
 
-@dataclass(frozen=True)
-class _FallbackHit:
-    """Best one- or two-run collision, as ends-aligned decoded positions."""
-
-    value: int
-    end_a: int
-    end_b: int
-
-
-def _single_run_best(runs_by_char_a, runs_by_char_b, prefix_a, prefix_b):
-    best = None
-    for c, items_a in runs_by_char_a.items():
-        items_b = runs_by_char_b.get(c)
-        if not items_b:
-            continue
-        la, ia = max(items_a)
-        lb, ib = max(items_b)
-        val = min(la, lb)
-        if best is None or val > best.value:
-            best = _FallbackHit(val, prefix_a[ia], prefix_b[ib])
-    return best
-
-
-def _boundary_map(s: RleString, prefix) -> dict:
-    out: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
-    for i in range(s.n - 1):
-        r1, r2 = s.runs[i], s.runs[i + 1]
-        out.setdefault((r1.char, r2.char), []).append((r1.length, r2.length, prefix[i + 1]))
-    return out
-
-
-def _double_run_best(bmap_a, bmap_b, distinct: bool):
-    """Best min(xa, xb) + min(ya, yb) over boundary pairs with equal char pairs.
-
-    Pairs are scanned by key, then a's boundary, then b's, in numpy blocks
-    of about _PAIR_BATCH pairs; ties keep the first pair scanned.  With
-    ``distinct`` a boundary is not paired with itself.
-    """
-    best = None
-    for key, items_a in bmap_a.items():
-        items_b = bmap_b.get(key)
-        if not items_b:
-            continue
-        xa, ya, ea = np.array(items_a, dtype=np.int64).T
-        xb, yb, eb = np.array(items_b, dtype=np.int64).T
-        rows = max(1, _PAIR_BATCH // len(xb))
-        for lo in range(0, len(xa), rows):
-            block = slice(lo, lo + rows)
-            val = np.minimum.outer(xa[block], xb) + np.minimum.outer(ya[block], yb)
-            if distinct:
-                val[np.equal.outer(ea[block], eb)] = 0
-            i, j = divmod(int(np.argmax(val)), len(xb))
-            if val[i, j] > (0 if best is None else best.value):
-                best = _FallbackHit(int(val[i, j]), int(ea[lo + i]), int(eb[j]))
-    return best
-
-
-def _lrs_single_best(s: RleString, prefix):
-    by_char: dict[int, list[tuple[int, int]]] = {}
-    for i, r in enumerate(s.runs):
-        by_char.setdefault(r.char, []).append((r.length, i + 1))
-    best = None
-    for items in by_char.values():
-        items.sort(reverse=True)
-        l1, i1 = items[0]
-        if l1 >= 2:
-            cand = _FallbackHit(l1 - 1, prefix[i1] - 1, prefix[i1])
-            if best is None or cand.value > best.value:
-                best = cand
-        if len(items) >= 2:
-            l2, i2 = items[1]
-            cand = _FallbackHit(min(l1, l2), prefix[i1], prefix[i2])
-            if best is None or cand.value > best.value:
-                best = cand
-    return best
-
-
 def _small_fallback(
-    ha: OracleHandle,
-    hb: OracleHandle,
-    lrs: bool,
-    ledger: QueryLedger,
-    model: CostModel,
-    execute: bool,
-) -> Optional[_FallbackHit]:
-    """Single- and two-run collisions, solved directly.
+    runs: tuple[np.ndarray, np.ndarray, np.ndarray], sep_index: Optional[int]
+) -> Optional[tuple[int, int, int]]:
+    """Best single- or two-run collision as (value, end_a, end_b), or None.
 
-    Anchor alignment needs an interior run, so runs of one or two runs are
-    found by minimum finding over per-char maximal runs plus a search over
-    run-boundary pairs with matching char pairs.  Charged once per solve.
+    Anchor alignment needs an interior run, so answers of one or two runs
+    are found directly from the solve's run arrays: A $ B split at
+    sep_index, or the one string on both sides for LRS.  A single-run hit
+    is a char's longest run on each side, the last among equals; for LRS
+    the longest run l1 against itself shifted by one (l1 - 1) comes before
+    it against the second-longest.  A two-run hit is min(xa, xb) +
+    min(ya, yb) over two boundaries with the same char pair, never a
+    boundary with itself, scanned in numpy blocks of about _PAIR_BATCH
+    pairs.  Ends are decoded ends in A and in B.  Ties keep the first hit:
+    chars and char pairs by first occurrence in A, then A's boundary, then
+    B's, and a single-run hit before a two-run hit.
     """
-    na, nb = ha.n, hb.n
-    charge = minfind_charge(model, max(1, na), max(1, nb))
-    pairs = max(1, (na - 1) * (nb - 1)) if not lrs else max(1, (na - 1) ** 2)
-    charge += grover_charge(model, pairs)
-    ledger.charge(charge)
-    if not execute:
-        return None
-    pa = ha.prefix.values
-    pb = hb.prefix.values
+    chars, lens, prefix = runs
+    ends = prefix[1:]
+    lrs = sep_index is None
     if lrs:
-        best = _lrs_single_best(ha.string, pa)
-        bmap = _boundary_map(ha.string, pa)
-        two = _double_run_best(bmap, bmap, distinct=True)
+        (ca, la, ea), (cb, lb, eb) = [(chars, lens, ends)] * 2
     else:
-        by_a: dict[int, list[tuple[int, int]]] = {}
-        for i, r in enumerate(ha.string.runs):
-            by_a.setdefault(r.char, []).append((r.length, i + 1))
-        by_b: dict[int, list[tuple[int, int]]] = {}
-        for i, r in enumerate(hb.string.runs):
-            by_b.setdefault(r.char, []).append((r.length, i + 1))
-        best = _single_run_best(by_a, by_b, pa, pb)
-        two = _double_run_best(_boundary_map(ha.string, pa), _boundary_map(hb.string, pb), False)
-    if two is not None and (best is None or two.value > best.value):
-        best = two
+        ca, la, ea = chars[: sep_index - 1], lens[: sep_index - 1], ends[: sep_index - 1]
+        cb, lb, eb = chars[sep_index:], lens[sep_index:], ends[sep_index:] - prefix[sep_index]
+
+    def longest(c, l):
+        """Runs by (char, length, index), and where each char's last (longest) one sits."""
+        order = np.lexsort((np.arange(len(c)), l, c))
+        return order, np.flatnonzero(np.append(c[order][1:] != c[order][:-1], True))
+
+    first = np.unique(ca, return_index=True)[1]  # per char of A, ascending
+    oa, at = longest(ca, la)
+    i1 = oa[at]
+    if lrs:
+        i2 = oa[at - 1]  # the second-longest, where the char has one
+        second = np.where((at > 0) & (ca[i2] == ca[i1]), la[i2], 0)
+        value = np.concatenate((la[i1] - 1, second))
+        hit_a, hit_b = np.concatenate((ea[i1] - 1, ea[i1])), np.concatenate((ea[i1], ea[i2]))
+        rank = np.concatenate((2 * first, 2 * first + 1))
+    else:
+        ob, bt = longest(cb, lb)
+        _, xa, xb = np.intersect1d(ca[i1], cb[ob[bt]], assume_unique=True, return_indices=True)
+        ia, ib = i1[xa], ob[bt][xb]
+        value, hit_a, hit_b, rank = np.minimum(la[ia], lb[ib]), ea[ia], eb[ib], first[xa]
+    best = None
+    if value.max(initial=0) > 0:
+        j = np.lexsort((rank, -value))[0]
+        best = (int(value[j]), int(hit_a[j]), int(hit_b[j]))
+
+    # boundary k joins runs k and k + 1 of its side; its key is their char pair
+    key_a, key_b = (c[:-1] * 256 + c[1:] for c in (ca, cb))
+    _, key_first, inverse = np.unique(key_a, return_index=True, return_inverse=True)
+    rows = np.argsort(key_first[inverse], kind="stable")  # A's boundaries in scan order
+    by_key = np.argsort(key_b, kind="stable")
+    lo = np.searchsorted(key_b[by_key], key_a[rows], side="left")
+    count = np.searchsorted(key_b[by_key], key_a[rows], side="right") - lo
+    rows, lo, count = rows[count > 0], lo[count > 0], count[count > 0]
+    before = np.concatenate(([0], np.cumsum(count)))  # pairs scanned before each row
+    start = 0
+    while start < len(rows):
+        stop = int(np.searchsorted(before, before[start] + _PAIR_BATCH, side="right")) - 1
+        stop = max(start + 1, stop)
+        row = np.repeat(rows[start:stop], count[start:stop])
+        offset = np.repeat(lo[start:stop] - before[start:stop], count[start:stop])
+        col = by_key[offset + np.arange(before[start], before[stop])]
+        val = np.minimum(la[row], lb[col]) + np.minimum(la[row + 1], lb[col + 1])
+        if lrs:
+            val[row == col] = 0
+        j = int(np.argmax(val))
+        if val[j] > (0 if best is None else best[0]):
+            best = (int(val[j]), int(ea[row[j]]), int(eb[col[j]]))
+        start = stop
     return best
 
 
@@ -1119,11 +1086,8 @@ def subset_size(model: CostModel, m: int) -> int:
     return max(1, min(m, math.ceil(model.r_const * m ** (2.0 / 3.0))))
 
 
-class _HintHit:
-    pass
-
-
-_HINT = _HintHit()
+# a cost-only probe's hit: it reports that the hinted answer reaches d_tilde, with no ends
+_HINT = object()
 
 
 def _d_values(n: int, d_min: int) -> list[int]:
@@ -1180,14 +1144,18 @@ def _solve(
         return ctx_cache[d]
 
     index_cache: dict[int, CollisionIndex] = {}
-    fallback = (
-        _small_fallback(ha, hb, lrs, ledger, model, execute=not cost_only)
-        if config.use_fallback
-        else None
-    )
+    fallback = None
+    if config.use_fallback:
+        # minimum finding over each side's runs, Grover over boundary pairs
+        runs_charge = minfind_charge(model, max(1, ha.n), max(1, hb.n))
+        ledger.charge(runs_charge + grover_charge(model, max(1, (ha.n - 1) * (hb.n - 1))))
+        if not cost_only:
+            fallback = _small_fallback(tokens.runs, sep_index)
     hint = config.truth_hint if config.truth_hint is not None else (hi, 1)
+    offset = 0 if lrs else ha.total + 1  # B's decoded positions in A $ B
 
     def probe(d_tilde: int):
+        """Ends in A and in B of a collision reaching d_tilde; _HINT in cost-only mode; or None."""
         for d in d_values:
             ctx = ctx_for(d)
             cand = inner_search(
@@ -1204,12 +1172,13 @@ def _solve(
                     return _HINT
                 continue
             if cand is not None:
-                return cand
+                pv = tokens.runs[2]
+                return int(pv[cand.x_red]), int(pv[cand.x_blue]) - offset
         if config.use_fallback:
             if cost_only:
                 return _HINT if d_tilde <= hint[0] else None
-            if fallback is not None and fallback.value >= d_tilde:
-                return fallback
+            if fallback is not None and fallback[0] >= d_tilde:
+                return fallback[1:]
         return None
 
     best_hit = probe(1)
@@ -1227,16 +1196,7 @@ def _solve(
     if cost_only:
         return None
 
-    if isinstance(best_hit, Candidate):
-        if lrs:
-            ends_a = hs.prefix.values[best_hit.x_red]
-            ends_b = hs.prefix.values[best_hit.x_blue]
-        else:
-            ends_a = hs.prefix.values[best_hit.x_red]
-            ends_b = hs.prefix.values[best_hit.x_blue] - (ha.total + 1)
-    else:
-        ends_a, ends_b = best_hit.end_a, best_hit.end_b
-    answer = finalize_answer(ends_a, ends_b, ha, hb)
+    answer = finalize_answer(*best_hit, ha, hb)
     if not verify_candidate(answer, ha, hb):
         raise InternalInconsistencyError(f"answer failed verification: {answer}")
     if answer.d_tilde < lo:

@@ -217,6 +217,25 @@ def test_bad_d_min_exit_code(capsys):
     assert len(err.strip().splitlines()) == 1 and "d_min" in err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["bench", "--n-list", "x"],
+        ["bench", "--n-list", "8", "--d-list", "0", "--trials", "1"],
+        ["validate-anchors", "--d", "0"],
+        ["validate-anchors", "--n-runs", "2", "--d", "8"],
+        ["reductions", "--bits", "012"],
+        ["reductions", "--bits", ""],
+    ],
+)
+def test_bad_argument_values_exit_code(capsys, args):
+    # each value once ended in a traceback; now exit 1 with a one-line message
+    assert run(args) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1, err
+
+
 def test_bench_columns_and_determinism(tmp_path):
     out1 = tmp_path / "b1.csv"
     out2 = tmp_path / "b2.csv"

@@ -44,9 +44,7 @@ from rlelcs.walk import (
     WALK_RUN_BOUND,
     _RunTokens,
     _TokenRanks,
-    _boundary_map,
     _candidate,
-    _double_run_best,
     _d_values,
     _dense_ranks,
     _floor_log2,
@@ -56,6 +54,7 @@ from rlelcs.walk import (
     _score_rows,
     _separator,
     _sides,
+    _small_fallback,
     _sparse_tables,
     _witness_run,
     Candidate,
@@ -1041,8 +1040,18 @@ def test_walk_mode_run_bound_fires_at_once():
         assert ledger.charged_cost > 0
 
 
+def _loop_boundary_map(s):
+    """Per char pair, in order of first occurrence: each boundary's run lengths and first end."""
+    prefix = prefix_table(s).values
+    out = {}
+    for i in range(s.n - 1):
+        r1, r2 = s.runs[i], s.runs[i + 1]
+        out.setdefault((r1.char, r2.char), []).append((r1.length, r2.length, prefix[i + 1]))
+    return out
+
+
 def _loop_double_run_best(bmap_a, bmap_b, distinct):
-    """_double_run_best as a pair-by-pair loop: the reference for its numpy blocks."""
+    """The two-run rule as a pair-by-pair loop: the reference for the fallback's numpy blocks."""
     best = None
     for key, items_a in bmap_a.items():
         for xa, ya, ea in items_a:
@@ -1055,20 +1064,102 @@ def _loop_double_run_best(bmap_a, bmap_b, distinct):
     return best
 
 
-def test_double_run_best_matches_loop(monkeypatch):
-    # LCS (two maps) and LRS (one map, no self-pairs); blocks of whole and partial rows
-    rng = random.Random(71)
-    for batch in (_PAIR_BATCH, 5, 1):
-        monkeypatch.setattr(rlelcs.walk, "_PAIR_BATCH", batch)
-        for _ in range(30):
-            a = random_rle(rng, rng.randint(1, 40), alphabet=tuple(b"abc"), max_len=4)
-            b = random_rle(rng, rng.randint(1, 40), alphabet=tuple(b"abc"), max_len=4)
-            map_a = _boundary_map(a, prefix_table(a).values)
-            map_b = _boundary_map(b, prefix_table(b).values)
-            for maps, distinct in (((map_a, map_b), False), ((map_a, map_a), True)):
-                got = _double_run_best(*maps, distinct)
-                want = _loop_double_run_best(*maps, distinct)
-                assert (got and (got.value, got.end_a, got.end_b)) == want
+def _loop_by_char(s):
+    """Per char, in order of first occurrence: (length, 1-based index) of each of its runs."""
+    out = {}
+    for i, r in enumerate(s.runs):
+        out.setdefault(r.char, []).append((r.length, i + 1))
+    return out
+
+
+def _loop_single_run_best(a, b):
+    """The single-run rules as per-char loops: LCS of a and b, or LRS of a when b is None."""
+    pa = prefix_table(a).values
+    best = None
+
+    def offer(val, end_a, end_b):
+        nonlocal best
+        if val >= 1 and (best is None or val > best[0]):
+            best = (val, end_a, end_b)
+
+    if b is None:
+        for items in _loop_by_char(a).values():
+            items.sort(reverse=True)
+            (l1, i1), (l2, i2) = items[0], items[1] if len(items) > 1 else (0, 0)
+            offer(l1 - 1, pa[i1] - 1, pa[i1])  # the longest run against itself, shifted
+            offer(min(l1, l2), pa[i1], pa[i2])
+        return best
+    by_b, pb = _loop_by_char(b), prefix_table(b).values
+    for c, items in _loop_by_char(a).items():
+        if c in by_b:
+            (la, ia), (lb, ib) = max(items), max(by_b[c])
+            offer(min(la, lb), pa[ia], pb[ib])
+    return best
+
+
+def _loop_fallback(a, b=None):
+    """Single-run hit, else a strictly longer two-run hit, as (value, end_a, end_b) or None."""
+    best = _loop_single_run_best(a, b)
+    bmap_a = _loop_boundary_map(a)
+    two = _loop_double_run_best(bmap_a, _loop_boundary_map(b) if b else bmap_a, b is None)
+    return two if two is not None and (best is None or two[0] > best[0]) else best
+
+
+def _fallback(a, b=None):
+    """The solver's fallback on a (LRS) or on a $ b, from the one run read of the string."""
+    s, sep = (a, None) if b is None else concat_sep(a, b, _separator(a, b))
+    return _small_fallback(_RunTokens(OracleHandle(s, QueryLedger())).runs, sep)
+
+
+_FREE_BYTES = tuple(c for c in range(256) if c not in b"$@#")  # random_rle refuses these
+
+
+@pytest.mark.parametrize("batch", [1, 5, _PAIR_BATCH])
+def test_small_fallback_matches_loops(monkeypatch, batch):
+    # value and both ends equal the loop rules' on random pairs and strings,
+    # where short runs make ties common, in blocks of whole and partial rows
+    monkeypatch.setattr(rlelcs.walk, "_PAIR_BATCH", batch)
+    rng = random.Random(71 + batch)
+    for _ in range(150):
+        alphabet = tuple(rng.sample(_FREE_BYTES, rng.randint(2, 10)))
+        max_len = rng.choice((1, 2, 3, 30))
+        a, b = (
+            random_rle(rng, rng.randint(1, 40), alphabet=alphabet, max_len=max_len) for _ in "ab"
+        )
+        assert _fallback(a, b) == _loop_fallback(a, b), (a, b)
+        assert _fallback(a) == _loop_fallback(a), a
+
+
+@pytest.mark.parametrize("batch", [1, 5, _PAIR_BATCH])
+def test_small_fallback_matches_loops_on_one_large_key(monkeypatch, batch):
+    # an alternating two-char string: its char pair ab has more boundary
+    # pairs than one block holds, and every length repeats
+    monkeypatch.setattr(rlelcs.walk, "_PAIR_BATCH", batch)
+    a = RleString.from_pairs([("ab"[i % 2], 1 + i % 3 + i // 97) for i in range(200)])
+    b = RleString.from_pairs([("ba"[i % 2], 1 + i % 4) for i in range(150)])
+    assert len(_loop_boundary_map(a)[(ord("a"), ord("b"))]) ** 2 > _PAIR_BATCH
+    for args in ((a,), (a, b), (b, a), (b,)):
+        assert _fallback(*args) == _loop_fallback(*args), args
+
+
+def test_fallback_adds_no_oracle_reads():
+    # the fallback reads the solve's one run read: with a planted answer of
+    # at least 3 runs, executed solves count the same queries with it or
+    # without it, and a cost-only solve reads no run
+    for seed in range(4):
+        inst = plant_instance(48, 6 + seed, 30, seed)
+        joined, _ = concat_sep(inst.a, inst.b)
+        for solve, strings in ((solve_lcs_rle_p, (inst.a, inst.b)), (solve_lrs, (joined,))):
+            counts = []
+            for config in (SolverConfig(), SolverConfig(use_fallback=False)):
+                ha, hb, ledger = make_handles(strings[0], strings[-1])
+                ans = solve(*(ha, hb)[: len(strings)], config)
+                assert ans.ell >= 3
+                counts.append((ans, ledger.run_queries, ledger.prefix_queries))
+            assert counts[0] == counts[1], (seed, solve.__name__)
+            ha, hb, ledger = make_handles(strings[0], strings[-1])
+            solve(*(ha, hb)[: len(strings)], SolverConfig(mode=WalkMode.COSTONLY))
+            assert ledger.run_queries == 0 and ledger.charged_cost > 0
 
 
 def test_index_builds_read_each_run_once_per_solve():
