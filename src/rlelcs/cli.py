@@ -335,9 +335,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_counts(args) -> None:
+    """Count flags take values >= 0: a negative count is unusable."""
+    for flag in ("trials", "exhaustive_upto"):
+        value = getattr(args, flag, None)
+        if value is not None and value < 0:
+            raise ParseError(f"--{flag.replace('_', '-')}: expected a count >= 0, got {value}")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_counts(args)
         return args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

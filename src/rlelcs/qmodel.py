@@ -11,7 +11,7 @@ charges only the formulas its hooks declare.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, insort
+from bisect import insort
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 from pathlib import Path
@@ -212,6 +212,12 @@ def walk_search(
     Returns a marked-vertex report if any check reports one; always returns
     None when nothing is marked.
 
+    The random walk takes a ``random.Random`` (``Random(0)`` if none is
+    given).  It samples its subset with ``rng.sample``; each swap then draws
+    ``rng.randrange(len(outside))`` and ``rng.choice(inside)``, made inline
+    through ``rng.getrandbits`` with ``Random._randbelow``'s own rejection
+    rule, so the draws and the RNG state after a search are those two calls'.
+
     A setup that returns None declares that no vertex is marked.  The
     full-set mode then returns None without a check; the random walk makes
     the draws of a walk that never reports (its subset, then each swap's
@@ -240,7 +246,7 @@ def walk_search(
         import random as _random
 
         rng = rng if rng is not None else _random.Random(0)
-        # rng.choice draws by position, so inside is kept sorted by id
+        # a swap removes the id at the drawn position, so inside is kept sorted by id
         inside = sorted(rng.sample(range(1, m + 1), r))
         outside = sorted(set(range(1, m + 1)).difference(inside))
         state = hooks.setup(tuple(inside))
@@ -248,19 +254,35 @@ def walk_search(
             model.step_budget_factor * math.ceil(m / r) * math.ceil(1.0 / math.sqrt(delta_bound))
         )
         swaps = math.isqrt(r - 1) + 1 if r > 1 else 1
+        n_out = len(outside)
+        # with r = m the full set is the only vertex: one check decides
+        if not n_out:
+            return None if state is None else hooks.check(state)
+        # randrange(n_out), then choice(inside), inline: both are Random._randbelow(n),
+        # which redraws getrandbits(n.bit_length()) until the draw is below n
+        bits, k_out, k_in = rng.getrandbits, n_out.bit_length(), r.bit_length()
+        if state is None:
+            # nothing is marked: the draws are all that remain
+            for _ in range(max(1, budget) * swaps):
+                while bits(k_out) >= n_out:
+                    pass
+                while bits(k_in) >= r:
+                    pass
+            return None
         for _ in range(max(1, budget)):
-            report = None if state is None else hooks.check(state)
-            # with r = m the full set is the only vertex: one check decides
-            if report is not None or not outside:
+            report = hooks.check(state)
+            if report is not None:
                 return report
             for _ in range(swaps):
-                out_pos = rng.randrange(len(outside))
-                removed = rng.choice(inside)
-                if state is None:
-                    continue  # nothing is marked: the draws are all that remain
-                added = outside[out_pos]
+                out_pos = bits(k_out)
+                while out_pos >= n_out:
+                    out_pos = bits(k_out)
+                in_pos = bits(k_in)
+                while in_pos >= r:
+                    in_pos = bits(k_in)
+                removed, added = inside[in_pos], outside[out_pos]
                 hooks.update(state, removed, added)
-                del inside[bisect_left(inside, removed)]
+                del inside[in_pos]
                 insort(inside, added)
                 outside[out_pos] = removed
         return None

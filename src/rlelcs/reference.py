@@ -50,6 +50,15 @@ _BRUTE_BLOCK = 1 << 16
 _LEFT, _PAD = -1, -2
 
 
+def _windows(x: np.ndarray, w: int) -> np.ndarray:
+    """Read-only view of x's len(x) - w + 1 windows of length w, one per row:
+    sliding_window_view's result for a 1-D array, without its argument checks."""
+    step = x.strides[0]
+    return np.lib.stride_tricks.as_strided(
+        x, shape=(len(x) - w + 1, w), strides=(step, step), writeable=False
+    )
+
+
 def _runs(eq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(starts, lengths) of the runs of True in eq, flattened in row-major order.
 
@@ -86,7 +95,7 @@ def brute_lcs(a: RleString, b: RleString, *, bound: int = DESK_BOUND) -> BruteLc
         left = np.concatenate(([_LEFT], xa)).astype(np.int16)
         right = np.full(2 * na + nb, _PAD, dtype=np.int16)
         right[na : na + nb] = xb
-        starts, lengths = _runs(np.lib.stride_tricks.sliding_window_view(right, na + 1) == left)
+        starts, lengths = _runs(_windows(right, na + 1) == left)
         if not lengths.size:
             return BruteLcs(0, 0, 0, 0)
         best_len = int(lengths.max())
@@ -139,7 +148,7 @@ def brute_lrs(a: RleString, *, bound: int = DESK_BOUND) -> BruteLrs:
     right = np.full(2 * n - 1, _PAD, dtype=np.int16)
     right[:n] = x
     # window w of right, against left, compares x[i] with x[i + w + 1]
-    windows = np.lib.stride_tricks.sliding_window_view(right, n + 1)
+    windows = _windows(right, n + 1)
     rows = max(1, _BRUTE_BLOCK // (n + 1))
     best_len, best_1, best_2 = 0, 0, 0
     for w0 in range(0, n - 1, rows):

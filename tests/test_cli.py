@@ -226,10 +226,14 @@ def test_bad_d_min_exit_code(capsys):
         ["validate-anchors", "--n-runs", "2", "--d", "8"],
         ["reductions", "--bits", "012"],
         ["reductions", "--bits", ""],
+        ["validate-anchors", "--trials", "-1"],
+        ["bench", "--n-list", "8", "--d-list", "4", "--trials", "-1"],
+        ["reductions", "--exhaustive-upto", "-1"],
     ],
 )
 def test_bad_argument_values_exit_code(capsys, args):
-    # each value once ended in a traceback; now exit 1 with a one-line message
+    # each value once ended in a traceback, or (a negative count) in an empty
+    # table and exit 0; now exit 1 with a one-line message
     assert run(args) == 1
     err = capsys.readouterr().err
     assert "Traceback" not in err

@@ -272,6 +272,83 @@ def test_walk_search_swaps_match_sorted_set_oracle():
                 assert walk_rng.getstate() == oracle_rng.getstate(), (m, r, seed, unmarked)
 
 
+# sizes at and next to powers of two: bit_length changes between 2^j - 1 and 2^j
+_EDGE_SIZES = (1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33)
+
+
+def _inline_randbelow(rng, n):
+    """walk_search's inline draw: getrandbits(n.bit_length()) until below n."""
+    k = n.bit_length()
+    x = rng.getrandbits(k)
+    while x >= n:
+        x = rng.getrandbits(k)
+    return x
+
+
+@pytest.mark.parametrize("seed", [0, 1, 12345])
+def test_inline_draw_matches_randrange_and_choice(seed):
+    # the stream contract walk_search's swaps rely on: randrange(n) and
+    # choice(seq) of length n are both Random._randbelow(n), rejection over
+    # getrandbits(n.bit_length())
+    import random
+
+    contract = (
+        "stream contract broken: Random.randrange(n) / Random.choice(range(n)) no longer "
+        "draw getrandbits(n.bit_length()) until below n; walk_search's inline swap draws "
+        "must follow this interpreter's Random._randbelow"
+    )
+    for n in _EDGE_SIZES + (1023, 1024, 1025):
+        for reference in (lambda g: g.randrange(n), lambda g: g.choice(range(n))):
+            inline, ref = random.Random(seed), random.Random(seed)
+            drawn = [_inline_randbelow(inline, n) for _ in range(64)]
+            assert drawn == [reference(ref) for _ in range(64)], (contract, n)
+            assert inline.getstate() == ref.getstate(), (contract, n)
+
+
+@pytest.mark.parametrize("r", _EDGE_SIZES)
+def test_walk_search_swaps_match_oracle_at_power_of_two_sizes(r):
+    # r = |inside| and m - r = |outside| at and next to powers of two, and
+    # r = m: the swaps, the setup subset and the RNG state afterwards are those
+    # of the randrange/choice oracle, with a marking setup and with one that
+    # marks nothing
+    import random
+
+    model = CostModel(step_budget_factor=1.0)
+    for gap in (0,) + _EDGE_SIZES:
+        m = r + gap
+        for seed in (3, 4):
+            oracle_rng = random.Random(seed)
+            setup_subset, swaps = _sorted_set_walk(m, r, 1.0, model, oracle_rng)
+            assert len(swaps) == (0 if gap == 0 else math.ceil(m / r) * (math.isqrt(r - 1) + 1))
+            for unmarked in (False, True):
+                seen = []
+
+                def setup(subset):
+                    seen.append(subset)
+                    return None if unmarked else seen
+
+                hooks = WalkHooks(
+                    0.0,
+                    0.0,
+                    0.0,
+                    setup=setup,
+                    update=lambda state, removed, added: seen.append((removed, added)),
+                    check=lambda state: seen.append("check"),
+                )
+                walk_rng = random.Random(seed)
+                report = walk_search(
+                    m, r, 1.0, hooks, mode=WalkMode.RANDOMWALK, ledger=QueryLedger(),
+                    model=model, rng=walk_rng,
+                )
+                assert report is None
+                if unmarked:
+                    assert seen == [setup_subset], (m, r, seed)
+                else:
+                    assert [x for x in seen if x != "check"] == [setup_subset] + swaps, (m, r)
+                    assert seen.count("check") == (1 if gap == 0 else math.ceil(m / r))
+                assert walk_rng.getstate() == oracle_rng.getstate(), (m, r, seed, unmarked)
+
+
 def test_walk_search_fullset_none_setup_skips_check():
     # full-set mode: a setup that returns None reports None without a check,
     # at the charge of a search that checks
