@@ -1,12 +1,15 @@
 """Command-line surface: instance I/O, solving, benchmarks, reductions.
 
-Exit codes: 0 success (including a null result), 1 parse or input error,
-2 resource limit, 3 internal inconsistency or reduction mismatch.
+Exit codes: 0 success (including a null result), 1 parse or input error
+(a malformed flag too), 2 resource limit, 3 internal inconsistency or
+reduction mismatch.  Only :func:`main` turns an error into its exit code
+and one stderr line.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -43,12 +46,12 @@ DECODE_BOUND = 1 << 30
 
 def _load_model(args) -> CostModel:
     model = CostModel()
-    if getattr(args, "config", None):
+    if args.config:
         try:
-            model = CostModel.from_file(args.config, base=model)
+            model = CostModel.from_file(args.config)
         except (KeyError, ValueError) as exc:
             raise ParseError(f"{args.config}: {exc.args[0]}") from exc
-    if getattr(args, "d_min", None) is not None:
+    if args.d_min is not None:
         try:
             model = dataclasses.replace(model, d_min=args.d_min)
         except ValueError as exc:
@@ -89,12 +92,10 @@ def cmd_decode(args) -> int:
         try:
             strings.append(parse_rle(line))
         except ParseError as exc:
-            print(f"{args.input}:{lineno}: {exc}", file=sys.stderr)
-            return EXIT_PARSE
+            raise ParseError(f"{args.input}:{lineno}: {exc}") from exc
     total = sum(s.total for s in strings)
     if total > DECODE_BOUND:
-        print(f"resource limit: decoding gives {total} bytes, over {DECODE_BOUND}", file=sys.stderr)
-        return EXIT_RESOURCE
+        raise ResourceLimitError(f"decoding gives {total} bytes, over {DECODE_BOUND}")
     blob = b"".join(decode(s) for s in strings)
     if args.output:
         Path(args.output).write_bytes(blob)
@@ -104,40 +105,24 @@ def cmd_decode(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    model = _load_model(args)
     if args.lrs and args.b:
-        print("solve --lrs takes one input, got two", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        a = _read_rle_file(args.a, args.format == "raw")
-        b = _read_rle_file(args.b, args.format == "raw") if args.b else None
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        raise ParseError("solve --lrs takes one input, got two")
+    if not args.lrs and not args.b:
+        raise ParseError("solve needs two inputs unless --lrs is given")
+    model = _load_model(args)
     ledger = QueryLedger()
+    a = OracleHandle(_read_rle_file(args.a, args.format == "raw"), ledger)
     config = SolverConfig(
         mode=WalkMode(args.mode),
         anchors=AnchorScheme(args.anchors),
         seed=args.seed,
         model=model,
     )
-    try:
-        if args.lrs:
-            ans = solve_lrs(OracleHandle(a, ledger), config)
-        else:
-            if b is None:
-                print("solve needs two inputs unless --lrs is given", file=sys.stderr)
-                return EXIT_PARSE
-            ans = solve_lcs_rle_p(OracleHandle(a, ledger), OracleHandle(b, ledger), config)
-    except WalkSizeError as exc:
-        print(f"resource limit: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except (DecodedLengthError, NoSeparatorError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except InternalInconsistencyError as exc:
-        print(f"internal inconsistency: {exc}", file=sys.stderr)
-        return EXIT_INCONSISTENT
+    if args.lrs:
+        ans = solve_lrs(a, config)
+    else:
+        b = OracleHandle(_read_rle_file(args.b, args.format == "raw"), ledger)
+        ans = solve_lcs_rle_p(a, b, config)
     payload = {
         "result": ans.as_json() if ans is not None else None,
         "ledger": ledger.as_dict(),
@@ -181,36 +166,24 @@ def _bench_cell(n: int, d: int, seed: int, mode: WalkMode, scheme: AnchorScheme,
 BENCH_COLUMNS = ["n", "d", "d_tilde", "mode", "charged_cost", "run_q", "prefix_q", "seed"]
 
 
-def _int_list(text: str, flag: str) -> list[int]:
-    try:
-        return [int(x) for x in text.split(",")]
-    except ValueError as exc:
-        raise ParseError(f"{flag}: expected comma-separated integers, got {text!r}") from exc
-
-
 def cmd_bench(args) -> int:
     model = _load_model(args)
-    ns = _int_list(args.n_list, "--n-list")
-    ds = _int_list(args.d_list, "--d-list")
     mode = WalkMode(args.mode)
     scheme = AnchorScheme(args.anchors)
     rows = []
-    for n in ns:
-        for d in ds:
+    for n in args.n_list:
+        for d in args.d_list:
             if d > n:
                 continue
             for t in range(args.trials):
                 rows.append(_bench_cell(n, d, args.seed + t, mode, scheme, model))
-    out = sys.stdout
-    close = False
+    with (
+        open(args.csv_out, "w", newline="") if args.csv_out else contextlib.nullcontext(sys.stdout)
+    ) as out:
+        writer = csv.DictWriter(out, fieldnames=BENCH_COLUMNS)
+        writer.writeheader()
+        writer.writerows(rows)
     if args.csv_out:
-        out = open(args.csv_out, "w", newline="")
-        close = True
-    writer = csv.DictWriter(out, fieldnames=BENCH_COLUMNS)
-    writer.writeheader()
-    writer.writerows(rows)
-    if close:
-        out.close()
         print(f"wrote {len(rows)} rows to {args.csv_out}")
     return EXIT_OK
 
@@ -274,8 +247,33 @@ def cmd_validate_anchors(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise ParseError(f"{self.prog}: {message}")
+
+
+def _count(text: str) -> int:
+    """Value of a count flag: an integer >= 0."""
+    with contextlib.suppress(ValueError):
+        if (value := int(text)) >= 0:
+            return value
+    raise argparse.ArgumentTypeError(f"expected a count >= 0, got {text!r}")
+
+
+def _int_list(text: str) -> list[int]:
+    """Value of a list flag: comma-separated integers."""
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        msg = f"expected comma-separated integers, got {text!r}"
+        raise argparse.ArgumentTypeError(msg) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    model_flags = argparse.ArgumentParser(add_help=False)
+    model_flags.add_argument("--config", help="key=value cost-model file")
+    model_flags.add_argument("--d-min", type=int)
+    parser = _Parser(
         prog="rlelcs",
         description="Longest common substring between run-length encoded strings",
     )
@@ -291,7 +289,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_decode)
 
-    p = sub.add_parser("solve", help="solve an LCS (or repeated-substring) instance")
+    p = sub.add_parser(
+        "solve", parents=[model_flags], help="solve an LCS (or repeated-substring) instance"
+    )
     p.add_argument("a")
     p.add_argument("b", nargs="?")
     p.add_argument("--format", choices=["rle", "raw"], default="rle")
@@ -300,56 +300,51 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--lrs", action="store_true", help="longest repeated substring of one input")
     p.add_argument("--json-out")
-    p.add_argument("--config", help="key=value cost-model file")
-    p.add_argument("--d-min", type=int)
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("bench", help="ledger-scaling grid over planted instances")
-    p.add_argument("--n-list", default="256,512,1024,2048,4096,8192,16384")
-    p.add_argument("--d-list", default="32")
-    p.add_argument("--trials", type=int, default=5)
+    p = sub.add_parser(
+        "bench", parents=[model_flags], help="ledger-scaling grid over planted instances"
+    )
+    p.add_argument("--n-list", type=_int_list, default="256,512,1024,2048,4096,8192,16384")
+    p.add_argument("--d-list", type=_int_list, default="32")
+    p.add_argument("--trials", type=_count, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mode", choices=[m.value for m in WalkMode], default="costonly")
     p.add_argument("--anchors", choices=[s.value for s in AnchorScheme], default="minimizer")
     p.add_argument("--csv-out")
-    p.add_argument("--config")
-    p.add_argument("--d-min", type=int)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("reductions", help="parity reductions against brute oracles")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--bits")
-    group.add_argument("--exhaustive-upto", type=int)
+    group.add_argument("--exhaustive-upto", type=_count)
     p.set_defaults(func=cmd_reductions)
 
-    p = sub.add_parser("validate-anchors", help="check the anchoring property on planted instances")
+    p = sub.add_parser(
+        "validate-anchors",
+        parents=[model_flags],
+        help="check the anchoring property on planted instances",
+    )
     p.add_argument("--n-runs", type=int, default=24)
     p.add_argument("--d", type=int, default=8)
     p.add_argument("--scheme", choices=[s.value for s in AnchorScheme], default="minimizer")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=1)
-    p.add_argument("--config")
-    p.add_argument("--d-min", type=int)
+    p.add_argument("--trials", type=_count, default=1)
     p.set_defaults(func=cmd_validate_anchors)
 
     return parser
 
 
-def _check_counts(args) -> None:
-    """Count flags take values >= 0: a negative count is unusable."""
-    for flag in ("trials", "exhaustive_upto"):
-        value = getattr(args, flag, None)
-        if value is not None and value < 0:
-            raise ParseError(f"--{flag.replace('_', '-')}: expected a count >= 0, got {value}")
-
-
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command; the only place an error becomes an exit code and a stderr line."""
     try:
-        _check_counts(args)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except (DecodedLengthError, NoSeparatorError) as exc:
+        print(f"input error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except ParameterError as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
@@ -357,7 +352,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"file error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except ResourceLimitError as exc:
+    except (ResourceLimitError, WalkSizeError) as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except InternalInconsistencyError as exc:

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import math
 from bisect import insort
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from enum import Enum
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence
 
-from .rle import PrefixTable, RleString, prefix_table
+from .rle import RleString, prefix_table
 
 
 def ceil_sqrt(n: int) -> int:
@@ -40,11 +40,7 @@ class QueryLedger:
         self.charged_cost += amount
 
     def as_dict(self) -> dict[str, Any]:
-        return {
-            "run_queries": self.run_queries,
-            "prefix_queries": self.prefix_queries,
-            "charged_cost": self.charged_cost,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -72,18 +68,17 @@ class CostModel:
                 raise ValueError(f"{f.name} must be positive and finite")
 
     @classmethod
-    def from_items(cls, items: dict[str, str], base: "CostModel | None" = None) -> "CostModel":
-        model = base or cls()
+    def from_items(cls, items: dict[str, str]) -> "CostModel":
         kwargs: dict[str, Any] = {}
         types = {f.name: f.type for f in fields(cls)}
         for key, raw in items.items():
             if key not in types:
                 raise KeyError(f"unknown cost-model key: {key}")
             kwargs[key] = int(raw) if types[key] == "int" else float(raw)
-        return replace(model, **kwargs)
+        return cls(**kwargs)
 
     @classmethod
-    def from_file(cls, path: str | Path, base: "CostModel | None" = None) -> "CostModel":
+    def from_file(cls, path: str | Path) -> "CostModel":
         """Load ``key=value`` lines; ``#`` starts a comment."""
         items: dict[str, str] = {}
         for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
@@ -94,7 +89,7 @@ class CostModel:
             if not sep:
                 raise ValueError(f"line {lineno}: expected key=value")
             items[key.strip()] = value.strip()
-        return cls.from_items(items, base)
+        return cls.from_items(items)
 
 
 class OracleHandle:
@@ -102,11 +97,9 @@ class OracleHandle:
 
     __slots__ = ("string", "prefix", "ledger")
 
-    def __init__(self, string: RleString, ledger: QueryLedger, prefix: PrefixTable | None = None):
+    def __init__(self, string: RleString, ledger: QueryLedger):
         self.string = string
-        self.prefix = prefix if prefix is not None else prefix_table(string)
-        if self.prefix.n != string.n:
-            raise ValueError("prefix table does not match string")
+        self.prefix = prefix_table(string)
         self.ledger = ledger
 
     @property

@@ -9,7 +9,6 @@ the first divergence.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -94,14 +93,6 @@ class PrefixTable:
             if b <= a:
                 raise ValueError("prefix table must be strictly increasing")
 
-    @property
-    def n(self) -> int:
-        return len(self.values) - 1
-
-    @property
-    def total(self) -> int:
-        return self.values[-1]
-
     def __getitem__(self, i: int) -> int:
         return self.values[i]
 
@@ -112,12 +103,6 @@ class PrefixTable:
         if i >= len(self.values):
             return self.values[-1]
         return self.values[i]
-
-    def search(self, decoded_index: int) -> int:
-        """Run index containing 1-based decoded position ``decoded_index``."""
-        if not 1 <= decoded_index <= self.total:
-            raise IndexError(f"decoded index {decoded_index} out of range 1..{self.total}")
-        return bisect_left(self.values, decoded_index)
 
 
 def encode(data: bytes) -> RleString:

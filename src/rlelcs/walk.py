@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from functools import cached_property
 from typing import Optional
@@ -140,14 +140,7 @@ class LcsAnswer:
     decoded_start_B: int
 
     def as_json(self) -> dict:
-        return {
-            "i_A": self.i_A,
-            "i_B": self.i_B,
-            "ell": self.ell,
-            "d_tilde": self.d_tilde,
-            "decoded_start_A": self.decoded_start_A,
-            "decoded_start_B": self.decoded_start_B,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,9 @@ import contextlib
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -229,15 +232,23 @@ def test_bad_d_min_exit_code(capsys):
         ["validate-anchors", "--trials", "-1"],
         ["bench", "--n-list", "8", "--d-list", "4", "--trials", "-1"],
         ["reductions", "--exhaustive-upto", "-1"],
+        ["bench", "--trials", "x"],
+        ["solve", "A", "B", "--mode", "bogus"],
+        ["bench", "--bogus"],
+        ["reductions", "--bits", "1", "--exhaustive-upto", "2"],
+        ["reductions"],
+        [],
     ],
 )
 def test_bad_argument_values_exit_code(capsys, args):
-    # each value once ended in a traceback, or (a negative count) in an empty
-    # table and exit 0; now exit 1 with a one-line message
+    # each value once ended in a traceback, in an empty table and exit 0 (a
+    # negative count), or in argparse's usage block and exit 2 (the rest);
+    # now exit 1 with a one-line message
     assert run(args) == 1
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1, err
+    assert "usage:" not in err
 
 
 def test_bench_columns_and_determinism(tmp_path):
@@ -381,3 +392,81 @@ def test_cli_malformed_rle_exits_cleanly(data, command):
     assert code in (0, 1, 2), (code, err)
     assert "Traceback" not in err
     assert len(err.splitlines()) == (code != 0), err
+
+
+# each command's own flags, with the path that flags naming a file always
+# take: "@rle" is a tiny valid RLE file, "@cfg" a valid cost-model file and
+# "@out" a path in a temporary directory
+_HEADS_AND_FLAGS = {
+    "encode": ([["@rle"]], ["-h"], [["-o", "@out"]]),
+    "decode": ([["@rle"]], ["-h"], [["-o", "@out"]]),
+    "solve": (
+        [["@rle"], ["@rle", "@rle"]],
+        ["-h", "--format", "--mode", "--anchors", "--seed", "--lrs", "--d-min"],
+        [["--json-out", "@out"], ["--config", "@cfg"]],
+    ),
+    # the default n grid takes seconds: every bench vector starts with a small one
+    "bench": (
+        [["--n-list", "8,16"]],
+        ["-h", "--n-list", "--d-list", "--trials", "--seed", "--mode", "--anchors", "--d-min"],
+        [["--csv-out", "@out"], ["--config", "@cfg"]],
+    ),
+    "reductions": ([[]], ["-h", "--bits", "--exhaustive-upto"], [["--config", "@cfg"]]),
+    "validate-anchors": (
+        [[]],
+        ["-h", "--n-runs", "--d", "--scheme", "--seed", "--trials", "--d-min"],
+        [["--config", "@cfg"]],
+    ),
+}
+_UNKNOWN_FLAGS = ["--bogus", "-z", "--tri", "--seed=x", "--mode=", "--lrs=1"]
+_JUNK_WORDS = ["x", "", "1,2", "-1,a", "a:1", "walk", "minimizer", "raw", "101", "-", "--", "@rle"]
+
+
+def _argv(command):
+    heads, flags, path_flags = _HEADS_AND_FLAGS[command]
+    token = st.one_of(
+        st.sampled_from(flags + _UNKNOWN_FLAGS + _JUNK_WORDS).map(lambda t: [t]),
+        st.integers(-2, 6).map(lambda i: [str(i)]),
+        st.sampled_from(path_flags),
+    )
+    return st.builds(
+        lambda head, tokens: [command, *head, *sum(tokens, [])],
+        st.sampled_from(heads),
+        st.lists(token, max_size=6),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=st.sampled_from(sorted(_HEADS_AND_FLAGS)).flatmap(_argv))
+def test_cli_argument_vectors_exit_cleanly(argv):
+    # every argument vector exits 0-3 with one stderr line on failure, never a traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {"@rle": Path(tmp) / "in.rle", "@cfg": Path(tmp) / "model.cfg", "@out": Path(tmp) / "out"}
+        paths["@rle"].write_text("a:2,b:1,a:2\n")
+        paths["@cfg"].write_text("grover_factor = 2\n")
+        args = [str(paths.get(token, token)) for token in argv]
+        stdout, stderr = io.TextIOWrapper(io.BytesIO()), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = main(args)
+            except SystemExit as exc:  # -h prints the help and exits 0
+                code = exc.code
+    err = stderr.getvalue()
+    assert code in (0, 1, 2, 3), (args, code, err)
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == (code != 0), (args, err)
+
+
+def test_entry_point_process_exit_status():
+    # the in-process tests see main's return value; this sees the process's exit status
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+
+    def cli(*args):
+        cmd = [sys.executable, "-m", "rlelcs.cli", *args]
+        return subprocess.run(cmd, env=env, capture_output=True, text=True)
+
+    bad = cli("bench", "--trials", "x")
+    assert bad.returncode == 1 and len(bad.stderr.splitlines()) == 1, bad.stderr
+    assert "--trials" in bad.stderr
+    help_ = cli("--help")
+    assert help_.returncode == 0 and help_.stdout.startswith("usage: rlelcs"), help_.stderr

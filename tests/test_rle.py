@@ -2,9 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rlelcs.qmodel import OracleHandle, QueryLedger
 from rlelcs.rle import (
     ParseError,
-    PrefixTable,
     RleString,
     Run,
     concat_sep,
@@ -86,21 +86,22 @@ def test_prefix_table_clamping():
 
 
 def test_inverse_prefix_examples():
-    p = PrefixTable((0, 3, 4, 7, 9))
-    assert p.search(5) == 3
-    assert p.search(3) == 1
-    assert PrefixTable((0, 5)).search(1) == 1
+    h = OracleHandle(rle(("a", 3), ("b", 1), ("c", 3), ("d", 2)), QueryLedger())
+    assert h.inverse_prefix(5) == 3
+    assert h.inverse_prefix(3) == 1
+    assert OracleHandle(rle(("x", 5)), QueryLedger()).inverse_prefix(1) == 1
     with pytest.raises(IndexError):
-        p.search(0)
+        h.inverse_prefix(0)
     with pytest.raises(IndexError):
-        p.search(10)
+        h.inverse_prefix(10)
 
 
 def test_inverse_prefix_is_inverse():
     s = rle(("a", 4), ("b", 2), ("a", 7))
+    h = OracleHandle(s, QueryLedger())
     p = prefix_table(s)
     for i in range(1, s.n + 1):
-        assert p.search(p[i]) == i
+        assert h.inverse_prefix(p[i]) == i
 
 
 def test_ldcp_examples():
