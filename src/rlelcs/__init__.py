@@ -53,9 +53,7 @@ from .rle import (
 )
 from .structures import DynArray, RangeSum2D
 from .walk import (
-    Candidate,
     CollisionIndex,
-    Color,
     InternalInconsistencyError,
     LcsAnswer,
     SolverConfig,

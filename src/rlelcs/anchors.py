@@ -45,9 +45,6 @@ class AnchorSet:
     def m(self) -> int:
         return len(self.entries)
 
-    def as_json(self) -> dict:
-        return {"scheme": self.scheme.value, "d": self.d, "entries": list(self.entries)}
-
 
 def build_exhaustive(s: RleString, d: int = 1) -> AnchorSet:
     """Every run index; trivially valid for any target length."""

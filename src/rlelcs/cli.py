@@ -27,6 +27,7 @@ from .walk import (
     NoSeparatorError,
     SolverConfig,
     WalkSizeError,
+    check_walk_size,
     inner_search,
     make_context,
     scale_anchors,
@@ -147,6 +148,7 @@ def cmd_solve(args) -> int:
 def _bench_cell(n: int, d: int, seed: int, mode: WalkMode, scheme: AnchorScheme, model: CostModel):
     inst = plant_instance(n, d, 3 * d, seed, verify=False)
     s, sep = concat_sep(inst.a, inst.b)
+    check_walk_size(mode, s.n)
     ledger = QueryLedger()
     hs = OracleHandle(s, ledger)
     ctx = make_context(hs, scale_anchors(s, d, scheme, seed, model), d, sep, model)

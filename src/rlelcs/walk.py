@@ -20,9 +20,9 @@ and makes the certificate exact (t agreed chars, stitched at the shared
 run boundary).  One row scorer, :func:`_score_rows`, evaluates this for a
 flagged anchor against every anchor.  The kernel :func:`best_certificate`
 runs it for the full-set index on all anchors at a scale; a walk vertex
-reads the scale's pair table, one m x m table of certificates filled once,
-and derives the winning pair's witness run again from that pair.  Both read
-one window order per scale, ranked from the solve's run tokens.
+reads the scale's pair table, one m x m table of certificates filled once.
+Both read one window order per scale, ranked from the solve's run tokens.
+A search's hit is the run pair of its best (flagged, partner) anchors.
 
 A scale whose best certificate is below a search's target marks no vertex.
 Over the same anchors no certificate rises as d falls, so a larger scale's
@@ -40,7 +40,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import asdict, dataclass, field
-from enum import Enum
 from functools import cached_property
 from typing import Optional
 
@@ -98,36 +97,6 @@ class WalkSizeError(ValueError):
 
 class NoSeparatorError(ValueError):
     """Two inputs together use all 256 byte values, so none can separate them."""
-
-
-class Color(Enum):
-    RED = 0
-    BLUE = 1
-    WHITE = 2
-
-
-def color_of(x_run: int, sep_index: Optional[int]) -> Color:
-    if sep_index is None:
-        return Color.RED
-    if x_run < sep_index:
-        return Color.RED
-    if x_run == sep_index:
-        return Color.WHITE
-    return Color.BLUE
-
-
-@dataclass(frozen=True)
-class Candidate:
-    """A marked collision: two anchors, the backward shift, agreement data."""
-
-    k_red: int
-    k_blue: int
-    d_prime: int
-    L: int
-    d_tilde: int
-    flag_red: bool = True
-    x_red: int = 0
-    x_blue: int = 0
 
 
 @dataclass(frozen=True)
@@ -316,10 +285,6 @@ class _WalkContext:
     _charges: dict[int, tuple[float, float, float]] = field(default_factory=dict, repr=False)
 
     @property
-    def lrs(self) -> bool:
-        return self.sep_index is None
-
-    @property
     def pv(self) -> np.ndarray:
         """Prefix sums as int64, from the solve's one read of its runs."""
         return self.tokens.runs[2]
@@ -346,9 +311,6 @@ class _WalkContext:
         """
         xs, (fwd_pos, h_f), (bwd_pos, h_b) = self.window_order
         return _pair_table(xs, fwd_pos, h_f, bwd_pos, h_b, self.pv, self.d, self.sep_index)
-
-    def color(self, x: int) -> Color:
-        return color_of(x, self.sep_index)
 
     def charges(self, r: int) -> tuple[float, float, float]:
         """Declared (setup, update, check) charges of a walk search over r-subsets here."""
@@ -466,16 +428,14 @@ class WalkVertex:
 
     # checking ------------------------------------------------------------
 
-    def best(self) -> tuple[int, Optional[tuple[tuple[int, int], tuple[int, int], int]]]:
-        """The stored anchors' best certificate and its witness, or (0, None).
+    def best(self) -> tuple[int, Optional[tuple[int, int]]]:
+        """The stored anchors' best certificate and its (flagged, partner) runs, or (0, None).
 
-        The witness is (flagged, partner, v), the first two as (anchor id,
-        run index).  Reads the stored anchors' block of the scale's pair
-        table in the kernel's scan order: red flagged anchors first, then
-        flagged anchor by id, then partner by id; ties keep the first pair,
-        as in best_certificate.  Run indices increase with anchor id, so
-        id order puts red anchors first; the white anchor's row is all 0.
-        The winning pair's v is derived again from that pair alone.
+        Reads the stored anchors' block of the scale's pair table in the
+        kernel's scan order: red flagged anchors first, then flagged anchor
+        by id, then partner by id; ties keep the first pair, as in
+        best_certificate.  Run indices increase with anchor id, so id order
+        puts red anchors first; the white anchor's row is all 0.
         """
         ids = sorted(self._ids)
         if len(ids) < 2:
@@ -486,17 +446,15 @@ class WalkVertex:
         best = int(block[i, j])
         if best == 0:
             return 0, None
-        flag, partner = self._entries([ids[i], ids[j]])
-        return best, (flag, partner, _witness_run(self.ctx, at[i], at[j]))
+        xs = self.ctx.window_order[0]
+        return best, (int(xs[at[i]]), int(xs[at[j]]))
 
-    def check(self, d_tilde: int) -> Optional[Candidate]:
-        """The stored anchors' best certified pair, if it reaches d_tilde."""
+    def check(self, d_tilde: int) -> Optional[tuple[int, int]]:
+        """The runs of the stored anchors' best certified pair, if it reaches d_tilde."""
         if d_tilde < 1 or (self.marked_pairs == 0 and d_tilde >= self.threshold):
             return None
-        best, witness = self.best()
-        if best < d_tilde:
-            return None
-        return _candidate(self.ctx, *witness, d_tilde)
+        best, hit = self.best()
+        return hit if best >= d_tilde else None
 
 
 def _marked_rows(ctx: _WalkContext, threshold: float) -> list[int]:
@@ -515,13 +473,6 @@ def _marked_rows(ctx: _WalkContext, threshold: float) -> list[int]:
 def _agreement(h: np.ndarray, lo: int, hi: int) -> int:
     """Decoded agreement of the anchors at ranks lo < hi: the minimum of h[lo:hi]."""
     return int(h[lo:hi].min())
-
-
-def _witness_run(ctx: _WalkContext, a: int, b: int) -> int:
-    """The witness run v that _score_rows gives flagged anchor a with partner b (0-based)."""
-    xs, _, (bwd_pos, h_b) = ctx.window_order
-    lo, hi = sorted((int(bwd_pos[a]), int(bwd_pos[b])))
-    return int(_snap(ctx.pv, ctx.d, xs[a], _agreement(h_b, lo, hi))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -580,13 +531,13 @@ def _row_agreements(pos: np.ndarray, h: np.ndarray, rows: np.ndarray) -> np.ndar
 def _snap(pv: np.ndarray, d: int, x_a: np.ndarray, q: np.ndarray):
     """The longest whole-run backward span ending at run x_a that fits in q.
 
-    Returns v, the run before the span (at most 2d + 1 runs back); whether
-    the span holds the anchor run at least; and max_l - rho, the span's
-    length beyond that run.  The gain never falls as q grows.
+    The span covers at most 2d + 1 runs.  Returns whether it holds the
+    anchor run at least, and max_l - rho, its length beyond that run.  The
+    gain never falls as q grows.
     """
     v = np.searchsorted(pv, pv[x_a] - q, side="left")
     v = np.maximum(v, np.maximum(x_a - 2 * d - 1, 0))
-    return v, v <= x_a - 1, pv[x_a - 1] - pv[np.minimum(v, x_a - 1)]
+    return v <= x_a - 1, pv[x_a - 1] - pv[np.minimum(v, x_a - 1)]
 
 
 def _nearest(is_partner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -635,12 +586,12 @@ def _row_bounds(xs, fwd_pos, h_f, bwd_pos, h_b, pv, d, side, flagged):
     p = _rmq_vec(t_f, np.minimum(p_f, p_b), np.maximum(p_f, p_b) - 1)
     q_f, q_b = bwd_pos[a], bwd_pos[b]
     q = _rmq_vec(t_b, np.minimum(q_f, q_b), np.maximum(q_f, q_b) - 1)
-    _, ok, gain = _snap(pv, d, xs[a], q)
+    ok, gain = _snap(pv, d, xs[a], q)
     lower = int(np.max(np.where(ok, p + gain, 0), initial=0))
     p_max, q_max = np.full(partners.shape, -1), np.full(partners.shape, -1)
     p_max[has], q_max[has] = p, q
     p_max, q_max = p_max.max(axis=0), q_max.max(axis=0)
-    _, ok, gain = _snap(pv, d, xs[flagged], q_max)
+    ok, gain = _snap(pv, d, xs[flagged], q_max)
     upper = np.full(len(xs), -1)
     upper[flagged] = np.where(ok, p_max + gain, -1)
     return upper, lower
@@ -654,7 +605,7 @@ def _sides(xs: np.ndarray, sep_index: Optional[int]) -> Optional[np.ndarray]:
 
 
 def _score_rows(xs, fwd_pos, h_f, bwd_pos, h_b, pv, d, side, rows):
-    """Certificate and witness run v of each row's anchor, flagged, with every partner.
+    """Certificate of each row's anchor, flagged, with every partner.
 
     The one home of the certificate arithmetic: a row of cumulative-minimum
     agreements p and q per decoded order, q snapped to whole runs, and 0
@@ -662,12 +613,12 @@ def _score_rows(xs, fwd_pos, h_f, bwd_pos, h_b, pv, d, side, rows):
     """
     p = _row_agreements(fwd_pos, h_f, rows)
     q = _row_agreements(bwd_pos, h_b, rows)
-    v, ok, gain = _snap(pv, d, xs[rows][:, None], q)
+    ok, gain = _snap(pv, d, xs[rows][:, None], q)
     if side is None:
         ok &= np.arange(len(xs)) != rows[:, None]
     else:
         ok &= side == 1 - side[rows][:, None]
-    return np.where(ok, p + gain, 0), v
+    return np.where(ok, p + gain, 0)
 
 
 def best_certificate(
@@ -679,7 +630,7 @@ def best_certificate(
     pv: np.ndarray,
     d: int,
     sep_index: Optional[int],
-) -> tuple[int, Optional[tuple[int, int, int]]]:
+) -> tuple[int, Optional[tuple[int, int]]]:
     """Largest target length any admissible pair of the given anchors certifies.
 
     xs holds the anchors' run indices; fwd_pos/bwd_pos their 0-based ranks
@@ -689,10 +640,9 @@ def best_certificate(
     with forward agreement p and backward agreement q certify
     p + max_l - rho: max_l is the longest whole-run backward span ending at
     a's run, at most 2d + 1 runs, that fits in q, and rho is a's run length.
-    Returns (best, (a, partner, v)) with indices into xs and v the run
-    before the span, or (0, None).  Pairs are scanned by side (red flagged
-    first), then flagged anchor, then partner; ties keep the first pair
-    scanned.
+    Returns (best, (a, partner)) with indices into xs, or (0, None).  Pairs
+    are scanned by side (red flagged first), then flagged anchor, then
+    partner; ties keep the first pair scanned.
 
     Each flagged anchor's row of pairs comes from cumulative minima, a block
     of rows per numpy pass.  When the rows take more than one pass, exact
@@ -715,10 +665,10 @@ def best_certificate(
     best, best_args = 0, None
     while len(flagged):
         rows, flagged = flagged[:rows_per_pass], flagged[rows_per_pass:]
-        cert, v = _score_rows(xs, fwd_pos, h_f, bwd_pos, h_b, pv, d, side, rows)
+        cert = _score_rows(xs, fwd_pos, h_f, bwd_pos, h_b, pv, d, side, rows)
         i, j = divmod(int(np.argmax(cert)), m)
         if int(cert[i, j]) > best:
-            best, best_args = int(cert[i, j]), (int(rows[i]), j, int(v[i, j]))
+            best, best_args = int(cert[i, j]), (int(rows[i]), j)
             if upper is not None:
                 flagged = flagged[upper[flagged] > best]
     return best, best_args
@@ -738,27 +688,15 @@ def _pair_table(xs, fwd_pos, h_f, bwd_pos, h_b, pv, d, sep_index):
     rows_per_pass = max(1, _PAIR_BATCH // m)
     for lo in range(0, m, rows_per_pass):
         rows = np.arange(lo, min(lo + rows_per_pass, m))
-        cert[rows] = _score_rows(xs, fwd_pos, h_f, bwd_pos, h_b, pv, d, side, rows)[0]
+        cert[rows] = _score_rows(xs, fwd_pos, h_f, bwd_pos, h_b, pv, d, side, rows)
     return cert
-
-
-def _candidate(
-    ctx: _WalkContext, flagged: tuple[int, int], partner: tuple[int, int], v: int, d_tilde: int
-) -> Candidate:
-    """Orient a kernel witness, given as (anchor id, run index) pairs, red first."""
-    (k_a, x_a), (k_b, x_b) = flagged, partner
-    d_prime = x_a - v - 1
-    big_l = int(ctx.pv[x_a] - ctx.pv[v])
-    if ctx.color(x_a) is Color.RED:
-        return Candidate(k_a, k_b, d_prime, big_l, d_tilde, True, x_a, x_b)
-    return Candidate(k_b, k_a, d_prime, big_l, d_tilde, False, x_b, x_a)
 
 
 class CollisionIndex:
     """Best certified length over the full anchor set at one scale d.
 
     Runs the certificate kernel over all anchors in the context's window
-    order, so one (length, witness) pair answers every probe at this scale.
+    order, so one (length, anchor pair) answers every probe at this scale.
     Over the same anchors, best never rises as d falls: a narrower window
     never agrees for longer, _snap's span floor x_a - 2d - 1 only rises and
     admissibility ignores d, so no pair's certificate grows (_ceiling uses
@@ -772,13 +710,12 @@ class CollisionIndex:
             self.xs, fwd_pos, h_f, bwd_pos, h_b, ctx.pv, ctx.d, ctx.sep_index
         )
 
-    def query(self, d_tilde: int) -> Optional[Candidate]:
+    def query(self, d_tilde: int) -> Optional[tuple[int, int]]:
+        """The best pair's (flagged, partner) runs, if it reaches d_tilde."""
         if d_tilde < 1 or self.best < d_tilde:
             return None
-        a, b, v = self.best_args
-        return _candidate(
-            self.ctx, (a + 1, int(self.xs[a])), (b + 1, int(self.xs[b])), v, d_tilde
-        )
+        a, b = self.best_args
+        return int(self.xs[a]), int(self.xs[b])
 
 
 class _TableBest:
@@ -819,8 +756,10 @@ def inner_search(
     ledger: QueryLedger,
     rng: Optional[random.Random] = None,
     index_cache: Optional[dict[int, CollisionIndex | _TableBest]] = None,
-) -> Optional[Candidate]:
+) -> Optional[tuple[int, int]]:
     """Walk search over r-subsets of the anchor set for one (d, d_tilde).
+
+    A hit is the (flagged, partner) runs of the best pair it finds.
 
     The full-set mode decides the existence question exactly; the random
     walk samples subsets up to a step budget; the cost-only mode charges
@@ -1109,8 +1048,7 @@ def _solve(
     hb: OracleHandle,
     config: SolverConfig,
 ) -> Optional[LcsAnswer]:
-    if config.mode is WalkMode.RANDOMWALK and hs.n > WALK_RUN_BOUND:
-        raise WalkSizeError(f"walk mode takes at most {WALK_RUN_BOUND} runs, got {hs.n}")
+    check_walk_size(config.mode, hs.n)
     model = config.model
     ledger = hs.ledger
     lrs = sep_index is None
@@ -1151,7 +1089,7 @@ def _solve(
         """Ends in A and in B of a collision reaching d_tilde; _HINT in cost-only mode; or None."""
         for d in d_values:
             ctx = ctx_for(d)
-            cand = inner_search(
+            hit = inner_search(
                 ctx,
                 d_tilde,
                 subset_size(model, ctx.anchors.m),
@@ -1164,9 +1102,10 @@ def _solve(
                 if d_tilde <= hint[0] and d <= max(hint[1], model.d_min):
                     return _HINT
                 continue
-            if cand is not None:
+            if hit is not None:
+                x_a, x_b = hit if lrs or hit[0] < sep_index else hit[::-1]
                 pv = tokens.runs[2]
-                return int(pv[cand.x_red]), int(pv[cand.x_blue]) - offset
+                return int(pv[x_a]), int(pv[x_b]) - offset
         if config.use_fallback:
             if cost_only:
                 return _HINT if d_tilde <= hint[0] else None
@@ -1204,6 +1143,12 @@ def _solve(
 def _check_decoded_length(total: int) -> None:
     if total >= DECODED_LENGTH_BOUND:
         raise DecodedLengthError(f"decoded length {total} is not below 2**62")
+
+
+def check_walk_size(mode: WalkMode, n: int) -> None:
+    """Raise WalkSizeError when a walk-mode search gets a string of more than WALK_RUN_BOUND runs."""
+    if mode is WalkMode.RANDOMWALK and n > WALK_RUN_BOUND:
+        raise WalkSizeError(f"walk mode takes at most {WALK_RUN_BOUND} runs, got {n}")
 
 
 def _separator(a: RleString, b: RleString) -> int:

@@ -225,9 +225,3 @@ def test_minimizer_size_reported():
         ratios.append(x.m / (s.n / w))
     print(f"minimizer size ratio m/(n/w): min={min(ratios):.2f} max={max(ratios):.2f}")
     assert all(r > 0 for r in ratios)
-
-
-def test_anchor_set_json_dump():
-    s = encode(b"aabbcc")
-    x = build_exhaustive(s, 3)
-    assert x.as_json() == {"scheme": "exhaustive", "d": 3, "entries": [1, 2, 3]}

@@ -1,8 +1,10 @@
+import argparse
 import contextlib
 import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rlelcs.cli import BENCH_COLUMNS, main
+from rlelcs.cli import BENCH_COLUMNS, build_parser, main
 from rlelcs.walk import WALK_RUN_BOUND
 
 
@@ -220,31 +222,36 @@ def test_bad_d_min_exit_code(capsys):
     assert len(err.strip().splitlines()) == 1 and "d_min" in err
 
 
+_BAD_ARGUMENTS = [
+    (["bench", "--n-list", "x"], 1),
+    (["bench", "--n-list", "8", "--d-list", "0", "--trials", "1"], 1),
+    (["validate-anchors", "--d", "0"], 1),
+    (["validate-anchors", "--n-runs", "2", "--d", "8"], 1),
+    (["reductions", "--bits", "012"], 1),
+    (["reductions", "--bits", ""], 1),
+    (["validate-anchors", "--trials", "-1"], 1),
+    (["bench", "--n-list", "8", "--d-list", "4", "--trials", "-1"], 1),
+    (["reductions", "--exhaustive-upto", "-1"], 1),
+    (["bench", "--trials", "x"], 1),
+    (["solve", "A", "B", "--mode", "bogus"], 1),
+    (["bench", "--bogus"], 1),
+    (["reductions", "--bits", "1", "--exhaustive-upto", "2"], 1),
+    (["reductions"], 1),
+    ([], 1),
+    # a 2 001-run walk search, past WALK_RUN_BOUND: a resource limit
+    (["bench", "--n-list", "1000", "--d-list", "32", "--mode", "walk", "--trials", "1"], 2),
+]
+
+
 @pytest.mark.parametrize(
-    "args",
-    [
-        ["bench", "--n-list", "x"],
-        ["bench", "--n-list", "8", "--d-list", "0", "--trials", "1"],
-        ["validate-anchors", "--d", "0"],
-        ["validate-anchors", "--n-runs", "2", "--d", "8"],
-        ["reductions", "--bits", "012"],
-        ["reductions", "--bits", ""],
-        ["validate-anchors", "--trials", "-1"],
-        ["bench", "--n-list", "8", "--d-list", "4", "--trials", "-1"],
-        ["reductions", "--exhaustive-upto", "-1"],
-        ["bench", "--trials", "x"],
-        ["solve", "A", "B", "--mode", "bogus"],
-        ["bench", "--bogus"],
-        ["reductions", "--bits", "1", "--exhaustive-upto", "2"],
-        ["reductions"],
-        [],
-    ],
+    "args, code", _BAD_ARGUMENTS, ids=[f"args{i}" for i in range(len(_BAD_ARGUMENTS))]
 )
-def test_bad_argument_values_exit_code(capsys, args):
+def test_bad_argument_values_exit_code(capsys, args, code):
     # each value once ended in a traceback, in an empty table and exit 0 (a
-    # negative count), or in argparse's usage block and exit 2 (the rest);
-    # now exit 1 with a one-line message
-    assert run(args) == 1
+    # negative count), in argparse's usage block and exit 2, or in a walk
+    # search past the run bound and exit 0; now exit 1 (2 for the resource
+    # limit) with a one-line message
+    assert run(args) == code
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1, err
@@ -470,3 +477,33 @@ def test_entry_point_process_exit_status():
     assert "--trials" in bad.stderr
     help_ = cli("--help")
     assert help_.returncode == 0 and help_.stdout.startswith("usage: rlelcs"), help_.stderr
+
+
+def _readme_synopsis() -> dict[str, str]:
+    """The README's CLI synopsis, per command: its lines and their continuations, comments cut."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```")[1]
+    synopsis, command = {}, None
+    for line in block.splitlines():
+        if line.startswith("rlelcs "):
+            command = line.split()[1]
+        if command is not None:
+            synopsis[command] = synopsis.get(command, "") + " " + line.split("#")[0]
+    return synopsis
+
+
+def test_readme_synopsis_names_every_option():
+    # every option a subcommand defines, in either spelling, and every
+    # subcommand appear in the README's CLI synopsis
+    synopsis = _readme_synopsis()
+    (commands,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(synopsis) == set(commands.choices)
+    missing = [
+        (command, action.option_strings)
+        for command, parser in commands.choices.items()
+        for action in parser._actions
+        if action.option_strings
+        and not isinstance(action, argparse._HelpAction)
+        and not set(action.option_strings) & set(re.findall(r"--?\w[\w-]*", synopsis[command]))
+    ]
+    assert not missing, missing

@@ -44,22 +44,17 @@ from rlelcs.walk import (
     WALK_RUN_BOUND,
     _RunTokens,
     _TokenRanks,
-    _candidate,
     _d_values,
     _dense_ranks,
     _floor_log2,
     _pair_table,
     _rmq_vec,
     _row_bounds,
-    _score_rows,
     _separator,
     _sides,
     _small_fallback,
     _sparse_tables,
-    _witness_run,
-    Candidate,
     CollisionIndex,
-    Color,
     InternalInconsistencyError,
     LcsAnswer,
     NoSeparatorError,
@@ -67,7 +62,6 @@ from rlelcs.walk import (
     WalkSizeError,
     WalkVertex,
     best_certificate,
-    color_of,
     check_charge,
     finalize_answer,
     inner_search,
@@ -130,13 +124,6 @@ def test_window_decoded_oracle_random():
             assert decode(prefix_window(s, x, k, d)) == full[lo:hi]
             lo_b = pt.clamped(k - 2 * d - 1)
             assert decode(suffix_window(s, x, k, d)) == full[lo_b : pt[k]][::-1]
-
-
-def test_color_assignment():
-    assert color_of(3, 4) is Color.RED
-    assert color_of(4, 4) is Color.WHITE
-    assert color_of(5, 4) is Color.BLUE
-    assert color_of(7, None) is Color.RED  # single-string mode
 
 
 def test_vertex_insert_into_empty_then_orders_match_oracle():
@@ -256,8 +243,7 @@ def test_vertex_coherence_after_random_ops():
 def test_vertex_check_worked_example():
     ctx = _context(b"aabbbc", b"dbbbcc", 2)
     v = _full_vertex(ctx)
-    cand = v.check(4)
-    assert cand == Candidate(2, 6, 0, 3, 4, True, 2, 6)
+    assert v.check(4) == (2, 6)  # "bbbc": red run 2 flagged, blue run 6
     assert v.check(5) is None  # longer than any common decoded substring
 
 
@@ -283,28 +269,22 @@ def _brute_shift_certs(ctx, k_a, k_b):
 
 
 def _brute_best(ctx, stored):
+    side = _sides(np.array(ctx.anchors.entries), ctx.sep_index)
     best = 0
     for k_a in stored:
-        c_a = ctx.color(ctx.anchors.entries[k_a - 1])
         for k_b in stored:
-            c_b = ctx.color(ctx.anchors.entries[k_b - 1])
-            if k_a == k_b or Color.WHITE in (c_a, c_b) or (not ctx.lrs and c_a is c_b):
-                continue
+            if k_a == k_b or (side is not None and side[k_a - 1] + side[k_b - 1] != 1):
+                continue  # the anchor itself, a white anchor, or the same side
             best = max(best, *_brute_shift_certs(ctx, k_a, k_b))
     return best
 
 
-def _assert_witness(ctx, cand, d_tilde):
-    entries = ctx.anchors.entries
-    assert (entries[cand.k_red - 1], entries[cand.k_blue - 1]) == (cand.x_red, cand.x_blue)
-    if not ctx.lrs:
-        assert cand.x_red < ctx.sep_index < cand.x_blue
-    flagged, partner = (cand.k_red, cand.k_blue) if cand.flag_red else (cand.k_blue, cand.k_red)
-    x_a = entries[flagged - 1]
-    pt = prefix_table(ctx.handle.string)
-    assert cand.d_tilde == d_tilde
-    assert cand.L == pt[x_a] - pt.clamped(x_a - cand.d_prime - 1)
-    assert _brute_shift_certs(ctx, flagged, partner)[cand.d_prime] >= d_tilde
+def _assert_witness(ctx, hit, d_tilde):
+    """A hit's (flagged, partner) runs: opposite sides for LCS, certifying d_tilde."""
+    if ctx.sep_index is not None:
+        assert min(hit) < ctx.sep_index < max(hit)
+    flagged, partner = (ctx.anchors.entries.index(x) + 1 for x in hit)
+    assert max(_brute_shift_certs(ctx, flagged, partner)) >= d_tilde
 
 
 def _check_certificates_against_brute(ctx, rng, steps):
@@ -499,7 +479,7 @@ def _per_anchor_best_certificate(xs, fwd_pos, h_f, bwd_pos, h_b, pv, d, sep_inde
             j = int(np.argmax(cert))
             if int(cert[j]) > best:
                 best = int(cert[j])
-                best_args = (a, int(partners[j]), int(v[j]))
+                best_args = (a, int(partners[j]))
     return best, best_args
 
 
@@ -574,10 +554,9 @@ def _white_between_partners(ctx, pos):
     xs = np.array(ctx.anchors.entries)
     at = np.empty(len(xs), dtype=np.int64)
     at[pos] = np.arange(len(xs))
-    colours = [ctx.color(int(x)) for x in xs[at]]
+    sides = _sides(xs, ctx.sep_index)[at]
     return any(
-        colours[r] is Color.WHITE and {colours[r - 1], colours[r + 1]} == {Color.RED, Color.BLUE}
-        for r in range(1, len(colours) - 1)
+        sides[r] == 2 and {sides[r - 1], sides[r + 1]} == {0, 1} for r in range(1, len(sides) - 1)
     )
 
 
@@ -641,15 +620,15 @@ def _kernel_best(vertex):
     best, args = best_certificate(xs, fwd_pos, h_f, bwd_pos, h_b, ctx.pv, ctx.d, ctx.sep_index)
     if args is None:
         return best, None
-    a, b, v = args
-    return best, (stored[a], stored[b], v)
+    a, b = args
+    return best, (stored[a][1], stored[b][1])
 
 
 def _kernel_check(vertex, d_tilde):
-    best, witness = _kernel_best(vertex)
+    best, hit = _kernel_best(vertex)
     if d_tilde < 1 or best < d_tilde:
         return None
-    return _candidate(vertex.ctx, *witness, d_tilde)
+    return hit
 
 
 def _minimizer_context(rng, lrs):
@@ -677,9 +656,10 @@ def _kind_context(rng, trial):
 
 def test_vertex_check_matches_kernel_on_stored_subset(monkeypatch):
     # random insert/delete/check sequences: the pair-table scan gives the
-    # kernel's (best, witness) and Candidate on every stored subset; LCS with
-    # "!" so the white anchor can sit between partners, LRS, periodic motifs,
-    # minimizer anchors, and batches small enough for the kernel's row bounds
+    # kernel's best and run pair, and its check, on every stored subset; LCS
+    # with "!" so the white anchor can sit between partners, LRS, periodic
+    # motifs, minimizer anchors, and batches small enough for the kernel's
+    # row bounds
     tables = _spy(monkeypatch, "_pair_table")
     rng = random.Random(97)
     contexts = nonzero = 0
@@ -1002,24 +982,6 @@ def test_walk_mode_scale_caches_one_pair_table(monkeypatch):
     assert 0 < tables < len(contexts)
 
 
-def test_witness_run_matches_score_rows():
-    # the context kinds of the marked-count test: for every admissible pair,
-    # the witness run derived from that pair alone is _score_rows' v
-    rng = random.Random(127)
-    pairs = 0
-    for trial in range(64):
-        ctx = _kind_context(rng, trial)
-        xs, fwd_pos, h_f, bwd_pos, h_b, pv, d, sep = _kernel_args(ctx)
-        side = _sides(xs, sep)
-        rows = np.arange(len(xs))
-        _, v = _score_rows(xs, fwd_pos, h_f, bwd_pos, h_b, pv, d, side, rows)
-        for a, b in itertools.permutations(range(len(xs)), 2):
-            if side is None or side[a] + side[b] == 1:
-                assert _witness_run(ctx, a, b) == v[a, b], (trial, a, b)
-                pairs += 1
-    assert pairs > 2000
-
-
 def test_walk_mode_run_bound_fires_at_once():
     # one run past the bound: walk mode raises within milliseconds, full-set
     # and cost-only solves of the same input are unaffected
@@ -1246,10 +1208,9 @@ def test_white_anchor_never_in_candidates():
         hs = OracleHandle(s, QueryLedger())
         ctx = make_context(hs, build_exhaustive(s, 4), 4, sep, MODEL)
         idx = CollisionIndex(ctx)
-        cand = idx.query(1)
-        if cand is not None:
-            assert cand.x_red != sep and cand.x_blue != sep
-            assert cand.x_red < sep < cand.x_blue
+        hit = idx.query(1)
+        if hit is not None:
+            assert min(hit) < sep < max(hit)
 
 
 def test_inner_search_planted_hit_and_miss():
@@ -1794,26 +1755,6 @@ def test_solver_handles_64bit_run_lengths():
     ha, _, _ = make_handles(s, RleString(()))
     ans = solve_lrs(ha)
     assert ans.d_tilde == big + 5
-
-
-def test_candidate_shift_always_in_range():
-    # produced shifts stay in [0, 2d] and inside the backward clamp
-    rng = random.Random(41)
-    for _ in range(50):
-        a = random_rle(rng, rng.randint(1, 16))
-        b = random_rle(rng, rng.randint(1, 16))
-        d = rng.choice([2, 4, 8])
-        s, sep = concat_sep(a, b)
-        hs = OracleHandle(s, QueryLedger())
-        ctx = make_context(hs, build_exhaustive(s, d), d, sep, MODEL)
-        idx = CollisionIndex(ctx)
-        cand = idx.query(1)
-        if cand is None:
-            continue
-        flagged_x = cand.x_red if cand.flag_red else cand.x_blue
-        assert 0 <= cand.d_prime <= 2 * d
-        assert cand.d_prime <= flagged_x - 1
-        assert cand.L >= 1
 
 
 def _loop_forward_match(ha, pos_a, hb, pos_b):
