@@ -14,6 +14,7 @@ import math
 import struct
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -55,13 +56,15 @@ def build_exhaustive(s: RleString, d: int = 1) -> AnchorSet:
 
 def _span_hashes(s: RleString, span: int, seed: int) -> np.ndarray:
     """Seeded hash of the run tuple starting at each position (clamped), as uint64."""
-    body = b"".join(struct.pack("<Bq", r.char, r.length) for r in s.runs)  # 9 bytes a run
-    prefix = struct.pack("<Q", seed & 0xFFFFFFFFFFFFFFFF)
-    digests = b"".join(
-        hashlib.blake2b(prefix + body[9 * i : 9 * (i + span)], digest_size=8).digest()
-        for i in range(s.n)
-    )
-    return np.frombuffer(digests, dtype="<u8")
+    body = memoryview(struct.pack("<" + "Bq" * s.n, *chain.from_iterable(s.runs)))  # 9 bytes a run
+    seeded = hashlib.blake2b(struct.pack("<Q", seed & 0xFFFFFFFFFFFFFFFF), digest_size=8)
+
+    def digest(i: int) -> bytes:  # blake2b(seed + runs i .. i + span - 1)
+        h = seeded.copy()
+        h.update(body[9 * i : 9 * (i + span)])
+        return h.digest()
+
+    return np.frombuffer(b"".join(map(digest, range(s.n))), dtype="<u8")
 
 
 def build_minimizer(

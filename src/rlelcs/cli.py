@@ -145,18 +145,27 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _bench_cell(n: int, d: int, seed: int, mode: WalkMode, scheme: AnchorScheme, model: CostModel):
+def _plant_cell(n: int, d: int, seed: int, mode: WalkMode) -> tuple:
+    """A bench cell with its planted length and A $ B, checked against the walk-mode run bound."""
     inst = plant_instance(n, d, 3 * d, seed, verify=False)
     s, sep = concat_sep(inst.a, inst.b)
-    check_walk_size(mode, s.n)
+    try:
+        check_walk_size(mode, s.n)
+    except WalkSizeError as exc:
+        raise WalkSizeError(f"bench cell n={n} d={d} seed={seed}: {exc}") from None
+    return n, d, seed, inst.d_tilde, s, sep
+
+
+def _bench_cell(cell: tuple, mode: WalkMode, scheme: AnchorScheme, model: CostModel):
+    n, d, seed, d_tilde, s, sep = cell  # as _plant_cell returns it
     ledger = QueryLedger()
     hs = OracleHandle(s, ledger)
     ctx = make_context(hs, scale_anchors(s, d, scheme, seed, model), d, sep, model)
-    inner_search(ctx, inst.d_tilde, subset_size(model, ctx.anchors.m), mode=mode, ledger=ledger)
+    inner_search(ctx, d_tilde, subset_size(model, ctx.anchors.m), mode=mode, ledger=ledger)
     return {
         "n": n,
         "d": d,
-        "d_tilde": inst.d_tilde,
+        "d_tilde": d_tilde,
         "mode": mode.value,
         "charged_cost": ledger.charged_cost,
         "run_q": ledger.run_queries,
@@ -172,13 +181,10 @@ def cmd_bench(args) -> int:
     model = _load_model(args)
     mode = WalkMode(args.mode)
     scheme = AnchorScheme(args.anchors)
-    rows = []
-    for n in args.n_list:
-        for d in args.d_list:
-            if d > n:
-                continue
-            for t in range(args.trials):
-                rows.append(_bench_cell(n, d, args.seed + t, mode, scheme, model))
+    grid = [(n, d) for n in args.n_list for d in args.d_list if d <= n]
+    # every cell is planted and checked before any search: an oversize one fails at once
+    cells = [_plant_cell(n, d, args.seed + t, mode) for n, d in grid for t in range(args.trials)]
+    rows = [_bench_cell(cell, mode, scheme, model) for cell in cells]
     with (
         open(args.csv_out, "w", newline="") if args.csv_out else contextlib.nullcontext(sys.stdout)
     ) as out:

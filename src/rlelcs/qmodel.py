@@ -17,7 +17,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence
 
-from .rle import RleString, prefix_table
+from .rle import RleString, Run, prefix_table
 
 
 def ceil_sqrt(n: int) -> int:
@@ -115,6 +115,11 @@ class OracleHandle:
             raise IndexError(f"run index {i} out of range 1..{self.string.n}")
         self.ledger.run_queries += 1
         return self.string.runs[i - 1]
+
+    def query_runs(self) -> tuple[Run, ...]:
+        """Every run in order: one bulk read, counted as n run queries."""
+        self.ledger.run_queries += self.string.n
+        return self.string.runs
 
     def query_prefix(self, i: int) -> int:
         if not 0 <= i <= self.string.n:

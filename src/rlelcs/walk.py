@@ -30,7 +30,7 @@ best bounds a smaller one's: a solve keeps each scale's best, and a scale
 that a larger one rules out builds no index or pair table.  A walk search
 with nothing to mark only makes its random draws.
 
-A solve reads its n runs once, with counted run queries, as arrays: every
+A solve reads its n runs once, by one counted bulk read, as arrays: every
 scale's window order and prefix sums, the small-run fallback (answers of
 one or two runs, below the anchor regime) and the final positions read them.
 """
@@ -41,6 +41,7 @@ import math
 import random
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -249,8 +250,8 @@ class _RunTokens:
     """A solve's one read of its runs, and their token ranks forward and reversed.
 
     One solve shares one instance across its scales, its small-run fallback
-    and its final positions, so the runs are read once, with n counted run
-    queries, by whichever reads them first.
+    and its final positions, so the runs are read once, by one bulk read
+    counted as n run queries, by whichever reads them first.
     """
 
     def __init__(self, handle: OracleHandle):
@@ -259,9 +260,8 @@ class _RunTokens:
     @cached_property
     def runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Chars, lengths and prefix sums (prefix[0] = 0) as int64 arrays."""
-        runs = [self.handle.query_run(i) for i in range(1, self.handle.n + 1)]
-        chars = np.array([c for c, _ in runs], dtype=np.int64)
-        lens = np.array([length for _, length in runs], dtype=np.int64)
+        runs = chain.from_iterable(self.handle.query_runs())
+        chars, lens = np.fromiter(runs, np.int64, count=2 * self.handle.n).reshape(-1, 2).T.copy()
         return chars, lens, np.concatenate(([0], np.cumsum(lens)))
 
     @cached_property

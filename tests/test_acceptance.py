@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from rlelcs.anchors import AnchorScheme, build_exhaustive, build_minimizer, validate_anchor_set
-from rlelcs.cli import _bench_cell
+from rlelcs.cli import _bench_cell, _plant_cell
 from rlelcs.qmodel import CostModel, OracleHandle, QueryLedger, WalkMode, make_handles
 from rlelcs.reductions import parity_via_dl, parity_via_el
 from rlelcs.reference import (
@@ -283,11 +283,12 @@ def test_criterion_5_vertex_coherence():
 
 
 def test_criterion_6_ledger_scaling():
+    mode, scheme = WalkMode.COSTONLY, AnchorScheme.MINIMIZER
     ns = [2**k for k in range(8, 15)]
     costs_n = []
     for n in ns:
         cells = [
-            _bench_cell(n, 32, 5 * n + t, WalkMode.COSTONLY, AnchorScheme.MINIMIZER, MODEL)
+            _bench_cell(_plant_cell(n, 32, 5 * n + t, mode), mode, scheme, MODEL)
             for t in range(5)
         ]
         costs_n.append(float(np.mean([c["charged_cost"] for c in cells])))
@@ -296,7 +297,7 @@ def test_criterion_6_ledger_scaling():
     costs_d = []
     for d in ds:
         cells = [
-            _bench_cell(2**12, d, 7 * d + t, WalkMode.COSTONLY, AnchorScheme.MINIMIZER, MODEL)
+            _bench_cell(_plant_cell(2**12, d, 7 * d + t, mode), mode, scheme, MODEL)
             for t in range(5)
         ]
         costs_d.append(float(np.mean([c["charged_cost"] for c in cells])))

@@ -193,6 +193,14 @@ def test_minimizer_matches_deque_oracle():
     for span, n in ((1, 5), (2, 40), (4, 9), (8, 300), (8, 3)):
         s = encode(bytes(rng.choices(b"abc", k=4 * n)))
         assert _span_hashes(s, span, 7).tolist() == _oracle_span_hashes(s, span, 7)
+    # the packing's edges: byte 255, and lengths up to the solver's decoded bound 2^62
+    top = 1 << 62
+    edge = RleString.from_pairs(
+        [(255, top - 1), (0, 1), (255, rng.randrange(top // 2, top)), (254, top - 2), (255, 1)]
+    )
+    for span in (1, 2, 4, 8):
+        for seed in (0, -1, 1 << 63):
+            assert _span_hashes(edge, span, seed).tolist() == _oracle_span_hashes(edge, span, seed)
     cases = []  # (string, d): ties, clamped spans, n < w, n == w, odd d
     for p in range(2, 9):
         s = _periodic(rng, p, rng.randint(8, 40))

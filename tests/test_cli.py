@@ -317,6 +317,35 @@ def test_bench_doubling_ratio(tmp_path):
     assert 1.35 <= ratio <= 1.9  # 2^(2/3) is about 1.59
 
 
+def test_walk_bench_past_bound_computes_no_cell(monkeypatch, capsys):
+    # the grid is checked before any search: the first oversize cell (here
+    # n = 800, seed 0, whose planted A $ B has 1 601 runs) ends the command
+    # with one line that names it, and no cell is computed
+    import rlelcs.cli as cli
+
+    computed = []
+    monkeypatch.setattr(cli, "_bench_cell", lambda *cell: computed.append(cell) or {})
+    assert run(["bench", "--n-list", "64,800,1024", "--d-list", "32", "--mode", "walk"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "n=800" in err and str(WALK_RUN_BOUND) in err
+    assert computed == []
+    assert run(["bench", "--n-list", "64,800", "--d-list", "32", "--trials", "1"]) == 0
+    assert len(computed) == 2
+
+
+def test_walk_bench_plants_each_cell_once(monkeypatch, tmp_path):
+    # a walk bench computes every cell, and its bound check and search share one planted pair
+    import rlelcs.cli as cli
+
+    planted = []
+    plant = cli.plant_instance
+    monkeypatch.setattr(cli, "plant_instance", lambda *a, **kw: planted.append(a) or plant(*a, **kw))
+    out = tmp_path / "walk.csv"
+    args = ["bench", "--n-list", "32,64", "--d-list", "8", "--trials", "2", "--mode", "walk"]
+    assert run(args + ["--csv-out", str(out)]) == 0
+    assert len(planted) == 4 == len(list(csv.DictReader(out.open())))
+
+
 def test_solve_walk_mode_run_bound_exit_code(tmp_path, capsys):
     # A $ B has WALK_RUN_BOUND + 1 runs: walk mode exits 2, full-set mode solves
     a, b = tmp_path / "a.rle", tmp_path / "b.rle"

@@ -39,6 +39,22 @@ def test_query_run_counting_contract():
     assert h.ledger.run_queries == before + 2
 
 
+def test_query_runs_counting_contract():
+    # one bulk read counts as n run queries and returns what n query_run calls return
+    for data in (b"aaabcccdd", b"x", bytes(range(256)) * 2):
+        h = handle(data)
+        before = h.ledger.run_queries
+        runs = h.query_runs()
+        assert h.ledger.run_queries == before + h.n
+        assert runs == tuple(h.query_run(i) for i in range(1, h.n + 1))
+        assert h.ledger.run_queries == before + 2 * h.n
+    ha, hb, ledger = make_handles(encode(b"aab"), encode(b"cdde"))
+    ha.query_runs()
+    hb.query_runs()
+    hb.query_run(1)
+    assert ledger.run_queries == 2 + 3 + 1
+
+
 def test_query_run_purity_and_range():
     h = handle()
     assert h.query_run(2) == h.query_run(2)
