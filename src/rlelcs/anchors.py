@@ -15,7 +15,7 @@ import struct
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -29,13 +29,15 @@ class AnchorScheme(str, Enum):
 
 @dataclass(frozen=True)
 class AnchorSet:
-    """Strictly increasing run indices, with the d they were built for."""
+    """Strictly increasing run indices for one d; a range from 1 up, step 1 up, goes unchecked."""
 
-    entries: tuple[int, ...]
+    entries: Sequence[int]
     d: int
     scheme: AnchorScheme
 
     def __post_init__(self):
+        if isinstance(self.entries, range) and self.entries.start >= 1 and self.entries.step >= 1:
+            return
         prev = 0
         for e in self.entries:
             if e <= prev:
@@ -51,7 +53,7 @@ def build_exhaustive(s: RleString, d: int = 1) -> AnchorSet:
     """Every run index; trivially valid for any target length."""
     if s.n < 1:
         raise ValueError("string must have at least one run")
-    return AnchorSet(tuple(range(1, s.n + 1)), d, AnchorScheme.EXHAUSTIVE)
+    return AnchorSet(range(1, s.n + 1), d, AnchorScheme.EXHAUSTIVE)
 
 
 def _span_hashes(s: RleString, span: int, seed: int) -> np.ndarray:

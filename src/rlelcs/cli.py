@@ -164,6 +164,7 @@ def _bench_cell(cell: tuple, mode: WalkMode, scheme: AnchorScheme, model: CostMo
     inner_search(ctx, d_tilde, subset_size(model, ctx.anchors.m), mode=mode, ledger=ledger)
     return {
         "n": n,
+        "runs": s.n,
         "d": d,
         "d_tilde": d_tilde,
         "mode": mode.value,
@@ -174,7 +175,7 @@ def _bench_cell(cell: tuple, mode: WalkMode, scheme: AnchorScheme, model: CostMo
     }
 
 
-BENCH_COLUMNS = ["n", "d", "d_tilde", "mode", "charged_cost", "run_q", "prefix_q", "seed"]
+BENCH_COLUMNS = ["n", "runs", "d", "d_tilde", "mode", "charged_cost", "run_q", "prefix_q", "seed"]
 
 
 def cmd_bench(args) -> int:

@@ -17,7 +17,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence
 
-from .rle import RleString, Run, prefix_table
+from .rle import PrefixTable, RleString, Run, prefix_table
 
 
 def ceil_sqrt(n: int) -> int:
@@ -93,14 +93,20 @@ class CostModel:
 
 
 class OracleHandle:
-    """Counted access to one RLE string and its prefix sums."""
+    """Counted access to one RLE string and its prefix sums, tabled on first read."""
 
-    __slots__ = ("string", "prefix", "ledger")
+    __slots__ = ("string", "_prefix", "ledger")
 
     def __init__(self, string: RleString, ledger: QueryLedger):
         self.string = string
-        self.prefix = prefix_table(string)
+        self._prefix: Optional[PrefixTable] = None
         self.ledger = ledger
+
+    @property
+    def prefix(self) -> PrefixTable:
+        if self._prefix is None:
+            self._prefix = prefix_table(self.string)
+        return self._prefix
 
     @property
     def n(self) -> int:
@@ -237,7 +243,7 @@ def walk_search(
         return None
 
     if mode is WalkMode.FULLSET:
-        state = hooks.setup(tuple(range(1, m + 1)))
+        state = hooks.setup(range(1, m + 1))
         return None if state is None else hooks.check(state)
 
     if mode is WalkMode.RANDOMWALK:

@@ -32,7 +32,8 @@ with nothing to mark only makes its random draws.
 
 A solve reads its n runs once, by one counted bulk read, as arrays: every
 scale's window order and prefix sums, the small-run fallback (answers of
-one or two runs, below the anchor regime) and the final positions read them.
+one or two runs, below the anchor regime; past one block of boundary pairs,
+bounded by the other side's Pareto frontier) and the final positions read them.
 """
 
 from __future__ import annotations
@@ -158,7 +159,7 @@ def check_charge(model: CostModel, d: int, stored: int) -> float:
 
 def _dense_ranks(*keys: np.ndarray) -> np.ndarray:
     """1-based dense ranks of the rows of keys, the last key primary (as np.lexsort)."""
-    order = np.lexsort(keys)
+    order = keys[0].argsort() if len(keys) == 1 else np.lexsort(keys)  # ranks ignore tie order
     new = np.zeros(len(order), dtype=bool)
     new[:1] = True
     for key in keys:
@@ -220,9 +221,8 @@ class _TokenRanks:
         n, m = self.n, len(starts)
         span = min(width - 1, n)  # token positions that can hold a run
         k = span.bit_length() - 1
-        order = np.lexsort(
+        order = np.lexsort(  # stable: ties keep index order
             (
-                np.arange(m),
                 self.end[np.minimum(starts + width - 1, n + 1)],
                 self.levels[k][np.minimum(starts + span - (1 << k), n + 1)],
                 self.levels[k][starts],
@@ -857,6 +857,19 @@ def _match(ha: OracleHandle, pos_a: int, hb: OracleHandle, pos_b: int, step: int
             ib += step
 
 
+def _pair_blocks(rows, cols, lo, count):
+    """Blocks of about _PAIR_BATCH row-major (row, col): each row with its count cols from lo."""
+    before = np.concatenate(([0], np.cumsum(count)))  # pairs before each row, yielded per block
+    start = 0
+    while start < len(rows):
+        stop = max(start + 1, int(before.searchsorted(before[start] + _PAIR_BATCH, "right")) - 1)
+        row = np.repeat(rows[start:stop], count[start:stop])
+        offset = np.repeat(lo[start:stop] - before[start:stop], count[start:stop])
+        col = cols[offset + np.arange(before[start], before[stop])]
+        yield row, col, before[start:stop]
+        start = stop
+
+
 def _small_fallback(
     runs: tuple[np.ndarray, np.ndarray, np.ndarray], sep_index: Optional[int]
 ) -> Optional[tuple[int, int, int]]:
@@ -873,6 +886,10 @@ def _small_fallback(
     pairs.  Ends are decoded ends in A and in B.  Ties keep the first hit:
     chars and char pairs by first occurrence in A, then A's boundary, then
     B's, and a single-run hit before a two-run hit.
+
+    Past one block, only A boundaries whose best over B's Pareto frontier
+    (exact for LCS; for LRS it counts a boundary with itself) reaches the
+    best pair are scanned, in order, up to that pair; antichains stay quadratic.
     """
     chars, lens, prefix = runs
     ends = prefix[1:]
@@ -885,7 +902,7 @@ def _small_fallback(
 
     def longest(c, l):
         """Runs by (char, length, index), and where each char's last (longest) one sits."""
-        order = np.lexsort((np.arange(len(c)), l, c))
+        order = np.lexsort((l, c))  # stable: ties keep index order
         return order, np.flatnonzero(np.append(c[order][1:] != c[order][:-1], True))
 
     first = np.unique(ca, return_index=True)[1]  # per char of A, ascending
@@ -911,25 +928,44 @@ def _small_fallback(
     key_a, key_b = (c[:-1] * 256 + c[1:] for c in (ca, cb))
     _, key_first, inverse = np.unique(key_a, return_index=True, return_inverse=True)
     rows = np.argsort(key_first[inverse], kind="stable")  # A's boundaries in scan order
+
+    def matching(cols):
+        """Where each row's key starts among cols, B's boundaries sorted by key, and its count."""
+        keys = key_b[cols]
+        lo = np.searchsorted(keys, key_a[rows], side="left")
+        return lo, np.searchsorted(keys, key_a[rows], side="right") - lo
+
+    def scores(row, col):
+        return np.minimum(la[row], lb[col]) + np.minimum(la[row + 1], lb[col + 1])
+
     by_key = np.argsort(key_b, kind="stable")
-    lo = np.searchsorted(key_b[by_key], key_a[rows], side="left")
-    count = np.searchsorted(key_b[by_key], key_a[rows], side="right") - lo
+    lo, count = matching(by_key)
     rows, lo, count = rows[count > 0], lo[count > 0], count[count > 0]
-    before = np.concatenate(([0], np.cumsum(count)))  # pairs scanned before each row
-    start = 0
-    while start < len(rows):
-        stop = int(np.searchsorted(before, before[start] + _PAIR_BATCH, side="right")) - 1
-        stop = max(start + 1, stop)
-        row = np.repeat(rows[start:stop], count[start:stop])
-        offset = np.repeat(lo[start:stop] - before[start:stop], count[start:stop])
-        col = by_key[offset + np.arange(before[start], before[stop])]
-        val = np.minimum(la[row], lb[col]) + np.minimum(la[row + 1], lb[col + 1])
+    top = math.inf  # no pair scores more
+    if count.sum() > _PAIR_BATCH:
+        # by key, then lengths descending: a second length beating all before is on the frontier
+        fo = np.lexsort((-lb[1:], -lb[:-1], key_b))
+        tag = key_b[fo] * len(lb) + np.unique(lb[1:], return_inverse=True)[1][fo]
+        front = fo[tag > np.concatenate(([-1], np.maximum.accumulate(tag)[:-1]))]
+        upper, top = [], 0
+        for row, col, seg in _pair_blocks(rows, front, *matching(front)):
+            val = scores(row, col)
+            upper.append(np.maximum.reduceat(val, seg - seg[0]))
+            if lrs:
+                val[row == col] = 0
+            top = max(top, int(val.max()))
+        # top is the best pair's value: (a, b) off the frontier scores <= a frontier pair or (b, a)
+        keep = np.concatenate(upper) >= max(top, 1 + (0 if best is None else best[0]))
+        rows, lo, count = rows[keep], lo[keep], count[keep]
+    for row, col, _ in _pair_blocks(rows, by_key, lo, count):
+        val = scores(row, col)
         if lrs:
             val[row == col] = 0
         j = int(np.argmax(val))
         if val[j] > (0 if best is None else best[0]):
             best = (int(val[j]), int(ea[row[j]]), int(eb[col[j]]))
-        start = stop
+            if best[0] >= top:
+                break  # no pair left can beat it
     return best
 
 

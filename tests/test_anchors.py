@@ -22,10 +22,23 @@ from rlelcs.rle import RleString, concat_sep, encode
 def test_exhaustive_covers_every_run():
     s = encode(b"aabbccdabc")
     x = build_exhaustive(s)
-    assert x.entries == tuple(range(1, s.n + 1))
+    assert x.entries == range(1, s.n + 1)
     assert x.m == s.n
     single = build_exhaustive(encode(b"zzz"))
-    assert single.entries == (1,)
+    assert single.entries == range(1, 2)
+
+
+def test_anchor_entries_range_skips_the_check_and_invalid_entries_raise():
+    # exhaustive entries are one range, taken unchecked; tuples that are not
+    # strictly increasing from 1, and a range from 0, still raise
+    for n in (1, 2, 7, 131_072):
+        s = RleString.from_pairs([("ab"[i % 2], 1) for i in range(n)])
+        entries = build_exhaustive(s).entries
+        assert type(entries) is range and entries == range(1, n + 1)
+    assert AnchorSet((1, 3, 4), 8, AnchorScheme.MINIMIZER).m == 3
+    for bad in ((1, 3, 3), (2, 1), (0, 1, 2), (-1,), range(0, 5), range(5, 0, -1)):
+        with pytest.raises(ValueError):
+            AnchorSet(bad, 8, AnchorScheme.EXHAUSTIVE)
 
 
 def test_anchor_at_lookup_and_charge():

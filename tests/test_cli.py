@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rlelcs.cli import BENCH_COLUMNS, build_parser, main
+from rlelcs.reference import plant_instance
 from rlelcs.walk import WALK_RUN_BOUND
 
 
@@ -276,6 +277,18 @@ def test_bench_single_cell(tmp_path):
     assert run(["bench", "--n-list", "64", "--d-list", "8", "--trials", "1", "--csv-out", str(out)]) == 0
     rows = list(csv.DictReader(out.open()))
     assert len(rows) == 1
+
+
+def test_bench_runs_column_counts_merged_runs(tmp_path):
+    # seed 0 plants a B side whose junction run merges with its neighbour:
+    # 63 runs where 64 were asked for, so A $ B has 128 runs, not 129
+    inst = plant_instance(64, 8, 24, 0, verify=False)
+    assert (inst.a.n, inst.b.n) == (64, 63)
+    out = tmp_path / "runs.csv"
+    args = ["bench", "--n-list", "64", "--d-list", "8", "--trials", "2", "--seed", "0"]
+    assert run(args + ["--csv-out", str(out)]) == 0
+    rows = list(csv.DictReader(out.open()))
+    assert [(r["n"], r["runs"]) for r in rows] == [("64", "128"), ("64", "129")]
 
 
 def test_reductions_exhaustive(capsys):

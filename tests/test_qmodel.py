@@ -82,6 +82,27 @@ def test_handle_inverse_prefix_counts_probes():
     assert 1 <= probes <= math.ceil(math.log2(h.n)) + 1
 
 
+def test_handle_tables_prefix_sums_on_first_read(monkeypatch):
+    # a handle builds its prefix table when a prefix is first read, once,
+    # and reads the same values an eagerly built table held
+    import rlelcs.qmodel as qmodel
+
+    built = []
+    table = qmodel.prefix_table
+    monkeypatch.setattr(qmodel, "prefix_table", lambda s: built.append(s) or table(s))
+    s = encode(b"aaabcccddeeeee")
+    h = OracleHandle(s, QueryLedger())
+    h.query_runs()
+    assert built == []
+    assert h.prefix == table(s) and built == [s]
+    assert [h.query_prefix(i) for i in range(h.n + 1)] == [0, 3, 4, 7, 9, 14]
+    assert [h.inverse_prefix(p) for p in range(1, h.total + 1)] == [
+        1, 1, 1, 2, 3, 3, 3, 4, 4, 5, 5, 5, 5, 5,
+    ]
+    assert h.prefix.clamped(9) == 14 and built == [s]
+    assert h.ledger.run_queries == h.n
+
+
 def test_grover_search_examples():
     model = CostModel()
     ledger = QueryLedger()

@@ -1104,6 +1104,136 @@ def test_small_fallback_matches_loops_on_one_large_key(monkeypatch, batch):
         assert _fallback(*args) == _loop_fallback(*args), args
 
 
+def _block_scan_fallback(runs, sep_index, batch=_PAIR_BATCH):
+    """The fallback scoring every boundary pair with equal char pairs, batch pairs a block.
+
+    The reference for the frontier-bounded scan: the same single-run rules,
+    then every pair in scan order, no row dropped.
+    """
+    chars, lens, prefix = runs
+    ends = prefix[1:]
+    lrs = sep_index is None
+    if lrs:
+        (ca, la, ea), (cb, lb, eb) = [(chars, lens, ends)] * 2
+    else:
+        ca, la, ea = chars[: sep_index - 1], lens[: sep_index - 1], ends[: sep_index - 1]
+        cb, lb, eb = chars[sep_index:], lens[sep_index:], ends[sep_index:] - prefix[sep_index]
+
+    def longest(c, l):
+        order = np.lexsort((np.arange(len(c)), l, c))
+        return order, np.flatnonzero(np.append(c[order][1:] != c[order][:-1], True))
+
+    first = np.unique(ca, return_index=True)[1]
+    oa, at = longest(ca, la)
+    i1 = oa[at]
+    if lrs:
+        i2 = oa[at - 1]
+        second = np.where((at > 0) & (ca[i2] == ca[i1]), la[i2], 0)
+        value = np.concatenate((la[i1] - 1, second))
+        hit_a, hit_b = np.concatenate((ea[i1] - 1, ea[i1])), np.concatenate((ea[i1], ea[i2]))
+        rank = np.concatenate((2 * first, 2 * first + 1))
+    else:
+        ob, bt = longest(cb, lb)
+        _, xa, xb = np.intersect1d(ca[i1], cb[ob[bt]], assume_unique=True, return_indices=True)
+        ia, ib = i1[xa], ob[bt][xb]
+        value, hit_a, hit_b, rank = np.minimum(la[ia], lb[ib]), ea[ia], eb[ib], first[xa]
+    best = None
+    if value.max(initial=0) > 0:
+        j = np.lexsort((rank, -value))[0]
+        best = (int(value[j]), int(hit_a[j]), int(hit_b[j]))
+
+    key_a, key_b = (c[:-1] * 256 + c[1:] for c in (ca, cb))
+    _, key_first, inverse = np.unique(key_a, return_index=True, return_inverse=True)
+    rows = np.argsort(key_first[inverse], kind="stable")
+    by_key = np.argsort(key_b, kind="stable")
+    lo = np.searchsorted(key_b[by_key], key_a[rows], side="left")
+    count = np.searchsorted(key_b[by_key], key_a[rows], side="right") - lo
+    rows, lo, count = rows[count > 0], lo[count > 0], count[count > 0]
+    before = np.concatenate(([0], np.cumsum(count)))
+    start = 0
+    while start < len(rows):
+        stop = int(np.searchsorted(before, before[start] + batch, side="right")) - 1
+        stop = max(start + 1, stop)
+        row = np.repeat(rows[start:stop], count[start:stop])
+        offset = np.repeat(lo[start:stop] - before[start:stop], count[start:stop])
+        col = by_key[offset + np.arange(before[start], before[stop])]
+        val = np.minimum(la[row], lb[col]) + np.minimum(la[row + 1], lb[col + 1])
+        if lrs:
+            val[row == col] = 0
+        j = int(np.argmax(val))
+        if val[j] > (0 if best is None else best[0]):
+            best = (int(val[j]), int(ea[row[j]]), int(eb[col[j]]))
+        start = stop
+    return best
+
+
+def _runs_of(a, b=None):
+    """The solve's one run read of a (LRS) or of a $ b, with the separator's index."""
+    s, sep = (a, None) if b is None else concat_sep(a, b, _separator(a, b))
+    return _RunTokens(OracleHandle(s, QueryLedger())).runs, sep
+
+
+def _distinct_adjacent(rng, alphabet, max_runs):
+    """1 to max_runs chars of alphabet, no two neighbours equal."""
+    chars = [rng.choice(alphabet)]
+    for _ in range(rng.randint(0, max_runs - 1)):
+        chars.append(rng.choice([c for c in alphabet if c != chars[-1]]))
+    return [chr(c) for c in chars]
+
+
+@pytest.mark.parametrize("batch", [1, 5, 64])
+def test_small_fallback_frontier_bound_matches_block_scan(monkeypatch, batch):
+    # past one block, only boundaries whose frontier bound reaches the best
+    # are scanned: on random pairs and strings over 2-5 chars with run
+    # lengths in {1, 2, 3, 9, 30}, where ties are common, value and both
+    # ends equal the full block scan's
+    monkeypatch.setattr(rlelcs.walk, "_PAIR_BATCH", batch)
+    rng = random.Random(211 + batch)
+    for _ in range(350):
+        alphabet = b"abcde"[: rng.randint(2, 5)]
+        a, b = (
+            RleString.from_pairs(
+                (c, rng.choice((1, 2, 3, 9, 30))) for c in _distinct_adjacent(rng, alphabet, 60)
+            )
+            for _ in "ab"
+        )
+        for runs, sep in (_runs_of(a, b), _runs_of(a)):
+            assert _small_fallback(runs, sep) == _block_scan_fallback(runs, sep), (a, b, sep)
+
+
+def test_small_fallback_frontier_bound_on_an_antichain():
+    # first lengths rising while second lengths fall: every boundary of a
+    # char pair is on its frontier, and the bounded scan still agrees
+    n = 1500
+    lengths = [i + 1 if i % 2 == 0 else 2 * n - i for i in range(n)]  # a runs rise, b runs fall
+    a, b = (RleString.from_pairs(("ab"[i % 2], x + c) for i, x in enumerate(lengths)) for c in (0, 3))
+    assert (n // 2) ** 2 > _PAIR_BATCH
+    for args in ((a, b), (b, a), (a,), (b,)):
+        runs, sep = _runs_of(*args)
+        assert _small_fallback(runs, sep) == _block_scan_fallback(runs, sep)
+
+
+def test_small_fallback_frontier_bound_on_a_large_planted_pair(monkeypatch):
+    # the bounded scan agrees with the block scan, and after the bound's
+    # pass it stops in the block that reaches the best: 1 of about 73
+    blocks = []
+    pair_blocks = rlelcs.walk._pair_blocks
+
+    def counted(*args):
+        blocks.append(0)
+        for block in pair_blocks(*args):
+            blocks[-1] += 1
+            yield block
+
+    monkeypatch.setattr(rlelcs.walk, "_pair_blocks", counted)
+    inst = plant_instance(16_384, 2_048, 6_144, 1, verify=False)
+    for args in ((inst.a, inst.b), (inst.a,)):
+        runs, sep = _runs_of(*args)
+        blocks.clear()
+        assert _small_fallback(runs, sep) == _block_scan_fallback(runs, sep)
+        assert len(blocks) == 2 and blocks[1] == 1, blocks
+
+
 def test_fallback_adds_no_oracle_reads():
     # the fallback reads the solve's one run read: with a planted answer of
     # at least 3 runs, executed solves count the same queries with it or
