@@ -41,7 +41,6 @@ from .reference import (
 )
 from .rle import (
     ParseError,
-    PrefixTable,
     RleString,
     Run,
     concat_sep,
@@ -49,7 +48,6 @@ from .rle import (
     encode,
     format_rle,
     parse_rle,
-    prefix_table,
 )
 from .structures import DynArray, RangeSum2D
 from .walk import (

@@ -17,7 +17,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence
 
-from .rle import PrefixTable, RleString, Run, prefix_table
+from .rle import RleString, Run
 
 
 def ceil_sqrt(n: int) -> int:
@@ -93,20 +93,13 @@ class CostModel:
 
 
 class OracleHandle:
-    """Counted access to one RLE string and its prefix sums, tabled on first read."""
+    """Counted access to one RLE string's runs and prefix sums (the string owns the table)."""
 
-    __slots__ = ("string", "_prefix", "ledger")
+    __slots__ = ("string", "ledger")
 
     def __init__(self, string: RleString, ledger: QueryLedger):
         self.string = string
-        self._prefix: Optional[PrefixTable] = None
         self.ledger = ledger
-
-    @property
-    def prefix(self) -> PrefixTable:
-        if self._prefix is None:
-            self._prefix = prefix_table(self.string)
-        return self._prefix
 
     @property
     def n(self) -> int:
@@ -131,7 +124,7 @@ class OracleHandle:
         if not 0 <= i <= self.string.n:
             raise IndexError(f"prefix index {i} out of range 0..{self.string.n}")
         self.ledger.prefix_queries += 1
-        return self.prefix.values[i]
+        return self.string.prefix[i]
 
     def inverse_prefix(self, decoded_index: int) -> int:
         """Run index containing a decoded position, via O(log n) prefix probes."""

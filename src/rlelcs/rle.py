@@ -1,15 +1,18 @@
-"""Run-length encoded strings and decoded-domain comparisons.
+"""Run-length encoded strings, their prefix sums, and decoded-domain comparisons.
 
 Everything here works run-aligned: decoded strings are never materialized
 (``decode`` exists for I/O and for the brute-force reference oracles, which
 only run at desk scale).  Decoded positions and lengths are 1-based and may
 be far larger than the run count, so all comparisons walk runs and stop at
-the first divergence.
+the first divergence.  A string tables its prefix sums on first read, so the
+prefix-sum oracle costs only a constant overhead on the compression.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 from typing import Iterable, NamedTuple
 
 SEP_DOLLAR = ord("$")
@@ -70,6 +73,11 @@ class RleString:
         """Decoded length."""
         return self._total  # type: ignore[attr-defined]
 
+    @cached_property
+    def prefix(self) -> tuple[int, ...]:
+        """Cumulative run lengths: ``prefix[i]`` is where run i ends, decoded."""
+        return tuple(accumulate((r.length for r in self.runs), initial=0))
+
     def __len__(self) -> int:
         return len(self.runs)
 
@@ -78,31 +86,6 @@ class RleString:
 
     def __str__(self) -> str:
         return format_rle(self)
-
-
-@dataclass(frozen=True)
-class PrefixTable:
-    """Cumulative run lengths: ``values[i]`` is where run i ends, decoded."""
-
-    values: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.values or self.values[0] != 0:
-            raise ValueError("prefix table must start at 0")
-        for a, b in zip(self.values, self.values[1:]):
-            if b <= a:
-                raise ValueError("prefix table must be strictly increasing")
-
-    def __getitem__(self, i: int) -> int:
-        return self.values[i]
-
-    def clamped(self, i: int) -> int:
-        """Value with out-of-range indices clamped (0 below, total above)."""
-        if i <= 0:
-            return 0
-        if i >= len(self.values):
-            return self.values[-1]
-        return self.values[i]
 
 
 def encode(data: bytes) -> RleString:
@@ -119,13 +102,6 @@ def encode(data: bytes) -> RleString:
 def decode(s: RleString) -> bytes:
     """Inverse of :func:`encode`.  Materializes the string; desk scale only."""
     return b"".join(bytes([r.char]) * r.length for r in s.runs)
-
-
-def prefix_table(s: RleString) -> PrefixTable:
-    values = [0]
-    for r in s.runs:
-        values.append(values[-1] + r.length)
-    return PrefixTable(tuple(values))
 
 
 def ldcp_runs(a, b) -> int:

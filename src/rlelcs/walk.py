@@ -1006,10 +1006,13 @@ def verify_candidate(ans: LcsAnswer, ha: OracleHandle, hb: OracleHandle) -> bool
         return False
     if ha is hb and ans.decoded_start_A == ans.decoded_start_B:
         return False
-    pa, pb = ha.prefix, hb.prefix
-    if not (pa.clamped(ans.i_A - 1) < ans.decoded_start_A <= pa.clamped(ans.i_A)):
+    # uncounted table reads; range first, as a negative index would alias a real run
+    if not 1 <= ans.i_A <= ha.n or not 1 <= ans.i_B <= hb.n:
         return False
-    if not (pb.clamped(ans.i_B - 1) < ans.decoded_start_B <= pb.clamped(ans.i_B)):
+    pa, pb = ha.string.prefix, hb.string.prefix
+    if not pa[ans.i_A - 1] < ans.decoded_start_A <= pa[ans.i_A]:
+        return False
+    if not pb[ans.i_B - 1] < ans.decoded_start_B <= pb[ans.i_B]:
         return False
     if _match(ha, ans.decoded_start_A, hb, ans.decoded_start_B, 1) < d_tilde:
         return False

@@ -82,25 +82,28 @@ def test_handle_inverse_prefix_counts_probes():
     assert 1 <= probes <= math.ceil(math.log2(h.n)) + 1
 
 
-def test_handle_tables_prefix_sums_on_first_read(monkeypatch):
-    # a handle builds its prefix table when a prefix is first read, once,
-    # and reads the same values an eagerly built table held
-    import rlelcs.qmodel as qmodel
+def test_string_tables_prefix_sums_on_first_query(monkeypatch):
+    # the string builds its prefix table on the first query_prefix, once;
+    # construction and query_runs leave it unbuilt, and every handle of the
+    # string reads the same table
+    import rlelcs.rle as rle
 
     built = []
-    table = qmodel.prefix_table
-    monkeypatch.setattr(qmodel, "prefix_table", lambda s: built.append(s) or table(s))
+    accumulate = rle.accumulate
+    monkeypatch.setattr(rle, "accumulate", lambda *a, **k: built.append(a) or accumulate(*a, **k))
     s = encode(b"aaabcccddeeeee")
-    h = OracleHandle(s, QueryLedger())
+    h, other = OracleHandle(s, QueryLedger()), OracleHandle(s, QueryLedger())
     h.query_runs()
-    assert built == []
-    assert h.prefix == table(s) and built == [s]
+    assert built == [] and "prefix" not in vars(s)
+    assert h.query_prefix(0) == 0 and len(built) == 1
+    table = s.prefix
     assert [h.query_prefix(i) for i in range(h.n + 1)] == [0, 3, 4, 7, 9, 14]
     assert [h.inverse_prefix(p) for p in range(1, h.total + 1)] == [
         1, 1, 1, 2, 3, 3, 3, 4, 4, 5, 5, 5, 5, 5,
     ]
-    assert h.prefix.clamped(9) == 14 and built == [s]
-    assert h.ledger.run_queries == h.n
+    assert [other.query_prefix(i) for i in range(other.n + 1)] == list(table)
+    assert len(built) == 1
+    assert h.ledger.run_queries == h.n and other.ledger.prefix_queries == h.n + 1
 
 
 def test_grover_search_examples():

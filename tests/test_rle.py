@@ -14,7 +14,6 @@ from rlelcs.rle import (
     ldcp_runs,
     lex_compare_runs,
     parse_rle,
-    prefix_table,
 )
 
 
@@ -73,16 +72,12 @@ def test_invariants_rejected():
 
 
 def test_prefix_table_examples():
-    assert prefix_table(rle(("a", 3), ("b", 1), ("c", 3), ("d", 2))).values == (0, 3, 4, 7, 9)
-    assert prefix_table(RleString(())).values == (0,)
-    assert prefix_table(rle(("x", 5))).values == (0, 5)
-
-
-def test_prefix_table_clamping():
-    p = prefix_table(rle(("a", 3), ("b", 1)))
-    assert p.clamped(-3) == 0
-    assert p.clamped(0) == 0
-    assert p.clamped(99) == 4
+    assert rle(("a", 3), ("b", 1), ("c", 3), ("d", 2)).prefix == (0, 3, 4, 7, 9)
+    assert RleString(()).prefix == (0,)
+    assert rle(("x", 5)).prefix == (0, 5)
+    big = 2**61 - 1
+    s = rle(("a", big), ("b", 2**61), ("a", big))
+    assert s.prefix == (0, big, big + 2**61, 2 * big + 2**61) and s.prefix[-1] == s.total
 
 
 def test_inverse_prefix_examples():
@@ -99,9 +94,8 @@ def test_inverse_prefix_examples():
 def test_inverse_prefix_is_inverse():
     s = rle(("a", 4), ("b", 2), ("a", 7))
     h = OracleHandle(s, QueryLedger())
-    p = prefix_table(s)
     for i in range(1, s.n + 1):
-        assert h.inverse_prefix(p[i]) == i
+        assert h.inverse_prefix(s.prefix[i]) == i
 
 
 def test_ldcp_examples():

@@ -36,7 +36,6 @@ from rlelcs.rle import (
     encode,
     ldcp_runs,
     lex_compare_runs,
-    prefix_table,
 )
 from rlelcs.structures import DynArray
 from rlelcs.walk import (
@@ -117,12 +116,12 @@ def test_window_decoded_oracle_random():
         d = rng.randint(1, 6)
         x = build_exhaustive(s, d)
         full = decode(s)
-        pt = prefix_table(s)
+        pt = s.prefix
         for k in range(1, x.m + 1):
-            lo = pt.clamped(k - 1)
-            hi = pt.clamped(k + 2 * d)
+            lo = pt[k - 1]
+            hi = pt[min(k + 2 * d, s.n)]
             assert decode(prefix_window(s, x, k, d)) == full[lo:hi]
-            lo_b = pt.clamped(k - 2 * d - 1)
+            lo_b = pt[max(k - 2 * d - 1, 0)]
             assert decode(suffix_window(s, x, k, d)) == full[lo_b : pt[k]][::-1]
 
 
@@ -256,14 +255,14 @@ def test_vertex_check_disjoint_alphabets():
 def _brute_shift_certs(ctx, k_a, k_b):
     """Length flagged anchor k_a and partner k_b certify at each shift 0..2d, from decoded windows."""
     s, x, d = ctx.handle.string, ctx.anchors, ctx.d
-    pt = prefix_table(s)
+    pt = s.prefix
     x_a = x.entries[k_a - 1]
     rho = pt[x_a] - pt[x_a - 1]
     p = ldcp_runs(prefix_window(s, x, k_a, d), prefix_window(s, x, k_b, d))
     q = ldcp_runs(suffix_window(s, x, k_a, d), suffix_window(s, x, k_b, d))
     certs = []
     for shift in range(2 * d + 1):
-        big_l = pt[x_a] - pt.clamped(x_a - shift - 1)
+        big_l = pt[x_a] - pt[max(x_a - shift - 1, 0)]
         certs.append(p + big_l - rho if big_l <= q else 0)
     return certs
 
@@ -1004,7 +1003,7 @@ def test_walk_mode_run_bound_fires_at_once():
 
 def _loop_boundary_map(s):
     """Per char pair, in order of first occurrence: each boundary's run lengths and first end."""
-    prefix = prefix_table(s).values
+    prefix = s.prefix
     out = {}
     for i in range(s.n - 1):
         r1, r2 = s.runs[i], s.runs[i + 1]
@@ -1036,7 +1035,7 @@ def _loop_by_char(s):
 
 def _loop_single_run_best(a, b):
     """The single-run rules as per-char loops: LCS of a and b, or LRS of a when b is None."""
-    pa = prefix_table(a).values
+    pa = a.prefix
     best = None
 
     def offer(val, end_a, end_b):
@@ -1051,7 +1050,7 @@ def _loop_single_run_best(a, b):
             offer(l1 - 1, pa[i1] - 1, pa[i1])  # the longest run against itself, shifted
             offer(min(l1, l2), pa[i1], pa[i2])
         return best
-    by_b, pb = _loop_by_char(b), prefix_table(b).values
+    by_b, pb = _loop_by_char(b), b.prefix
     for c, items in _loop_by_char(a).items():
         if c in by_b:
             (la, ia), (lb, ib) = max(items), max(by_b[c])
@@ -1641,6 +1640,28 @@ def test_verify_rejects_tampering():
     assert not verify_candidate(dataclasses.replace(ans, d_tilde=ans.d_tilde + 3), ha, hb)
 
 
+def test_verify_rejects_out_of_range_run_indices():
+    # run indices outside 1..n fail the check without raising, including the
+    # negative ones that would index a real run's prefix sums from the end
+    import dataclasses
+
+    lcs = make_handles(encode(b"aabbbc"), encode(b"dbbbcc"))[:2]
+    h = OracleHandle(encode(b"abcabcab"), QueryLedger())
+    for ha, hb, ans in (
+        (*lcs, solve_lcs_rle_p(*lcs)),
+        (h, h, solve_lrs(h)),
+    ):
+        assert verify_candidate(ans, ha, hb)
+        for i in (0, -1, ha.n + 1):
+            assert not verify_candidate(dataclasses.replace(ans, i_A=i), ha, hb)
+        for i in (0, -1, hb.n + 1):
+            assert not verify_candidate(dataclasses.replace(ans, i_B=i), ha, hb)
+        aliased_b = dataclasses.replace(ans, i_B=ans.i_B - (hb.n + 1))
+        aliased_a = dataclasses.replace(ans, i_A=ans.i_A - (ha.n + 1), ell=ans.ell + ha.n + 1)
+        assert not verify_candidate(aliased_b, ha, hb)
+        assert not verify_candidate(aliased_a, ha, hb)
+
+
 def test_finalize_identical_singletons():
     ha, hb, _ = make_handles(encode(b"a"), encode(b"a"))
     ans = solve_lcs_rle_p(ha, hb)
@@ -1960,7 +1981,7 @@ def test_match_equals_forward_and_backward_loops():
         hb = ha if b is None else hb
         spots_a, spots_b = (
             {0, h.total + 1}
-            | {end + k for end in h.prefix.values for k in (0, 1)}
+            | {end + k for end in h.string.prefix for k in (0, 1)}
             | {rng.randint(1, h.total) for _ in range(4)}
             for h in (ha, hb)
         )
