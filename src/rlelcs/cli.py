@@ -237,21 +237,20 @@ def cmd_reductions(args) -> int:
 
 def cmd_validate_anchors(args) -> int:
     model = _load_model(args)
-    if args.d < model.d_min and args.scheme == "minimizer":
-        print(f"d={args.d} below d_min={model.d_min}: falling back to exhaustive anchors")
-        scheme = AnchorScheme.EXHAUSTIVE
-    else:
-        scheme = AnchorScheme(args.scheme)
-    valid = 0
+    scheme = AnchorScheme(args.scheme)
+    valid, noted = 0, False
     for t in range(args.trials):
         seed = args.seed + t
         inst = plant_instance(args.n_runs, args.d, args.d * 2, seed)
         s, sep = concat_sep(inst.a, inst.b)
         anchors = scale_anchors(s, args.d, scheme, seed, model)
+        if anchors.scheme is not scheme and not noted:
+            print(f"d={args.d} below d_min={model.d_min}: falling back to exhaustive anchors")
+            noted = True
         ok, witness = validate_anchor_set(anchors, s, sep, args.d)
         valid += ok
         verdict = "valid" if ok else f"INVALID witness={witness}"
-        print(f"seed={seed} m={anchors.m} d={args.d} scheme={scheme.value}: {verdict}")
+        print(f"seed={seed} m={anchors.m} d={args.d} scheme={anchors.scheme.value}: {verdict}")
     print(f"{valid}/{args.trials} valid")
     return EXIT_OK
 

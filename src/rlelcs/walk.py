@@ -1030,12 +1030,13 @@ class SolverConfig:
     anchors: AnchorScheme = AnchorScheme.EXHAUSTIVE
     seed: int = 0
     model: CostModel = field(default_factory=CostModel)
-    use_fallback: bool = True
     # cost-only trajectories branch on (decoded, encoded) answer lengths;
     # without a hint the worst-case trajectory is charged
     truth_hint: Optional[tuple[int, int]] = None
-    # per-scale anchor override, used by soundness tests
-    anchor_sets: Optional[dict[int, AnchorSet]] = None
+
+    def __post_init__(self):
+        # the solver compares members by identity; an unknown string raises ValueError
+        self.mode, self.anchors = WalkMode(self.mode), AnchorScheme(self.anchors)
 
 
 def scale_anchors(
@@ -1104,23 +1105,15 @@ def _solve(
 
     def ctx_for(d: int) -> _WalkContext:
         if d not in ctx_cache:
-            if config.anchor_sets is not None and d in config.anchor_sets:
-                anchors = config.anchor_sets[d]
-            else:
-                anchors = scale_anchors(
-                    hs.string, d, config.anchors, config.seed, model, span_hashes
-                )
+            anchors = scale_anchors(hs.string, d, config.anchors, config.seed, model, span_hashes)
             ctx_cache[d] = make_context(hs, anchors, d, sep_index, model, tokens)
         return ctx_cache[d]
 
     index_cache: dict[int, CollisionIndex] = {}
-    fallback = None
-    if config.use_fallback:
-        # minimum finding over each side's runs, Grover over boundary pairs
-        runs_charge = minfind_charge(model, max(1, ha.n), max(1, hb.n))
-        ledger.charge(runs_charge + grover_charge(model, max(1, (ha.n - 1) * (hb.n - 1))))
-        if not cost_only:
-            fallback = _small_fallback(tokens.runs, sep_index)
+    # minimum finding over each side's runs, Grover over boundary pairs
+    runs_charge = minfind_charge(model, max(1, ha.n), max(1, hb.n))
+    ledger.charge(runs_charge + grover_charge(model, max(1, (ha.n - 1) * (hb.n - 1))))
+    fallback = None if cost_only else _small_fallback(tokens.runs, sep_index)
     hint = config.truth_hint if config.truth_hint is not None else (hi, 1)
     offset = 0 if lrs else ha.total + 1  # B's decoded positions in A $ B
 
@@ -1145,11 +1138,10 @@ def _solve(
                 x_a, x_b = hit if lrs or hit[0] < sep_index else hit[::-1]
                 pv = tokens.runs[2]
                 return int(pv[x_a]), int(pv[x_b]) - offset
-        if config.use_fallback:
-            if cost_only:
-                return _HINT if d_tilde <= hint[0] else None
-            if fallback is not None and fallback[0] >= d_tilde:
-                return fallback[1:]
+        if cost_only:
+            return _HINT if d_tilde <= hint[0] else None
+        if fallback is not None and fallback[0] >= d_tilde:
+            return fallback[1:]
         return None
 
     best_hit = probe(1)

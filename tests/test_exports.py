@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import types
 from pathlib import Path
@@ -10,6 +11,11 @@ ROOT = Path(__file__).resolve().parents[1]
 TEST_ONLY = {
     "make_handles": "two handles on one ledger, the tests' usual solver setup",
     "pad_interleave": "the paper's incompressible padding, checked by test_reductions",
+}
+
+# SolverConfig fields that no caller sets, each with why it stays
+UNSET_FIELDS = {
+    "truth_hint": "cost-only mode's trajectory input, which ROADMAP item 13 generalizes",
 }
 
 
@@ -27,3 +33,12 @@ def test_every_export_has_a_caller():
         if not any(word.search(line) and not own.match(line) for line in lines):
             uncalled.append(name)
     assert sorted(uncalled) == sorted(TEST_ONLY)
+
+
+def test_every_solver_config_field_has_a_caller():
+    # each SolverConfig field is set as a keyword in the CLI or the benchmark harness
+    files = [ROOT / "src" / "rlelcs" / "cli.py", *sorted((ROOT / "perfbench").glob("*.py"))]
+    text = "\n".join(p.read_text() for p in files)
+    fields = [f.name for f in dataclasses.fields(rlelcs.SolverConfig)]
+    unset = [name for name in fields if not re.search(rf"\b{name}=", text)]
+    assert sorted(unset) == sorted(UNSET_FIELDS)

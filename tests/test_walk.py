@@ -1233,18 +1233,19 @@ def test_small_fallback_frontier_bound_on_a_large_planted_pair(monkeypatch):
         assert len(blocks) == 2 and blocks[1] == 1, blocks
 
 
-def test_fallback_adds_no_oracle_reads():
+def test_fallback_adds_no_oracle_reads(monkeypatch):
     # the fallback reads the solve's one run read: with a planted answer of
     # at least 3 runs, executed solves count the same queries with it or
-    # without it, and a cost-only solve reads no run
+    # with it finding nothing, and a cost-only solve reads no run
     for seed in range(4):
         inst = plant_instance(48, 6 + seed, 30, seed)
         joined, _ = concat_sep(inst.a, inst.b)
         for solve, strings in ((solve_lcs_rle_p, (inst.a, inst.b)), (solve_lrs, (joined,))):
             counts = []
-            for config in (SolverConfig(), SolverConfig(use_fallback=False)):
+            for fallback in (_small_fallback, lambda runs, sep_index: None):
+                monkeypatch.setattr(rlelcs.walk, "_small_fallback", fallback)
                 ha, hb, ledger = make_handles(strings[0], strings[-1])
-                ans = solve(*(ha, hb)[: len(strings)], config)
+                ans = solve(*(ha, hb)[: len(strings)], SolverConfig())
                 assert ans.ell >= 3
                 counts.append((ans, ledger.run_queries, ledger.prefix_queries))
             assert counts[0] == counts[1], (seed, solve.__name__)
@@ -1551,8 +1552,37 @@ def test_scale_ceiling_minimizer_builds_as_many_as_oracle():
             assert got == want and got[2] > 1, seed
 
 
-def test_scale_ceiling_anchor_overrides():
-    # per-scale anchor overrides: scales whose entries equal a larger scale's
+def test_string_settings_solve_as_their_members(monkeypatch):
+    # mode and anchors given as their members' string values solve with the
+    # same answer, ledger and minimizer builds; unknown strings raise
+    builds, build = [], rlelcs.walk.build_minimizer
+
+    def counted_build(*args, **kwargs):
+        builds.append(args[1])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(rlelcs.walk, "build_minimizer", counted_build)
+    inst = plant_instance(64, 16, 40, 3, verify=False)
+    for mode, scheme in itertools.product(WalkMode, AnchorScheme):
+        solves = []
+        for config in (
+            SolverConfig(mode=mode, anchors=scheme),
+            SolverConfig(mode=mode.value, anchors=scheme.value),
+        ):
+            builds.clear()
+            ha, hb, ledger = make_handles(inst.a, inst.b)
+            ans = solve_lcs_rle_p(ha, hb, config)
+            solves.append((ans, ledger.as_dict(), len(builds)))
+        assert solves[0] == solves[1], (mode, scheme)
+        assert (solves[1][2] > 0) == (scheme is AnchorScheme.MINIMIZER), (mode, scheme)
+    for bad in ({"mode": "bogus"}, {"anchors": "bogus"}, {"mode": "minimizer"}):
+        with pytest.raises(ValueError):
+            SolverConfig(**bad)
+
+
+def test_scale_ceiling_anchor_overrides(monkeypatch):
+    # per-scale anchor sets substituted for scale_anchors' (and, on odd seeds,
+    # a fallback finding nothing): scales whose entries equal a larger scale's
     # are skipped once it rules a probe out, scales with their own entries
     # still build; either way answers and counters equal the oracle's
     rng = random.Random(163)
@@ -1569,8 +1599,10 @@ def test_scale_ceiling_anchor_overrides():
         own = {d: tuple(sorted(rng.sample(all_runs, s.n - i))) for i, d in enumerate(scales)}
         for entries in (same, own):
             sets = {d: AnchorSet(e, d, AnchorScheme.EXHAUSTIVE) for d, e in entries.items()}
-            config = SolverConfig(anchor_sets=sets, seed=seed, use_fallback=seed % 2 == 0)
-            got, want = _with_and_without_ceiling(a, b, config)
+            monkeypatch.setattr(rlelcs.walk, "scale_anchors", lambda s, d, *_: sets[d])
+            fallback = _small_fallback if seed % 2 == 0 else lambda runs, sep_index: None
+            monkeypatch.setattr(rlelcs.walk, "_small_fallback", fallback)
+            got, want = _with_and_without_ceiling(a, b, SolverConfig(seed=seed))
             assert got[:2] == want[:2], seed
             if entries is same:
                 assert got[2] == 1, seed
@@ -1871,10 +1903,13 @@ def test_solve_charge_independent_of_answer_position():
     assert ledger2.charged_cost == pytest.approx(base)
 
 
-def test_soundness_decoupling_crippled_anchors():
+def test_soundness_decoupling_crippled_anchors(monkeypatch):
     # an invalid anchor set may miss answers but never inflates them, even
-    # with the small-run fallback disabled
+    # with the small-run fallback finding nothing; most crippled solves miss,
+    # which shows the substitutes took effect
     rng = random.Random(6)
+    monkeypatch.setattr(rlelcs.walk, "_small_fallback", lambda runs, sep_index: None)
+    missed = 0
     for seed in range(40):
         a = random_rle(rng, rng.randint(4, 30))
         b = random_rle(rng, rng.randint(4, 30))
@@ -1884,13 +1919,15 @@ def test_soundness_decoupling_crippled_anchors():
             d: AnchorSet(tuple(keep), d, AnchorScheme.EXHAUSTIVE)
             for d in (8, 16, 32, 64, 128)
         }
+        monkeypatch.setattr(rlelcs.walk, "scale_anchors", lambda s, d, *_: sets[d])
         ha, hb, _ = make_handles(a, b)
-        cfg = SolverConfig(use_fallback=False, anchor_sets=sets, seed=seed)
-        ans = solve_lcs_rle_p(ha, hb, cfg)
-        got = ans.d_tilde if ans else 0
-        assert got <= brute_lcs(a, b).length
+        ans = solve_lcs_rle_p(ha, hb, SolverConfig(seed=seed))
+        got, want = ans.d_tilde if ans else 0, brute_lcs(a, b).length
+        assert got <= want
+        missed += got < want
         if ans is not None:
             assert verify_candidate(ans, ha, hb)
+    assert missed > 20
 
 
 def test_solver_handles_64bit_run_lengths():
