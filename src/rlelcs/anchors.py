@@ -142,7 +142,6 @@ def validate_anchor_set(
     a_runs = runs[:n_a]
     b_runs = runs[sep_index:]
     n_b = len(b_runs)
-    max_h = min(d - 2, 2 * d)
     for i in range(0, n_a - d + 1):  # 0-based start run in A
         for j in range(0, n_b - d + 1):
             if a_runs[i].char != b_runs[j].char:
@@ -153,7 +152,7 @@ def validate_anchor_set(
                 continue
             anchored = any(
                 (i + 1 + h) in entries and (sep_index + j + 1 + h) in entries
-                for h in range(1, max_h + 1)
+                for h in range(1, d - 1)  # the window's d - 2 interior runs
             )
             if not anchored:
                 return False, (i + 1, j + 1)

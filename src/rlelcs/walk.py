@@ -32,8 +32,9 @@ with nothing to mark only makes its random draws.
 
 A solve reads its n runs once, by one counted bulk read, as arrays: every
 scale's window order and prefix sums, the small-run fallback (answers of
-one or two runs, below the anchor regime; past one block of boundary pairs,
-bounded by the other side's Pareto frontier) and the final positions read them.
+one or two runs, below the anchor regime, found in one pass over the
+boundaries sorted by char pair and first length) and the final positions
+read them.
 """
 
 from __future__ import annotations
@@ -857,19 +858,6 @@ def _match(ha: OracleHandle, pos_a: int, hb: OracleHandle, pos_b: int, step: int
             ib += step
 
 
-def _pair_blocks(rows, cols, lo, count):
-    """Blocks of about _PAIR_BATCH row-major (row, col): each row with its count cols from lo."""
-    before = np.concatenate(([0], np.cumsum(count)))  # pairs before each row, yielded per block
-    start = 0
-    while start < len(rows):
-        stop = max(start + 1, int(before.searchsorted(before[start] + _PAIR_BATCH, "right")) - 1)
-        row = np.repeat(rows[start:stop], count[start:stop])
-        offset = np.repeat(lo[start:stop] - before[start:stop], count[start:stop])
-        col = cols[offset + np.arange(before[start], before[stop])]
-        yield row, col, before[start:stop]
-        start = stop
-
-
 def _small_fallback(
     runs: tuple[np.ndarray, np.ndarray, np.ndarray], sep_index: Optional[int]
 ) -> Optional[tuple[int, int, int]]:
@@ -882,14 +870,19 @@ def _small_fallback(
     the longest run l1 against itself shifted by one (l1 - 1) comes before
     it against the second-longest.  A two-run hit is min(xa, xb) +
     min(ya, yb) over two boundaries with the same char pair, never a
-    boundary with itself, scanned in numpy blocks of about _PAIR_BATCH
-    pairs.  Ends are decoded ends in A and in B.  Ties keep the first hit:
-    chars and char pairs by first occurrence in A, then A's boundary, then
-    B's, and a single-run hit before a two-run hit.
+    boundary with itself.  Ends are decoded ends in A and in B.  Ties keep
+    the first hit: chars and char pairs by first occurrence in A, then A's
+    boundary, then B's, and a single-run hit before a two-run hit.
 
-    Past one block, only A boundaries whose best over B's Pareto frontier
-    (exact for LCS; for LRS it counts a boundary with itself) reaches the
-    best pair are scanned, in order, up to that pair; antichains stay quadratic.
+    One sorted pass finds the best two-run hit, in O(n log n).  With the
+    boundaries of a char pair sorted by first length x, a pair scores the
+    earlier one's x + min(y, y'), so the best value is the largest own
+    term x + min(y, M), M the largest second length y among a boundary's
+    partners after it (B's boundaries for one of A's and the reverse; for
+    LRS every other boundary).  The first char pair with an own term at
+    that value holds the hit.  Its row is the first whose y is at least
+    value - x for some boundary at or before it with an own term at the
+    value, and its column is that row's first reaching the value.
     """
     chars, lens, prefix = runs
     ends = prefix[1:]
@@ -924,49 +917,46 @@ def _small_fallback(
         j = np.lexsort((rank, -value))[0]
         best = (int(value[j]), int(hit_a[j]), int(hit_b[j]))
 
-    # boundary k joins runs k and k + 1 of its side; its key is their char pair
-    key_a, key_b = (c[:-1] * 256 + c[1:] for c in (ca, cb))
-    _, key_first, inverse = np.unique(key_a, return_index=True, return_inverse=True)
-    rows = np.argsort(key_first[inverse], kind="stable")  # A's boundaries in scan order
-
-    def matching(cols):
-        """Where each row's key starts among cols, B's boundaries sorted by key, and its count."""
-        keys = key_b[cols]
-        lo = np.searchsorted(keys, key_a[rows], side="left")
-        return lo, np.searchsorted(keys, key_a[rows], side="right") - lo
-
-    def scores(row, col):
-        return np.minimum(la[row], lb[col]) + np.minimum(la[row + 1], lb[col + 1])
-
-    by_key = np.argsort(key_b, kind="stable")
-    lo, count = matching(by_key)
-    rows, lo, count = rows[count > 0], lo[count > 0], count[count > 0]
-    top = math.inf  # no pair scores more
-    if count.sum() > _PAIR_BATCH:
-        # by key, then lengths descending: a second length beating all before is on the frontier
-        fo = np.lexsort((-lb[1:], -lb[:-1], key_b))
-        tag = key_b[fo] * len(lb) + np.unique(lb[1:], return_inverse=True)[1][fo]
-        front = fo[tag > np.concatenate(([-1], np.maximum.accumulate(tag)[:-1]))]
-        upper, top = [], 0
-        for row, col, seg in _pair_blocks(rows, front, *matching(front)):
-            val = scores(row, col)
-            upper.append(np.maximum.reduceat(val, seg - seg[0]))
-            if lrs:
-                val[row == col] = 0
-            top = max(top, int(val.max()))
-        # top is the best pair's value: (a, b) off the frontier scores <= a frontier pair or (b, a)
-        keep = np.concatenate(upper) >= max(top, 1 + (0 if best is None else best[0]))
-        rows, lo, count = rows[keep], lo[keep], count[keep]
-    for row, col, _ in _pair_blocks(rows, by_key, lo, count):
-        val = scores(row, col)
-        if lrs:
-            val[row == col] = 0
-        j = int(np.argmax(val))
-        if val[j] > (0 if best is None else best[0]):
-            best = (int(val[j]), int(ea[row[j]]), int(eb[col[j]]))
-            if best[0] >= top:
-                break  # no pair left can beat it
-    return best
+    # boundary k joins runs k and k + 1 of A $ B (or of the LRS string); its
+    # key is their char pair.  The two at the separator share no key, and
+    # side 1 (B) starts at the second of them.
+    n = len(lens) - 1
+    key = chars[:-1] * 256 + chars[1:]
+    order = np.lexsort((lens[:-1], key))  # by (key, x), then index
+    ks, xs, ys = key[order], lens[order], lens[1:][order]
+    side = np.zeros(n, np.int8) if lrs else (order >= sep_index - 1).view(np.int8)
+    look = side if lrs else side ^ 1  # the side of a boundary's partners
+    start = ks.searchsorted(ks)  # where each boundary's key starts
+    pos = np.arange(n)
+    # the largest partner y after each boundary: a suffix maximum of y's
+    # rank less an offset that grows with the key, so no later key's reaches it
+    by_y = ys.argsort()
+    off = start * n
+    tags = np.full((n + 1, 2), -DECODED_LENGTH_BOUND)
+    tags[pos, side] = by_y.argsort() - off
+    after = np.maximum.accumulate(tags[::-1], axis=0)[::-1][1:][pos, look] + off
+    term = xs + np.minimum(ys, np.take(ys[by_y], after, mode="clip"))
+    term[after < 0] = 0
+    top = int(term.max(initial=0))
+    if top <= (0 if best is None else best[0]):
+        return best
+    # a char pair has one of A's rows reaching top where one of its
+    # boundaries' own term is top; A's boundaries come before B's, so the
+    # first boundary among such char pairs, and then the first row reaching
+    # top in it, is A's
+    own = term == top
+    marked = np.zeros(n, bool)
+    marked[start[own]] = True
+    lo = start[np.where(marked[start], order, n).argmin()]
+    grp = slice(lo, int(ks.searchsorted(ks[lo], "right")))
+    # a boundary reaches top when one at or before it whose own term is top
+    # has x at least top - y: that one, or its partner after it that reaches
+    # top, pairs with the boundary at top
+    before = np.maximum.accumulate(np.where(own[grp], xs[grp], -DECODED_LENGTH_BOUND))
+    row = order[grp][before >= top - ys[grp]].min()
+    cols = order[grp][np.minimum(xs[grp], lens[row]) + np.minimum(ys[grp], lens[row + 1]) == top]
+    col = cols[cols != row].min() if lrs else cols[cols >= sep_index].min()
+    return top, int(ends[row]), int(ends[col] - (0 if lrs else prefix[sep_index]))
 
 
 def finalize_answer(

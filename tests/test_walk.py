@@ -1106,7 +1106,7 @@ def test_small_fallback_matches_loops_on_one_large_key(monkeypatch, batch):
 def _block_scan_fallback(runs, sep_index, batch=_PAIR_BATCH):
     """The fallback scoring every boundary pair with equal char pairs, batch pairs a block.
 
-    The reference for the frontier-bounded scan: the same single-run rules,
+    The reference for the sorted pass: the same single-run rules,
     then every pair in scan order, no row dropped.
     """
     chars, lens, prefix = runs
@@ -1212,25 +1212,63 @@ def test_small_fallback_frontier_bound_on_an_antichain():
         assert _small_fallback(runs, sep) == _block_scan_fallback(runs, sep)
 
 
-def test_small_fallback_frontier_bound_on_a_large_planted_pair(monkeypatch):
-    # the bounded scan agrees with the block scan, and after the bound's
-    # pass it stops in the block that reaches the best: 1 of about 73
-    blocks = []
-    pair_blocks = rlelcs.walk._pair_blocks
+def test_small_fallback_on_tied_antichains(monkeypatch):
+    # first lengths rising while second lengths fall, in steps that repeat,
+    # over 2-4 chars: most inputs tie several rows at the best two-run
+    # value.  Value and both ends equal the block scan's (one row a block,
+    # _PAIR_BATCH patched to 1) and the loop rules', LCS both ways and LRS
+    monkeypatch.setattr(rlelcs.walk, "_PAIR_BATCH", 1)
+    rng = random.Random(307)
+    for _ in range(350):
+        alphabet = b"abcd"[: rng.randint(2, 4)]
+        step = rng.randint(1, 4)
+        a, b = (
+            RleString.from_pairs(
+                (c, (1 + i // 2 // step if i % 2 == 0 else 30 - i // 2 // step) + shift)
+                for i, c in enumerate(_distinct_adjacent(rng, alphabet, 24))
+            )
+            for shift in (0, rng.choice((0, 1, 3)))
+        )
+        for args in ((a, b), (b, a), (a,)):
+            runs, sep = _runs_of(*args)
+            want = _block_scan_fallback(runs, sep, 1)
+            assert _small_fallback(runs, sep) == want == _loop_fallback(*args), args
 
-    def counted(*args):
-        blocks.append(0)
-        for block in pair_blocks(*args):
-            blocks[-1] += 1
-            yield block
 
-    monkeypatch.setattr(rlelcs.walk, "_pair_blocks", counted)
+def test_small_fallback_edge_cases():
+    # a side with no boundary, every boundary in one char pair (two runs a
+    # side: a third would add the pair ba), and run lengths near 2**61 (A $ B
+    # and the LRS string stay below 2**62): each as LCS and as LRS, equal to
+    # the block scan
+    big = 1 << 61
+
+    def ab(*lengths):
+        return RleString.from_pairs(zip("abab", lengths))
+
+    cases = [
+        (ab(5), ab(2, 7, 3)),
+        (ab(2, 7, 3), ab(5)),
+        (ab(4), ab(4)),
+        (ab(3, 9), ab(4, 2)),
+        (ab(9, 3), ab(9, 3)),
+        (ab(big - 100, 30, 20), ab(big - 200, 40)),
+        (ab(big - 50, (big >> 1) - 7, (big >> 1) - 9, 5), ab(1)),
+    ]
+    for a, b in cases:
+        assert a.total + 1 + b.total < 1 << 62
+        for args in ((a, b), (b, a), (a,), (b,)):
+            runs, sep = _runs_of(*args)
+            assert _small_fallback(runs, sep) == _block_scan_fallback(runs, sep), args
+    # the two-run hit of the large pair: boundary (big - 100, 30) with (big - 200, 40)
+    assert _small_fallback(*_runs_of(*cases[5])) == (big - 170, big - 100, big - 200)
+
+
+def test_small_fallback_frontier_bound_on_a_large_planted_pair():
+    # on 16 384 runs per side, LCS and LRS, the sorted pass agrees with the block scan
     inst = plant_instance(16_384, 2_048, 6_144, 1, verify=False)
     for args in ((inst.a, inst.b), (inst.a,)):
         runs, sep = _runs_of(*args)
-        blocks.clear()
         assert _small_fallback(runs, sep) == _block_scan_fallback(runs, sep)
-        assert len(blocks) == 2 and blocks[1] == 1, blocks
 
 
 def test_fallback_adds_no_oracle_reads(monkeypatch):
