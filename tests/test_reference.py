@@ -133,8 +133,8 @@ def test_brute_lcs_matches_naive_scan():
 
 @pytest.mark.parametrize("block", [0, reference._BRUTE_BLOCK], ids=["row-loop", "default"])
 def test_brute_lcs_equals_row_loop_random(monkeypatch, block):
-    # block 0 sends every pair to the row DP; the default sends pairs of up
-    # to about 250 decoded chars to the one-pass skewed array
+    # block 0 sends every pair to the suffix array; the default sends pairs
+    # of up to about 250 decoded chars to the one-pass skewed array
     monkeypatch.setattr(reference, "_BRUTE_BLOCK", block)
     rng = random.Random(14)
     for _ in range(1000):
@@ -147,6 +147,41 @@ def test_brute_lcs_equals_row_loop_on_ties():
     for a in strings:
         for b in strings:
             assert astuple(brute_lcs(a, b)) == row_loop_lcs(a, b), (a, b)
+
+
+def test_brute_lcs_suffix_array_on_ties_and_periodic_text(monkeypatch):
+    # every pair through the suffix array: the tie strings, long unary and
+    # periodic pairs, where prefix doubling runs until the block is longer
+    # than the shorter side, and text over bytes 0, 255 and "$"
+    monkeypatch.setattr(reference, "_BRUTE_BLOCK", 0)
+    strings = [encode(t) for t in TIE_STRINGS]
+    for a in strings:
+        for b in strings:
+            assert astuple(brute_lcs(a, b)) == row_loop_lcs(a, b), (a, b)
+    pairs = [
+        (b"a" * 3000, b"a" * 2000),
+        (b"ab" * 1500, b"ba" * 1600),
+        (b"\x00\xff$" * 200, b"$\x00\xff" * 150 + b"\x00" * 9),
+        (b"\xff" * 300 + b"$" * 5, b"\x00" + b"\xff" * 200 + b"$" * 9),
+    ]
+    for x, y in pairs:
+        a, b = encode(x), encode(y)
+        assert astuple(brute_lcs(a, b)) == row_loop_lcs(a, b), (x[:6], y[:6])
+        assert astuple(brute_lcs(b, a)) == row_loop_lcs(b, a), (y[:6], x[:6])
+
+
+def test_brute_lcs_suffix_array_at_benchmark_scale_and_skewed():
+    # two planted pairs the size of the benchmark's large LCS workload
+    # (about 5 000 decoded chars a side), and a skewed pair both ways
+    for seed in (1, 2):
+        inst = plant_instance(1024, 32, 128, seed, verify=False)
+        assert astuple(brute_lcs(inst.a, inst.b, bound=10**9)) == row_loop_lcs(inst.a, inst.b)
+    rng = random.Random(40)
+    short = random_rle(rng, 13, max_len=5)
+    long = random_rle(rng, 4000, max_len=9)
+    assert (short.total, long.total) == (39, 20_061)
+    assert astuple(brute_lcs(short, long)) == row_loop_lcs(short, long)
+    assert astuple(brute_lcs(long, short)) == row_loop_lcs(long, short)
 
 
 @pytest.mark.parametrize("nb", [384, 385, 386], ids=["below", "at", "above"])

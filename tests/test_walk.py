@@ -1075,12 +1075,11 @@ def _fallback(a, b=None):
 _FREE_BYTES = tuple(c for c in range(256) if c not in b"$@#")  # random_rle refuses these
 
 
-@pytest.mark.parametrize("batch", [1, 5, _PAIR_BATCH])
-def test_small_fallback_matches_loops(monkeypatch, batch):
+@pytest.mark.parametrize("seed", [72, 76, 4167])
+def test_small_fallback_matches_loops(seed):
     # value and both ends equal the loop rules' on random pairs and strings,
-    # where short runs make ties common, in blocks of whole and partial rows
-    monkeypatch.setattr(rlelcs.walk, "_PAIR_BATCH", batch)
-    rng = random.Random(71 + batch)
+    # where short runs make ties common
+    rng = random.Random(seed)
     for _ in range(150):
         alphabet = tuple(rng.sample(_FREE_BYTES, rng.randint(2, 10)))
         max_len = rng.choice((1, 2, 3, 30))
@@ -1091,14 +1090,12 @@ def test_small_fallback_matches_loops(monkeypatch, batch):
         assert _fallback(a) == _loop_fallback(a), a
 
 
-@pytest.mark.parametrize("batch", [1, 5, _PAIR_BATCH])
-def test_small_fallback_matches_loops_on_one_large_key(monkeypatch, batch):
-    # an alternating two-char string: its char pair ab has more boundary
-    # pairs than one block holds, and every length repeats
-    monkeypatch.setattr(rlelcs.walk, "_PAIR_BATCH", batch)
+def test_small_fallback_matches_loops_on_one_large_key():
+    # alternating two-char strings: every boundary is in char pair ab or
+    # ba, each with about a hundred boundaries, and every length repeats
     a = RleString.from_pairs([("ab"[i % 2], 1 + i % 3 + i // 97) for i in range(200)])
     b = RleString.from_pairs([("ba"[i % 2], 1 + i % 4) for i in range(150)])
-    assert len(_loop_boundary_map(a)[(ord("a"), ord("b"))]) ** 2 > _PAIR_BATCH
+    assert len(_loop_boundary_map(a)[(ord("a"), ord("b"))]) == 100
     for args in ((a,), (a, b), (b, a), (b,)):
         assert _fallback(*args) == _loop_fallback(*args), args
 
@@ -1180,14 +1177,12 @@ def _distinct_adjacent(rng, alphabet, max_runs):
     return [chr(c) for c in chars]
 
 
-@pytest.mark.parametrize("batch", [1, 5, 64])
-def test_small_fallback_frontier_bound_matches_block_scan(monkeypatch, batch):
-    # past one block, only boundaries whose frontier bound reaches the best
-    # are scanned: on random pairs and strings over 2-5 chars with run
-    # lengths in {1, 2, 3, 9, 30}, where ties are common, value and both
-    # ends equal the full block scan's
-    monkeypatch.setattr(rlelcs.walk, "_PAIR_BATCH", batch)
-    rng = random.Random(211 + batch)
+@pytest.mark.parametrize("seed", [212, 216, 275])
+def test_small_fallback_sorted_pass_matches_block_scan(seed):
+    # on random pairs and strings over 2-5 chars with run lengths in
+    # {1, 2, 3, 9, 30}, where ties are common, value and both ends of the
+    # sorted pass equal the full block scan's
+    rng = random.Random(seed)
     for _ in range(350):
         alphabet = b"abcde"[: rng.randint(2, 5)]
         a, b = (
@@ -1212,12 +1207,11 @@ def test_small_fallback_frontier_bound_on_an_antichain():
         assert _small_fallback(runs, sep) == _block_scan_fallback(runs, sep)
 
 
-def test_small_fallback_on_tied_antichains(monkeypatch):
+def test_small_fallback_on_tied_antichains():
     # first lengths rising while second lengths fall, in steps that repeat,
     # over 2-4 chars: most inputs tie several rows at the best two-run
-    # value.  Value and both ends equal the block scan's (one row a block,
-    # _PAIR_BATCH patched to 1) and the loop rules', LCS both ways and LRS
-    monkeypatch.setattr(rlelcs.walk, "_PAIR_BATCH", 1)
+    # value.  Value and both ends equal the block scan's (one pair a block)
+    # and the loop rules', LCS both ways and LRS
     rng = random.Random(307)
     for _ in range(350):
         alphabet = b"abcd"[: rng.randint(2, 4)]
