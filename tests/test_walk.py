@@ -1090,14 +1090,18 @@ def test_small_fallback_matches_loops(seed):
         assert _fallback(a) == _loop_fallback(a), a
 
 
-def test_small_fallback_matches_loops_on_one_large_key():
+@pytest.mark.parametrize("batch", [1, 5, 4096])
+def test_small_fallback_matches_loops_on_one_large_key(batch):
     # alternating two-char strings: every boundary is in char pair ab or
-    # ba, each with about a hundred boundaries, and every length repeats
+    # ba, each with about a hundred boundaries, and every length repeats.
+    # The fallback equals the loop rules and the block scan at batch pairs
+    # a block (one row a block at 1, one char pair split across blocks at 5)
     a = RleString.from_pairs([("ab"[i % 2], 1 + i % 3 + i // 97) for i in range(200)])
     b = RleString.from_pairs([("ba"[i % 2], 1 + i % 4) for i in range(150)])
     assert len(_loop_boundary_map(a)[(ord("a"), ord("b"))]) == 100
     for args in ((a,), (a, b), (b, a), (b,)):
-        assert _fallback(*args) == _loop_fallback(*args), args
+        want = _block_scan_fallback(*_runs_of(*args), batch)
+        assert _fallback(*args) == want == _loop_fallback(*args), args
 
 
 def _block_scan_fallback(runs, sep_index, batch=_PAIR_BATCH):
