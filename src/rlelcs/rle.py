@@ -55,6 +55,14 @@ class RleString:
         object.__setattr__(self, "_total", total)
 
     @classmethod
+    def _trusted(cls, runs: tuple[Run, ...], total: int) -> "RleString":
+        """A string of runs known to be valid, with their decoded total, unchecked."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "runs", runs)
+        object.__setattr__(s, "_total", total)
+        return s
+
+    @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int | str, int]]) -> "RleString":
         runs = []
         for char, length in pairs:
@@ -150,15 +158,18 @@ def concat_sep(a: RleString, b: RleString, sep: int | str = SEP_DOLLAR) -> tuple
     """Concatenate ``a``, a one-char separator run, and ``b``.
 
     Returns the combined string and the separator's run index (= a.n + 1).
-    The separator must occur in neither input.
+    The separator must be a byte and occur in neither input.  Two valid
+    strings joined by such a run are valid, so the runs are not re-checked.
     """
     if isinstance(sep, str):
         sep = ord(sep)
+    if not 0 <= sep <= 255:
+        raise ValueError(f"run char outside byte range: {sep}")
     for s in (a, b):
         if any(r.char == sep for r in s.runs):
             raise ValueError(f"separator {sep!r} occurs in an input string")
     runs = a.runs + (Run(sep, 1),) + b.runs
-    return RleString(runs), a.n + 1
+    return RleString._trusted(runs, a.total + 1 + b.total), a.n + 1
 
 
 _PRINTABLE = set(range(0x21, 0x7F)) - {ord(","), ord(":"), ord("\\")}

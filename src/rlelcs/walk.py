@@ -480,27 +480,6 @@ def _agreement(h: np.ndarray, lo: int, hi: int) -> int:
 # certificate kernel, shared by the full-set index and the walk vertex
 
 
-def _sparse_tables(h: np.ndarray) -> np.ndarray:
-    """Row k holds the minimum of h over the 2**k entries from each start (row tails unused)."""
-    tables = np.zeros((max(1, len(h).bit_length()), len(h)), dtype=np.int64)
-    tables[0] = h
-    for k in range(1, len(tables)):
-        half = 1 << (k - 1)
-        tables[k, :-half] = np.minimum(tables[k - 1, :-half], tables[k - 1, half:])
-    return tables
-
-
-def _floor_log2(n: np.ndarray) -> np.ndarray:
-    """floor(log2 n) of positive integers, exact below 2**53."""
-    return np.frexp(n)[1] - 1
-
-
-def _rmq_vec(tables: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Vectorized min over h[lo..hi] (inclusive, 0-based, lengths >= 1)."""
-    k = _floor_log2(hi - lo + 1)
-    return np.minimum(tables[k, lo], tables[k, hi + 1 - (1 << k)])
-
-
 # Pairs the kernel evaluates per numpy pass: large enough to amortize the
 # per-pass overhead, small enough that the pass's temporaries stay near 1 MiB.
 # A pass scores a block of flagged anchors against every anchor, so it holds
@@ -541,61 +520,56 @@ def _snap(pv: np.ndarray, d: int, x_a: np.ndarray, q: np.ndarray):
     return v <= x_a - 1, pv[x_a - 1] - pv[np.minimum(v, x_a - 1)]
 
 
-def _nearest(is_partner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per rank, the nearest rank before and after it whose anchor is_partner (-1 / m if none)."""
-    m = len(is_partner)
-    ranks = np.arange(m)
-    before = np.maximum.accumulate(np.where(is_partner, ranks, -1))
-    after = np.minimum.accumulate(np.where(is_partner, ranks, m)[::-1])[::-1]
-    return np.concatenate(([-1], before[:-1])), np.concatenate((after[1:], [m]))
+def _reach(pos: np.ndarray, h: np.ndarray, side: Optional[np.ndarray]) -> np.ndarray:
+    """Each anchor's largest agreement with a partner in one decoded order, or -1.
 
-
-def _neighbours(pos: np.ndarray, side: Optional[np.ndarray]) -> list[np.ndarray]:
-    """Each anchor's nearest partners before and after it in one decoded order.
-
-    side is 0 (red), 1 (blue) or 2 (white) per anchor, or None for a single
-    string, where every other anchor is a partner.  Anchor indices, -1 where
-    there is none; the entries of the white anchor are never read.
+    pos holds the anchors' ranks, h the agreements of adjacent ranks and
+    side is as in _sides.  Agreement only falls with distance, so the
+    largest is with the nearest partner before or after.  In a single
+    string that is an adjacent rank.  Between two strings, the nearest
+    partner before a rank is the last red or blue rank before it whose
+    colour turns at the next red or blue rank: a running minimum of h that
+    restarts at each turn, from a virtual partner before rank 0 that agrees
+    for -1, and the same leftward.  It runs over each entry's place in
+    sorted order less m per turn passed, so no earlier segment's minimum
+    reaches a later one and every value stays below m**2, whatever h holds.
+    The white anchor's entry is never read.
     """
-    m = len(pos)
-    at = np.empty(m, dtype=np.int64)
-    at[pos] = np.arange(m)
     if side is None:
-        ranks = [pos - 1, pos + 1]
-    else:
-        of_red, of_blue = _nearest(side[at] == 0), _nearest(side[at] == 1)
-        ranks = [np.where(side == 0, of_blue[k][pos], of_red[k][pos]) for k in (0, 1)]
-    return [np.where((r >= 0) & (r < m), at[np.clip(r, 0, m - 1)], -1) for r in ranks]
+        return np.concatenate(([-1], h, [-1]))[[pos, pos + 1]].max(axis=0)
+    m = len(pos)
+    colour = np.empty_like(side)
+    colour[pos] = side
+    at = np.flatnonzero(colour < 2)  # red and blue ranks
+    turn = colour[at[1:]] != colour[at[:-1]]
+    # row 0 runs rightward over [-1, h], row 1 leftward; column 0 holds the -1
+    starts = np.zeros((2, m), dtype=bool)
+    starts[:, 0] = True
+    starts[0, at[:-1][turn] + 1] = starts[1, m - at[1:][turn]] = True
+    key = np.append(-1, h)
+    order = key.argsort()  # ties in any order: equal keys read the same value
+    ranks = np.empty(m, dtype=np.int64)
+    ranks[order] = np.arange(m)  # ranks[0] = 0: the -1 sorts first
+    seg = np.cumsum(starts, axis=1) * m
+    run = np.vstack((ranks, np.append(0, ranks[:0:-1]))) - seg
+    np.minimum.accumulate(run, axis=1, out=run)
+    run += seg
+    reach = key[order][run]
+    return np.maximum(reach[0, pos], reach[1, m - 1 - pos])
 
 
 def _row_bounds(xs, fwd_pos, h_f, bwd_pos, h_b, pv, d, side, flagged):
-    """Per-anchor bound on its row's certificates, and a certificate some pair reaches.
+    """Per-anchor bound on its row's certificates: -1 off flagged and where no span fits.
 
-    Agreement only falls with distance in a decoded order, so an anchor's
-    nearest partners in the forward order give its largest p and those in
-    the backward order its largest q; the row bound is p + gain(q) at those
-    maxima, or -1 where no span fits.  The lower bound is the best exact
-    certificate among these at most 4 pairs per flagged anchor.
+    An anchor's largest p is its largest forward agreement with a partner,
+    its largest q the same backward (_reach), and the bound is p + gain(q)
+    at those maxima.  O(m) memory, with no range-minimum query.
     """
-    t_f, t_b = _sparse_tables(h_f), _sparse_tables(h_b)
-    nearest = _neighbours(fwd_pos, side) + _neighbours(bwd_pos, side)
-    partners = np.stack([n[flagged] for n in nearest])
-    has = partners >= 0
-    a = np.broadcast_to(flagged, partners.shape)[has]
-    b = partners[has]
-    p_f, p_b = fwd_pos[a], fwd_pos[b]
-    p = _rmq_vec(t_f, np.minimum(p_f, p_b), np.maximum(p_f, p_b) - 1)
-    q_f, q_b = bwd_pos[a], bwd_pos[b]
-    q = _rmq_vec(t_b, np.minimum(q_f, q_b), np.maximum(q_f, q_b) - 1)
-    ok, gain = _snap(pv, d, xs[a], q)
-    lower = int(np.max(np.where(ok, p + gain, 0), initial=0))
-    p_max, q_max = np.full(partners.shape, -1), np.full(partners.shape, -1)
-    p_max[has], q_max[has] = p, q
-    p_max, q_max = p_max.max(axis=0), q_max.max(axis=0)
-    ok, gain = _snap(pv, d, xs[flagged], q_max)
+    p, q = (_reach(pos, h, side) for pos, h in ((fwd_pos, h_f), (bwd_pos, h_b)))
+    ok, gain = _snap(pv, d, xs[flagged], q[flagged])
     upper = np.full(len(xs), -1)
-    upper[flagged] = np.where(ok, p_max + gain, -1)
-    return upper, lower
+    upper[flagged] = np.where(ok, p[flagged] + gain, -1)
+    return upper
 
 
 def _sides(xs: np.ndarray, sep_index: Optional[int]) -> Optional[np.ndarray]:
@@ -646,9 +620,12 @@ def best_certificate(
     partner; ties keep the first pair scanned.
 
     Each flagged anchor's row of pairs comes from cumulative minima, a block
-    of rows per numpy pass.  When the rows take more than one pass, exact
-    row bounds skip the rows that cannot win: a skipped row could at most
-    tie a pair that is scanned before it.
+    of rows per numpy pass.  When the rows take more than one pass, they are
+    scored highest bound (_row_bounds) first, each pass in scan order, so
+    the first pass holds the row with the highest bound and its exact best.
+    A row is skipped once its bound is below the best so far, or equal to
+    it and the row comes later in scan order: it could at most tie a pair
+    that is scanned before it.
     """
     m = len(xs)
     if m < 2:
@@ -659,20 +636,23 @@ def best_certificate(
     else:
         flagged = np.concatenate((np.flatnonzero(side == 0), np.flatnonzero(side == 1)))
     rows_per_pass = max(1, _PAIR_BATCH // m)
+    scan = np.arange(len(flagged))  # rows by their place in scan order
     upper = None
-    if len(flagged) > rows_per_pass:
-        upper, lower = _row_bounds(xs, fwd_pos, h_f, bwd_pos, h_b, pv, d, side, flagged)
-        flagged = flagged[upper[flagged] >= max(lower, 1)]
-    best, best_args = 0, None
-    while len(flagged):
-        rows, flagged = flagged[:rows_per_pass], flagged[rows_per_pass:]
-        cert = _score_rows(xs, fwd_pos, h_f, bwd_pos, h_b, pv, d, side, rows)
+    if len(scan) > rows_per_pass:
+        upper = _row_bounds(xs, fwd_pos, h_f, bwd_pos, h_b, pv, d, side, flagged)[flagged]
+        scan = scan[upper >= 1]
+        scan = scan[np.argsort(-upper[scan], kind="stable")]  # highest bound first
+    best, at = 0, None
+    while len(scan):
+        rows, scan = np.sort(scan[:rows_per_pass]), scan[rows_per_pass:]
+        cert = _score_rows(xs, fwd_pos, h_f, bwd_pos, h_b, pv, d, side, flagged[rows])
         i, j = divmod(int(np.argmax(cert)), m)
-        if int(cert[i, j]) > best:
-            best, best_args = int(cert[i, j]), (int(rows[i]), j)
-            if upper is not None:
-                flagged = flagged[upper[flagged] > best]
-    return best, best_args
+        value = int(cert[i, j])
+        if value > best or (value == best > 0 and rows[i] < at[0]):
+            best, at = value, (int(rows[i]), j)
+            if upper is not None:  # the rows left that could beat it, or tie it earlier
+                scan = scan[(upper[scan] > best) | ((upper[scan] == best) & (scan < at[0]))]
+    return (0, None) if at is None else (best, (int(flagged[at[0]]), at[1]))
 
 
 def _pair_table(xs, fwd_pos, h_f, bwd_pos, h_b, pv, d, sep_index):

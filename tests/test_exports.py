@@ -35,6 +35,24 @@ def test_every_export_has_a_caller():
     assert sorted(uncalled) == sorted(TEST_ONLY)
 
 
+def test_every_solver_helper_has_a_caller():
+    # each module-level def or class of the package occurs in src/ outside its
+    # own def/class line; reference.py is skipped, as its oracles and window
+    # helpers serve the tests
+    files = sorted((ROOT / "src" / "rlelcs").glob("*.py"))
+    lines = [line for p in files for line in p.read_text().splitlines()]
+    uncalled = []
+    for path in files:
+        if path.name == "reference.py":
+            continue
+        for name in re.findall(r"^(?:def|class) (\w+)", path.read_text(), re.M):
+            word = re.compile(rf"\b{name}\b")
+            own = re.compile(rf"\s*(def|class) {name}\b")
+            if not any(word.search(line) and not own.match(line) for line in lines):
+                uncalled.append(f"{path.name}:{name}")
+    assert uncalled == []
+
+
 def test_every_solver_config_field_has_a_caller():
     # each SolverConfig field is set as a keyword in the CLI or the benchmark harness
     files = [ROOT / "src" / "rlelcs" / "cli.py", *sorted((ROOT / "perfbench").glob("*.py"))]

@@ -1,8 +1,11 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rlelcs.qmodel import OracleHandle, QueryLedger
+from rlelcs.reference import random_rle
 from rlelcs.rle import (
     ParseError,
     RleString,
@@ -173,6 +176,35 @@ def test_concat_sep():
 def test_concat_sep_rejects_separator_in_input():
     with pytest.raises(ValueError):
         concat_sep(rle(("$", 1)), rle(("b", 1)), "$")
+
+
+def test_concat_sep_equals_checked_construction():
+    # the joined string skips the run checks: it equals RleString(runs) built
+    # the checked way, total and prefix sums included, on random pairs (empty
+    # sides too) and on run lengths near 2**61; a separator outside the byte
+    # range is still refused
+    rng = random.Random(11)
+    big = 1 << 61
+    cases = [
+        (random_rle(rng, rng.randint(0, 12)), random_rle(rng, rng.randint(0, 12)))
+        for _ in range(200)
+    ]
+    cases += [
+        (rle(("a", big - 3), ("b", big - 5)), rle(("b", big - 7))),
+        (rle(("a", big)), RleString(())),
+        (RleString(()), rle(("c", big - 1), ("a", 2))),
+    ]
+    for a, b in cases:
+        for sep in ("$", 0, 255):
+            joined, sep_idx = concat_sep(a, b, sep)
+            sep = ord(sep) if isinstance(sep, str) else sep
+            checked = RleString(a.runs + (Run(sep, 1),) + b.runs)
+            assert joined == checked and sep_idx == a.n + 1
+            assert joined.total == checked.total == a.total + 1 + b.total
+            assert joined.prefix == checked.prefix and hash(joined) == hash(checked)
+    for sep in (-1, 256):
+        with pytest.raises(ValueError):
+            concat_sep(rle(("a", 1)), rle(("b", 1)), sep)
 
 
 def test_text_format_roundtrip():

@@ -45,14 +45,14 @@ from rlelcs.walk import (
     _TokenRanks,
     _d_values,
     _dense_ranks,
-    _floor_log2,
     _pair_table,
-    _rmq_vec,
+    _reach,
     _row_bounds,
+    _score_rows,
     _separator,
     _sides,
+    _snap,
     _small_fallback,
-    _sparse_tables,
     CollisionIndex,
     InternalInconsistencyError,
     LcsAnswer,
@@ -445,6 +445,70 @@ def test_token_ranks_match_two_key_oracle():
     assert distinct_early >= 16
 
 
+# Range minima over sparse tables, independent of the solver's running
+# minima: the oracles' agreement reads and the reference row bound.
+
+
+def _sparse_tables(h):
+    """Row k holds the minimum of h over the 2**k entries from each start (row tails unused)."""
+    tables = np.zeros((max(1, len(h).bit_length()), len(h)), dtype=np.int64)
+    tables[0] = h
+    for k in range(1, len(tables)):
+        half = 1 << (k - 1)
+        tables[k, :-half] = np.minimum(tables[k - 1, :-half], tables[k - 1, half:])
+    return tables
+
+
+def _rmq_vec(tables, lo, hi):
+    """Vectorized min over h[lo..hi] (inclusive, 0-based, lengths >= 1)."""
+    k = np.frexp(hi - lo + 1)[1] - 1  # floor(log2), exact below 2**53
+    return np.minimum(tables[k, lo], tables[k, hi + 1 - (1 << k)])
+
+
+def _nearest(is_partner):
+    """Per rank, the nearest rank before and after it whose anchor is_partner (-1 / m if none)."""
+    m = len(is_partner)
+    ranks = np.arange(m)
+    before = np.maximum.accumulate(np.where(is_partner, ranks, -1))
+    after = np.minimum.accumulate(np.where(is_partner, ranks, m)[::-1])[::-1]
+    return np.concatenate(([-1], before[:-1])), np.concatenate((after[1:], [m]))
+
+
+def _neighbours(pos, side):
+    """Each anchor's nearest partners before and after it in one decoded order (-1 if none)."""
+    m = len(pos)
+    at = np.empty(m, dtype=np.int64)
+    at[pos] = np.arange(m)
+    if side is None:
+        ranks = [pos - 1, pos + 1]
+    else:
+        of_red, of_blue = _nearest(side[at] == 0), _nearest(side[at] == 1)
+        ranks = [np.where(side == 0, of_blue[k][pos], of_red[k][pos]) for k in (0, 1)]
+    return [np.where((r >= 0) & (r < m), at[np.clip(r, 0, m - 1)], -1) for r in ranks]
+
+
+def _sparse_table_row_bounds(xs, fwd_pos, h_f, bwd_pos, h_b, pv, d, side, flagged):
+    """_row_bounds from range minima between each flagged anchor and its (at most 4)
+    nearest partners in the two orders: the oracle for its running minima."""
+    t_f, t_b = _sparse_tables(h_f), _sparse_tables(h_b)
+    nearest = _neighbours(fwd_pos, side) + _neighbours(bwd_pos, side)
+    partners = np.stack([n[flagged] for n in nearest])
+    has = partners >= 0
+    a = np.broadcast_to(flagged, partners.shape)[has]
+    b = partners[has]
+    p_f, p_b = fwd_pos[a], fwd_pos[b]
+    p = _rmq_vec(t_f, np.minimum(p_f, p_b), np.maximum(p_f, p_b) - 1)
+    q_f, q_b = bwd_pos[a], bwd_pos[b]
+    q = _rmq_vec(t_b, np.minimum(q_f, q_b), np.maximum(q_f, q_b) - 1)
+    p_max, q_max = np.full(partners.shape, -1), np.full(partners.shape, -1)
+    p_max[has], q_max[has] = p, q
+    p_max, q_max = p_max.max(axis=0), q_max.max(axis=0)
+    ok, gain = _snap(pv, d, xs[flagged], q_max)
+    upper = np.full(len(xs), -1)
+    upper[flagged] = np.where(ok, p_max + gain, -1)
+    return upper
+
+
 def _per_anchor_best_certificate(xs, fwd_pos, h_f, bwd_pos, h_b, pv, d, sep_index):
     """best_certificate as one numpy pass per flagged anchor: the reference for its batches."""
     best, best_args = 0, None
@@ -565,9 +629,14 @@ def test_best_certificate_row_bounds_match_per_anchor_loop(monkeypatch):
     # "!" sorts before the separator "$" and "a" after it, so the white
     # anchor can sit between a red and a blue anchor in a decoded order
     monkeypatch.setattr(rlelcs.walk, "_PAIR_BATCH", 1)
-    blocks = _spy(monkeypatch, "_row_agreements")
+    scored = _spy(monkeypatch, "_score_rows")
     rng = random.Random(83)
-    seen = {"white between partners": 0, "witness row bound at LB": 0, "rows skipped": 0}
+    seen = {
+        "white between partners": 0,
+        "witness row bound at LB": 0,
+        "rows skipped": 0,
+        "tie kept for an earlier row": 0,
+    }
     for trial in range(240):
         lrs, subset, periodic = trial % 2 == 1, trial % 3 == 0, trial % 4 >= 2
         d = rng.choice([1, 2, 3, 4, 5, 8, 16, 81])
@@ -577,24 +646,85 @@ def test_best_certificate_row_bounds_match_per_anchor_loop(monkeypatch):
         else:
             ctx = _random_context(rng, lrs, rng.randint(1, 20), d, subset, alphabet)
         args = _kernel_args(ctx)
-        del blocks[:]
+        del scored[:]
         got = best_certificate(*args)
         want = _per_anchor_best_certificate(*args)
         assert got == want, (trial, ctx.handle.string, d)
         xs, fwd_pos, _, bwd_pos = args[:4]
+        side = _sides(xs, ctx.sep_index)
+        flagged = np.arange(len(xs)) if lrs else np.flatnonzero(side < 2)
+        upper = _row_bounds(*args[:7], side, flagged)
+        assert np.array_equal(upper, _sparse_table_row_bounds(*args[:7], side, flagged)), trial
         if not lrs:
             seen["white between partners"] += any(
                 _white_between_partners(ctx, pos) for pos in (fwd_pos, bwd_pos)
             )
         if want[1] is None:
             continue
-        side = None if lrs else np.where(xs < ctx.sep_index, 0, np.where(xs > ctx.sep_index, 1, 2))
-        flagged = np.arange(len(xs)) if lrs else np.flatnonzero(side < 2)
-        upper, lower = _row_bounds(*args[:7], side, flagged)
-        assert lower <= want[0] <= upper[want[1][0]]
-        seen["witness row bound at LB"] += int(upper[want[1][0]]) == lower
-        seen["rows skipped"] += len(blocks) < len(flagged)
+        # rows are scored highest bound first: the first pass's exact best,
+        # that of the row with the highest bound, is a lower bound
+        lower = int(_score_rows(*args[:7], side, flagged[[np.argmax(upper[flagged])]]).max())
+        witness = want[1][0]
+        assert lower <= want[0] <= upper[witness]
+        seen["witness row bound at LB"] += int(upper[witness]) == lower
+        seen["rows skipped"] += sum(len(call[-1]) for call in scored) < len(flagged)
+        # a row later in scan order reached the best first, with a higher bound
+        reach_best = flagged[_score_rows(*args[:7], side, flagged).max(axis=1) == want[0]]
+        seen["tie kept for an earlier row"] += bool((upper[reach_best] > upper[witness]).any())
     assert all(seen.values()), seen
+
+
+def _bound_case(lens, xs, orders, d, sep_index):
+    """_row_bounds on hand-made (pos, h) forward and backward orders, checked against the
+    sparse-table oracle and against each flagged row's scored best."""
+    xs = np.array(xs, dtype=np.int64)
+    pv = np.concatenate(([0], np.cumsum(lens))).astype(np.int64)
+    (fwd_pos, h_f), (bwd_pos, h_b) = (
+        (np.array(pos), np.array(h, dtype=np.int64)) for pos, h in orders
+    )
+    side = _sides(xs, sep_index)
+    flagged = np.arange(len(xs)) if side is None else np.flatnonzero(side < 2)
+    args = (xs, fwd_pos, h_f, bwd_pos, h_b, pv, d, side, flagged)
+    upper = _row_bounds(*args)
+    assert np.array_equal(upper, _sparse_table_row_bounds(*args)), args
+    for a in flagged:
+        assert max(upper[a], 0) >= _score_rows(*args[:8], np.array([a])).max(), (args, a)
+    return upper
+
+
+def test_row_bounds_edge_cases():
+    # m = 2, one colour with no anchor, the white anchor between partners,
+    # all-equal h and h near 2**62: equal to the sparse-table bound, and at
+    # or above every row's best
+    two = [([0, 1], [5]), ([1, 0], [4])]
+    assert _bound_case([2, 1, 3], [1, 3], two, 1, 2).tolist() == [5, 6]
+    assert _bound_case([2, 1, 3], [1, 3], two, 1, None).tolist() == [5, 6]
+    red = [([2, 0, 1], [9, 4]), ([0, 1, 2], [3, 3])]
+    assert _bound_case([1] * 6, [1, 2, 3], red, 2, 5).tolist() == [-1] * 3
+    blue = [([3, 0, 1, 2], [9, 4, 7]), ([0, 1, 2, 3], [3, 3, 3])]
+    assert _bound_case([1] * 6, [2, 3, 4, 5], blue, 2, 2).tolist() == [-1] * 4
+    # red x2 at rank 0, white x3 at 1, blue x4 at 2: their agreement runs
+    # through the white anchor's
+    xs, sep = np.arange(1, 6), 3
+    five = [([3, 0, 1, 2, 4], [9, 4, 7, 6]), ([0, 1, 2, 3, 4], [3, 3, 3, 3])]
+    p = _reach(np.array(five[0][0]), np.array(five[0][1]), _sides(xs, sep))
+    assert p[[0, 1, 3, 4]].tolist() == [7, 4, 7, 6]
+    _bound_case([2, 1, 1, 3, 2, 1], xs, five, 2, sep)
+    rng = random.Random(29)
+    for trial in range(400):
+        n = rng.randint(2, 14)
+        xs = sorted(rng.sample(range(1, n + 1), rng.randint(2, n)))
+        sep = rng.choice([None, None, rng.randint(1, n)])
+        base = rng.choice([0, (1 << 62) - 64])
+        orders = []
+        for _ in "fb":
+            pos = list(range(len(xs)))
+            rng.shuffle(pos)
+            # all equal a fifth of the time
+            h = [base + (9 if trial % 5 == 0 else rng.randint(0, 4)) for _ in xs[1:]]
+            orders.append((pos, h))
+        lens = [rng.choice([1, 2, 3, 40]) for _ in range(n)]
+        _bound_case(lens, xs, orders, rng.randint(1, 5), sep)
 
 
 def _ranked(order, lcp, slot):
@@ -931,15 +1061,15 @@ def test_vertex_error_contract_leaves_views_unchanged():
 
 
 def test_walk_mode_never_builds_range_minimum_rows(monkeypatch):
-    # walk-mode LCS and LRS solves build pair tables but no range-minimum rows
-    tables = _spy(monkeypatch, "_sparse_tables")
+    # walk-mode LCS and LRS solves build pair tables but compute no row bounds
+    bounds = _spy(monkeypatch, "_row_bounds")
     pairs = _spy(monkeypatch, "_pair_table")
     inst = plant_instance(12, 4, 12, 5)
     ha, hb, _ = make_handles(inst.a, inst.b)
     assert solve_lcs_rle_p(ha, hb, SolverConfig(mode=WalkMode.RANDOMWALK)) is not None
     ha, _, _ = make_handles(inst.a, encode(b""))
     solve_lrs(ha, SolverConfig(mode=WalkMode.RANDOMWALK))
-    assert pairs and tables == []
+    assert pairs and bounds == []
 
 
 def _arrays(value):
@@ -1199,9 +1329,9 @@ def test_small_fallback_sorted_pass_matches_block_scan(seed):
             assert _small_fallback(runs, sep) == _block_scan_fallback(runs, sep), (a, b, sep)
 
 
-def test_small_fallback_frontier_bound_on_an_antichain():
-    # first lengths rising while second lengths fall: every boundary of a
-    # char pair is on its frontier, and the bounded scan still agrees
+def test_small_fallback_matches_block_scan_on_an_antichain():
+    # first lengths rising while second lengths fall, so no boundary of a
+    # char pair dominates another: the sorted pass agrees with the block scan
     n = 1500
     lengths = [i + 1 if i % 2 == 0 else 2 * n - i for i in range(n)]  # a runs rise, b runs fall
     a, b = (RleString.from_pairs(("ab"[i % 2], x + c) for i, x in enumerate(lengths)) for c in (0, 3))
@@ -1261,7 +1391,7 @@ def test_small_fallback_edge_cases():
     assert _small_fallback(*_runs_of(*cases[5])) == (big - 170, big - 100, big - 200)
 
 
-def test_small_fallback_frontier_bound_on_a_large_planted_pair():
+def test_small_fallback_matches_block_scan_on_a_large_planted_pair():
     # on 16 384 runs per side, LCS and LRS, the sorted pass agrees with the block scan
     inst = plant_instance(16_384, 2_048, 6_144, 1, verify=False)
     for args in ((inst.a, inst.b), (inst.a,)):
@@ -1891,22 +2021,6 @@ def test_solve_randomwalk_whole_anchor_set_miss():
     # three runs give r = m = 3: the walk has no swap to make after a miss
     ha, hb, _ = make_handles(encode(b"a"), encode(b"b"))
     assert solve_lcs_rle_p(ha, hb, SolverConfig(mode=WalkMode.RANDOMWALK)) is None
-
-
-def test_floor_log2_matches_bit_length():
-    ns = list(range(1, 4097))
-    ns += [(1 << k) + e for k in range(1, 41) for e in (-1, 0, 1)]
-    got = _floor_log2(np.array(ns, dtype=np.int64))
-    assert got.tolist() == [n.bit_length() - 1 for n in ns]
-
-
-def test_rmq_vec_matches_slice_minimum():
-    rng = np.random.default_rng(7)
-    for n in range(1, 41):
-        h = rng.integers(0, 9, size=n)
-        lo, hi = np.triu_indices(n)
-        want = [int(h[i : j + 1].min()) for i, j in zip(lo, hi)]
-        assert _rmq_vec(_sparse_tables(h), lo, hi).tolist() == want
 
 
 def test_solve_costonly_deterministic_and_answerless():
