@@ -20,11 +20,19 @@ from .anchors import AnchorScheme, validate_anchor_set
 from .qmodel import CostModel, OracleHandle, QueryLedger, WalkMode
 from .reductions import gadget_dl, parity_via_dl, parity_via_el
 from .reference import ParameterError, ResourceLimitError, brute_lcs, plant_instance
-from .rle import ParseError, RleString, concat_sep, decode, encode, format_rle, parse_rle
+from .rle import (
+    NoSeparatorError,
+    ParseError,
+    RleString,
+    concat_sep,
+    decode,
+    encode,
+    format_rle,
+    parse_rle,
+)
 from .walk import (
     DecodedLengthError,
     InternalInconsistencyError,
-    NoSeparatorError,
     SolverConfig,
     WalkSizeError,
     check_walk_size,

@@ -3,8 +3,8 @@
 The solver nests a binary search on the decoded answer length inside a
 halving sweep over encoded window scales d.  At each scale it walks over
 r-subsets of an anchor set on the concatenation A $ B; a vertex keeps the
-chosen anchor ids and the count of stored pairs that certify the walk's
-target, so a check with no such pair reads one number.  Its orders, by id
+chosen anchor ids, and a check reads the stored anchors' block of the
+scale's pair table, as the declared Grover check models.  Its orders, by id
 and by rank in the order of the text read forward from each anchor and of
 the text read backward into it, with adjacent decoded-common-prefix lengths,
 are views built on read from the scale's window order.  Every mode charges
@@ -24,11 +24,11 @@ reads the scale's pair table, one m x m table of certificates filled once.
 Both read one window order per scale, ranked from the solve's run tokens.
 A search's hit is the run pair of its best (flagged, partner) anchors.
 
-A scale whose best certificate is below a search's target marks no vertex.
+A scale whose best certificate is below a search's target builds no vertex.
 Over the same anchors no certificate rises as d falls, so a larger scale's
 best bounds a smaller one's: a solve keeps each scale's best, and a scale
 that a larger one rules out builds no index or pair table.  A walk search
-with nothing to mark only makes its random draws.
+with no pair at its target only makes its random draws.
 
 A solve reads its n runs once, by one counted bulk read, as arrays: every
 scale's window order and prefix sums, the small-run fallback (answers of
@@ -60,7 +60,6 @@ from .qmodel import (
     walk_search,
 )
 from .rle import (
-    SEP_DOLLAR,
     RleString,
     concat_sep,
     ldcp_runs,  # not called here; perfbench/tracer.py patches rlelcs.walk.ldcp_runs
@@ -80,9 +79,9 @@ DECODED_LENGTH_BOUND = 1 << 62
 # 2-vCPU x86-64 VM with Python 3.11 took 0.9 s at 769 runs, 1.2 s at 1 023,
 # 2.6 s at 1 600 and 3.8 s at 2 048, at a peak RSS of 41, 45, 60 and 76 MiB.
 # The bound still allows for the worst case: a solve whose top-scale walk
-# misses a marked pair, or one with minimizer anchors, builds a table at
-# every scale it visits, up to 8 here; built at all 8 scales, the planted
-# 1 600-run tables took the solve to a peak of 196 MiB.
+# misses every pair at its target, or one with minimizer anchors, builds a
+# table at every scale it visits, up to 8 here; built at all 8 scales, the
+# planted 1 600-run tables took the solve to a peak of 196 MiB.
 WALK_RUN_BOUND = 1600
 
 
@@ -96,10 +95,6 @@ class DecodedLengthError(ValueError):
 
 class WalkSizeError(ValueError):
     """A walk-mode solve's string has more than WALK_RUN_BOUND runs."""
-
-
-class NoSeparatorError(ValueError):
-    """Two inputs together use all 256 byte values, so none can separate them."""
 
 
 @dataclass(frozen=True)
@@ -306,9 +301,9 @@ class _WalkContext:
     def pair_table(self) -> np.ndarray:
         """Certificate of every ordered anchor pair (see _pair_table).
 
-        Only walk vertices read it: each walk search marks its pairs once,
-        and a vertex's best() reads the stored anchors' block.  It holds
-        8 m^2 bytes, the one m x m table a walk-mode scale keeps.
+        Only walk mode reads it: its maximum is the scale's best
+        (_TableBest), and a vertex's best() reads the stored anchors' block.
+        It holds 8 m^2 bytes, the one m x m table a walk-mode scale keeps.
         """
         xs, (fwd_pos, h_f), (bwd_pos, h_b) = self.window_order
         return _pair_table(xs, fwd_pos, h_f, bwd_pos, h_b, self.pv, self.d, self.sep_index)
@@ -343,50 +338,34 @@ def make_context(
 
 
 class WalkVertex:
-    """Stored-anchor state for one walk: the ids, and the count of marked stored pairs.
+    """Stored-anchor state for one walk: the ids of the stored anchors.
 
-    A walk search fixes its target length, the vertex's threshold.  A pair
-    is marked when its pair-table certificate, with either anchor flagged,
-    reaches the threshold; each anchor's marked partners are one bitmask
-    row, built from the scale's pair table when the vertex is made.  An
-    insert or delete adds or subtracts the marked pairs the anchor forms
-    with the stored ids, so a check at or above the threshold with no
-    marked pair returns None without reading a pair; any other check runs
-    best().  The default threshold, inf, marks nothing and builds no rows.
-    The read-only DynArray views, built when read from the context's window
-    order: by_key, (anchor id, run index) by id; fwd_order/bwd_order, the
-    same in the forward and backward window order; fwd_lcp/bwd_lcp, (anchor
-    id, agreement with the next anchor) along each order, the minimum of h
-    between their ranks.
+    A check reads the stored anchors' block of the scale's pair table
+    (best()), the pairs that the declared check, a Grover search over the
+    stored anchors' windows, searches.  The read-only DynArray views, built
+    when read from the context's window order: by_key, (anchor id, run
+    index) by id; fwd_order/bwd_order, the same in the forward and backward
+    window order; fwd_lcp/bwd_lcp, (anchor id, agreement with the next
+    anchor) along each order, the minimum of h between their ranks.
     """
 
-    def __init__(self, ctx: _WalkContext, threshold: float = math.inf):
+    def __init__(self, ctx: _WalkContext):
         self.ctx = ctx
-        self.threshold = threshold
-        self.marked_pairs = 0
         self._ids: set[int] = set()
-        self._mask = 0  # bit k - 1 set for each stored id k
-        self._rows = (
-            [0] * ctx.anchors.m if threshold == math.inf else _marked_rows(ctx, threshold)
-        )
 
     # mutation ----------------------------------------------------------
 
     def insert(self, k: int) -> None:
-        if not 1 <= k <= len(self._rows):
+        if not 1 <= k <= self.ctx.anchors.m:
             raise IndexError(f"anchor id {k} out of range")
         if k in self._ids:
             raise ValueError(f"anchor {k} already stored")
         self._ids.add(k)
-        self.marked_pairs += (self._rows[k - 1] & self._mask).bit_count()
-        self._mask |= 1 << (k - 1)
 
     def delete(self, k: int) -> None:
         if k not in self._ids:
             raise KeyError(k)
         self._ids.remove(k)
-        self._mask ^= 1 << (k - 1)
-        self.marked_pairs -= (self._rows[k - 1] & self._mask).bit_count()
 
     # read-only views -----------------------------------------------------
 
@@ -452,23 +431,8 @@ class WalkVertex:
 
     def check(self, d_tilde: int) -> Optional[tuple[int, int]]:
         """The runs of the stored anchors' best certified pair, if it reaches d_tilde."""
-        if d_tilde < 1 or (self.marked_pairs == 0 and d_tilde >= self.threshold):
-            return None
         best, hit = self.best()
-        return hit if best >= d_tilde else None
-
-
-def _marked_rows(ctx: _WalkContext, threshold: float) -> list[int]:
-    """Per anchor, a bitmask of the partners whose pair certifies threshold, either side flagged.
-
-    Bit b - 1 of row a - 1 is set when the pair table's certificate of
-    (a, b) or of (b, a) reaches threshold: one packbits over the m x m
-    boolean, one int per row.
-    """
-    marked = ctx.pair_table >= threshold
-    marked = marked | marked.T
-    packed = np.packbits(marked, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+        return hit if best >= d_tilde >= 1 else None
 
 
 def _agreement(h: np.ndarray, lo: int, hi: int) -> int:
@@ -753,9 +717,11 @@ def inner_search(
     anchor entries equal those of a cached larger scale whose best is below
     d_tilde builds no index or pair table and reports None: narrowing the
     windows over the same anchors never raises a certificate (see
-    CollisionIndex).  The random walk also marks nothing when its own
+    CollisionIndex).  The random walk also builds no vertex when its own
     table's maximum is below d_tilde.  Either way its setup returns None, so
-    the walk only makes its draws.  Charges are those of a scale that builds.
+    the walk only makes its draws.  Otherwise each check reads the stored
+    anchors' block of the table (WalkVertex.check), and the walk stops at
+    its first hit.  Charges are those of a scale that builds.
     """
     m = ctx.anchors.m
     if not 1 <= r <= m:
@@ -791,7 +757,7 @@ def inner_search(
             table = scale_best(_TableBest)
             if table is None or table.best < d_tilde:
                 return None  # no pair at this scale reaches d_tilde
-            vertex = WalkVertex(ctx, d_tilde)
+            vertex = WalkVertex(ctx)
             for k in subset:
                 vertex.insert(k)
             return vertex
@@ -1152,17 +1118,6 @@ def check_walk_size(mode: WalkMode, n: int) -> None:
         raise WalkSizeError(f"walk mode takes at most {WALK_RUN_BOUND} runs, got {n}")
 
 
-def _separator(a: RleString, b: RleString) -> int:
-    """``$`` when neither input contains it, else the smallest byte absent from both."""
-    used = {r.char for r in a.runs} | {r.char for r in b.runs}
-    if SEP_DOLLAR not in used:
-        return SEP_DOLLAR
-    free = [c for c in range(256) if c not in used]
-    if not free:
-        raise NoSeparatorError("the inputs use all 256 byte values; none is free to separate them")
-    return free[0]
-
-
 def solve_lcs_rle_p(
     ha: OracleHandle, hb: OracleHandle, config: Optional[SolverConfig] = None
 ) -> Optional[LcsAnswer]:
@@ -1180,7 +1135,7 @@ def solve_lcs_rle_p(
     _check_decoded_length(ha.total + 1 + hb.total)
     if ha.total == 0 or hb.total == 0:
         return None
-    s, sep_index = concat_sep(ha.string, hb.string, _separator(ha.string, hb.string))
+    s, sep_index = concat_sep(ha.string, hb.string)
     hs = OracleHandle(s, ha.ledger)
     return _solve(hs, sep_index, ha, hb, config)
 

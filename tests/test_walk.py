@@ -30,6 +30,7 @@ from rlelcs.reference import (
     suffix_window,
 )
 from rlelcs.rle import (
+    NoSeparatorError,
     RleString,
     concat_sep,
     decode,
@@ -49,14 +50,12 @@ from rlelcs.walk import (
     _reach,
     _row_bounds,
     _score_rows,
-    _separator,
     _sides,
     _snap,
     _small_fallback,
     CollisionIndex,
     InternalInconsistencyError,
     LcsAnswer,
-    NoSeparatorError,
     SolverConfig,
     WalkSizeError,
     WalkVertex,
@@ -788,14 +787,17 @@ def test_vertex_check_matches_kernel_on_stored_subset(monkeypatch):
     # kernel's best and run pair, and its check, on every stored subset; LCS
     # with "!" so the white anchor can sit between partners, LRS, periodic
     # motifs, minimizer anchors, and batches small enough for the kernel's
-    # row bounds
+    # row bounds.  Checks also run at the table's maximum and just above it,
+    # where a stored subset's best often falls short
     tables = _spy(monkeypatch, "_pair_table")
     rng = random.Random(97)
-    contexts = nonzero = 0
+    contexts = nonzero = short = 0
     for trial in range(96):
         monkeypatch.setattr(rlelcs.walk, "_PAIR_BATCH", 7 if trial % 5 == 0 else _PAIR_BATCH)
         ctx = _kind_context(rng, trial)
         m = ctx.anchors.m
+        table_max = int(_pair_table(*_kernel_args(ctx)).max())
+        top = max(1, table_max)
         v = WalkVertex(ctx)
         stored = set()
         for _ in range(30):
@@ -810,78 +812,36 @@ def test_vertex_check_matches_kernel_on_stored_subset(monkeypatch):
             want = _kernel_best(v)
             assert v.best() == want, (trial, sorted(stored))
             nonzero += want[0] > 0
-            for d_tilde in {0, 1, want[0], want[0] + 1, rng.randint(1, want[0] + 1)}:
+            short += 0 < want[0] < top
+            edges = {top, top + 1, table_max}
+            for d_tilde in {0, 1, want[0], want[0] + 1, rng.randint(1, want[0] + 1)} | edges:
                 assert v.check(d_tilde) == _kernel_check(v, d_tilde)
         contexts += m > 1
         # built once per context, on the first check with two anchors stored
         assert len(tables) == contexts
-    assert nonzero > 100
+    assert nonzero > 100 and short > 100
 
 
-def test_vertex_marked_count_matches_brute_count():
-    # the context kinds above, vertices at random thresholds, random inserts
-    # and deletes: after every step the count equals the stored pairs whose
-    # certificate, with either anchor flagged, reaches the threshold, and
-    # checks around the threshold and the best agree with the kernel
-    rng = random.Random(113)
-    marked = skipped = 0
-    for trial in range(64):
-        ctx = _kind_context(rng, trial)
-        m = ctx.anchors.m
-        cert = _pair_table(*_kernel_args(ctx)).tolist()
-        top = max(1, max(map(max, cert)))
-        threshold = rng.choice([1, top, top + 1, rng.randint(1, top)])
-        v = WalkVertex(ctx, threshold)
-        stored = set()
-        for _ in range(30):
-            if not stored or (len(stored) < m and rng.random() < 0.6):
-                k = rng.choice([k for k in range(1, m + 1) if k not in stored])
-                v.insert(k)
-                stored.add(k)
-            else:
-                k = rng.choice(sorted(stored))
-                v.delete(k)
-                stored.discard(k)
-            want = sum(
-                max(cert[a - 1][b - 1], cert[b - 1][a - 1]) >= threshold
-                for a, b in itertools.combinations(stored, 2)
-            )
-            assert v.marked_pairs == want, (trial, threshold, sorted(stored))
-            marked += want > 0
-            best = _kernel_best(v)
-            skipped += want == 0 and len(stored) > 1 and best[0] > 0
-            assert v.best() == best
-            for d_tilde in {threshold - 1, threshold, threshold + 1, best[0] + 1}:
-                assert v.check(d_tilde) == _kernel_check(v, d_tilde)
-    # both sides of the count: marked pairs, and unmarked ones it skips
-    assert marked > 300 and skipped > 100
-
-
-def test_walk_check_runs_best_only_on_its_hit(monkeypatch):
-    # in walk-mode LCS and LRS solves each walk search's vertex runs best() at
-    # most once, on the check that returns its candidate: the marked-pair
-    # count answers every other check; the pair table is built at most once
-    # per scale
-    checks, searches = [], []
-    best, check = WalkVertex.best, WalkVertex.check
-
-    def spy_best(vertex):
-        checks[-1][0] += 1
-        return best(vertex)
+def test_walk_check_returns_best_pair_exactly_when_it_reaches_the_target(monkeypatch):
+    # in walk-mode LCS and LRS solves every check returns best()'s pair when
+    # best() reaches d_tilde and None otherwise; each walk search stops at
+    # its first hit and returns it; each scale builds its pair table at most
+    # once per solve
+    searches = []
+    check = WalkVertex.check
 
     def spy_check(vertex, d_tilde):
-        checks.append([0, None])
+        best, pair = vertex.best()
         out = check(vertex, d_tilde)
-        checks[-1][1] = out is not None
+        assert out == (pair if best >= d_tilde else None), (best, d_tilde)
+        searches[-1][0].append(out)
         return out
 
     def spy_walk_search(*args, **kwargs):
-        start = len(checks)
-        out = walk_search(*args, **kwargs)
-        searches.append(checks[start:])
-        return out
+        searches.append([[], None])
+        searches[-1][1] = walk_search(*args, **kwargs)
+        return searches[-1][1]
 
-    monkeypatch.setattr(WalkVertex, "best", spy_best)
     monkeypatch.setattr(WalkVertex, "check", spy_check)
     monkeypatch.setattr(rlelcs.walk, "walk_search", spy_walk_search)
     tables = _spy(monkeypatch, "_pair_table")
@@ -895,14 +855,15 @@ def test_walk_check_runs_best_only_on_its_hit(monkeypatch):
         else:
             ans = solve_lcs_rle_p(ha, hb, SolverConfig(mode=WalkMode.RANDOMWALK))
         assert ans is not None and ans.d_tilde >= inst.d_tilde
-        assert 1 <= len(tables) <= len(_d_values(joined.n, MODEL.d_min))
-    for search in searches:
-        assert sum(runs for runs, _ in search) <= 1
-        assert all(runs == hit for runs, hit in search)
-    hits = sum(hit for search in searches for _, hit in search)
+        scales = [args[6] for args in tables]
+        assert 1 <= len(scales) == len(set(scales)) <= len(_d_values(joined.n, MODEL.d_min))
+    for outs, result in searches:
+        assert all(out is None for out in outs[:-1])
+        assert result == (outs[-1] if outs else None)
+    hits = sum(result is not None for _, result in searches)
     # a walk search with no pair at its target builds no vertex and checks
-    # nothing; in those that build one, the count answers most checks
-    built = [search for search in searches if search]
+    # nothing; those that build one miss on most checks
+    built = [outs for outs, _ in searches if outs]
     assert hits > 4 and sum(map(len, built)) > 5 * hits and len(built) < len(searches)
 
 
@@ -1061,15 +1022,22 @@ def test_vertex_error_contract_leaves_views_unchanged():
 
 
 def test_walk_mode_never_builds_range_minimum_rows(monkeypatch):
-    # walk-mode LCS and LRS solves build pair tables but compute no row bounds
+    # walk-mode LCS and LRS solves build pair tables but compute no row
+    # bounds; at 7 pairs a pass the kernel takes one row a pass, so full-set
+    # solves of the same instance do compute them, the LCS and the LRS one
+    monkeypatch.setattr(rlelcs.walk, "_PAIR_BATCH", 7)
     bounds = _spy(monkeypatch, "_row_bounds")
     pairs = _spy(monkeypatch, "_pair_table")
     inst = plant_instance(12, 4, 12, 5)
-    ha, hb, _ = make_handles(inst.a, inst.b)
-    assert solve_lcs_rle_p(ha, hb, SolverConfig(mode=WalkMode.RANDOMWALK)) is not None
-    ha, _, _ = make_handles(inst.a, encode(b""))
-    solve_lrs(ha, SolverConfig(mode=WalkMode.RANDOMWALK))
-    assert pairs and bounds == []
+    counts = []
+    for mode in (WalkMode.RANDOMWALK, WalkMode.FULLSET):
+        ha, hb, _ = make_handles(inst.a, inst.b)
+        assert solve_lcs_rle_p(ha, hb, SolverConfig(mode=mode)) is not None
+        counts.append(len(bounds))
+        ha, _, _ = make_handles(inst.a, encode(b""))
+        assert solve_lrs(ha, SolverConfig(mode=mode)) is not None
+        counts.append(len(bounds))
+    assert pairs and counts[:2] == [0, 0] and 0 < counts[2] < counts[3]
 
 
 def _arrays(value):
@@ -1198,7 +1166,7 @@ def _loop_fallback(a, b=None):
 
 def _fallback(a, b=None):
     """The solver's fallback on a (LRS) or on a $ b, from the one run read of the string."""
-    s, sep = (a, None) if b is None else concat_sep(a, b, _separator(a, b))
+    s, sep = (a, None) if b is None else concat_sep(a, b)
     return _small_fallback(_RunTokens(OracleHandle(s, QueryLedger())).runs, sep)
 
 
@@ -1299,7 +1267,7 @@ def _block_scan_fallback(runs, sep_index, batch=_PAIR_BATCH):
 
 def _runs_of(a, b=None):
     """The solve's one run read of a (LRS) or of a $ b, with the separator's index."""
-    s, sep = (a, None) if b is None else concat_sep(a, b, _separator(a, b))
+    s, sep = (a, None) if b is None else concat_sep(a, b)
     return _RunTokens(OracleHandle(s, QueryLedger())).runs, sep
 
 
@@ -1610,7 +1578,7 @@ def test_certificates_never_rise_as_scale_falls():
     for trial in range(16):
         alphabet = b"!ab" if trial % 2 else b"$!ab"
         a, b = (_byte_rle(rng, rng.randint(1, 40), alphabet) for _ in range(2))
-        cases += [concat_sep(a, b, _separator(a, b)), (a, None)]
+        cases += [concat_sep(a, b), (a, None)]
     for period in range(2, 9):
         for _ in range(2):
             runs = _periodic_runs(rng, period, rng.randint(2 * period, 40))
@@ -1794,9 +1762,9 @@ def test_walk_search_builds_a_vertex_exactly_when_its_table_reaches_the_target(m
         searches.append((ctx, d_tilde, len(vertices) > start))
         return out
 
-    def spy_init(vertex, ctx, threshold=math.inf):
+    def spy_init(vertex, ctx):
         vertices.append(ctx)
-        init(vertex, ctx, threshold)
+        init(vertex, ctx)
 
     monkeypatch.setattr(rlelcs.walk, "inner_search", spy_search)
     monkeypatch.setattr(WalkVertex, "__init__", spy_init)
@@ -1948,10 +1916,14 @@ def test_solve_matches_brute_over_all_byte_values(raw_a, raw_b):
 
 
 def test_separator_is_dollar_unless_an_input_uses_it():
-    assert _separator(encode(b"ab"), encode(b"a@#")) == ord("$")
-    assert _separator(encode(b"a$\x00"), encode(b"\x01b")) == 2
+    def separator(a, b):
+        s, sep = concat_sep(a, b)
+        return s[sep - 1].char
+
+    assert separator(encode(b"ab"), encode(b"a@#")) == ord("$")
+    assert separator(encode(b"a$\x00"), encode(b"\x01b")) == 2
     with pytest.raises(NoSeparatorError):
-        _separator(encode(bytes(range(256))), encode(b""))
+        concat_sep(encode(bytes(range(256))), encode(b""))
     ha, hb, _ = make_handles(encode(bytes(range(0, 256, 2))), encode(bytes(range(1, 256, 2))))
     with pytest.raises(NoSeparatorError):
         solve_lcs_rle_p(ha, hb)
