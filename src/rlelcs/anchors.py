@@ -29,7 +29,10 @@ class AnchorScheme(str, Enum):
 
 @dataclass(frozen=True)
 class AnchorSet:
-    """Strictly increasing run indices for one d; a range from 1 up, step 1 up, goes unchecked."""
+    """Strictly increasing run indices for scale d, the scale every search over them runs at.
+
+    A range from 1 up, step 1 up, goes unchecked.
+    """
 
     entries: Sequence[int]
     d: int
@@ -74,7 +77,7 @@ def build_minimizer(
     d: int,
     seed: int,
     *,
-    d_min: int = 8,
+    d_min: int,
     span_hashes: Optional[dict[int, np.ndarray]] = None,
 ) -> AnchorSet:
     """Window minima of a seeded hash of short run tuples.
@@ -124,9 +127,8 @@ def validate_anchor_set(
     anchors: AnchorSet,
     s: RleString,
     sep_index: int,
-    d: int,
 ) -> tuple[bool, Optional[tuple[int, int]]]:
-    """Check the anchoring property against a brute-force enumeration.
+    """Check the anchoring property at the set's scale d against a brute-force enumeration.
 
     Enumerates every pair (i, j) of run positions that starts a common
     generalized substring of at least d runs with aligned interiors
@@ -134,6 +136,7 @@ def validate_anchor_set(
     shift h with both i+h and sep_index+j+h anchored.  Returns the first
     violating (i, j) as a witness.
     """
+    d = anchors.d
     if d < 3:
         return True, None
     entries = set(anchors.entries)

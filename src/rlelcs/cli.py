@@ -41,7 +41,6 @@ from .walk import (
     scale_anchors,
     solve_lcs_rle_p,
     solve_lrs,
-    subset_size,
 )
 
 EXIT_OK = 0
@@ -167,9 +166,8 @@ def _plant_cell(n: int, d: int, seed: int, mode: WalkMode) -> tuple:
 def _bench_cell(cell: tuple, mode: WalkMode, scheme: AnchorScheme, model: CostModel):
     n, d, seed, d_tilde, s, sep = cell  # as _plant_cell returns it
     ledger = QueryLedger()
-    hs = OracleHandle(s, ledger)
-    ctx = make_context(hs, scale_anchors(s, d, scheme, seed, model), d, sep, model)
-    inner_search(ctx, d_tilde, subset_size(model, ctx.anchors.m), mode=mode, ledger=ledger)
+    anchors = scale_anchors(s, d, scheme, seed, model)
+    inner_search(make_context(OracleHandle(s, ledger), anchors, sep, model), d_tilde, mode=mode)
     return {
         "n": n,
         "runs": s.n,
@@ -255,7 +253,7 @@ def cmd_validate_anchors(args) -> int:
         if anchors.scheme is not scheme and not noted:
             print(f"d={args.d} below d_min={model.d_min}: falling back to exhaustive anchors")
             noted = True
-        ok, witness = validate_anchor_set(anchors, s, sep, args.d)
+        ok, witness = validate_anchor_set(anchors, s, sep)
         valid += ok
         verdict = "valid" if ok else f"INVALID witness={witness}"
         print(f"seed={seed} m={anchors.m} d={args.d} scheme={anchors.scheme.value}: {verdict}")

@@ -11,6 +11,7 @@ charges only the formulas its hooks declare.
 from __future__ import annotations
 
 import math
+import random
 from bisect import insort
 from dataclasses import asdict, dataclass, fields
 from enum import Enum
@@ -240,9 +241,7 @@ def walk_search(
         return None if state is None else hooks.check(state)
 
     if mode is WalkMode.RANDOMWALK:
-        import random as _random
-
-        rng = rng if rng is not None else _random.Random(0)
+        rng = rng if rng is not None else random.Random(0)
         # a swap removes the id at the drawn position, so inside is kept sorted by id
         inside = sorted(rng.sample(range(1, m + 1), r))
         outside = sorted(set(range(1, m + 1)).difference(inside))
@@ -250,7 +249,7 @@ def walk_search(
         budget = int(
             model.step_budget_factor * math.ceil(m / r) * math.ceil(1.0 / math.sqrt(delta_bound))
         )
-        swaps = math.isqrt(r - 1) + 1 if r > 1 else 1
+        swaps = ceil_sqrt(r)
         n_out = len(outside)
         # with r = m the full set is the only vertex: one check decides
         if not n_out:

@@ -212,17 +212,17 @@ def brute_lrs(a: RleString, *, bound: int = DESK_BOUND) -> BruteLrs:
     return BruteLrs(best_len, best_1, best_2)
 
 
-def prefix_window(s: RleString, anchors: AnchorSet, k: int, d: int) -> RleString:
-    """Runs from anchor k forward, 2d runs past it, clamped at the end."""
+def prefix_window(s: RleString, anchors: AnchorSet, k: int) -> RleString:
+    """Runs from anchor k forward, 2d runs past it at the set's scale d, clamped at the end."""
     x = anchor_at(anchors, k)
-    hi = min(s.n, x + 2 * d)
+    hi = min(s.n, x + 2 * anchors.d)
     return RleString(s.runs[x - 1 : hi])
 
 
-def suffix_window(s: RleString, anchors: AnchorSet, k: int, d: int) -> RleString:
-    """Runs from 2d before anchor k up to it, reversed, clamped at the start."""
+def suffix_window(s: RleString, anchors: AnchorSet, k: int) -> RleString:
+    """Runs from 2d before anchor k up to it at the set's scale d, reversed, clamped at 1."""
     x = anchor_at(anchors, k)
-    lo = max(1, x - 2 * d)
+    lo = max(1, x - 2 * anchors.d)
     return RleString(tuple(reversed(s.runs[lo - 1 : x])))
 
 

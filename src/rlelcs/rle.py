@@ -158,31 +158,20 @@ def lex_compare_runs(a, b) -> int:
     return -1 if len(a) < len(b) else 1
 
 
-def concat_sep(a: RleString, b: RleString, sep: int | str | None = None) -> tuple[RleString, int]:
+def concat_sep(a: RleString, b: RleString) -> tuple[RleString, int]:
     """Concatenate ``a``, a one-char separator run, and ``b``.
 
     Returns the combined string and the separator's run index (= a.n + 1).
-    Without ``sep`` the separator is ``$`` unless an input uses it, else the
-    smallest byte absent from both, found in one pass over the runs; raises
-    NoSeparatorError when the inputs use every byte.  A given ``sep`` must
-    be a byte and occur in neither input, or ValueError is raised.  Two
-    valid strings joined by such a run are valid, so the runs are not
-    re-checked.
+    The separator is ``$`` unless an input uses it, else the smallest byte
+    absent from both, found in one pass over the runs; raises
+    NoSeparatorError when the inputs use every byte.  Two valid strings
+    joined by a byte neither uses are valid, so the runs are not re-checked.
     """
     used = {r.char for s in (a, b) for r in s.runs}
-    if sep is None:
-        free = [SEP_DOLLAR] if SEP_DOLLAR not in used else sorted(set(range(256)) - used)
-        if not free:
-            raise NoSeparatorError("the inputs use all 256 byte values; none can separate them")
-        sep = free[0]
-    else:
-        if isinstance(sep, str):
-            sep = ord(sep)
-        if not 0 <= sep <= 255:
-            raise ValueError(f"run char outside byte range: {sep}")
-        if sep in used:
-            raise ValueError(f"separator {sep!r} occurs in an input string")
-    runs = a.runs + (Run(sep, 1),) + b.runs
+    free = [SEP_DOLLAR] if SEP_DOLLAR not in used else sorted(set(range(256)) - used)
+    if not free:
+        raise NoSeparatorError("the inputs use all 256 byte values; none can separate them")
+    runs = a.runs + (Run(free[0], 1),) + b.runs
     return RleString._trusted(runs, a.total + 1 + b.total), a.n + 1
 
 

@@ -52,7 +52,6 @@ from .anchors import AnchorScheme, AnchorSet, anchor_at, build_exhaustive, build
 from .qmodel import (
     CostModel,
     OracleHandle,
-    QueryLedger,
     WalkHooks,
     WalkMode,
     ceil_sqrt,
@@ -74,14 +73,14 @@ DECODED_LENGTH_BOUND = 1 << 62
 # Walk mode solves strings (A $ B, or the LRS string) of at most this many
 # runs.  Memory binds, not time: a solve keeps one 8 * m**2-byte pair table
 # per scale that no larger scale rules out, 19.5 MiB each at this bound.
-# Planted walk-mode solves (plant_instance(n, n // 8, 3 * (n // 8), 1)) with
-# exhaustive anchors build one table, at the top scale, and on a shared
-# 2-vCPU x86-64 VM with Python 3.11 took 0.9 s at 769 runs, 1.2 s at 1 023,
-# 2.6 s at 1 600 and 3.8 s at 2 048, at a peak RSS of 41, 45, 60 and 76 MiB.
-# The bound still allows for the worst case: a solve whose top-scale walk
-# misses every pair at its target, or one with minimizer anchors, builds a
-# table at every scale it visits, up to 8 here; built at all 8 scales, the
-# planted 1 600-run tables took the solve to a peak of 196 MiB.
+# Planted walk-mode solves (plant_instance(n, n // 8, 3 * (n // 8), seed) per
+# side) with exhaustive anchors build one table, at the top scale, and on a
+# shared 2-vCPU x86-64 VM with Python 3.11 took 0.65 s at 799 runs per side
+# (1 599 in all), 3.0-3.3 s at 2 048 and 7.1-8.5 s at 4 096, at a peak RSS
+# of 55, 164 and 550 MiB (BENCH_vertex_scan.json).  The bound still allows
+# for the worst case: a solve whose top-scale walk misses every pair at its
+# target, or one with minimizer anchors, builds a table at every scale it
+# visits, up to 8 here, 156 MiB of tables at this bound.
 WALK_RUN_BOUND = 1600
 
 
@@ -274,11 +273,15 @@ class _RunTokens:
 class _WalkContext:
     handle: OracleHandle
     anchors: AnchorSet
-    d: int
     sep_index: Optional[int]
     model: CostModel
     tokens: _RunTokens
     _charges: dict[int, tuple[float, float, float]] = field(default_factory=dict, repr=False)
+
+    @property
+    def d(self) -> int:
+        """The scale: the one its anchors were built for."""
+        return self.anchors.d
 
     @property
     def pv(self) -> np.ndarray:
@@ -323,14 +326,16 @@ class _WalkContext:
 def make_context(
     handle: OracleHandle,
     anchors: AnchorSet,
-    d: int,
     sep_index: Optional[int],
     model: CostModel,
     tokens: Optional[_RunTokens] = None,
 ) -> _WalkContext:
-    """Context for one scale; the contexts of one solve pass one shared ``tokens``."""
+    """Context for the scale ``anchors`` were built for; it charges ``handle``'s ledger.
+
+    The contexts of one solve pass one shared ``tokens``.
+    """
     handle.ledger.prefix_queries += handle.n + 1
-    return _WalkContext(handle, anchors, d, sep_index, model, tokens or _RunTokens(handle))
+    return _WalkContext(handle, anchors, sep_index, model, tokens or _RunTokens(handle))
 
 
 # ---------------------------------------------------------------------------
@@ -695,16 +700,17 @@ def _ceiling(index_cache: dict[int, CollisionIndex | _TableBest], ctx: _WalkCont
 def inner_search(
     ctx: _WalkContext,
     d_tilde: int,
-    r: int,
     *,
     mode: WalkMode,
-    ledger: QueryLedger,
     rng: Optional[random.Random] = None,
     index_cache: Optional[dict[int, CollisionIndex | _TableBest]] = None,
 ) -> Optional[tuple[int, int]]:
     """Walk search over r-subsets of the anchor set for one (d, d_tilde).
 
-    A hit is the (flagged, partner) runs of the best pair it finds.
+    The scale d is the anchors', r = subset_size(model, m) for their size m,
+    and every charge goes to the context handle's ledger, where its reads
+    are counted.  A hit is the (flagged, partner) runs of the best pair it
+    finds.
 
     The full-set mode decides the existence question exactly; the random
     walk samples subsets up to a step budget; the cost-only mode charges
@@ -723,10 +729,8 @@ def inner_search(
     anchors' block of the table (WalkVertex.check), and the walk stops at
     its first hit.  Charges are those of a scale that builds.
     """
-    m = ctx.anchors.m
-    if not 1 <= r <= m:
-        raise ValueError(f"need 1 <= r <= m, got r={r}, m={m}")
-    model = ctx.model
+    m, model, ledger = ctx.anchors.m, ctx.model, ctx.handle.ledger
+    r = subset_size(model, m)
     d = ctx.d
     delta = (r / m) ** 2
     cache = {} if index_cache is None else index_cache
@@ -1026,7 +1030,6 @@ def _solve(
 ) -> Optional[LcsAnswer]:
     check_walk_size(config.mode, hs.n)
     model = config.model
-    ledger = hs.ledger
     lrs = sep_index is None
     rng = random.Random(config.seed)
     hi = (ha.total - 1) if lrs else min(ha.total, hb.total)
@@ -1042,13 +1045,13 @@ def _solve(
     def ctx_for(d: int) -> _WalkContext:
         if d not in ctx_cache:
             anchors = scale_anchors(hs.string, d, config.anchors, config.seed, model, span_hashes)
-            ctx_cache[d] = make_context(hs, anchors, d, sep_index, model, tokens)
+            ctx_cache[d] = make_context(hs, anchors, sep_index, model, tokens)
         return ctx_cache[d]
 
     index_cache: dict[int, CollisionIndex] = {}
     # minimum finding over each side's runs, Grover over boundary pairs
     runs_charge = minfind_charge(model, max(1, ha.n), max(1, hb.n))
-    ledger.charge(runs_charge + grover_charge(model, max(1, (ha.n - 1) * (hb.n - 1))))
+    hs.ledger.charge(runs_charge + grover_charge(model, max(1, (ha.n - 1) * (hb.n - 1))))
     fallback = None if cost_only else _small_fallback(tokens.runs, sep_index)
     hint = config.truth_hint if config.truth_hint is not None else (hi, 1)
     offset = 0 if lrs else ha.total + 1  # B's decoded positions in A $ B
@@ -1056,15 +1059,8 @@ def _solve(
     def probe(d_tilde: int):
         """Ends in A and in B of a collision reaching d_tilde; _HINT in cost-only mode; or None."""
         for d in d_values:
-            ctx = ctx_for(d)
             hit = inner_search(
-                ctx,
-                d_tilde,
-                subset_size(model, ctx.anchors.m),
-                mode=config.mode,
-                ledger=ledger,
-                rng=rng,
-                index_cache=index_cache,
+                ctx_for(d), d_tilde, mode=config.mode, rng=rng, index_cache=index_cache
             )
             if cost_only:
                 if d_tilde <= hint[0] and d <= max(hint[1], model.d_min):

@@ -236,7 +236,7 @@ def test_criterion_5_vertex_coherence():
     hs = OracleHandle(s, ledger)
     d = 4
     anchors = build_exhaustive(s, d)
-    ctx = make_context(hs, anchors, d, sep, MODEL)
+    ctx = make_context(hs, anchors, sep, MODEL)
     vertex = WalkVertex(ctx)
     stored = set()
     for _ in range(1000):
@@ -251,8 +251,8 @@ def test_criterion_5_vertex_coherence():
     plain = ctx.handle.string
     adjacent_bad = 0
     for order, lcp, win in (
-        (vertex.fwd_order, vertex.fwd_lcp, lambda k: prefix_window(plain, anchors, k, d)),
-        (vertex.bwd_order, vertex.bwd_lcp, lambda k: suffix_window(plain, anchors, k, d)),
+        (vertex.fwd_order, vertex.fwd_lcp, lambda k: prefix_window(plain, anchors, k)),
+        (vertex.bwd_order, vertex.bwd_lcp, lambda k: suffix_window(plain, anchors, k)),
     ):
         keys = [k for k, _ in order.items()]
         hvals = [h for _, h in lcp.items()]
@@ -265,9 +265,9 @@ def test_criterion_5_vertex_coherence():
         order = vertex.bwd_order if bwd else vertex.fwd_order
         lcp = vertex.bwd_lcp if bwd else vertex.fwd_lcp
         win = (
-            (lambda k: suffix_window(plain, anchors, k, d))
+            (lambda k: suffix_window(plain, anchors, k))
             if bwd
-            else (lambda k: prefix_window(plain, anchors, k, d))
+            else (lambda k: prefix_window(plain, anchors, k))
         )
         t = len(order)
         a = rng.randint(1, t - 1)
@@ -333,7 +333,7 @@ def test_criterion_8_anchor_validation():
     exhaustive_bad = 0
     for a, b in suite1():
         s, sep = concat_sep(a, b)
-        ok, _ = validate_anchor_set(build_exhaustive(s, MODEL.d_min), s, sep, MODEL.d_min)
+        ok, _ = validate_anchor_set(build_exhaustive(s, MODEL.d_min), s, sep)
         exhaustive_bad += not ok
     # minimizer scheme on planted instances, witnesses logged
     minimizer_valid = 0
@@ -344,7 +344,7 @@ def test_criterion_8_anchor_validation():
         inst = plant_instance(rng.randint(2 * d, 64), d, d * 3, 8000 + seed)
         s, sep = concat_sep(inst.a, inst.b)
         x = build_minimizer(s, d, seed=8000 + seed, d_min=MODEL.d_min)
-        ok, witness = validate_anchor_set(x, s, sep, d)
+        ok, witness = validate_anchor_set(x, s, sep)
         minimizer_valid += ok
         if not ok:
             witnesses.append((seed, witness))

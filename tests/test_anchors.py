@@ -15,8 +15,11 @@ from rlelcs.anchors import (
     anchor_at,
     validate_anchor_set,
 )
+from rlelcs.qmodel import CostModel
 from rlelcs.reference import plant_instance, random_rle
 from rlelcs.rle import RleString, concat_sep, encode
+
+D_MIN = CostModel().d_min
 
 
 def test_exhaustive_covers_every_run():
@@ -54,19 +57,19 @@ def test_anchor_at_lookup_and_charge():
 
 def test_minimizer_determinism_and_parameter_error():
     s = encode(bytes(random.Random(5).choices(b"abcd", k=200)))
-    x1 = build_minimizer(s, 16, seed=42)
-    x2 = build_minimizer(s, 16, seed=42)
+    x1 = build_minimizer(s, 16, seed=42, d_min=D_MIN)
+    x2 = build_minimizer(s, 16, seed=42, d_min=D_MIN)
     assert x1.entries == x2.entries
-    x3 = build_minimizer(s, 16, seed=43)
+    x3 = build_minimizer(s, 16, seed=43, d_min=D_MIN)
     assert x1.entries != x3.entries or x1.m == x3.m  # usually differs; never invalid
     with pytest.raises(ValueError):
-        build_minimizer(s, 4, seed=0)
+        build_minimizer(s, 4, seed=0, d_min=D_MIN)
 
 
 def test_minimizer_periodic_alignment():
     # periodic run structure selects positions congruent modulo the period
     s = RleString.from_pairs([("a", 1), ("b", 1)] * 16)
-    x = build_minimizer(s, 8, seed=9)
+    x = build_minimizer(s, 8, seed=9, d_min=D_MIN)
     residues = {e % 2 for e in x.entries}
     assert len(residues) == 1
 
@@ -84,7 +87,7 @@ def test_minimizer_planted_alignment():
     d = 8
     w = math.ceil(d / 2)
     span = min(8, max(1, w // 2))
-    x = build_minimizer(s, d, seed=1)
+    x = build_minimizer(s, d, seed=1, d_min=D_MIN)
     first_start = len(left) + 1
     second_start = len(left) + len(block) + len(mid) + 1
     lo_off, hi_off = w - 1, len(block) - w - span + 1
@@ -99,22 +102,22 @@ def test_minimizer_planted_alignment():
 
 def test_minimizer_degenerate_short_string():
     s = encode(b"ab")
-    x = build_minimizer(s, 8, seed=0)
+    x = build_minimizer(s, 8, seed=0, d_min=D_MIN)
     assert x.entries == (1,)
 
 
 def test_validate_exhaustive_always_true():
     inst = plant_instance(16, 6, 10, 0)
     s, sep = concat_sep(inst.a, inst.b)
-    x = build_exhaustive(s)
-    ok, witness = validate_anchor_set(x, s, sep, 6)
+    x = build_exhaustive(s, 6)
+    ok, witness = validate_anchor_set(x, s, sep)
     assert ok and witness is None
 
 
 def test_validate_no_common_block_vacuous():
     s, sep = concat_sep(encode(b"aaab"), encode(b"cdcd"))
-    x = build_exhaustive(s)
-    ok, _ = validate_anchor_set(x, s, sep, 3)
+    x = build_exhaustive(s, 3)
+    ok, _ = validate_anchor_set(x, s, sep)
     assert ok
 
 
@@ -125,7 +128,7 @@ def test_validate_catches_missing_anchors():
     from rlelcs.anchors import AnchorSet
 
     crippled = AnchorSet(tuple(range(1, sep)), 8, AnchorScheme.EXHAUSTIVE)
-    ok, witness = validate_anchor_set(crippled, s, sep, 8)
+    ok, witness = validate_anchor_set(crippled, s, sep)
     assert not ok and witness is not None
 
 
@@ -135,8 +138,8 @@ def test_validate_minimizer_planted_instances():
     for seed in range(trials):
         inst = plant_instance(24, 10, 12, seed)
         s, sep = concat_sep(inst.a, inst.b)
-        x = build_minimizer(s, 10, seed=seed)
-        ok, _ = validate_anchor_set(x, s, sep, 10)
+        x = build_minimizer(s, 10, seed=seed, d_min=D_MIN)
+        ok, _ = validate_anchor_set(x, s, sep)
         valid += ok
     assert valid >= int(0.9 * trials)
 
@@ -148,7 +151,7 @@ def test_minimizer_shared_span_hashes(monkeypatch):
 
     s = encode(bytes(random.Random(5).choices(b"abcd", k=2000)))
     ds = (8, 16, 32, 64, 128, 256)
-    alone = [build_minimizer(s, d, 3) for d in ds]
+    alone = [build_minimizer(s, d, 3, d_min=D_MIN) for d in ds]
     hashed, real = [], anchors._span_hashes
 
     def counted(s, span, seed):
@@ -157,7 +160,7 @@ def test_minimizer_shared_span_hashes(monkeypatch):
 
     monkeypatch.setattr(anchors, "_span_hashes", counted)
     cache: dict = {}
-    assert [build_minimizer(s, d, 3, span_hashes=cache) for d in ds] == alone
+    assert [build_minimizer(s, d, 3, d_min=D_MIN, span_hashes=cache) for d in ds] == alone
     assert hashed == [2, 4, 8] and sorted(cache) == [2, 4, 8]
 
 
@@ -225,12 +228,13 @@ def test_minimizer_matches_deque_oracle():
         inst = plant_instance(150, 40, 60, seed)
         cases += [(concat_sep(inst.a, inst.b)[0], d) for d in (8, 11, 17, 25, 33)]
     for k, (s, d) in enumerate(cases):
-        assert build_minimizer(s, d, k) == _oracle_minimizer(s, d, k), (s.n, d)
+        assert build_minimizer(s, d, k, d_min=D_MIN) == _oracle_minimizer(s, d, k), (s.n, d)
     # one cache across a solve's scales, every span shared with odd d
     for s in (_periodic(rng, 7, 300), random_rle(rng, 2000, max_len=5)):
         cache: dict = {}
         for d in [2**k for k in range(3, 10)] + [9, 17, 33, 65, 129, 257, 511]:
-            assert build_minimizer(s, d, 11, span_hashes=cache) == _oracle_minimizer(s, d, 11)
+            got = build_minimizer(s, d, 11, d_min=D_MIN, span_hashes=cache)
+            assert got == _oracle_minimizer(s, d, 11)
         assert sorted(cache) == [2, 4, 8]
 
 
@@ -241,7 +245,7 @@ def test_minimizer_size_reported():
     for seed in range(20):
         s = encode(bytes(rng.choices(b"abcd", k=600)))
         d = rng.choice([8, 16, 32])
-        x = build_minimizer(s, d, seed)
+        x = build_minimizer(s, d, seed, d_min=D_MIN)
         w = math.ceil(d / 2)
         ratios.append(x.m / (s.n / w))
     print(f"minimizer size ratio m/(n/w): min={min(ratios):.2f} max={max(ratios):.2f}")

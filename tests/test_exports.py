@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import re
 import types
@@ -11,6 +12,12 @@ ROOT = Path(__file__).resolve().parents[1]
 TEST_ONLY = {
     "make_handles": "two handles on one ledger, the tests' usual solver setup",
     "pad_interleave": "the paper's incompressible padding, checked by test_reductions",
+}
+
+# defaulted parameters that no call in src/ or perfbench/ passes, each with why it stays
+UNPASSED_DEFAULTS = {
+    "qmodel.grover_search.unit_cost": "goes with the function itself, in ROADMAP item 1a",
+    "qmodel.make_handles.ledger": "make_handles is a test-only export (TEST_ONLY)",
 }
 
 # SolverConfig fields that no caller sets, each with why it stays
@@ -60,3 +67,59 @@ def test_every_solver_config_field_has_a_caller():
     fields = [f.name for f in dataclasses.fields(rlelcs.SolverConfig)]
     unset = [name for name in fields if not re.search(rf"\b{name}=", text)]
     assert sorted(unset) == sorted(UNSET_FIELDS)
+
+
+def _defaulted_params(tree: ast.Module):
+    """(callee name, parameter, position or None if keyword-only) per defaulted parameter.
+
+    Positions count the arguments a call passes, so a method's self or cls is
+    skipped; a class's __init__ goes by the class name, which its calls use.
+    """
+    owner = {id(f): c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        bound = id(node) in owner
+        name = owner[id(node)] if node.name == "__init__" else node.name
+        a = node.args
+        positional = a.posonlyargs + a.args
+        for i in range(len(positional) - len(a.defaults), len(positional)):
+            yield name, positional[i].arg, i - bound
+        for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+            if default is not None:
+                yield name, arg.arg, None
+
+
+def _passed(calls, name: str, param: str, position) -> bool:
+    """Whether some call of name passes param by keyword or at its position."""
+    for node in calls.get(name, ()):
+        if any(kw.arg in (param, None) for kw in node.keywords):  # None: a ** splat
+            return True
+        if position is not None and (
+            len(node.args) > position or any(isinstance(x, ast.Starred) for x in node.args)
+        ):
+            return True
+    return False
+
+
+def test_every_defaulted_parameter_has_a_caller():
+    # each parameter with a default, of every function and method in the
+    # package, is passed by keyword or by position at some call in src/ or
+    # perfbench/ (a class call counts for its __init__); reference.py is
+    # skipped, as in test_every_solver_helper_has_a_caller
+    package = sorted((ROOT / "src" / "rlelcs").glob("*.py"))
+    calls = {}
+    for path in package + sorted((ROOT / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    unpassed = [
+        f"{path.stem}.{name}.{param}"
+        for path in package
+        if path.name != "reference.py"
+        for name, param, position in _defaulted_params(ast.parse(path.read_text()))
+        if not _passed(calls, name, param, position)
+    ]
+    assert sorted(unpassed) == sorted(UNPASSED_DEFAULTS)

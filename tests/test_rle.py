@@ -163,26 +163,21 @@ def test_sorted_ldcp_law(strings):
 
 
 def test_concat_sep():
-    s, sep_idx = concat_sep(rle(("a", 2)), rle(("b", 3)), "$")
+    s, sep_idx = concat_sep(rle(("a", 2)), rle(("b", 3)))
     assert s.runs == (Run(97, 2), Run(ord("$"), 1), Run(98, 3))
     assert sep_idx == 2
-    s, sep_idx = concat_sep(RleString(()), rle(("b", 3)), "$")
+    s, sep_idx = concat_sep(RleString(()), rle(("b", 3)))
     assert s.runs == (Run(ord("$"), 1), Run(98, 3))
     assert sep_idx == 1
-    s, _ = concat_sep(rle(("a", 2)), rle(("a", 2)), "$")
+    s, _ = concat_sep(rle(("a", 2)), rle(("a", 2)))
     assert s.n == 3  # no merge across the separator
-
-
-def test_concat_sep_rejects_separator_in_input():
-    with pytest.raises(ValueError):
-        concat_sep(rle(("$", 1)), rle(("b", 1)), "$")
 
 
 def test_concat_sep_equals_checked_construction():
     # the joined string skips the run checks: it equals RleString(runs) built
     # the checked way, total and prefix sums included, on random pairs (empty
-    # sides too) and on run lengths near 2**61; a separator outside the byte
-    # range is still refused
+    # sides too) and on run lengths near 2**61; the separator takes both byte
+    # extremes: 0 when an input uses "$", 255 when the inputs use every other byte
     rng = random.Random(11)
     big = 1 << 61
     cases = [
@@ -194,17 +189,16 @@ def test_concat_sep_equals_checked_construction():
         (rle(("a", big)), RleString(())),
         (RleString(()), rle(("c", big - 1), ("a", 2))),
     ]
+    # no input ends in "$" or byte 254, so appending a pad keeps its runs maximal
+    pads = (((), ord("$")), ((ord("$"),), 0), (tuple(range(254, -1, -1)), 255))
     for a, b in cases:
-        for sep in ("$", 0, 255):
-            joined, sep_idx = concat_sep(a, b, sep)
-            sep = ord(sep) if isinstance(sep, str) else sep
-            checked = RleString(a.runs + (Run(sep, 1),) + b.runs)
-            assert joined == checked and sep_idx == a.n + 1
-            assert joined.total == checked.total == a.total + 1 + b.total
+        for pad, sep in pads:
+            padded = RleString(a.runs + tuple(Run(c, 1) for c in pad))
+            joined, sep_idx = concat_sep(padded, b)
+            checked = RleString(padded.runs + (Run(sep, 1),) + b.runs)
+            assert joined == checked and sep_idx == padded.n + 1
+            assert joined.total == checked.total == padded.total + 1 + b.total
             assert joined.prefix == checked.prefix and hash(joined) == hash(checked)
-    for sep in (-1, 256):
-        with pytest.raises(ValueError):
-            concat_sep(rle(("a", 1)), rle(("b", 1)), sep)
 
 
 def test_text_format_roundtrip():

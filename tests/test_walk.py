@@ -67,6 +67,7 @@ from rlelcs.walk import (
     setup_charge,
     solve_lcs_rle_p,
     solve_lrs,
+    subset_size,
     update_charge,
     verify_candidate,
 )
@@ -86,7 +87,7 @@ def walk_charge(model: CostModel, d: int, r: int, m: int, delta: float) -> float
 
 def _context(a: bytes, b: bytes, d: int):
     s, sep = concat_sep(encode(a), encode(b))
-    return make_context(OracleHandle(s, QueryLedger()), build_exhaustive(s, d), d, sep, MODEL)
+    return make_context(OracleHandle(s, QueryLedger()), build_exhaustive(s, d), sep, MODEL)
 
 
 def _full_vertex(ctx):
@@ -101,9 +102,9 @@ def test_window_worked_examples():
         [("a", 2), ("b", 3), ("c", 1), ("$", 1), ("d", 1), ("b", 3), ("c", 2)]
     )
     x = build_exhaustive(s, 2)
-    assert decode(prefix_window(s, x, 2, 2)) == b"bbbc$dbbb"
-    assert decode(suffix_window(s, x, 2, 2)) == b"bbbaa"  # backward text, reversed
-    assert decode(suffix_window(s, x, 1, 5)) == b"aa"  # left clamp: first run only
+    assert decode(prefix_window(s, x, 2)) == b"bbbc$dbbb"
+    assert decode(suffix_window(s, x, 2)) == b"bbbaa"  # backward text, reversed
+    assert decode(suffix_window(s, build_exhaustive(s, 5), 1)) == b"aa"  # left clamp: first run
 
 
 def test_window_decoded_oracle_random():
@@ -119,9 +120,9 @@ def test_window_decoded_oracle_random():
         for k in range(1, x.m + 1):
             lo = pt[k - 1]
             hi = pt[min(k + 2 * d, s.n)]
-            assert decode(prefix_window(s, x, k, d)) == full[lo:hi]
+            assert decode(prefix_window(s, x, k)) == full[lo:hi]
             lo_b = pt[max(k - 2 * d - 1, 0)]
-            assert decode(suffix_window(s, x, k, d)) == full[lo_b : pt[k]][::-1]
+            assert decode(suffix_window(s, x, k)) == full[lo_b : pt[k]][::-1]
 
 
 def test_vertex_insert_into_empty_then_orders_match_oracle():
@@ -136,7 +137,7 @@ def test_vertex_insert_into_empty_then_orders_match_oracle():
     x = ctx.anchors
 
     def fwd_key(k):
-        return decode(prefix_window(s, x, k, ctx.d))
+        return decode(prefix_window(s, x, k))
 
     stored = [k for k, _ in v.by_key.items()]
     assert stored == [1, 3, 6]
@@ -225,8 +226,8 @@ def test_vertex_coherence_after_random_ops():
         if len(stored) < 2 or step % 10 != 9:
             continue
         for order, lcp, win in (
-            (v.fwd_order, v.fwd_lcp, lambda k: prefix_window(s, x, k, ctx.d)),
-            (v.bwd_order, v.bwd_lcp, lambda k: suffix_window(s, x, k, ctx.d)),
+            (v.fwd_order, v.fwd_lcp, lambda k: prefix_window(s, x, k)),
+            (v.bwd_order, v.bwd_lcp, lambda k: suffix_window(s, x, k)),
         ):
             keys = [k for k, _ in order.items()]
             hvals = [h for _, h in lcp.items()]
@@ -257,8 +258,8 @@ def _brute_shift_certs(ctx, k_a, k_b):
     pt = s.prefix
     x_a = x.entries[k_a - 1]
     rho = pt[x_a] - pt[x_a - 1]
-    p = ldcp_runs(prefix_window(s, x, k_a, d), prefix_window(s, x, k_b, d))
-    q = ldcp_runs(suffix_window(s, x, k_a, d), suffix_window(s, x, k_b, d))
+    p = ldcp_runs(prefix_window(s, x, k_a), prefix_window(s, x, k_b))
+    q = ldcp_runs(suffix_window(s, x, k_a), suffix_window(s, x, k_b))
     certs = []
     for shift in range(2 * d + 1):
         big_l = pt[x_a] - pt[max(x_a - shift - 1, 0)]
@@ -322,7 +323,7 @@ def test_certificate_matches_brute_oracle_lcs():
         b = random_rle(rng, rng.randint(1, 12), max_len=4)
         d = rng.choice([1, 2, 3, 4, 8])
         s, sep = concat_sep(a, b)
-        ctx = make_context(OracleHandle(s, QueryLedger()), build_exhaustive(s, d), d, sep, MODEL)
+        ctx = make_context(OracleHandle(s, QueryLedger()), build_exhaustive(s, d), sep, MODEL)
         _check_certificates_against_brute(ctx, rng, 25)
 
 
@@ -331,7 +332,7 @@ def test_certificate_matches_brute_oracle_lrs():
     for _ in range(10):
         a = random_rle(rng, rng.randint(2, 12), max_len=4)
         d = rng.choice([1, 2, 4, 8])
-        ctx = make_context(OracleHandle(a, QueryLedger()), build_exhaustive(a, d), d, None, MODEL)
+        ctx = make_context(OracleHandle(a, QueryLedger()), build_exhaustive(a, d), None, MODEL)
         _check_certificates_against_brute(ctx, rng, 25)
 
 
@@ -362,7 +363,7 @@ def _random_context(rng, lrs, n_runs, d, subset, alphabet=b"abc"):
     if subset:
         entries = sorted(rng.sample(entries, rng.randint(1, s.n)))
     anchors = AnchorSet(tuple(entries), d, AnchorScheme.EXHAUSTIVE)
-    return make_context(OracleHandle(s, QueryLedger()), anchors, d, sep, MODEL)
+    return make_context(OracleHandle(s, QueryLedger()), anchors, sep, MODEL)
 
 
 def test_window_order_matches_comparator_oracle():
@@ -376,7 +377,7 @@ def test_window_order_matches_comparator_oracle():
             ctx = _random_context(rng, lrs, n_runs, d, subset)
             s, x = ctx.handle.string, ctx.anchors
             for (pos, h), win in zip(ctx.window_order[1:], (prefix_window, suffix_window)):
-                wins = [win(s, x, k, d) for k in range(1, x.m + 1)]
+                wins = [win(s, x, k) for k in range(1, x.m + 1)]
                 assert (pos.tolist(), h.tolist()) == _comparator_order(wins)
 
 
@@ -569,7 +570,7 @@ def test_best_certificate_batches_match_per_anchor_loop(monkeypatch):
     a = RleString.from_pairs(motif * 17 + [("a", 1)])
     b = RleString.from_pairs([("c", 1)] + motif * 16 + [("a", 2), ("b", 1), ("c", 2)])
     s, sep = concat_sep(a, b)
-    ctx = make_context(OracleHandle(s, QueryLedger()), build_exhaustive(s, 5), 5, sep, MODEL)
+    ctx = make_context(OracleHandle(s, QueryLedger()), build_exhaustive(s, 5), sep, MODEL)
     assert 2 * a.n * b.n > _PAIR_BATCH
     args = _kernel_args(ctx)
     bounds, blocks = _spy(monkeypatch, "_row_bounds"), _spy(monkeypatch, "_row_agreements")
@@ -608,7 +609,7 @@ def _periodic_context(rng, lrs, d, subset, alphabet=b"abc"):
     if subset:
         entries = sorted(rng.sample(entries, rng.randint(1, s.n)))
     anchors = AnchorSet(tuple(entries), d, AnchorScheme.EXHAUSTIVE)
-    return make_context(OracleHandle(s, QueryLedger()), anchors, d, sep, MODEL)
+    return make_context(OracleHandle(s, QueryLedger()), anchors, sep, MODEL)
 
 
 def _white_between_partners(ctx, pos):
@@ -765,7 +766,7 @@ def _minimizer_context(rng, lrs):
     inst = plant_instance(rng.randint(d, 3 * d), d, d, rng.randrange(1000), verify=False)
     s, sep = (inst.a, None) if lrs else concat_sep(inst.a, inst.b)
     anchors = build_minimizer(s, d, rng.randrange(1000), d_min=MODEL.d_min)
-    return make_context(OracleHandle(s, QueryLedger()), anchors, d, sep, MODEL)
+    return make_context(OracleHandle(s, QueryLedger()), anchors, sep, MODEL)
 
 
 def _kind_context(rng, trial):
@@ -1399,7 +1400,7 @@ def test_index_builds_read_each_run_once_per_solve():
     scales = _d_values(hs.n, 1)
     assert len(scales) > 1
     for d in scales:
-        CollisionIndex(make_context(hs, build_exhaustive(s, d), d, sep, MODEL, tokens))
+        CollisionIndex(make_context(hs, build_exhaustive(s, d), sep, MODEL, tokens))
     assert ledger.run_queries == hs.n
 
 
@@ -1415,7 +1416,7 @@ def test_walk_vertices_read_each_run_once_per_solve():
     rng = random.Random(12)
     checks = 0
     for d in _d_values(hs.n, 1):
-        ctx = make_context(hs, build_exhaustive(s, d), d, sep, MODEL, tokens)
+        ctx = make_context(hs, build_exhaustive(s, d), sep, MODEL, tokens)
         v = WalkVertex(ctx)
         stored = set()
         for _ in range(60):
@@ -1441,7 +1442,7 @@ def test_check_soundness_certified_length_genuine():
         d = rng.choice([2, 4, 8])
         s, sep = concat_sep(a, b)
         hs = OracleHandle(s, QueryLedger())
-        ctx = make_context(hs, build_exhaustive(s, d), d, sep, MODEL)
+        ctx = make_context(hs, build_exhaustive(s, d), sep, MODEL)
         idx = CollisionIndex(ctx)
         truth = brute_lcs(a, b).length
         assert idx.best <= truth
@@ -1458,7 +1459,7 @@ def test_check_completeness_planted_window_range():
         inst = plant_instance(n, enc, rng.randint(enc, enc * 4), 1000 + trial)
         s, sep = concat_sep(inst.a, inst.b)
         hs = OracleHandle(s, QueryLedger())
-        ctx = make_context(hs, build_exhaustive(s, d), d, sep, MODEL)
+        ctx = make_context(hs, build_exhaustive(s, d), sep, MODEL)
         idx = CollisionIndex(ctx)
         assert idx.best >= inst.d_tilde
 
@@ -1470,24 +1471,27 @@ def test_white_anchor_never_in_candidates():
         b = random_rle(rng, rng.randint(1, 10))
         s, sep = concat_sep(a, b)
         hs = OracleHandle(s, QueryLedger())
-        ctx = make_context(hs, build_exhaustive(s, 4), 4, sep, MODEL)
+        ctx = make_context(hs, build_exhaustive(s, 4), sep, MODEL)
         idx = CollisionIndex(ctx)
         hit = idx.query(1)
         if hit is not None:
             assert min(hit) < sep < max(hit)
 
 
+def _model_for_r(m, r):
+    """A cost model whose subset_size over m anchors is r."""
+    model = CostModel(r_const=(r - 0.5) / m ** (2 / 3))
+    assert subset_size(model, m) == r
+    return model
+
+
 def test_inner_search_planted_hit_and_miss():
     inst = plant_instance(24, 6, 18, 3)
     s, sep = concat_sep(inst.a, inst.b)
-    ledger = QueryLedger()
-    hs = OracleHandle(s, ledger)
-    x = build_exhaustive(s, 8)
-    ctx = make_context(hs, x, 8, sep, MODEL)
-    r = max(1, math.ceil(x.m ** (2 / 3)))
-    cand = inner_search(ctx, inst.d_tilde, r, mode=WalkMode.FULLSET, ledger=ledger)
+    ctx = make_context(OracleHandle(s, QueryLedger()), build_exhaustive(s, 8), sep, MODEL)
+    cand = inner_search(ctx, inst.d_tilde, mode=WalkMode.FULLSET)
     assert cand is not None
-    miss = inner_search(ctx, inst.d_tilde + 50, r, mode=WalkMode.FULLSET, ledger=ledger)
+    miss = inner_search(ctx, inst.d_tilde + 50, mode=WalkMode.FULLSET)
     assert miss is None
 
 
@@ -1500,11 +1504,11 @@ def test_inner_search_charge_identity():
         ledger = QueryLedger()
         hs = OracleHandle(s, ledger)
         x = build_exhaustive(s, 8)
-        ctx = make_context(hs, x, 8, sep, MODEL)
+        ctx = make_context(hs, x, sep, MODEL)
         m = x.m
         r = max(1, min(m, math.ceil(m ** (2 / 3))))
         before = ledger.charged_cost
-        inner_search(ctx, 5, r, mode=mode, ledger=ledger)
+        inner_search(ctx, 5, mode=mode)
         delta = ledger.charged_cost - before
         deltas[mode] = delta
         if mode is not WalkMode.FULLSET:
@@ -1519,19 +1523,14 @@ def test_inner_search_charge_identity():
 def test_inner_search_randomwalk_mode():
     inst = plant_instance(12, 5, 15, 7)
     s, sep = concat_sep(inst.a, inst.b)
-    ledger = QueryLedger()
-    hs = OracleHandle(s, ledger)
+    hs = OracleHandle(s, QueryLedger())
     x = build_exhaustive(s, 8)
-    ctx = make_context(hs, x, 8, sep, MODEL)
     # full-size subset makes the random walk deterministic for the hit case
-    cand = inner_search(
-        ctx, inst.d_tilde, x.m, mode=WalkMode.RANDOMWALK, ledger=ledger, rng=random.Random(0)
-    )
+    ctx = make_context(hs, x, sep, _model_for_r(x.m, x.m))
+    cand = inner_search(ctx, inst.d_tilde, mode=WalkMode.RANDOMWALK, rng=random.Random(0))
     assert cand is not None
-    miss = inner_search(
-        ctx, inst.d_tilde + 99, max(1, x.m // 2), mode=WalkMode.RANDOMWALK,
-        ledger=ledger, rng=random.Random(0),
-    )
+    ctx = make_context(hs, x, sep, _model_for_r(x.m, max(1, x.m // 2)))
+    miss = inner_search(ctx, inst.d_tilde + 99, mode=WalkMode.RANDOMWALK, rng=random.Random(0))
     assert miss is None
 
 
@@ -1540,7 +1539,7 @@ def _scale_contexts(s, sep):
     hs = OracleHandle(s, QueryLedger())
     tokens = _RunTokens(hs)
     return [
-        make_context(hs, build_exhaustive(s, d), d, sep, MODEL, tokens) for d in _d_values(s.n, 1)
+        make_context(hs, build_exhaustive(s, d), sep, MODEL, tokens) for d in _d_values(s.n, 1)
     ]
 
 
@@ -1631,14 +1630,15 @@ def test_inner_search_ceiling_rules_out_only_longer_probes():
     inst = plant_instance(40, 6, 18, 2)
     s, sep = concat_sep(inst.a, inst.b)
     hs = OracleHandle(s, QueryLedger())
-    tokens = _RunTokens(hs)
-    scales = [make_context(hs, build_exhaustive(s, d), d, sep, MODEL, tokens) for d in (16, 8)]
+    tokens, model = _RunTokens(hs), _model_for_r(s.n, s.n)
+    scales = [make_context(hs, build_exhaustive(s, d), sep, model, tokens) for d in (16, 8)]
     wide, narrow = scales
-    m, cache = s.n, {}
+    cache = {}
 
     def search(ctx, d_tilde, index_cache):
-        ledger, mode = QueryLedger(), WalkMode.FULLSET
-        cand = inner_search(ctx, d_tilde, m, mode=mode, ledger=ledger, index_cache=index_cache)
+        ledger = ctx.handle.ledger
+        ledger.charged_cost = 0.0  # each search's charge is read from zero, exactly
+        cand = inner_search(ctx, d_tilde, mode=WalkMode.FULLSET, index_cache=index_cache)
         return cand, ledger.charged_cost
 
     assert search(wide, 1, cache)[0] is not None
@@ -1873,7 +1873,7 @@ def test_probe_predicate_monotone():
         b = random_rle(rng, rng.randint(2, 16))
         s, sep = concat_sep(a, b)
         hs = OracleHandle(s, QueryLedger())
-        ctx = make_context(hs, build_exhaustive(s, 8), 8, sep, MODEL)
+        ctx = make_context(hs, build_exhaustive(s, 8), sep, MODEL)
         idx = CollisionIndex(ctx)
         hits = [idx.query(t) is not None for t in range(1, min(a.total, b.total) + 1)]
         # directly: no True after a False
