@@ -31,7 +31,7 @@ class AnchorScheme(str, Enum):
 class AnchorSet:
     """Strictly increasing run indices for scale d, the scale every search over them runs at.
 
-    A range from 1 up, step 1 up, goes unchecked.
+    At least one; a range from 1 up, step 1 up, goes unchecked beyond that.
     """
 
     entries: Sequence[int]
@@ -39,6 +39,8 @@ class AnchorSet:
     scheme: AnchorScheme
 
     def __post_init__(self):
+        if not self.entries:
+            raise ValueError("an anchor set needs at least one entry")
         if isinstance(self.entries, range) and self.entries.start >= 1 and self.entries.step >= 1:
             return
         prev = 0

@@ -27,14 +27,18 @@ A search's hit is the run pair of its best (flagged, partner) anchors.
 A scale whose best certificate is below a search's target builds no vertex.
 Over the same anchors no certificate rises as d falls, so a larger scale's
 best bounds a smaller one's: a solve keeps each scale's best, and a scale
-that a larger one rules out builds no index or pair table.  A walk search
-with no pair at its target only makes its random draws.
+that a larger one rules out builds no index or pair table.  A full-set scale
+also builds no index while its row bounds, which its kernel would compute
+anyway, all fall short of a search's target; it keeps their largest as its
+best.  A walk search with no pair at its target only makes its random draws.
 
 A solve reads its n runs once, by one counted bulk read, as arrays: every
 scale's window order and prefix sums, the small-run fallback (answers of
 one or two runs, below the anchor regime, found in one pass over the
 boundaries sorted by char pair and first length) and the final positions
-read them.
+read them.  No fallback hit is longer than the longest run or adjacent run
+pair, so the fallback runs at most once, on the first probe within that
+bound that every scale misses.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import asdict, dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain
 from typing import Optional
 
@@ -178,7 +182,9 @@ class _TokenRanks:
     end of the string sorts before its extensions.  Level k + 1 ranks one
     key, ``levels[k][i] * (2n + 2) + levels[k][i + 2**k]`` (level-0 ranks
     reach 2n: end tokens are ranked too); once a level holds n distinct
-    ranks, every later level is that array again, unsorted.
+    ranks, every later level is that array again, unsorted.  ``tied`` is
+    the first level that a later one reuses, else len(levels): every level
+    below it may tie two starts.
     """
 
     def __init__(self, chars: np.ndarray, lens: np.ndarray):
@@ -198,12 +204,15 @@ class _TokenRanks:
         self.end = np.zeros(n + 2, dtype=np.int32)
         self.end[1 : n + 1] = tokens[n:]
         self.levels = [level]
+        self.tied = n.bit_length()
         for k in range(1, n.bit_length()):
             if k == 1 or level.max() < n:
                 key = level[1 : n + 1].astype(np.int64) * (2 * n + 2)
                 key += level[np.minimum(np.arange(1, n + 1) + (1 << (k - 1)), n + 1)]
                 level = np.zeros(n + 2, dtype=np.int32)
                 level[1 : n + 1] = _dense_ranks(key)
+            else:
+                self.tied = min(self.tied, k - 1)
             self.levels.append(level)
 
     def window_order(self, starts: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
@@ -226,10 +235,11 @@ class _TokenRanks:
         pos = np.empty(m, dtype=np.int64)
         pos[order] = np.arange(m)
         u, w = starts[order[:-1]], starts[order[1:]]
-        # equal leading runs, by binary lifting, capped at the shorter window
+        # equal leading runs, by binary lifting, capped at the shorter window;
+        # from level tied up two starts never rank equal, so no step advances
         cap = np.minimum(n + 1 - np.maximum(u, w), width)
         same = np.zeros(len(u), dtype=np.int64)
-        for k in reversed(range(min(width, n).bit_length())):
+        for k in reversed(range(min(min(width, n).bit_length(), self.tied))):
             level = self.levels[k]
             step = same + (1 << k)
             same = np.where((step <= cap) & (level[u + same] == level[w + same]), step, same)
@@ -301,11 +311,24 @@ class _WalkContext:
         return xs, fwd.window_order(xs, width), bwd.window_order(self.handle.n + 1 - xs, width)
 
     @cached_property
+    def row_bounds(self) -> Optional[np.ndarray]:
+        """Each anchor's bound on its row's certificates (_row_bounds), or None.
+
+        Only full-set mode reads it, and only where best_certificate would
+        compute it: when the kernel's rows take more than one pass.
+        """
+        xs, (fwd_pos, h_f), (bwd_pos, h_b) = self.window_order
+        side, flagged = _flagged(xs, self.sep_index)
+        if len(flagged) <= max(1, _PAIR_BATCH // len(xs)):  # the rows take one pass
+            return None
+        return _row_bounds(xs, fwd_pos, h_f, bwd_pos, h_b, self.pv, self.d, side, flagged)
+
+    @cached_property
     def pair_table(self) -> np.ndarray:
         """Certificate of every ordered anchor pair (see _pair_table).
 
         Only walk mode reads it: its maximum is the scale's best
-        (_TableBest), and a vertex's best() reads the stored anchors' block.
+        (_ScaleBound), and a vertex's best() reads the stored anchors' block.
         It holds 8 m^2 bytes, the one m x m table a walk-mode scale keeps.
         """
         xs, (fwd_pos, h_f), (bwd_pos, h_b) = self.window_order
@@ -548,6 +571,14 @@ def _sides(xs: np.ndarray, sep_index: Optional[int]) -> Optional[np.ndarray]:
     return np.where(xs < sep_index, 0, np.where(xs > sep_index, 1, 2))
 
 
+def _flagged(xs: np.ndarray, sep_index: Optional[int]) -> tuple[Optional[np.ndarray], np.ndarray]:
+    """The anchors' sides (_sides) and the flagged anchors in scan order, red before blue."""
+    side = _sides(xs, sep_index)
+    if side is None:
+        return side, np.arange(len(xs))
+    return side, np.concatenate((np.flatnonzero(side == 0), np.flatnonzero(side == 1)))
+
+
 def _score_rows(xs, fwd_pos, h_f, bwd_pos, h_b, pv, d, side, rows):
     """Certificate of each row's anchor, flagged, with every partner.
 
@@ -574,6 +605,7 @@ def best_certificate(
     pv: np.ndarray,
     d: int,
     sep_index: Optional[int],
+    bounds: Optional[np.ndarray] = None,
 ) -> tuple[int, Optional[tuple[int, int]]]:
     """Largest target length any admissible pair of the given anchors certifies.
 
@@ -590,25 +622,24 @@ def best_certificate(
 
     Each flagged anchor's row of pairs comes from cumulative minima, a block
     of rows per numpy pass.  When the rows take more than one pass, they are
-    scored highest bound (_row_bounds) first, each pass in scan order, so
-    the first pass holds the row with the highest bound and its exact best.
-    A row is skipped once its bound is below the best so far, or equal to
-    it and the row comes later in scan order: it could at most tie a pair
-    that is scanned before it.
+    scored highest bound (_row_bounds, or the given per-anchor ``bounds``
+    that it returned) first, each pass in scan order, so the first pass
+    holds the row with the highest bound and its exact best.  A row is
+    skipped once its bound is below the best so far, or equal to it and the
+    row comes later in scan order: it could at most tie a pair that is
+    scanned before it.
     """
     m = len(xs)
     if m < 2:
         return 0, None
-    side = _sides(xs, sep_index)
-    if side is None:
-        flagged = np.arange(m)
-    else:
-        flagged = np.concatenate((np.flatnonzero(side == 0), np.flatnonzero(side == 1)))
+    side, flagged = _flagged(xs, sep_index)
     rows_per_pass = max(1, _PAIR_BATCH // m)
     scan = np.arange(len(flagged))  # rows by their place in scan order
     upper = None
     if len(scan) > rows_per_pass:
-        upper = _row_bounds(xs, fwd_pos, h_f, bwd_pos, h_b, pv, d, side, flagged)[flagged]
+        if bounds is None:
+            bounds = _row_bounds(xs, fwd_pos, h_f, bwd_pos, h_b, pv, d, side, flagged)
+        upper = bounds[flagged]
         scan = scan[upper >= 1]
         scan = scan[np.argsort(-upper[scan], kind="stable")]  # highest bound first
     best, at = 0, None
@@ -646,18 +677,19 @@ class CollisionIndex:
     """Best certified length over the full anchor set at one scale d.
 
     Runs the certificate kernel over all anchors in the context's window
-    order, so one (length, anchor pair) answers every probe at this scale.
-    Over the same anchors, best never rises as d falls: a narrower window
-    never agrees for longer, _snap's span floor x_a - 2d - 1 only rises and
-    admissibility ignores d, so no pair's certificate grows (_ceiling uses
-    this).
+    order, with the context's row bounds, so one (length, anchor pair)
+    answers every probe at this scale.  Over the same anchors, best never
+    rises as d falls: a narrower window never agrees for longer, _snap's
+    span floor x_a - 2d - 1 only rises and admissibility ignores d, so no
+    pair's certificate grows (_ceiling uses this).  A scale whose row
+    bounds all fall short of a probe builds none (see inner_search).
     """
 
     def __init__(self, ctx: _WalkContext):
         self.ctx = ctx
         self.xs, (fwd_pos, h_f), (bwd_pos, h_b) = ctx.window_order
         self.best, self.best_args = best_certificate(
-            self.xs, fwd_pos, h_f, bwd_pos, h_b, ctx.pv, ctx.d, ctx.sep_index
+            self.xs, fwd_pos, h_f, bwd_pos, h_b, ctx.pv, ctx.d, ctx.sep_index, ctx.row_bounds
         )
 
     def query(self, d_tilde: int) -> Optional[tuple[int, int]]:
@@ -668,15 +700,26 @@ class CollisionIndex:
         return int(self.xs[a]), int(self.xs[b])
 
 
-class _TableBest:
-    """A walk-mode scale's best certificate, its pair table's maximum (as CollisionIndex.best)."""
+@dataclass
+class _ScaleBound:
+    """A scale's best certificate, or a bound above it, where it builds no index.
 
-    def __init__(self, ctx: _WalkContext):
-        self.ctx = ctx
-        self.best = int(ctx.pair_table.max())
+    It serves _ceiling as CollisionIndex.best does.  A walk-mode scale holds
+    its pair table's maximum; a full-set scale that no probe so far could
+    reach holds its largest row bound.
+    """
+
+    ctx: _WalkContext
+    best: int
 
 
-def _ceiling(index_cache: dict[int, CollisionIndex | _TableBest], ctx: _WalkContext) -> float:
+def _scale_bound(ctx: _WalkContext) -> float:
+    """Bound on a full-set scale's best certificate: its largest row bound, else inf."""
+    bounds = ctx.row_bounds
+    return math.inf if bounds is None else int(bounds.max())
+
+
+def _ceiling(index_cache: dict[int, CollisionIndex | _ScaleBound], ctx: _WalkContext) -> float:
     """Least best of the cached scales above ctx.d over the same anchor entries, else inf.
 
     It bounds this scale's best from above: with the same anchors each
@@ -703,7 +746,7 @@ def inner_search(
     *,
     mode: WalkMode,
     rng: Optional[random.Random] = None,
-    index_cache: Optional[dict[int, CollisionIndex | _TableBest]] = None,
+    index_cache: Optional[dict[int, CollisionIndex | _ScaleBound]] = None,
 ) -> Optional[tuple[int, int]]:
     """Walk search over r-subsets of the anchor set for one (d, d_tilde).
 
@@ -719,36 +762,36 @@ def inner_search(
     same amount to the ledger.
 
     ``index_cache`` holds one solve's scale bests by scale: the full-set
-    mode's indexes and the random walk's pair-table maxima.  A scale whose
-    anchor entries equal those of a cached larger scale whose best is below
-    d_tilde builds no index or pair table and reports None: narrowing the
-    windows over the same anchors never raises a certificate (see
-    CollisionIndex).  The random walk also builds no vertex when its own
-    table's maximum is below d_tilde.  Either way its setup returns None, so
-    the walk only makes its draws.  Otherwise each check reads the stored
-    anchors' block of the table (WalkVertex.check), and the walk stops at
-    its first hit.  Charges are those of a scale that builds.
+    mode's indexes, or the largest row bound of a full-set scale that builds
+    none, and the random walk's pair-table maxima.  A scale whose anchor
+    entries equal those of a cached larger scale whose best is below d_tilde
+    builds no index or pair table and reports None: narrowing the windows
+    over the same anchors never raises a certificate (see CollisionIndex).
+    A full-set scale also builds no index while its row bounds are all below
+    d_tilde, and a later probe they admit builds it.  The random walk also
+    builds no vertex when its own table's maximum is below d_tilde.  Either
+    way its setup returns None, so the walk only makes its draws.  Otherwise
+    each check reads the stored anchors' block of the table
+    (WalkVertex.check), and the walk stops at its first hit.  Charges are
+    those of a scale that builds.
     """
     m, model, ledger = ctx.anchors.m, ctx.model, ctx.handle.ledger
     r = subset_size(model, m)
     d = ctx.d
     delta = (r / m) ** 2
-    cache = {} if index_cache is None else index_cache
-
-    def scale_best(build):
-        """This scale's cached best, built first; None when a larger scale rules d_tilde out."""
-        if d not in cache and _ceiling(cache, ctx) >= d_tilde:
-            cache[d] = build(ctx)
-        return cache.get(d)
+    bests = {} if index_cache is None else index_cache
 
     if mode is WalkMode.FULLSET:
-        index = scale_best(CollisionIndex)
+        index = bests.get(d)
+        if not isinstance(index, CollisionIndex) and _ceiling(bests, ctx) >= d_tilde:
+            bound = _scale_bound(ctx)
+            index = bests[d] = CollisionIndex(ctx) if bound >= d_tilde else _ScaleBound(ctx, bound)
         setup_cost, _, check_cost = ctx.charges(m)
         hooks = WalkHooks(
             setup_cost=setup_cost,
             update_cost=0.0,
             check_cost=check_cost,
-            setup=lambda subset: index,
+            setup=lambda subset: index if isinstance(index, CollisionIndex) else None,
             check=lambda state: state.query(d_tilde),
         )
         return walk_search(m, m, delta, hooks, mode=mode, ledger=ledger, model=model)
@@ -758,8 +801,9 @@ def inner_search(
     if mode is WalkMode.RANDOMWALK:
 
         def setup(subset):
-            table = scale_best(_TableBest)
-            if table is None or table.best < d_tilde:
+            if d not in bests and _ceiling(bests, ctx) >= d_tilde:
+                bests[d] = _ScaleBound(ctx, int(ctx.pair_table.max()))
+            if d not in bests or bests[d].best < d_tilde:
                 return None  # no pair at this scale reaches d_tilde
             vertex = WalkVertex(ctx)
             for k in subset:
@@ -909,6 +953,11 @@ def _small_fallback(
     return top, int(ends[row]), int(ends[col] - (0 if lrs else prefix[sep_index]))
 
 
+def _fallback_bound(lens: np.ndarray) -> int:
+    """Bound on every _small_fallback hit: the longest run or adjacent run pair."""
+    return int(np.max(lens[:-1] + lens[1:], initial=lens.max()))
+
+
 def finalize_answer(
     ends_a: int,
     ends_b: int,
@@ -1048,11 +1097,13 @@ def _solve(
             ctx_cache[d] = make_context(hs, anchors, sep_index, model, tokens)
         return ctx_cache[d]
 
-    index_cache: dict[int, CollisionIndex] = {}
+    index_cache: dict[int, CollisionIndex | _ScaleBound] = {}
     # minimum finding over each side's runs, Grover over boundary pairs
     runs_charge = minfind_charge(model, max(1, ha.n), max(1, hb.n))
     hs.ledger.charge(runs_charge + grover_charge(model, max(1, (ha.n - 1) * (hb.n - 1))))
-    fallback = None if cost_only else _small_fallback(tokens.runs, sep_index)
+    # the small-run fallback runs once, on the first missing probe its bound admits
+    reach = 0 if cost_only else _fallback_bound(tokens.runs[1])
+    fallback = cache(lambda: _small_fallback(tokens.runs, sep_index))
     hint = config.truth_hint if config.truth_hint is not None else (hi, 1)
     offset = 0 if lrs else ha.total + 1  # B's decoded positions in A $ B
 
@@ -1072,9 +1123,8 @@ def _solve(
                 return int(pv[x_a]), int(pv[x_b]) - offset
         if cost_only:
             return _HINT if d_tilde <= hint[0] else None
-        if fallback is not None and fallback[0] >= d_tilde:
-            return fallback[1:]
-        return None
+        hit = fallback() if d_tilde <= reach else None
+        return hit[1:] if hit is not None and hit[0] >= d_tilde else None
 
     best_hit = probe(1)
     if best_hit is None:

@@ -33,13 +33,14 @@ def test_exhaustive_covers_every_run():
 
 def test_anchor_entries_range_skips_the_check_and_invalid_entries_raise():
     # exhaustive entries are one range, taken unchecked; tuples that are not
-    # strictly increasing from 1, and a range from 0, still raise
+    # strictly increasing from 1, a range from 0 and an empty set still raise
     for n in (1, 2, 7, 131_072):
         s = RleString.from_pairs([("ab"[i % 2], 1) for i in range(n)])
         entries = build_exhaustive(s).entries
         assert type(entries) is range and entries == range(1, n + 1)
     assert AnchorSet((1, 3, 4), 8, AnchorScheme.MINIMIZER).m == 3
-    for bad in ((1, 3, 3), (2, 1), (0, 1, 2), (-1,), range(0, 5), range(5, 0, -1)):
+    bad_entries = ((1, 3, 3), (2, 1), (0, 1, 2), (-1,), range(0, 5), range(5, 0, -1))
+    for bad in bad_entries + ((), range(1, 1)):
         with pytest.raises(ValueError):
             AnchorSet(bad, 8, AnchorScheme.EXHAUSTIVE)
 

@@ -1,3 +1,4 @@
+import collections
 import functools
 import importlib.util
 import itertools
@@ -43,6 +44,7 @@ from rlelcs.walk import (
     _PAIR_BATCH,
     WALK_RUN_BOUND,
     _RunTokens,
+    _ScaleBound,
     _TokenRanks,
     _d_values,
     _dense_ranks,
@@ -443,6 +445,63 @@ def test_token_ranks_match_two_key_oracle():
             sorted_levels = len({id(level) for level in ranks.levels})
             distinct_early += sorted_levels < len(levels)
     assert distinct_early >= 16
+
+
+def _lifting_window_order(ranks, starts, width):
+    """_TokenRanks.window_order with its binary lifting over every level up to
+    the width, including those of n distinct ranks: the reference for its cap."""
+    n, m = ranks.n, len(starts)
+    span = min(width - 1, n)
+    k = span.bit_length() - 1
+    order = np.lexsort(
+        (
+            ranks.end[np.minimum(starts + width - 1, n + 1)],
+            ranks.levels[k][np.minimum(starts + span - (1 << k), n + 1)],
+            ranks.levels[k][starts],
+        )
+    )
+    pos = np.empty(m, dtype=np.int64)
+    pos[order] = np.arange(m)
+    u, w = starts[order[:-1]], starts[order[1:]]
+    cap = np.minimum(n + 1 - np.maximum(u, w), width)
+    same = np.zeros(len(u), dtype=np.int64)
+    for k in reversed(range(min(width, n).bit_length())):
+        level = ranks.levels[k]
+        step = same + (1 << k)
+        same = np.where((step <= cap) & (level[u + same] == level[w + same]), step, same)
+    h = ranks.prefix[u + same - 1] - ranks.prefix[u - 1]
+    cu, cw = u + same, w + same
+    tail = (same < cap) & (ranks.chars[cu] == ranks.chars[cw])
+    return pos, h + np.where(tail, np.minimum(ranks.lens[cu], ranks.lens[cw]), 0)
+
+
+def test_window_order_lifting_stops_at_the_first_untied_level():
+    # lifting only below the first level of n distinct ranks gives the
+    # windows' ranks and agreements of lifting over every level: one run,
+    # period-2 runs (tied up to the last level), planted strings and pairs
+    # joined by concat_sep, forward and reversed, every run or a random
+    # subset as starts, widths of 2d + 1 runs from d = 1 to past n
+    rng = random.Random(211)
+    strings = [encode(b"a"), encode(b"aaaaa")]
+    strings += [RleString.from_pairs([("a", 2), ("b", 1)] * k) for k in (1, 2, 7, 40)]
+    for seed in range(6):
+        inst = plant_instance(rng.randint(20, 150), 10, 30, seed)
+        strings += [inst.a, concat_sep(inst.a, inst.b)[0]]
+        strings.append(concat_sep(*(random_rle(rng, rng.randint(1, 80)) for _ in range(2)))[0])
+    capped = 0
+    for s in strings:
+        chars, lens = _run_arrays(s)
+        for c, ln in ((chars, lens), (chars[::-1], lens[::-1])):
+            ranks, n = _TokenRanks(c, ln), len(c)
+            starts = np.arange(1, n + 1)
+            subset = np.array(sorted(rng.sample(range(1, n + 1), rng.randint(1, n))))
+            for width in (3, 5, 7, 9, 17, 33, 2 * n + 3):  # 2d + 1 runs
+                capped += ranks.tied < min(width, n).bit_length()
+                for xs in (starts, subset, n + 1 - subset):
+                    got = ranks.window_order(xs, width)
+                    want = _lifting_window_order(ranks, xs, width)
+                    assert all(np.array_equal(g, w) for g, w in zip(got, want)), (s, width)
+    assert capped > 100
 
 
 # Range minima over sparse tables, independent of the solver's running
@@ -1745,6 +1804,196 @@ def test_scale_ceiling_anchor_overrides(monkeypatch):
                 assert got[2] == want[2], seed
                 differing += got[2] > 1
     assert shared > 3 and differing > 3
+
+
+def _counted(calls, key, fn):
+    def wrapper(*args, **kwargs):
+        calls[key] += 1
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
+def _with_and_without_bounds(a, b, config):
+    """(answer, ledger counters, calls) of one solve, then of the same solve with
+    the small-run fallback's bound and every full-set scale's bound patched to
+    inf: the reference, which runs the fallback on the first probe that every
+    scale misses and builds every index the ceiling allows.  calls counts
+    index builds, fallback runs and window orders.  b None solves the LRS of a."""
+    walk, calls, out = rlelcs.walk, collections.Counter(), []
+    with pytest.MonkeyPatch.context() as patch:
+        for owner, name, key in (
+            (CollisionIndex, "__init__", "builds"),
+            (walk, "_small_fallback", "fallbacks"),
+            (_TokenRanks, "window_order", "orders"),
+        ):
+            patch.setattr(owner, name, _counted(calls, key, getattr(owner, name)))
+        for fallback_bound, scale_bound in (
+            (walk._fallback_bound, walk._scale_bound),
+            (lambda lens: math.inf, lambda ctx: math.inf),
+        ):
+            patch.setattr(walk, "_fallback_bound", fallback_bound)
+            patch.setattr(walk, "_scale_bound", scale_bound)
+            calls.clear()
+            ans, ledger = _solve_case(a, b, config)
+            counters = (ledger.charged_cost, ledger.run_queries, ledger.prefix_queries)
+            out.append((ans, counters, calls.copy()))
+    return out
+
+
+def _solve_case(a, b, config):
+    """(answer, ledger) of the LCS of a and b, or of the LRS of a when b is None."""
+    if b is None:
+        ha, _, ledger = make_handles(a, RleString(()))
+        return solve_lrs(ha, config), ledger
+    ha, hb, ledger = make_handles(a, b)
+    return solve_lcs_rle_p(ha, hb, config), ledger
+
+
+def _bound_cases(rng):
+    """(a, b) pairs, b None for LRS: planted, random over "$" and "!", periodic,
+    no shared char, and answers of one run, of two runs and of exactly the
+    fallback's bound (4 + 4 = 8 in "aaaabbbb" against "ccaaaabbbbcc")."""
+    cases = [
+        (encode(b"aaaabbbb"), encode(b"ccaaaabbbbcc")),
+        (encode(b"xaaaay"), encode(b"zaaaaw")),
+        (encode(b"abbbbbc"), encode(b"dbbbe")),
+        (encode(b"aaaabbbbaaaabbb"), None),
+        (encode(b"aaaabbbbcaaaabbbb"), None),
+        (encode(b"ab" * 30), encode(b"cd" * 40)),
+        (encode(b"aab" * 30), None),
+    ]
+    for seed in range(6):
+        inst = plant_instance(rng.randint(8, 200), 6 + seed, 40, seed, verify=False)
+        cases += [(inst.a, inst.b), (concat_sep(inst.a, inst.b)[0], None)]
+    for trial in range(8):
+        alphabet = b"!ab" if trial % 2 else b"$!abc"
+        a, b = (_byte_rle(rng, rng.randint(2, 150), alphabet) for _ in range(2))
+        cases += [(a, b), (a, None)]
+    for period in (2, 3, 5, 8):
+        runs = _periodic_runs(rng, period, rng.randint(20, 120))
+        a, b = RleString.from_pairs(runs), RleString.from_pairs(runs[rng.randrange(len(runs)) :])
+        cases += [(a, None), (a, b)]
+    return cases
+
+
+def test_bounds_change_no_answer_charge_or_query_count():
+    # a probe above the fallback's bound or a full-set scale's row bounds
+    # skips that work with the same answer, charge and query counts as the
+    # reference; no solve builds more indexes, and with exhaustive anchors
+    # none orders more windows
+    rng = random.Random(229)
+    skipped = collections.Counter()
+    for a, b in _bound_cases(rng):
+        for scheme in AnchorScheme:
+            got, want = _with_and_without_bounds(a, b, SolverConfig(anchors=scheme, seed=7))
+            assert got[:2] == want[:2], (a, b, scheme)
+            assert got[2]["builds"] <= want[2]["builds"], (a, b, scheme)
+            assert got[2]["fallbacks"] <= want[2]["fallbacks"] <= 1, (a, b, scheme)
+            if scheme is AnchorScheme.EXHAUSTIVE:
+                assert got[2]["orders"] <= want[2]["orders"], (a, b)
+            skipped.update(want[2] - got[2])
+    assert skipped["fallbacks"] > 20 and skipped["builds"] > 5
+
+
+def test_bounds_keep_the_fallback_answer_when_every_scale_misses(monkeypatch):
+    # one anchor per scale certifies nothing, so every answer is the
+    # fallback's, of one or two runs; some reach its bound exactly
+    def one_anchor(s, d, *_):
+        return AnchorSet((1,), d, AnchorScheme.EXHAUSTIVE)
+
+    monkeypatch.setattr(rlelcs.walk, "scale_anchors", one_anchor)
+    at_bound = 0
+    for a, b in _bound_cases(random.Random(239)):
+        got, want = _with_and_without_bounds(a, b, SolverConfig())
+        assert got[:2] == want[:2], (a, b)
+        assert got[2]["fallbacks"] <= want[2]["fallbacks"] <= 1, (a, b)
+        lens = _run_arrays(a if b is None else concat_sep(a, b)[0])[1]
+        at_bound += got[0] is not None and got[0].d_tilde == rlelcs.walk._fallback_bound(lens)
+    assert at_bound >= 2
+
+
+def test_inner_search_row_bounds_rule_out_only_longer_probes():
+    # a full-set scale whose largest row bound is below a probe builds no
+    # index and keeps that bound as its best, at the charge of a scale that
+    # builds; a later probe within the bound builds the index and answers
+    # as a fresh one does, whether the bound is tight or not
+    tight = loose = 0
+
+    def search(ctx, d_tilde, index_cache):
+        ledger = ctx.handle.ledger
+        ledger.charged_cost = 0.0  # each search's charge is read from zero, exactly
+        cand = inner_search(ctx, d_tilde, mode=WalkMode.FULLSET, index_cache=index_cache)
+        return cand, ledger.charged_cost
+
+    for seed in range(4):
+        inst = plant_instance(60 + 10 * seed, 6, 18, seed, verify=False)
+        for s, sep in (concat_sep(inst.a, inst.b), (inst.a, None)):
+            hs = OracleHandle(s, QueryLedger())
+            tokens = _RunTokens(hs)
+            for d in _d_values(s.n, 1):
+                ctx = make_context(hs, build_exhaustive(s, d), sep, MODEL, tokens)
+                if ctx.row_bounds is None:
+                    continue  # the kernel's rows take one pass: it has no bounds
+                bound, fresh, cache = int(ctx.row_bounds.max()), CollisionIndex(ctx), {}
+                above = search(ctx, bound + 1, cache)
+                assert above == (None, search(ctx, bound + 1, None)[1]), (s, d)
+                assert type(cache[d]) is _ScaleBound and cache[d].best == bound
+                within = search(ctx, bound, cache)
+                assert within == (fresh.query(bound), search(ctx, bound, None)[1]), (s, d)
+                assert isinstance(cache[d], CollisionIndex) and cache[d].best == fresh.best
+                tight += fresh.best == bound
+                loose += fresh.best < bound
+    assert tight > 5 and loose > 5
+
+
+def test_small_fallback_runs_once_on_the_first_missing_probe_its_bound_admits(monkeypatch):
+    # a probe that every scale misses runs the fallback only when its target
+    # is within the longest run or adjacent run pair: once per solve at
+    # most, and never when every missing probe is above that bound
+    walk, calls = rlelcs.walk, collections.Counter()
+    searches, reach, bound = [], [], walk._fallback_bound
+
+    def spy_search(ctx, d_tilde, **kwargs):
+        hit = inner_search(ctx, d_tilde, **kwargs)
+        searches.append((d_tilde, hit is not None))
+        return hit
+
+    def spy_bound(lens):
+        reach.append(bound(lens))
+        return reach[-1]
+
+    monkeypatch.setattr(walk, "inner_search", spy_search)
+    monkeypatch.setattr(walk, "_fallback_bound", spy_bound)
+    monkeypatch.setattr(walk, "_small_fallback", _counted(calls, "runs", walk._small_fallback))
+    rng = random.Random(233)
+    runs = collections.Counter()
+    for a, b in _bound_cases(rng):
+        for mode in WalkMode:
+            for spied in (searches, reach, calls):
+                spied.clear()
+            _solve_case(a, b, SolverConfig(mode=mode))
+            if mode is WalkMode.COSTONLY:
+                assert calls["runs"] == 0, (a, b)
+                continue
+            hits = collections.defaultdict(bool)  # per probe: whether some scale hit
+            for d_tilde, hit in searches:
+                hits[d_tilde] |= hit
+            admitted = any(not hit and d_tilde <= reach[0] for d_tilde, hit in hits.items())
+            assert calls["runs"] == admitted, (a, b, mode)
+            runs[calls["runs"], not all(hits.values())] += 1
+    # solves that ran it, and solves with missing probes that never did
+    assert runs[1, True] > 3 and runs[0, True] > 20
+
+
+def test_planted_minimizer_solve_builds_fewer_indexes():
+    # minimizer entries differ from scale to scale, so the ceiling rules
+    # none out; a scale's own row bounds still do, for the probes above them
+    inst = plant_instance(512, 32, 160, 1, verify=False)
+    config = SolverConfig(anchors=AnchorScheme.MINIMIZER, seed=1)
+    got, want = _with_and_without_bounds(inst.a, inst.b, config)
+    assert got[:2] == want[:2]
+    assert 0 < got[2]["builds"] < want[2]["builds"]
 
 
 def test_walk_search_builds_a_vertex_exactly_when_its_table_reaches_the_target(monkeypatch):
