@@ -158,7 +158,9 @@ def check_charge(model: CostModel, d: int, stored: int) -> float:
 
 def _dense_ranks(*keys: np.ndarray) -> np.ndarray:
     """1-based dense ranks of the rows of keys, the last key primary (as np.lexsort)."""
-    order = keys[0].argsort() if len(keys) == 1 else np.lexsort(keys)  # ranks ignore tie order
+    order = keys[0].argsort()  # quicksort: ranks ignore tie order
+    for key in keys[1:]:  # one stable pass per more significant key
+        order = order[key[order].argsort(kind="stable")]
     new = np.zeros(len(order), dtype=bool)
     new[:1] = True
     for key in keys:
@@ -179,12 +181,13 @@ class _TokenRanks:
     Runs are 1-based; ``levels[k][i]`` ranks tokens i..i + 2**k - 1 among
     all such blocks, ``end[i]`` ranks run i's end token among the tokens.
     Rank 0 pads past the end (index n + 1), so a window cut short by the
-    end of the string sorts before its extensions.  Level k + 1 ranks one
-    key, ``levels[k][i] * (2n + 2) + levels[k][i + 2**k]`` (level-0 ranks
-    reach 2n: end tokens are ranked too); once a level holds n distinct
-    ranks, every later level is that array again, unsorted.  ``tied`` is
-    the first level that a later one reuses, else len(levels): every level
-    below it may tie two starts.
+    end of the string sorts before its extensions.  Level 0 sorts the signed
+    lengths, then makes one stable (radix) pass over the int16 key 2c + rising.
+    Level k + 1 argsorts ``levels[k][i] * (2n + 2) + levels[k][i + 2**k]``
+    (level-0 ranks reach 2n, as end tokens are ranked too), adding the block
+    ahead as a slice: past run n it is the pad, rank 0.  Once the last rank is
+    n, every later level is that array again, unsorted.  ``tied`` is the first
+    level that a later one reuses, else len(levels): below it two starts may tie.
     """
 
     def __init__(self, chars: np.ndarray, lens: np.ndarray):
@@ -196,8 +199,7 @@ class _TokenRanks:
         rising[:-1] = chars[1:] > chars[:-1]
         tokens = _dense_ranks(
             np.concatenate((np.where(rising == 1, -lens, lens), lens)),
-            np.concatenate((rising, np.zeros(n, dtype=np.int64))),
-            np.concatenate((chars, chars)),
+            np.concatenate((2 * chars + rising, 2 * chars)).astype(np.int16),
         )
         level = np.zeros(n + 2, dtype=np.int32)
         level[1 : n + 1] = tokens[:n]
@@ -206,11 +208,15 @@ class _TokenRanks:
         self.levels = [level]
         self.tied = n.bit_length()
         for k in range(1, n.bit_length()):
-            if k == 1 or level.max() < n:
-                key = level[1 : n + 1].astype(np.int64) * (2 * n + 2)
-                key += level[np.minimum(np.arange(1, n + 1) + (1 << (k - 1)), n + 1)]
+            if k == 1 or ranks[-1] < n:
+                half = 1 << (k - 1)
+                key = level[1 : n + 1] * np.int64(2 * n + 2)
+                key[: n - half] += level[1 + half : n + 1]
+                order = key.argsort()
+                key = key[order]  # sorted
+                ranks = np.cumsum(np.concatenate(([True], key[1:] != key[:-1])))
                 level = np.zeros(n + 2, dtype=np.int32)
-                level[1 : n + 1] = _dense_ranks(key)
+                level[1 + order] = ranks
             else:
                 self.tied = min(self.tied, k - 1)
             self.levels.append(level)
@@ -225,24 +231,32 @@ class _TokenRanks:
         n, m = self.n, len(starts)
         span = min(width - 1, n)  # token positions that can hold a run
         k = span.bit_length() - 1
-        order = np.lexsort(  # stable: ties keep index order
-            (
-                self.end[np.minimum(starts + width - 1, n + 1)],
-                self.levels[k][np.minimum(starts + span - (1 << k), n + 1)],
-                self.levels[k][starts],
-            )
-        )
+        # one int64 key, stable: ties keep index order.  Ranks are at most n
+        # from level 1 up (widths are odd: level 0 keys only n = 1), end ranks
+        # at most 2n: a key is below (n + 1)(2n + 2) <= 2**63 for n below 2**31
+        one_block = span == 1 << k and width <= n  # a level-k block, then the end token
+        key = self.levels[k][starts] * np.int64(2 * n + 2 if one_block else n + 2)
+        if one_block:
+            key += self.end[np.minimum(starts + width - 1, n + 1)]
+        else:  # two level-k blocks
+            key += self.levels[k][np.minimum(starts + span - (1 << k), n + 1)]
+        if width > n or one_block:  # at the top scale every end is the pad, past run n
+            order = key.argsort(kind="stable")
+        else:  # a span not a power of two, with ends that vary: only test widths such as 7
+            order = np.lexsort((self.end[np.minimum(starts + width - 1, n + 1)], key))
+        del key  # not held through the lifting
         pos = np.empty(m, dtype=np.int64)
         pos[order] = np.arange(m)
         u, w = starts[order[:-1]], starts[order[1:]]
-        # equal leading runs, by binary lifting, capped at the shorter window;
-        # from level tied up two starts never rank equal, so no step advances
-        cap = np.minimum(n + 1 - np.maximum(u, w), width)
+        # equal leading runs, by binary lifting, then capped at the shorter
+        # window: equal blocks never run past run n (the pad's rank 0 sits at
+        # another offset for each start), and lifting a monotone predicate,
+        # clipped once, is lifting it capped.  From level tied up no step advances
         same = np.zeros(len(u), dtype=np.int64)
         for k in reversed(range(min(min(width, n).bit_length(), self.tied))):
-            level = self.levels[k]
-            step = same + (1 << k)
-            same = np.where((step <= cap) & (level[u + same] == level[w + same]), step, same)
+            same += (self.levels[k][u + same] == self.levels[k][w + same]) << k
+        cap = np.minimum(n + 1 - np.maximum(u, w), width)
+        same = np.minimum(same, cap)
         h = self.prefix[u + same - 1] - self.prefix[u - 1]
         # the first unequal token adds its shorter run when the chars match:
         # lengths differ, or only the chars after the run do

@@ -504,6 +504,163 @@ def test_window_order_lifting_stops_at_the_first_untied_level():
     assert capped > 100
 
 
+def _lexsort_dense_ranks(*keys):
+    """Dense ranks as _dense_ranks computed them with one np.lexsort over every key."""
+    order = keys[0].argsort() if len(keys) == 1 else np.lexsort(keys)
+    new = np.zeros(len(order), dtype=bool)
+    new[:1] = True
+    for key in keys:
+        ordered = key[order]
+        new[1:] |= ordered[1:] != ordered[:-1]
+    ranks = np.empty(len(order), dtype=np.int32)
+    ranks[order] = np.cumsum(new)
+    return ranks
+
+
+def _lexsort_token_levels(chars, lens):
+    """(levels, end, tied) as _TokenRanks built them with a three-key lexsort at
+    level 0, a gathered block ahead and a level.max() test for n distinct ranks."""
+    n = len(chars)
+    rising = np.zeros(n, dtype=np.int64)
+    rising[:-1] = chars[1:] > chars[:-1]
+    tokens = _lexsort_dense_ranks(
+        np.concatenate((np.where(rising == 1, -lens, lens), lens)),
+        np.concatenate((rising, np.zeros(n, dtype=np.int64))),
+        np.concatenate((chars, chars)),
+    )
+    level = np.zeros(n + 2, dtype=np.int32)
+    level[1 : n + 1] = tokens[:n]
+    end = np.zeros(n + 2, dtype=np.int32)
+    end[1 : n + 1] = tokens[n:]
+    levels, tied = [level], n.bit_length()
+    for k in range(1, n.bit_length()):
+        if k == 1 or level.max() < n:
+            key = level[1 : n + 1].astype(np.int64) * (2 * n + 2)
+            key += level[np.minimum(np.arange(1, n + 1) + (1 << (k - 1)), n + 1)]
+            level = np.zeros(n + 2, dtype=np.int32)
+            level[1 : n + 1] = _lexsort_dense_ranks(key)
+        else:
+            tied = min(tied, k - 1)
+        levels.append(level)
+    return levels, end, tied
+
+
+def test_token_levels_match_lexsort_builder():
+    # n of 1..3 and at and one past powers of two; unary text, period-2 and
+    # period-7 runs; random and planted strings and concat_sep pairs; each
+    # forward and reversed: the same levels, dtypes, end ranks, first reused
+    # level and number of distinct level arrays as the lexsort builder
+    rng = random.Random(307)
+    strings = [random_rle(rng, n, alphabet=(97, 98, 99), max_len=3) for n in (1, 2, 3) * 3]
+    strings += [random_rle(rng, n) for n in (4, 5, 64, 65, 256, 257)]
+    strings += [encode(b"a" * 50), RleString.from_pairs([("a", 2), ("b", 1)] * 40)]
+    strings += [RleString.from_pairs(_periodic_runs(rng, 7, k)) for k in (63, 64, 65, 129)]
+    for seed in range(4):
+        inst = plant_instance(rng.randint(30, 200), 12, 20, seed, verify=False)
+        strings += [inst.a, concat_sep(inst.a, inst.b)[0], concat_sep(inst.b, inst.a)[0]]
+    reused = 0
+    for s in strings:
+        chars, lens = _run_arrays(s)
+        for c, ln in ((chars, lens), (chars[::-1], lens[::-1])):
+            levels, end, tied = _lexsort_token_levels(c, ln)
+            ranks = _TokenRanks(c, ln)
+            assert len(ranks.levels) == len(levels) and ranks.tied == tied, s
+            for got, want in zip(ranks.levels, levels):
+                assert got.dtype == want.dtype and np.array_equal(got, want), s
+            assert ranks.end.dtype == end.dtype and np.array_equal(ranks.end, end), s
+            distinct = len({id(level) for level in ranks.levels})
+            assert distinct == len({id(level) for level in levels}), s
+            reused += distinct < len(levels)
+    assert reused >= 10
+
+
+def _counting_lexsort(monkeypatch, calls):
+    """Patch np.lexsort to count, in calls["lexsort"], the calls made while
+    calls["inside"] > 0, and return a wrapper that holds it above 0 around fn."""
+    lexsort = np.lexsort
+
+    def counted(*args, **kwargs):
+        calls["lexsort"] += calls["inside"] > 0
+        return lexsort(*args, **kwargs)
+
+    def inside(fn):
+        def wrapper(*args, **kwargs):
+            calls["inside"] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                calls["inside"] -= 1
+
+        return wrapper
+
+    monkeypatch.setattr(np, "lexsort", counted)
+    return inside
+
+
+def test_window_order_key_cases_match_comparator_oracle(monkeypatch):
+    # each sort key of window_order against the comparator: the top scale,
+    # whose span n is not a power of two and whose ends are all the pad; a
+    # lower scale of power-of-two span; and test widths 7 and 11, at n not a
+    # power of two, the only windows that take the two-key lexsort
+    calls = collections.Counter()
+    inside = _counting_lexsort(monkeypatch, calls)
+    rng = random.Random(313)
+    cases = collections.Counter()
+    for trial in range(16):
+        lrs, subset = trial % 2 == 1, trial % 4 >= 2
+        n = 16
+        while n & (n - 1) == 0:  # n not a power of two, at least 11
+            a, b = (random_rle(rng, rng.randint(11, 27), alphabet=(97, 98, 99)) for _ in range(2))
+            s, sep = (a, None) if lrs else concat_sep(a, b)
+            n = s.n
+        top = 1 << (n.bit_length() - 1)
+        entries = list(range(1, n + 1))
+        if subset:
+            entries = sorted(rng.sample(entries, rng.randint(1, n)))
+        for d in (top, top // 2, top // 4, 3, 5):
+            anchors = AnchorSet(tuple(entries), d, AnchorScheme.EXHAUSTIVE)
+            ctx = make_context(OracleHandle(s, QueryLedger()), anchors, sep, MODEL)
+            calls["lexsort"] = 0
+            orders = inside(lambda: ctx.window_order)()[1:]
+            span = min(2 * d, n)
+            case = "top" if 2 * d + 1 > n else "power" if span & (span - 1) == 0 else "lexsort"
+            assert calls["lexsort"] == (2 if case == "lexsort" else 0), (s, d)
+            cases[case] += 1
+            for (pos, h), win in zip(orders, (prefix_window, suffix_window)):
+                wins = [win(s, anchors, k) for k in range(1, anchors.m + 1)]
+                assert (pos.tolist(), h.tolist()) == _comparator_order(wins), (s, d)
+    assert min(cases.values()) >= 16 and len(cases) == 3
+
+
+def test_token_layer_calls_no_lexsort(monkeypatch):
+    # token-rank builds and window orders of a planted LCS solve with
+    # exhaustive anchors, one with minimizer anchors and a periodic LRS solve
+    # make no np.lexsort call: every level and window key is one sort
+    calls = collections.Counter()
+    inside = _counting_lexsort(monkeypatch, calls)
+    window_order = _TokenRanks.window_order
+
+    def counted_order(self, starts, width):
+        calls["top" if width > self.n else "below top"] += 1
+        return window_order(self, starts, width)
+
+    monkeypatch.setattr(_TokenRanks, "__init__", inside(_TokenRanks.__init__))
+    monkeypatch.setattr(_TokenRanks, "window_order", inside(counted_order))
+    inst = plant_instance(300, 24, 80, 5, verify=False)
+    periodic = RleString.from_pairs(_periodic_runs(random.Random(317), 7, 192))
+    for a, b, scheme in (
+        (inst.a, inst.b, AnchorScheme.EXHAUSTIVE),
+        (inst.a, inst.b, AnchorScheme.MINIMIZER),
+        (periodic, None, AnchorScheme.EXHAUSTIVE),
+    ):
+        ans, _ = _solve_case(a, b, SolverConfig(anchors=scheme, seed=7))
+        assert ans is not None and ans.d_tilde > 0, scheme
+    assert calls["lexsort"] == 0 and calls["top"] >= 6 and calls["below top"] >= 6
+    # the count sees a lexsort inside the layer: a test width such as 7
+    _TokenRanks(*_run_arrays(inst.a)).window_order(np.arange(1, 41), 7)
+    assert calls["lexsort"] == 1
+
+
 # Range minima over sparse tables, independent of the solver's running
 # minima: the oracles' agreement reads and the reference row bound.
 
