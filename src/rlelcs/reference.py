@@ -82,7 +82,7 @@ def _suffix_array_lcs(xa: np.ndarray, xb: np.ndarray) -> tuple[int, int, int]:
     while True:
         after = np.zeros(n, dtype=np.int64)
         after[: max(n - k, 0)] = rank[k:n]
-        key = rank[:n] * np.int64(width) + after
+        key = np.multiply(rank[:n], width, dtype=np.int64) + after
         order = np.argsort(key)
         sorted_key = key[order]
         rank = np.zeros(n + 1, dtype=np.int32)

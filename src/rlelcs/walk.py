@@ -156,18 +156,21 @@ def check_charge(model: CostModel, d: int, stored: int) -> float:
 # run-token ranks: each scale's window order without a comparator
 
 
+def _sorted_ranks(first: np.ndarray, *rest: np.ndarray) -> np.ndarray:
+    """1-based dense ranks of the rows of the keys, which hold them sorted."""
+    new = np.concatenate(([True], first[1:] != first[:-1]))
+    for key in rest:
+        new[1:] |= key[1:] != key[:-1]
+    return np.cumsum(new)
+
+
 def _dense_ranks(*keys: np.ndarray) -> np.ndarray:
     """1-based dense ranks of the rows of keys, the last key primary (as np.lexsort)."""
     order = keys[0].argsort()  # quicksort: ranks ignore tie order
     for key in keys[1:]:  # one stable pass per more significant key
         order = order[key[order].argsort(kind="stable")]
-    new = np.zeros(len(order), dtype=bool)
-    new[:1] = True
-    for key in keys:
-        ordered = key[order]
-        new[1:] |= ordered[1:] != ordered[:-1]
     ranks = np.empty(len(order), dtype=np.int32)
-    ranks[order] = np.cumsum(new)
+    ranks[order] = _sorted_ranks(*(key[order] for key in keys))
     return ranks
 
 
@@ -183,8 +186,8 @@ class _TokenRanks:
     Rank 0 pads past the end (index n + 1), so a window cut short by the
     end of the string sorts before its extensions.  Level 0 sorts the signed
     lengths, then makes one stable (radix) pass over the int16 key 2c + rising.
-    Level k + 1 argsorts ``levels[k][i] * (2n + 2) + levels[k][i + 2**k]``
-    (level-0 ranks reach 2n, as end tokens are ranked too), adding the block
+    Level k + 1 argsorts ``levels[k][i] * (2n + 2) + levels[k][i + 2**k]`` in
+    int64 (level-0 ranks reach 2n: end tokens are ranked too), adding the block
     ahead as a slice: past run n it is the pad, rank 0.  Once the last rank is
     n, every later level is that array again, unsorted.  ``tied`` is the first
     level that a later one reuses, else len(levels): below it two starts may tie.
@@ -210,11 +213,11 @@ class _TokenRanks:
         for k in range(1, n.bit_length()):
             if k == 1 or ranks[-1] < n:
                 half = 1 << (k - 1)
-                key = level[1 : n + 1] * np.int64(2 * n + 2)
+                key = np.multiply(level[1 : n + 1], 2 * n + 2, dtype=np.int64)
                 key[: n - half] += level[1 + half : n + 1]
                 order = key.argsort()
                 key = key[order]  # sorted
-                ranks = np.cumsum(np.concatenate(([True], key[1:] != key[:-1])))
+                ranks = _sorted_ranks(key)
                 level = np.zeros(n + 2, dtype=np.int32)
                 level[1 + order] = ranks
             else:
@@ -231,11 +234,10 @@ class _TokenRanks:
         n, m = self.n, len(starts)
         span = min(width - 1, n)  # token positions that can hold a run
         k = span.bit_length() - 1
-        # one int64 key, stable: ties keep index order.  Ranks are at most n
-        # from level 1 up (widths are odd: level 0 keys only n = 1), end ranks
-        # at most 2n: a key is below (n + 1)(2n + 2) <= 2**63 for n below 2**31
+        # one int64 key, sorted stably (ties keep index order): level ranks reach n
+        # (widths are odd), end ranks 2n; keys stay below (n + 1)(2n + 2) < 2**63 for n < 2**31
         one_block = span == 1 << k and width <= n  # a level-k block, then the end token
-        key = self.levels[k][starts] * np.int64(2 * n + 2 if one_block else n + 2)
+        key = np.multiply(self.levels[k][starts], 2 * n + 2 if one_block else n + 2, dtype=np.int64)
         if one_block:
             key += self.end[np.minimum(starts + width - 1, n + 1)]
         else:  # two level-k blocks
@@ -248,13 +250,12 @@ class _TokenRanks:
         pos = np.empty(m, dtype=np.int64)
         pos[order] = np.arange(m)
         u, w = starts[order[:-1]], starts[order[1:]]
-        # equal leading runs, by binary lifting, then capped at the shorter
-        # window: equal blocks never run past run n (the pad's rank 0 sits at
-        # another offset for each start), and lifting a monotone predicate,
-        # clipped once, is lifting it capped.  From level tied up no step advances
+        # equal leading runs by binary lifting, uncapped: equal blocks end before
+        # the pad (rank 0, at another offset per start), and a monotone lift clipped
+        # once to the shorter window is the capped one; from level tied up none advances
         same = np.zeros(len(u), dtype=np.int64)
         for k in reversed(range(min(min(width, n).bit_length(), self.tied))):
-            same += (self.levels[k][u + same] == self.levels[k][w + same]) << k
+            same += (self.levels[k][u + same] == self.levels[k][w + same]) * (1 << k)
         cap = np.minimum(n + 1 - np.maximum(u, w), width)
         same = np.minimum(same, cap)
         h = self.prefix[u + same - 1] - self.prefix[u - 1]

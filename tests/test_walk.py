@@ -661,6 +661,30 @@ def test_token_layer_calls_no_lexsort(monkeypatch):
     assert calls["lexsort"] == 1
 
 
+def test_token_layer_keys_past_int32_match_oracles():
+    # a planted pair of 50 001 runs in A $ B: doubling keys reach n(2n + 2),
+    # top-scale window keys (n + 2)**2 and lifting steps 2**15, all past int32,
+    # so each product is built in int64 whatever numpy's promotion rules; the
+    # levels match the two-key oracle and the window orders the capped lifting
+    inst = plant_instance(25_000, 3_000, 9_000, 3, verify=False)
+    s, _ = concat_sep(inst.a, inst.b)
+    chars, lens = _run_arrays(s)
+    n = len(chars)
+    assert n * (2 * n + 2) >= 2**32 and (n + 2) ** 2 >= 2**31
+    ranks = _TokenRanks(chars, lens)
+    levels, end = _two_key_token_ranks(chars, lens)
+    assert ranks.tied >= 9 and np.array_equal(ranks.end, end)
+    for got, want in zip(ranks.levels, levels):
+        assert np.array_equal(got, want)
+    starts = np.arange(1, n + 1)
+    for width in (17, 1025, 2 * n + 3):  # d = 8, d = 512, the top scale
+        pos, h = ranks.window_order(starts, width)
+        want_pos, want_h = _lifting_window_order(ranks, starts, width)
+        assert np.array_equal(pos, want_pos) and np.array_equal(h, want_h), width
+        # runs hold at most 9 chars: past 9 * 2**8 chars, steps of 2**8 runs and up
+        assert h.max() > 9 * 2**8 or width == 17
+
+
 # Range minima over sparse tables, independent of the solver's running
 # minima: the oracles' agreement reads and the reference row bound.
 
