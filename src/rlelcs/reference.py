@@ -239,6 +239,8 @@ def random_rle(
     """Random RLE string drawn run by run (adjacent chars kept distinct)."""
     if any(c in RESERVED_SEPARATORS for c in alphabet):
         raise ValueError("alphabet may not contain reserved separators")
+    if len(set(alphabet)) < min(n_runs, 2):  # adjacent runs need distinct chars
+        raise ValueError(f"{n_runs} runs need 2 symbols (1 for one run), got {len(set(alphabet))}")
     runs: list[Run] = []
     prev = -1
     for _ in range(n_runs):

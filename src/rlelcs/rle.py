@@ -10,6 +10,7 @@ prefix-sum oracle costs only a constant overhead on the compression.
 
 from __future__ import annotations
 
+import string
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
@@ -201,19 +202,18 @@ def parse_rle(line: str) -> RleString:
         if not sep or not head or not tail:
             raise ParseError(f"malformed token {tok!r}")
         if head.startswith("\\x"):
-            if len(head) != 4:
+            if len(head) != 4 or not set(head[2:]) <= set(string.hexdigits):
                 raise ParseError(f"malformed escape {head!r}")
-            try:
-                char = int(head[2:], 16)
-            except ValueError as exc:
-                raise ParseError(f"malformed escape {head!r}") from exc
+            char = int(head[2:], 16)
         elif len(head) == 1:
             char = ord(head)
         else:
             raise ParseError(f"malformed char {head!r}")
+        if not (tail.isascii() and tail.isdigit()):  # int() would take a sign, _ or spaces
+            raise ParseError(f"malformed count {tail!r}")
         try:
             length = int(tail)
-        except ValueError as exc:
+        except ValueError as exc:  # more digits than int() converts
             raise ParseError(f"malformed count {tail!r}") from exc
         if length < 1:
             raise ParseError(f"count must be positive in {tok!r}")

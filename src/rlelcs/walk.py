@@ -244,7 +244,8 @@ class _TokenRanks:
             key += self.levels[k][np.minimum(starts + span - (1 << k), n + 1)]
         if width > n or one_block:  # at the top scale every end is the pad, past run n
             order = key.argsort(kind="stable")
-        else:  # a span not a power of two, with ends that vary: only test widths such as 7
+        else:  # span 2d not a power of two, ends that vary: no solve's scale (powers of two
+            # below the top), but `rlelcs bench --d-list 3` orders width-7 windows this way
             order = np.lexsort((self.end[np.minimum(starts + width - 1, n + 1)], key))
         del key  # not held through the lifting
         pos = np.empty(m, dtype=np.int64)

@@ -211,6 +211,22 @@ def test_text_format_roundtrip():
 
 
 def test_text_format_errors():
-    for bad in ["a3", "a:0", "ab:2", "a:x", "a:2,a:3", "\\xzz:1"]:
+    # escapes take exactly two hex digits and counts only ASCII decimal
+    # digits: int() would also take a sign, spaces, _ and other digits, and
+    # refuses more than its digit limit
+    escapes = ["\\x+f:3", "\\x f:2", "\\xf :2", "\\x-0:1"]
+    counts = ["a:1_0", "a:+3", "a: 3", "a:\u0663", "a:1_0,b:+2", "a:" + "9" * 5000]
+    for bad in ["a3", "a:0", "ab:2", "a:x", "a:2,a:3", "\\xzz:1"] + escapes + counts:
         with pytest.raises(ParseError):
             parse_rle(bad)
+
+
+def test_random_rle_refuses_an_alphabet_too_small_before_drawing():
+    # one symbol cannot make two adjacent runs, and no symbol makes any run
+    for alphabet, n_runs in (((97,), 2), ((97, 97), 5), ((), 1)):
+        rng = random.Random(3)
+        with pytest.raises(ValueError, match="symbols"):
+            random_rle(rng, n_runs, alphabet=alphabet)
+        assert rng.random() == random.Random(3).random()
+    assert random_rle(random.Random(3), 1, alphabet=(97,)).n == 1
+    assert random_rle(random.Random(3), 0, alphabet=()).n == 0

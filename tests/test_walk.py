@@ -39,7 +39,6 @@ from rlelcs.rle import (
     ldcp_runs,
     lex_compare_runs,
 )
-from rlelcs.structures import DynArray
 from rlelcs.walk import (
     _PAIR_BATCH,
     WALK_RUN_BOUND,
@@ -99,6 +98,22 @@ def _full_vertex(ctx):
     return v
 
 
+def _random_ops(rng, v, steps):
+    """Random inserts (while room, 60%) and deletes on vertex v: its stored ids after each."""
+    m = v.ctx.anchors.m
+    stored = set()
+    for _ in range(steps):
+        if not stored or (len(stored) < m and rng.random() < 0.6):
+            k = rng.choice([k for k in range(1, m + 1) if k not in stored])
+            v.insert(k)
+            stored.add(k)
+        else:
+            k = rng.choice(sorted(stored))
+            v.delete(k)
+            stored.discard(k)
+        yield stored
+
+
 def test_window_worked_examples():
     s = RleString.from_pairs(
         [("a", 2), ("b", 3), ("c", 1), ("$", 1), ("d", 1), ("b", 3), ("c", 2)]
@@ -153,29 +168,6 @@ def test_vertex_insert_into_empty_then_orders_match_oracle():
         assert v.fwd_lcp.items()[i][1] == expect
 
 
-def _vertex_state(v):
-    return (
-        v.by_key.serialize(),
-        v.fwd_order.serialize(),
-        v.fwd_lcp.serialize(),
-        v.bwd_order.serialize(),
-        v.bwd_lcp.serialize(),
-    )
-
-
-def test_vertex_insert_delete_restores_representation():
-    ctx = _context(b"aabbbc", b"dbbbcc", 2)
-    v = _full_vertex(ctx)
-    before = _vertex_state(v)
-    v.delete(4)
-    v.insert(4)
-    assert _vertex_state(v) == before
-    v.delete(7)
-    assert _vertex_state(v) != before
-    v.insert(7)
-    assert _vertex_state(v) == before
-
-
 def test_vertex_delete_from_singleton():
     ctx = _context(b"ab", b"ba", 2)
     v = WalkVertex(ctx)
@@ -185,60 +177,38 @@ def test_vertex_delete_from_singleton():
     assert len(v.fwd_order) == 0
 
 
-def test_vertex_random_ops_match_rebuild_oracle():
-    rng = random.Random(5)
-    ctx = _context(b"abbacccbbaabcab", b"bbaccabbbcaa", 3)
-    m = ctx.anchors.m
-    v = WalkVertex(ctx)
-    stored = set()
-    for step in range(300):
-        if not stored or (len(stored) < m and rng.random() < 0.55):
-            k = rng.choice([k for k in range(1, m + 1) if k not in stored])
-            v.insert(k)
-            stored.add(k)
-        else:
-            k = rng.choice(sorted(stored))
-            v.delete(k)
-            stored.discard(k)
-        if step % 50 == 49:
-            rebuilt = WalkVertex(ctx)
-            for k in sorted(stored):
-                rebuilt.insert(k)
-            assert _vertex_state(v) == _vertex_state(rebuilt)
-
-
 def test_vertex_coherence_after_random_ops():
-    # adjacent stored agreement values always equal the decoded oracle, and
-    # interval range-min equals the endpoint pair's agreement
+    # the views hold the stored anchors by id and in decoded window order,
+    # ties by id; adjacent stored agreements equal the decoded oracle, and
+    # interval range-min equals the endpoint pair's agreement.  One LCS
+    # context, then random LCS and LRS, periodic motifs and minimizer anchors
     rng = random.Random(11)
     ctx = _context(b"aabbacbbacccab", b"bbacbbacaab", 3)
-    s, x = ctx.handle.string, ctx.anchors
-    m = x.m
-    v = WalkVertex(ctx)
-    stored = set()
-    for step in range(200):
-        if not stored or (len(stored) < m and rng.random() < 0.6):
-            k = rng.choice([k for k in range(1, m + 1) if k not in stored])
-            v.insert(k)
-            stored.add(k)
-        else:
-            k = rng.choice(sorted(stored))
-            v.delete(k)
-            stored.discard(k)
-        if len(stored) < 2 or step % 10 != 9:
-            continue
-        for order, lcp, win in (
-            (v.fwd_order, v.fwd_lcp, lambda k: prefix_window(s, x, k)),
-            (v.bwd_order, v.bwd_lcp, lambda k: suffix_window(s, x, k)),
-        ):
-            keys = [k for k, _ in order.items()]
-            hvals = [h for _, h in lcp.items()]
-            for i in range(len(keys) - 1):
-                assert hvals[i] == ldcp_runs(win(keys[i]), win(keys[i + 1]))
-            a = rng.randint(1, len(keys))
-            b = rng.randint(a, len(keys))
-            if a < b:
-                assert lcp.range_min(a, b - 1) == ldcp_runs(win(keys[a - 1]), win(keys[b - 1]))
+    for trial in range(9):
+        if trial:
+            ctx = _kind_context(rng, trial)
+        s, x = ctx.handle.string, ctx.anchors
+        v = WalkVertex(ctx)
+        for step, stored in enumerate(_random_ops(rng, v, 200)):
+            if len(stored) < 2 or step % 10 != 9:
+                continue
+            assert v.by_key.items() == [(k, x.entries[k - 1]) for k in sorted(stored)]
+            for order, lcp, win in (
+                (v.fwd_order, v.fwd_lcp, lambda k: prefix_window(s, x, k)),
+                (v.bwd_order, v.bwd_lcp, lambda k: suffix_window(s, x, k)),
+            ):
+                assert sorted(order.items()) == v.by_key.items()
+                keys = [k for k, _ in order.items()]
+                hvals = [h for _, h in lcp.items()]
+                for i in range(len(keys) - 1):
+                    w1, w2 = win(keys[i]), win(keys[i + 1])
+                    assert (lex_compare_runs(w1, w2), keys[i]) < (0, keys[i + 1])
+                    assert hvals[i] == ldcp_runs(w1, w2)
+                a = rng.randint(1, len(keys))
+                b = rng.randint(a, len(keys))
+                if a < b:
+                    want = ldcp_runs(win(keys[a - 1]), win(keys[b - 1]))
+                    assert lcp.range_min(a, b - 1) == want
 
 
 def test_vertex_check_worked_example():
@@ -291,23 +261,13 @@ def _assert_witness(ctx, hit, d_tilde):
 def _check_certificates_against_brute(ctx, rng, steps):
     """Full-set index and walk-vertex check on random stored subsets vs the brute oracle."""
     m = ctx.anchors.m
-    everyone = list(range(1, m + 1))
     idx = CollisionIndex(ctx)
-    assert idx.best == _brute_best(ctx, everyone)
+    assert idx.best == _brute_best(ctx, range(1, m + 1))
     if idx.best:
         _assert_witness(ctx, idx.query(idx.best), idx.best)
     assert idx.query(idx.best + 1) is None
     v = WalkVertex(ctx)
-    stored = set()
-    for _ in range(steps):
-        if not stored or (len(stored) < m and rng.random() < 0.6):
-            k = rng.choice([k for k in everyone if k not in stored])
-            v.insert(k)
-            stored.add(k)
-        else:
-            k = rng.choice(sorted(stored))
-            v.delete(k)
-            stored.discard(k)
+    for stored in _random_ops(rng, v, steps):
         if len(stored) == m:
             continue
         truth = _brute_best(ctx, sorted(stored))
@@ -368,19 +328,36 @@ def _random_context(rng, lrs, n_runs, d, subset, alphabet=b"abc"):
     return make_context(OracleHandle(s, QueryLedger()), anchors, sep, MODEL)
 
 
+def _assert_window_orders_match_comparator(ctx):
+    s, x = ctx.handle.string, ctx.anchors
+    for (pos, h), win in zip(ctx.window_order[1:], (prefix_window, suffix_window)):
+        wins = [win(s, x, k) for k in range(1, x.m + 1)]
+        assert (pos.tolist(), h.tolist()) == _comparator_order(wins), (s, x.d)
+
+
 def test_window_order_matches_comparator_oracle():
     # d not a power of two, 2d >= n (every window clamped), windows clamped
-    # at both ends, LCS and LRS, full and random anchor subsets
+    # at both ends, LCS and LRS, full and random anchor subsets; then unary
+    # text, period-2 runs (tied up to the last level), planted strings of 64
+    # runs and pairs of 65, each with every run as an anchor
     rng = random.Random(51)
     for trial in range(48):
         lrs, subset = trial % 2 == 1, trial % 4 >= 2
         n_runs = rng.randint(1, 16)
         for d in (1, 2, 3, 5, 6, 8, 2 * n_runs + 1):
-            ctx = _random_context(rng, lrs, n_runs, d, subset)
-            s, x = ctx.handle.string, ctx.anchors
-            for (pos, h), win in zip(ctx.window_order[1:], (prefix_window, suffix_window)):
-                wins = [win(s, x, k) for k in range(1, x.m + 1)]
-                assert (pos.tolist(), h.tolist()) == _comparator_order(wins)
+            _assert_window_orders_match_comparator(_random_context(rng, lrs, n_runs, d, subset))
+    strings = [(encode(b"aaaaa"), None)]
+    strings += [(RleString.from_pairs([("a", 2), ("b", 1)] * k), None) for k in (2, 7, 32)]
+    for seed in (0, 2):
+        inst = plant_instance(32, 8, 24, seed, verify=False)
+        strings += [(plant_instance(64, 10, 30, seed, verify=False).a, None)]
+        strings.append(concat_sep(inst.a, inst.b))
+    for s, sep in strings:
+        for d in (1, 2, 3, 5, 16, s.n):
+            anchors = build_exhaustive(s, d)
+            _assert_window_orders_match_comparator(
+                make_context(OracleHandle(s, QueryLedger()), anchors, sep, MODEL)
+            )
 
 
 def _two_key_token_ranks(chars, lens):
@@ -414,9 +391,11 @@ def _run_arrays(s):
 
 
 def test_token_ranks_match_two_key_oracle():
-    # n of 1..3; period-1..8 text, whose block ranks never become distinct;
-    # random text, distinct after a few levels; LCS pairs joined at the
-    # separator; each forward and reversed
+    # n of 1..3 and at and one past powers of two; period-1..8 text, whose
+    # block ranks never become distinct; period-7 runs; random text, distinct
+    # after a few levels; LCS pairs joined at the separator; each forward and
+    # reversed.  tied is the first level past 0 of n distinct ranks that a
+    # later level reuses, else the number of levels
     rng = random.Random(91)
     strings = [random_rle(rng, n, alphabet=(97, 98), max_len=3) for n in (1, 2, 3) * 4]
     for p in range(1, 9):
@@ -431,6 +410,8 @@ def test_token_ranks_match_two_key_oracle():
     for seed in range(6):
         inst = plant_instance(rng.randint(30, 120), 12, 20, seed)
         strings += [concat_sep(inst.a, inst.b)[0], concat_sep(inst.b, inst.a)[0]]
+    strings += [random_rle(rng, n) for n in (4, 5, 64, 65, 256, 257)]
+    strings += [RleString.from_pairs(_periodic_runs(rng, 7, k)) for k in (63, 64, 65, 129)]
     distinct_early = 0
     for s in strings:
         chars, lens = _run_arrays(s)
@@ -440,9 +421,13 @@ def test_token_ranks_match_two_key_oracle():
             assert len(ranks.levels) == len(levels)
             for got, want in zip(ranks.levels, levels):
                 assert got.dtype == want.dtype and np.array_equal(got, want)
-            assert np.array_equal(ranks.end, end)
+            assert ranks.end.dtype == end.dtype and np.array_equal(ranks.end, end)
+            n = len(c)
+            tied = next((k for k in range(1, len(levels) - 1) if levels[k].max() == n), len(levels))
+            assert ranks.tied == tied, s
             # a level of n distinct ranks is appended again, not re-sorted
             sorted_levels = len({id(level) for level in ranks.levels})
+            assert sorted_levels == min(tied + 1, len(levels)), s
             distinct_early += sorted_levels < len(levels)
     assert distinct_early >= 16
 
@@ -475,109 +460,11 @@ def _lifting_window_order(ranks, starts, width):
     return pos, h + np.where(tail, np.minimum(ranks.lens[cu], ranks.lens[cw]), 0)
 
 
-def test_window_order_lifting_stops_at_the_first_untied_level():
-    # lifting only below the first level of n distinct ranks gives the
-    # windows' ranks and agreements of lifting over every level: one run,
-    # period-2 runs (tied up to the last level), planted strings and pairs
-    # joined by concat_sep, forward and reversed, every run or a random
-    # subset as starts, widths of 2d + 1 runs from d = 1 to past n
-    rng = random.Random(211)
-    strings = [encode(b"a"), encode(b"aaaaa")]
-    strings += [RleString.from_pairs([("a", 2), ("b", 1)] * k) for k in (1, 2, 7, 40)]
-    for seed in range(6):
-        inst = plant_instance(rng.randint(20, 150), 10, 30, seed)
-        strings += [inst.a, concat_sep(inst.a, inst.b)[0]]
-        strings.append(concat_sep(*(random_rle(rng, rng.randint(1, 80)) for _ in range(2)))[0])
-    capped = 0
-    for s in strings:
-        chars, lens = _run_arrays(s)
-        for c, ln in ((chars, lens), (chars[::-1], lens[::-1])):
-            ranks, n = _TokenRanks(c, ln), len(c)
-            starts = np.arange(1, n + 1)
-            subset = np.array(sorted(rng.sample(range(1, n + 1), rng.randint(1, n))))
-            for width in (3, 5, 7, 9, 17, 33, 2 * n + 3):  # 2d + 1 runs
-                capped += ranks.tied < min(width, n).bit_length()
-                for xs in (starts, subset, n + 1 - subset):
-                    got = ranks.window_order(xs, width)
-                    want = _lifting_window_order(ranks, xs, width)
-                    assert all(np.array_equal(g, w) for g, w in zip(got, want)), (s, width)
-    assert capped > 100
-
-
-def _lexsort_dense_ranks(*keys):
-    """Dense ranks as _dense_ranks computed them with one np.lexsort over every key."""
-    order = keys[0].argsort() if len(keys) == 1 else np.lexsort(keys)
-    new = np.zeros(len(order), dtype=bool)
-    new[:1] = True
-    for key in keys:
-        ordered = key[order]
-        new[1:] |= ordered[1:] != ordered[:-1]
-    ranks = np.empty(len(order), dtype=np.int32)
-    ranks[order] = np.cumsum(new)
-    return ranks
-
-
-def _lexsort_token_levels(chars, lens):
-    """(levels, end, tied) as _TokenRanks built them with a three-key lexsort at
-    level 0, a gathered block ahead and a level.max() test for n distinct ranks."""
-    n = len(chars)
-    rising = np.zeros(n, dtype=np.int64)
-    rising[:-1] = chars[1:] > chars[:-1]
-    tokens = _lexsort_dense_ranks(
-        np.concatenate((np.where(rising == 1, -lens, lens), lens)),
-        np.concatenate((rising, np.zeros(n, dtype=np.int64))),
-        np.concatenate((chars, chars)),
-    )
-    level = np.zeros(n + 2, dtype=np.int32)
-    level[1 : n + 1] = tokens[:n]
-    end = np.zeros(n + 2, dtype=np.int32)
-    end[1 : n + 1] = tokens[n:]
-    levels, tied = [level], n.bit_length()
-    for k in range(1, n.bit_length()):
-        if k == 1 or level.max() < n:
-            key = level[1 : n + 1].astype(np.int64) * (2 * n + 2)
-            key += level[np.minimum(np.arange(1, n + 1) + (1 << (k - 1)), n + 1)]
-            level = np.zeros(n + 2, dtype=np.int32)
-            level[1 : n + 1] = _lexsort_dense_ranks(key)
-        else:
-            tied = min(tied, k - 1)
-        levels.append(level)
-    return levels, end, tied
-
-
-def test_token_levels_match_lexsort_builder():
-    # n of 1..3 and at and one past powers of two; unary text, period-2 and
-    # period-7 runs; random and planted strings and concat_sep pairs; each
-    # forward and reversed: the same levels, dtypes, end ranks, first reused
-    # level and number of distinct level arrays as the lexsort builder
-    rng = random.Random(307)
-    strings = [random_rle(rng, n, alphabet=(97, 98, 99), max_len=3) for n in (1, 2, 3) * 3]
-    strings += [random_rle(rng, n) for n in (4, 5, 64, 65, 256, 257)]
-    strings += [encode(b"a" * 50), RleString.from_pairs([("a", 2), ("b", 1)] * 40)]
-    strings += [RleString.from_pairs(_periodic_runs(rng, 7, k)) for k in (63, 64, 65, 129)]
-    for seed in range(4):
-        inst = plant_instance(rng.randint(30, 200), 12, 20, seed, verify=False)
-        strings += [inst.a, concat_sep(inst.a, inst.b)[0], concat_sep(inst.b, inst.a)[0]]
-    reused = 0
-    for s in strings:
-        chars, lens = _run_arrays(s)
-        for c, ln in ((chars, lens), (chars[::-1], lens[::-1])):
-            levels, end, tied = _lexsort_token_levels(c, ln)
-            ranks = _TokenRanks(c, ln)
-            assert len(ranks.levels) == len(levels) and ranks.tied == tied, s
-            for got, want in zip(ranks.levels, levels):
-                assert got.dtype == want.dtype and np.array_equal(got, want), s
-            assert ranks.end.dtype == end.dtype and np.array_equal(ranks.end, end), s
-            distinct = len({id(level) for level in ranks.levels})
-            assert distinct == len({id(level) for level in levels}), s
-            reused += distinct < len(levels)
-    assert reused >= 10
-
-
-def _counting_lexsort(monkeypatch, calls):
-    """Patch np.lexsort to count, in calls["lexsort"], the calls made while
-    calls["inside"] > 0, and return a wrapper that holds it above 0 around fn."""
-    lexsort = np.lexsort
+def test_token_layer_calls_no_lexsort(monkeypatch):
+    # token-rank builds and window orders of a planted LCS solve with
+    # exhaustive anchors, one with minimizer anchors and a periodic LRS solve
+    # make no np.lexsort call: every level and window key is one sort
+    calls, lexsort = collections.Counter(), np.lexsort
 
     def counted(*args, **kwargs):
         calls["lexsort"] += calls["inside"] > 0
@@ -593,57 +480,13 @@ def _counting_lexsort(monkeypatch, calls):
 
         return wrapper
 
-    monkeypatch.setattr(np, "lexsort", counted)
-    return inside
-
-
-def test_window_order_key_cases_match_comparator_oracle(monkeypatch):
-    # each sort key of window_order against the comparator: the top scale,
-    # whose span n is not a power of two and whose ends are all the pad; a
-    # lower scale of power-of-two span; and test widths 7 and 11, at n not a
-    # power of two, the only windows that take the two-key lexsort
-    calls = collections.Counter()
-    inside = _counting_lexsort(monkeypatch, calls)
-    rng = random.Random(313)
-    cases = collections.Counter()
-    for trial in range(16):
-        lrs, subset = trial % 2 == 1, trial % 4 >= 2
-        n = 16
-        while n & (n - 1) == 0:  # n not a power of two, at least 11
-            a, b = (random_rle(rng, rng.randint(11, 27), alphabet=(97, 98, 99)) for _ in range(2))
-            s, sep = (a, None) if lrs else concat_sep(a, b)
-            n = s.n
-        top = 1 << (n.bit_length() - 1)
-        entries = list(range(1, n + 1))
-        if subset:
-            entries = sorted(rng.sample(entries, rng.randint(1, n)))
-        for d in (top, top // 2, top // 4, 3, 5):
-            anchors = AnchorSet(tuple(entries), d, AnchorScheme.EXHAUSTIVE)
-            ctx = make_context(OracleHandle(s, QueryLedger()), anchors, sep, MODEL)
-            calls["lexsort"] = 0
-            orders = inside(lambda: ctx.window_order)()[1:]
-            span = min(2 * d, n)
-            case = "top" if 2 * d + 1 > n else "power" if span & (span - 1) == 0 else "lexsort"
-            assert calls["lexsort"] == (2 if case == "lexsort" else 0), (s, d)
-            cases[case] += 1
-            for (pos, h), win in zip(orders, (prefix_window, suffix_window)):
-                wins = [win(s, anchors, k) for k in range(1, anchors.m + 1)]
-                assert (pos.tolist(), h.tolist()) == _comparator_order(wins), (s, d)
-    assert min(cases.values()) >= 16 and len(cases) == 3
-
-
-def test_token_layer_calls_no_lexsort(monkeypatch):
-    # token-rank builds and window orders of a planted LCS solve with
-    # exhaustive anchors, one with minimizer anchors and a periodic LRS solve
-    # make no np.lexsort call: every level and window key is one sort
-    calls = collections.Counter()
-    inside = _counting_lexsort(monkeypatch, calls)
     window_order = _TokenRanks.window_order
 
     def counted_order(self, starts, width):
         calls["top" if width > self.n else "below top"] += 1
         return window_order(self, starts, width)
 
+    monkeypatch.setattr(np, "lexsort", counted)
     monkeypatch.setattr(_TokenRanks, "__init__", inside(_TokenRanks.__init__))
     monkeypatch.setattr(_TokenRanks, "window_order", inside(counted_order))
     inst = plant_instance(300, 24, 80, 5, verify=False)
@@ -656,7 +499,8 @@ def test_token_layer_calls_no_lexsort(monkeypatch):
         ans, _ = _solve_case(a, b, SolverConfig(anchors=scheme, seed=7))
         assert ans is not None and ans.d_tilde > 0, scheme
     assert calls["lexsort"] == 0 and calls["top"] >= 6 and calls["below top"] >= 6
-    # the count sees a lexsort inside the layer: a test width such as 7
+    # the count sees a lexsort inside the layer: a scale whose span 2d is not
+    # a power of two, which no solve has but `rlelcs bench --d-list 3` orders
     _TokenRanks(*_run_arrays(inst.a)).window_order(np.arange(1, 41), 7)
     assert calls["lexsort"] == 1
 
@@ -686,7 +530,7 @@ def test_token_layer_keys_past_int32_match_oracles():
 
 
 # Range minima over sparse tables, independent of the solver's running
-# minima: the oracles' agreement reads and the reference row bound.
+# minima: the oracles' agreement reads and the all-partners row bound.
 
 
 def _sparse_tables(h):
@@ -705,47 +549,21 @@ def _rmq_vec(tables, lo, hi):
     return np.minimum(tables[k, lo], tables[k, hi + 1 - (1 << k)])
 
 
-def _nearest(is_partner):
-    """Per rank, the nearest rank before and after it whose anchor is_partner (-1 / m if none)."""
-    m = len(is_partner)
-    ranks = np.arange(m)
-    before = np.maximum.accumulate(np.where(is_partner, ranks, -1))
-    after = np.minimum.accumulate(np.where(is_partner, ranks, m)[::-1])[::-1]
-    return np.concatenate(([-1], before[:-1])), np.concatenate((after[1:], [m]))
-
-
-def _neighbours(pos, side):
-    """Each anchor's nearest partners before and after it in one decoded order (-1 if none)."""
-    m = len(pos)
-    at = np.empty(m, dtype=np.int64)
-    at[pos] = np.arange(m)
-    if side is None:
-        ranks = [pos - 1, pos + 1]
-    else:
-        of_red, of_blue = _nearest(side[at] == 0), _nearest(side[at] == 1)
-        ranks = [np.where(side == 0, of_blue[k][pos], of_red[k][pos]) for k in (0, 1)]
-    return [np.where((r >= 0) & (r < m), at[np.clip(r, 0, m - 1)], -1) for r in ranks]
-
-
-def _sparse_table_row_bounds(xs, fwd_pos, h_f, bwd_pos, h_b, pv, d, side, flagged):
-    """_row_bounds from range minima between each flagged anchor and its (at most 4)
-    nearest partners in the two orders: the oracle for its running minima."""
-    t_f, t_b = _sparse_tables(h_f), _sparse_tables(h_b)
-    nearest = _neighbours(fwd_pos, side) + _neighbours(bwd_pos, side)
-    partners = np.stack([n[flagged] for n in nearest])
-    has = partners >= 0
-    a = np.broadcast_to(flagged, partners.shape)[has]
-    b = partners[has]
-    p_f, p_b = fwd_pos[a], fwd_pos[b]
-    p = _rmq_vec(t_f, np.minimum(p_f, p_b), np.maximum(p_f, p_b) - 1)
-    q_f, q_b = bwd_pos[a], bwd_pos[b]
-    q = _rmq_vec(t_b, np.minimum(q_f, q_b), np.maximum(q_f, q_b) - 1)
-    p_max, q_max = np.full(partners.shape, -1), np.full(partners.shape, -1)
-    p_max[has], q_max[has] = p, q
-    p_max, q_max = p_max.max(axis=0), q_max.max(axis=0)
-    ok, gain = _snap(pv, d, xs[flagged], q_max)
-    upper = np.full(len(xs), -1)
-    upper[flagged] = np.where(ok, p_max + gain, -1)
+def _all_partners_row_bounds(xs, fwd_pos, h_f, bwd_pos, h_b, pv, d, side, flagged):
+    """_row_bounds by its definition, the oracle for its running minima: each
+    flagged anchor's largest agreement with any admissible partner in each
+    order, and p + gain(q) at those maxima; -1 where no partner or span fits."""
+    m = len(xs)
+    partner = ~np.eye(m, dtype=bool) if side is None else side[:, None] + side == 1
+    most = []
+    for pos, h in ((fwd_pos, h_f), (bwd_pos, h_b)):
+        hi = np.maximum.outer(pos, pos) - 1  # ranks r < s agree for min(h[r..s-1])
+        lo = np.minimum(np.minimum.outer(pos, pos), hi)  # the diagonal reads one entry
+        agree = _rmq_vec(_sparse_tables(h), lo, hi) if m > 1 else hi
+        most.append(np.where(partner, agree, -1).max(axis=1))
+    ok, gain = _snap(pv, d, xs[flagged], most[1][flagged])
+    upper = np.full(m, -1)
+    upper[flagged] = np.where(ok, most[0][flagged] + gain, -1)
     return upper
 
 
@@ -894,7 +712,7 @@ def test_best_certificate_row_bounds_match_per_anchor_loop(monkeypatch):
         side = _sides(xs, ctx.sep_index)
         flagged = np.arange(len(xs)) if lrs else np.flatnonzero(side < 2)
         upper = _row_bounds(*args[:7], side, flagged)
-        assert np.array_equal(upper, _sparse_table_row_bounds(*args[:7], side, flagged)), trial
+        assert np.array_equal(upper, _all_partners_row_bounds(*args[:7], side, flagged)), trial
         if not lrs:
             seen["white between partners"] += any(
                 _white_between_partners(ctx, pos) for pos in (fwd_pos, bwd_pos)
@@ -916,7 +734,7 @@ def test_best_certificate_row_bounds_match_per_anchor_loop(monkeypatch):
 
 def _bound_case(lens, xs, orders, d, sep_index):
     """_row_bounds on hand-made (pos, h) forward and backward orders, checked against the
-    sparse-table oracle and against each flagged row's scored best."""
+    all-partners oracle and against each flagged row's scored best."""
     xs = np.array(xs, dtype=np.int64)
     pv = np.concatenate(([0], np.cumsum(lens))).astype(np.int64)
     (fwd_pos, h_f), (bwd_pos, h_b) = (
@@ -926,7 +744,7 @@ def _bound_case(lens, xs, orders, d, sep_index):
     flagged = np.arange(len(xs)) if side is None else np.flatnonzero(side < 2)
     args = (xs, fwd_pos, h_f, bwd_pos, h_b, pv, d, side, flagged)
     upper = _row_bounds(*args)
-    assert np.array_equal(upper, _sparse_table_row_bounds(*args)), args
+    assert np.array_equal(upper, _all_partners_row_bounds(*args)), args
     for a in flagged:
         assert max(upper[a], 0) >= _score_rows(*args[:8], np.array([a])).max(), (args, a)
     return upper
@@ -934,7 +752,7 @@ def _bound_case(lens, xs, orders, d, sep_index):
 
 def test_row_bounds_edge_cases():
     # m = 2, one colour with no anchor, the white anchor between partners,
-    # all-equal h and h near 2**62: equal to the sparse-table bound, and at
+    # all-equal h and h near 2**62: equal to the all-partners bound, and at
     # or above every row's best
     two = [([0, 1], [5]), ([1, 0], [4])]
     assert _bound_case([2, 1, 3], [1, 3], two, 1, 2).tolist() == [5, 6]
@@ -1040,16 +858,7 @@ def test_vertex_check_matches_kernel_on_stored_subset(monkeypatch):
         table_max = int(_pair_table(*_kernel_args(ctx)).max())
         top = max(1, table_max)
         v = WalkVertex(ctx)
-        stored = set()
-        for _ in range(30):
-            if not stored or (len(stored) < m and rng.random() < 0.6):
-                k = rng.choice([k for k in range(1, m + 1) if k not in stored])
-                v.insert(k)
-                stored.add(k)
-            else:
-                k = rng.choice(sorted(stored))
-                v.delete(k)
-                stored.discard(k)
+        for stored in _random_ops(rng, v, 30):
             want = _kernel_best(v)
             assert v.best() == want, (trial, sorted(stored))
             nonzero += want[0] > 0
@@ -1124,115 +933,9 @@ def test_pair_table_only_in_walk_mode(monkeypatch):
     assert 1 <= len(tables) <= len(_d_values(inst.a.n + 1 + inst.b.n, MODEL.d_min))
 
 
-def _oracle_agreement(ranked, k1, k2):
-    """Decoded agreement of anchors k1 != k2: the minimum of h between their ranks."""
-    rank, rows = ranked
-    lo, hi = sorted((rank[k1 - 1], rank[k2 - 1]))
-    level = (hi - lo).bit_length() - 1
-    return min(rows[level][lo], rows[level][hi - (1 << level)])
-
-
-def _order_insert(order, lcp, ranked, k, x):
-    ranks = ranked[0]
-    t = len(order)
-    lo, hi = 1, t + 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if ranks[k - 1] < ranks[order.index(mid)[0] - 1]:
-            hi = mid
-        else:
-            lo = mid + 1
-    p = lo
-    order.insert(p, k, x)
-    if t == 0:
-        return
-    if 1 < p <= t:
-        lcp.delete(p - 1)
-    if p > 1:
-        left = order.index(p - 1)[0]
-        lcp.insert(p - 1, left, _oracle_agreement(ranked, left, k))
-    if p <= t:
-        right = order.index(p + 1)[0]
-        lcp.insert(p, k, _oracle_agreement(ranked, k, right))
-
-
-def _order_delete(order, lcp, ranked, k):
-    p = order.locate(k)
-    t = len(order)
-    left = order.index(p - 1)[0] if p > 1 else None
-    right = order.index(p + 1)[0] if p < t else None
-    if p < t:
-        lcp.delete(p)
-    if p > 1:
-        lcp.delete(p - 1)
-    order.delete(p)
-    if left is not None and right is not None:
-        lcp.insert(p - 1, left, _oracle_agreement(ranked, left, right))
-
-
-class _DynArrayVertex:
-    """The rank-keyed vertex kept in five DynArrays updated in place: the
-    oracle for WalkVertex's views, which it builds when read."""
-
-    VIEWS = ("by_key", "fwd_order", "fwd_lcp", "bwd_order", "bwd_lcp")
-
-    def __init__(self, ctx):
-        self.ctx = ctx
-        _, *orders = ctx.window_order
-        self.fwd, self.bwd = ((pos.tolist(), _sparse_tables(h).tolist()) for pos, h in orders)
-        for name in self.VIEWS:
-            setattr(self, name, DynArray())
-
-    def insert(self, k):
-        x = self.ctx.anchors.entries[k - 1]
-        lo, hi = 1, len(self.by_key) + 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.by_key.index(mid)[0] > k:
-                hi = mid
-            else:
-                lo = mid + 1
-        self.by_key.insert(lo, k, x)
-        _order_insert(self.fwd_order, self.fwd_lcp, self.fwd, k, x)
-        _order_insert(self.bwd_order, self.bwd_lcp, self.bwd, k, x)
-
-    def delete(self, k):
-        pos = self.by_key.locate(k)
-        _order_delete(self.fwd_order, self.fwd_lcp, self.fwd, k)
-        _order_delete(self.bwd_order, self.bwd_lcp, self.bwd, k)
-        self.by_key.delete(pos)
-
-
 def _views(v):
-    views = {name: getattr(v, name) for name in _DynArrayVertex.VIEWS}
-    return {name: (view.items(), view.serialize()) for name, view in views.items()}
-
-
-def test_vertex_views_match_dynarray_oracle():
-    # random insert/delete sequences on LCS, LRS, periodic motifs and
-    # minimizer anchor sets: after every step each view of the vertex holds
-    # the contents and serialized form of the in-place oracle
-    rng = random.Random(83)
-    steps = 0
-    for trial in range(48):
-        ctx = _kind_context(rng, trial)
-        m = ctx.anchors.m
-        v, oracle = WalkVertex(ctx), _DynArrayVertex(ctx)
-        stored = set()
-        for _ in range(40):
-            if not stored or (len(stored) < m and rng.random() < 0.6):
-                k = rng.choice([k for k in range(1, m + 1) if k not in stored])
-                v.insert(k)
-                oracle.insert(k)
-                stored.add(k)
-            else:
-                k = rng.choice(sorted(stored))
-                v.delete(k)
-                oracle.delete(k)
-                stored.discard(k)
-            assert _views(v) == _views(oracle), (trial, sorted(stored))
-            steps += len(stored) > 2
-    assert steps > 500
+    views = ("by_key", "fwd_order", "fwd_lcp", "bwd_order", "bwd_lcp")
+    return {name: (getattr(v, name).items(), getattr(v, name).serialize()) for name in views}
 
 
 def test_vertex_error_contract_leaves_views_unchanged():
@@ -1414,10 +1117,19 @@ def _fallback(a, b=None):
 _FREE_BYTES = tuple(c for c in range(256) if c not in b"$@#")  # random_rle refuses these
 
 
+def _distinct_adjacent(rng, alphabet, max_runs):
+    """1 to max_runs chars of alphabet, no two neighbours equal."""
+    chars = [rng.choice(alphabet)]
+    for _ in range(rng.randint(0, max_runs - 1)):
+        chars.append(rng.choice([c for c in alphabet if c != chars[-1]]))
+    return [chr(c) for c in chars]
+
+
 @pytest.mark.parametrize("seed", [72, 76, 4167])
 def test_small_fallback_matches_loops(seed):
     # value and both ends equal the loop rules' on random pairs and strings,
-    # where short runs make ties common
+    # where short runs make ties common, then on pairs and strings over 2-5
+    # chars whose run lengths repeat from {1, 2, 3, 9, 30}
     rng = random.Random(seed)
     for _ in range(150):
         alphabet = tuple(rng.sample(_FREE_BYTES, rng.randint(2, 10)))
@@ -1427,105 +1139,6 @@ def test_small_fallback_matches_loops(seed):
         )
         assert _fallback(a, b) == _loop_fallback(a, b), (a, b)
         assert _fallback(a) == _loop_fallback(a), a
-
-
-@pytest.mark.parametrize("batch", [1, 5, 4096])
-def test_small_fallback_matches_loops_on_one_large_key(batch):
-    # alternating two-char strings: every boundary is in char pair ab or
-    # ba, each with about a hundred boundaries, and every length repeats.
-    # The fallback equals the loop rules and the block scan at batch pairs
-    # a block (one row a block at 1, one char pair split across blocks at 5)
-    a = RleString.from_pairs([("ab"[i % 2], 1 + i % 3 + i // 97) for i in range(200)])
-    b = RleString.from_pairs([("ba"[i % 2], 1 + i % 4) for i in range(150)])
-    assert len(_loop_boundary_map(a)[(ord("a"), ord("b"))]) == 100
-    for args in ((a,), (a, b), (b, a), (b,)):
-        want = _block_scan_fallback(*_runs_of(*args), batch)
-        assert _fallback(*args) == want == _loop_fallback(*args), args
-
-
-def _block_scan_fallback(runs, sep_index, batch=_PAIR_BATCH):
-    """The fallback scoring every boundary pair with equal char pairs, batch pairs a block.
-
-    The reference for the sorted pass: the same single-run rules,
-    then every pair in scan order, no row dropped.
-    """
-    chars, lens, prefix = runs
-    ends = prefix[1:]
-    lrs = sep_index is None
-    if lrs:
-        (ca, la, ea), (cb, lb, eb) = [(chars, lens, ends)] * 2
-    else:
-        ca, la, ea = chars[: sep_index - 1], lens[: sep_index - 1], ends[: sep_index - 1]
-        cb, lb, eb = chars[sep_index:], lens[sep_index:], ends[sep_index:] - prefix[sep_index]
-
-    def longest(c, l):
-        order = np.lexsort((np.arange(len(c)), l, c))
-        return order, np.flatnonzero(np.append(c[order][1:] != c[order][:-1], True))
-
-    first = np.unique(ca, return_index=True)[1]
-    oa, at = longest(ca, la)
-    i1 = oa[at]
-    if lrs:
-        i2 = oa[at - 1]
-        second = np.where((at > 0) & (ca[i2] == ca[i1]), la[i2], 0)
-        value = np.concatenate((la[i1] - 1, second))
-        hit_a, hit_b = np.concatenate((ea[i1] - 1, ea[i1])), np.concatenate((ea[i1], ea[i2]))
-        rank = np.concatenate((2 * first, 2 * first + 1))
-    else:
-        ob, bt = longest(cb, lb)
-        _, xa, xb = np.intersect1d(ca[i1], cb[ob[bt]], assume_unique=True, return_indices=True)
-        ia, ib = i1[xa], ob[bt][xb]
-        value, hit_a, hit_b, rank = np.minimum(la[ia], lb[ib]), ea[ia], eb[ib], first[xa]
-    best = None
-    if value.max(initial=0) > 0:
-        j = np.lexsort((rank, -value))[0]
-        best = (int(value[j]), int(hit_a[j]), int(hit_b[j]))
-
-    key_a, key_b = (c[:-1] * 256 + c[1:] for c in (ca, cb))
-    _, key_first, inverse = np.unique(key_a, return_index=True, return_inverse=True)
-    rows = np.argsort(key_first[inverse], kind="stable")
-    by_key = np.argsort(key_b, kind="stable")
-    lo = np.searchsorted(key_b[by_key], key_a[rows], side="left")
-    count = np.searchsorted(key_b[by_key], key_a[rows], side="right") - lo
-    rows, lo, count = rows[count > 0], lo[count > 0], count[count > 0]
-    before = np.concatenate(([0], np.cumsum(count)))
-    start = 0
-    while start < len(rows):
-        stop = int(np.searchsorted(before, before[start] + batch, side="right")) - 1
-        stop = max(start + 1, stop)
-        row = np.repeat(rows[start:stop], count[start:stop])
-        offset = np.repeat(lo[start:stop] - before[start:stop], count[start:stop])
-        col = by_key[offset + np.arange(before[start], before[stop])]
-        val = np.minimum(la[row], lb[col]) + np.minimum(la[row + 1], lb[col + 1])
-        if lrs:
-            val[row == col] = 0
-        j = int(np.argmax(val))
-        if val[j] > (0 if best is None else best[0]):
-            best = (int(val[j]), int(ea[row[j]]), int(eb[col[j]]))
-        start = stop
-    return best
-
-
-def _runs_of(a, b=None):
-    """The solve's one run read of a (LRS) or of a $ b, with the separator's index."""
-    s, sep = (a, None) if b is None else concat_sep(a, b)
-    return _RunTokens(OracleHandle(s, QueryLedger())).runs, sep
-
-
-def _distinct_adjacent(rng, alphabet, max_runs):
-    """1 to max_runs chars of alphabet, no two neighbours equal."""
-    chars = [rng.choice(alphabet)]
-    for _ in range(rng.randint(0, max_runs - 1)):
-        chars.append(rng.choice([c for c in alphabet if c != chars[-1]]))
-    return [chr(c) for c in chars]
-
-
-@pytest.mark.parametrize("seed", [212, 216, 275])
-def test_small_fallback_sorted_pass_matches_block_scan(seed):
-    # on random pairs and strings over 2-5 chars with run lengths in
-    # {1, 2, 3, 9, 30}, where ties are common, value and both ends of the
-    # sorted pass equal the full block scan's
-    rng = random.Random(seed)
     for _ in range(350):
         alphabet = b"abcde"[: rng.randint(2, 5)]
         a, b = (
@@ -1534,27 +1147,24 @@ def test_small_fallback_sorted_pass_matches_block_scan(seed):
             )
             for _ in "ab"
         )
-        for runs, sep in (_runs_of(a, b), _runs_of(a)):
-            assert _small_fallback(runs, sep) == _block_scan_fallback(runs, sep), (a, b, sep)
+        assert _fallback(a, b) == _loop_fallback(a, b), (a, b)
+        assert _fallback(a) == _loop_fallback(a), a
 
 
-def test_small_fallback_matches_block_scan_on_an_antichain():
-    # first lengths rising while second lengths fall, so no boundary of a
-    # char pair dominates another: the sorted pass agrees with the block scan
-    n = 1500
-    lengths = [i + 1 if i % 2 == 0 else 2 * n - i for i in range(n)]  # a runs rise, b runs fall
-    a, b = (RleString.from_pairs(("ab"[i % 2], x + c) for i, x in enumerate(lengths)) for c in (0, 3))
-    assert (n // 2) ** 2 > _PAIR_BATCH
-    for args in ((a, b), (b, a), (a,), (b,)):
-        runs, sep = _runs_of(*args)
-        assert _small_fallback(runs, sep) == _block_scan_fallback(runs, sep)
+def test_small_fallback_matches_loops_on_one_large_key():
+    # alternating two-char strings: every boundary is in char pair ab or
+    # ba, each with about a hundred boundaries, and every length repeats
+    a = RleString.from_pairs([("ab"[i % 2], 1 + i % 3 + i // 97) for i in range(200)])
+    b = RleString.from_pairs([("ba"[i % 2], 1 + i % 4) for i in range(150)])
+    assert len(_loop_boundary_map(a)[(ord("a"), ord("b"))]) == 100
+    for args in ((a,), (a, b), (b, a), (b,)):
+        assert _fallback(*args) == _loop_fallback(*args), args
 
 
 def test_small_fallback_on_tied_antichains():
     # first lengths rising while second lengths fall, in steps that repeat,
     # over 2-4 chars: most inputs tie several rows at the best two-run
-    # value.  Value and both ends equal the block scan's (one pair a block)
-    # and the loop rules', LCS both ways and LRS
+    # value.  Value and both ends equal the loop rules', LCS both ways and LRS
     rng = random.Random(307)
     for _ in range(350):
         alphabet = b"abcd"[: rng.randint(2, 4)]
@@ -1567,16 +1177,14 @@ def test_small_fallback_on_tied_antichains():
             for shift in (0, rng.choice((0, 1, 3)))
         )
         for args in ((a, b), (b, a), (a,)):
-            runs, sep = _runs_of(*args)
-            want = _block_scan_fallback(runs, sep, 1)
-            assert _small_fallback(runs, sep) == want == _loop_fallback(*args), args
+            assert _fallback(*args) == _loop_fallback(*args), args
 
 
 def test_small_fallback_edge_cases():
     # a side with no boundary, every boundary in one char pair (two runs a
     # side: a third would add the pair ba), and run lengths near 2**61 (A $ B
     # and the LRS string stay below 2**62): each as LCS and as LRS, equal to
-    # the block scan
+    # the loop rules
     big = 1 << 61
 
     def ab(*lengths):
@@ -1594,18 +1202,16 @@ def test_small_fallback_edge_cases():
     for a, b in cases:
         assert a.total + 1 + b.total < 1 << 62
         for args in ((a, b), (b, a), (a,), (b,)):
-            runs, sep = _runs_of(*args)
-            assert _small_fallback(runs, sep) == _block_scan_fallback(runs, sep), args
+            assert _fallback(*args) == _loop_fallback(*args), args
     # the two-run hit of the large pair: boundary (big - 100, 30) with (big - 200, 40)
-    assert _small_fallback(*_runs_of(*cases[5])) == (big - 170, big - 100, big - 200)
+    assert _fallback(*cases[5]) == (big - 170, big - 100, big - 200)
 
 
-def test_small_fallback_matches_block_scan_on_a_large_planted_pair():
-    # on 16 384 runs per side, LCS and LRS, the sorted pass agrees with the block scan
-    inst = plant_instance(16_384, 2_048, 6_144, 1, verify=False)
+def test_small_fallback_matches_loops_on_a_large_planted_pair():
+    # on 2 048 runs per side, LCS and LRS, the sorted pass agrees with the loop rules
+    inst = plant_instance(2_048, 256, 768, 1, verify=False)
     for args in ((inst.a, inst.b), (inst.a,)):
-        runs, sep = _runs_of(*args)
-        assert _small_fallback(runs, sep) == _block_scan_fallback(runs, sep)
+        assert _fallback(*args) == _loop_fallback(*args)
 
 
 def test_fallback_adds_no_oracle_reads(monkeypatch):
@@ -1658,16 +1264,7 @@ def test_walk_vertices_read_each_run_once_per_solve():
     for d in _d_values(hs.n, 1):
         ctx = make_context(hs, build_exhaustive(s, d), sep, MODEL, tokens)
         v = WalkVertex(ctx)
-        stored = set()
-        for _ in range(60):
-            if not stored or (len(stored) < ctx.anchors.m and rng.random() < 0.6):
-                k = rng.choice([k for k in range(1, ctx.anchors.m + 1) if k not in stored])
-                v.insert(k)
-                stored.add(k)
-            else:
-                k = rng.choice(sorted(stored))
-                v.delete(k)
-                stored.discard(k)
+        for _ in _random_ops(rng, v, 60):
             checks += v.check(inst.d_tilde) is not None
     assert checks > 0
     assert ledger.run_queries == hs.n
