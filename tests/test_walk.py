@@ -1151,11 +1151,14 @@ def test_small_fallback_matches_loops(seed):
         assert _fallback(a) == _loop_fallback(a), a
 
 
-def test_small_fallback_matches_loops_on_one_large_key():
+@pytest.mark.parametrize("scale", [1, 5, 4096])
+def test_small_fallback_matches_loops_on_one_large_key(scale):
     # alternating two-char strings: every boundary is in char pair ab or
-    # ba, each with about a hundred boundaries, and every length repeats
-    a = RleString.from_pairs([("ab"[i % 2], 1 + i % 3 + i // 97) for i in range(200)])
-    b = RleString.from_pairs([("ba"[i % 2], 1 + i % 4) for i in range(150)])
+    # ba, each with about a hundred boundaries, and every length repeats.
+    # Lengths times scale: at 1 the LRS rule l1 - 1 often ties a second
+    # run's length, at 5 and 4096 it never does
+    a = RleString.from_pairs([("ab"[i % 2], scale * (1 + i % 3 + i // 97)) for i in range(200)])
+    b = RleString.from_pairs([("ba"[i % 2], scale * (1 + i % 4)) for i in range(150)])
     assert len(_loop_boundary_map(a)[(ord("a"), ord("b"))]) == 100
     for args in ((a,), (a, b), (b, a), (b,)):
         assert _fallback(*args) == _loop_fallback(*args), args
