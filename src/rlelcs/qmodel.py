@@ -116,10 +116,13 @@ class OracleHandle:
         self.ledger.run_queries += 1
         return self.string.runs[i - 1]
 
-    def query_runs(self) -> tuple[Run, ...]:
-        """Every run in order: one bulk read, counted as n run queries."""
-        self.ledger.run_queries += self.string.n
-        return self.string.runs
+    def query_runs(self, lo: int = 1, hi: Optional[int] = None) -> tuple[Run, ...]:
+        """Runs lo..hi (1-based, inclusive; every run by default): one read, counted per run."""
+        hi = self.string.n if hi is None else hi
+        if not 1 <= lo <= hi + 1 <= self.string.n + 1:
+            raise IndexError(f"run range {lo}..{hi} out of range 1..{self.string.n}")
+        self.ledger.run_queries += hi - lo + 1
+        return self.string.runs[lo - 1 : hi]
 
     def query_prefix(self, i: int) -> int:
         if not 0 <= i <= self.string.n:

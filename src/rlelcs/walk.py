@@ -35,10 +35,11 @@ best.  A walk search with no pair at its target only makes its random draws.
 A solve reads its n runs once, by one counted bulk read, as arrays: every
 scale's window order and prefix sums, the small-run fallback (answers of
 one or two runs, below the anchor regime, found in one pass over the
-boundaries sorted by char pair and first length) and the final positions
-read them.  No fallback hit is longer than the longest run or adjacent run
-pair, so the fallback runs at most once, on the first probe within that
-bound that every scale misses.
+boundaries sorted by char pair and first length) and the final extension,
+two token-rank LCPs, read them.  No fallback hit is longer than the longest
+run or adjacent run pair, so the fallback runs at most once, on the first
+probe within that bound that every scale misses.  The answer's check reads
+its runs again through the handles, one counted ranged read a side.
 """
 
 from __future__ import annotations
@@ -266,6 +267,19 @@ class _TokenRanks:
         tail = (same < cap) & (self.chars[cu] == self.chars[cw])
         return pos, h + np.where(tail, np.minimum(self.lens[cu], self.lens[cw]), 0)
 
+    def lcp(self, i: int, j: int) -> int:
+        """Decoded common prefix of the runs from i and from j (i != j, 1..n + 1).
+
+        window_order's lifting and tail rule for one pair, uncapped, in Python ints.
+        """
+        same = 0
+        for k in reversed(range(self.tied)):
+            if self.levels[k][i + same] == self.levels[k][j + same]:
+                same += 1 << k
+        i, j = i + same, j + same
+        h = int(self.prefix[i - 1] - self.prefix[i - 1 - same])
+        return h + (int(min(self.lens[i], self.lens[j])) if self.chars[i] == self.chars[j] else 0)
+
 
 class _RunTokens:
     """A solve's one read of its runs, and their token ranks forward and reversed.
@@ -373,7 +387,6 @@ def make_context(
 
     The contexts of one solve pass one shared ``tokens``.
     """
-    handle.ledger.prefix_queries += handle.n + 1
     return _WalkContext(handle, anchors, sep_index, model, tokens or _RunTokens(handle))
 
 
@@ -839,35 +852,6 @@ def inner_search(
 # decoded-domain extension and verification
 
 
-def _match(ha: OracleHandle, pos_a: int, hb: OracleHandle, pos_b: int, step: int) -> int:
-    """Length of the maximal equal segment from two positions, read forward (step 1) or back."""
-    end_a, end_b = ha.total, hb.total
-    if not (1 <= pos_a <= end_a and 1 <= pos_b <= end_b):
-        return 0
-    back = int(step < 0)  # reading backward, run i's last char is prefix(i - 1) + 1
-    ia = ha.inverse_prefix(pos_a)
-    ib = hb.inverse_prefix(pos_b)
-    length = 0
-    while True:
-        ca, _ = ha.query_run(ia)
-        cb, _ = hb.query_run(ib)
-        if ca != cb:
-            return length
-        # chars from the position to the end of its run, in reading direction
-        rem_a = abs(ha.query_prefix(ia - back) + back - pos_a) + 1
-        rem_b = abs(hb.query_prefix(ib - back) + back - pos_b) + 1
-        run = min(rem_a, rem_b)
-        length += run
-        pos_a += step * run
-        pos_b += step * run
-        if not (1 <= pos_a <= end_a and 1 <= pos_b <= end_b):
-            return length
-        if rem_a <= rem_b:
-            ia += step
-        if rem_b <= rem_a:
-            ib += step
-
-
 def _small_fallback(
     runs: tuple[np.ndarray, np.ndarray, np.ndarray], sep_index: Optional[int]
 ) -> Optional[tuple[int, int, int]]:
@@ -975,54 +959,71 @@ def _fallback_bound(lens: np.ndarray) -> int:
 
 
 def finalize_answer(
-    ends_a: int,
-    ends_b: int,
-    ha: OracleHandle,
-    hb: OracleHandle,
+    ends_a: int, ends_b: int, tokens: _RunTokens, sep_index: Optional[int]
 ) -> LcsAnswer:
-    """Extend a verified ends-aligned collision to its maximal occurrence.
+    """Extend a collision, given by its decoded ends in A and in B, to its maximal occurrence.
 
-    The closed-form run arithmetic cannot pin the start offset inside the
-    first run, so the answer is derived by explicit decoded extension
-    around the alignment: match backward from the two ends, forward from
-    the positions after them, and read the runs the occurrence spans.
+    Both ends are run ends of the solve's string (A $ B split at sep_index,
+    or the LRS string), so the extension is two token-rank LCPs: backward
+    from runs x_a and x_b, forward from the runs after them.  The LRS
+    one-run fallback hit, a run of l chars against itself shifted by one
+    (ends e - 1 and e), takes its closed form: l - 1 chars from the run's
+    first two positions.
     """
-    q = _match(ha, ends_a, hb, ends_b, -1)
+    fwd, bwd = tokens.tables
+    prefix = tokens.runs[2]
+    offset = 0 if sep_index is None else int(prefix[sep_index])
+    x_a, x_b = prefix.searchsorted((ends_a, ends_b + offset)).tolist()
+    if sep_index is None and ends_b == ends_a + 1 == prefix[x_a]:
+        s = int(prefix[x_a - 1]) + 1
+        return LcsAnswer(x_a, x_a, 1, ends_b - s, s, s + 1)
+    if prefix[x_a] != ends_a or prefix[x_b] != ends_b + offset:
+        raise InternalInconsistencyError("collision ends are not run ends")
+    q = bwd.lcp(fwd.n + 1 - x_a, fwd.n + 1 - x_b)
     if q == 0:
         raise InternalInconsistencyError("collision ends do not match backward")
-    f = _match(ha, ends_a + 1, hb, ends_b + 1, 1)
-    total = q + f
-    start_a = ends_a - q + 1
-    start_b = ends_b - q + 1
-    i_a = ha.inverse_prefix(start_a)
-    i_b = hb.inverse_prefix(start_b)
-    ell = ha.inverse_prefix(start_a + total - 1) - i_a + 1
-    return LcsAnswer(i_a, i_b, ell, total, start_a, start_b)
+    total = q + fwd.lcp(x_a + 1, x_b + 1)
+    start_a, start_b = ends_a - q + 1, ends_b - q + 1
+    firsts_and_last = (start_a, start_b + offset, start_a + total - 1)
+    i_a, i_b, last = prefix.searchsorted(firsts_and_last).tolist()
+    return LcsAnswer(i_a, i_b - (sep_index or 0), last - i_a + 1, total, start_a, start_b)
 
 
 def verify_candidate(ans: LcsAnswer, ha: OracleHandle, hb: OracleHandle) -> bool:
-    """Soundness gate: decoded equality, runs containing the starts, run count."""
-    d_tilde = ans.d_tilde
-    if d_tilde < 1:
+    """Soundness gate: decoded equality, runs containing the starts, run count.
+
+    Independent of the solve's token ranks: it reads each side's ell runs
+    from i_A and i_B with one counted ranged read, and the prefix sums that
+    bound each start's run through the handle.  The occurrences are equal
+    when their chars agree, their interior runs are equal, and the first
+    and last runs clipped to the occurrence agree.
+    """
+    t, ell = ans.d_tilde, ans.ell
+    if t < 1 or ell < 1:
         return False
-    if ans.decoded_start_A < 1 or ans.decoded_start_A + d_tilde - 1 > ha.total:
+    if ans.decoded_start_A < 1 or ans.decoded_start_A + t - 1 > ha.total:
         return False
-    if ans.decoded_start_B < 1 or ans.decoded_start_B + d_tilde - 1 > hb.total:
+    if ans.decoded_start_B < 1 or ans.decoded_start_B + t - 1 > hb.total:
         return False
     if ha is hb and ans.decoded_start_A == ans.decoded_start_B:
         return False
-    # uncounted table reads; range first, as a negative index would alias a real run
-    if not 1 <= ans.i_A <= ha.n or not 1 <= ans.i_B <= hb.n:
+    # range first, as a negative index would alias a real run
+    if not 1 <= ans.i_A <= ha.n + 1 - ell or not 1 <= ans.i_B <= hb.n + 1 - ell:
         return False
-    pa, pb = ha.string.prefix, hb.string.prefix
-    if not pa[ans.i_A - 1] < ans.decoded_start_A <= pa[ans.i_A]:
+    sides = []
+    for h, i, start in ((ha, ans.i_A, ans.decoded_start_A), (hb, ans.i_B, ans.decoded_start_B)):
+        end = h.query_prefix(i)
+        if not h.query_prefix(i - 1) < start <= end:
+            return False
+        sides.append((end - start + 1, h.query_runs(i, i + ell - 1)))
+    (first_a, runs_a), (first_b, runs_b) = sides
+    outer_a, outer_b = ((runs[0].char, runs[-1].char) for runs in (runs_a, runs_b))
+    if outer_a != outer_b or runs_a[1:-1] != runs_b[1:-1]:  # chars of the clipped runs, interior
         return False
-    if not pb[ans.i_B - 1] < ans.decoded_start_B <= pb[ans.i_B]:
-        return False
-    if _match(ha, ans.decoded_start_A, hb, ans.decoded_start_B, 1) < d_tilde:
-        return False
-    end_run = ha.inverse_prefix(ans.decoded_start_A + d_tilde - 1)
-    return end_run - ans.i_A + 1 == ans.ell
+    if ell == 1:
+        return t <= min(first_a, first_b)
+    last = t - first_a - sum(r.length for r in runs_a[1:-1])
+    return first_a == first_b and 1 <= last <= min(runs_a[-1].length, runs_b[-1].length)
 
 
 # ---------------------------------------------------------------------------
@@ -1157,7 +1158,7 @@ def _solve(
     if cost_only:
         return None
 
-    answer = finalize_answer(*best_hit, ha, hb)
+    answer = finalize_answer(*best_hit, tokens, sep_index)
     if not verify_candidate(answer, ha, hb):
         raise InternalInconsistencyError(f"answer failed verification: {answer}")
     if answer.d_tilde < lo:

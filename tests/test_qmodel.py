@@ -55,6 +55,20 @@ def test_query_runs_counting_contract():
     assert ledger.run_queries == 2 + 3 + 1
 
 
+def test_query_runs_range_counts_its_runs():
+    # a ranged read of runs lo..hi (1-based, inclusive) counts hi - lo + 1; an
+    # empty range counts 0, and a range outside 1..n raises and counts nothing
+    h = handle(b"aaabcccdd")
+    runs = h.string.runs
+    assert h.query_runs(2, 3) == runs[1:3] and h.ledger.run_queries == 2
+    assert h.query_runs(h.n, h.n) == runs[-1:] and h.query_runs(3, 2) == ()
+    assert h.query_runs() is runs and h.ledger.run_queries == 3 + h.n
+    for lo, hi in ((0, 2), (2, h.n + 1), (3, 1)):
+        with pytest.raises(IndexError):
+            h.query_runs(lo, hi)
+    assert h.ledger.run_queries == 3 + h.n
+
+
 def test_query_run_purity_and_range():
     h = handle()
     assert h.query_run(2) == h.query_run(2)

@@ -2098,7 +2098,7 @@ def test_solver_handles_64bit_run_lengths():
 
 
 def _loop_forward_match(ha, pos_a, hb, pos_b):
-    """The forward matcher as its own loop: the oracle for _match(..., 1)."""
+    """The forward extension's oracle: decoded matching from two positions, a run at a time."""
     if pos_a < 1 or pos_b < 1 or pos_a > ha.total or pos_b > hb.total:
         return 0
     ia = ha.inverse_prefix(pos_a)
@@ -2126,7 +2126,7 @@ def _loop_forward_match(ha, pos_a, hb, pos_b):
 
 
 def _loop_backward_match(ha, pos_a, hb, pos_b):
-    """The backward matcher as its own loop: the oracle for _match(..., -1)."""
+    """The backward extension's oracle: decoded matching into two positions, a run at a time."""
     if pos_a < 1 or pos_b < 1 or pos_a > ha.total or pos_b > hb.total:
         return 0
     ia = ha.inverse_prefix(pos_a)
@@ -2151,45 +2151,129 @@ def _loop_backward_match(ha, pos_a, hb, pos_b):
             ib -= 1
 
 
-def test_match_equals_forward_and_backward_loops():
-    # random handle pairs, one shared handle (LRS), 10**12-long runs: from
-    # positions off both ends, at run boundaries and inside runs, the merged
-    # matcher returns each loop's length with the same run and prefix queries
+def test_token_rank_extension_equals_forward_and_backward_loops():
+    # random pairs joined by the separator, one string alone (LRS), 10**12-long
+    # runs: from every pair of run ends, across the separator and at both string
+    # ends, the token-rank LCPs equal the loops' decoded matches on one handle
     rng = random.Random(167)
     cases = []
     for _ in range(60):
         a, b = (random_rle(rng, rng.randint(1, 12), max_len=4, alphabet=b"abc") for _ in range(2))
-        cases += [(a, b), (a, None)]
+        cases += [concat_sep(a, b)[0], a]
     big = 10**12
     a = RleString.from_pairs([("a", big), ("b", 5), ("c", big), ("a", 3)])
     b = RleString.from_pairs([("c", 7), ("a", big), ("b", 5), ("c", big)])
-    cases += [(a, b), (b, a), (a, None)]
-    matched = 0
-    for a, b in cases:
-        ha, hb, _ = make_handles(a, a if b is None else b)
-        hb = ha if b is None else hb
-        spots_a, spots_b = (
-            {0, h.total + 1}
-            | {end + k for end in h.string.prefix for k in (0, 1)}
-            | {rng.randint(1, h.total) for _ in range(4)}
-            for h in (ha, hb)
-        )
-        for pos_a, pos_b in itertools.product(sorted(spots_a), sorted(spots_b)):
-            for step, loop in ((1, _loop_forward_match), (-1, _loop_backward_match)):
-                got, want = QueryLedger(), QueryLedger()
-                ha.ledger = hb.ledger = got
-                length = rlelcs.walk._match(ha, pos_a, hb, pos_b, step)
-                ha.ledger = hb.ledger = want
-                assert length == loop(ha, pos_a, hb, pos_b), (a, b, pos_a, pos_b, step)
-                assert got.as_dict() == want.as_dict(), (a, b, pos_a, pos_b, step)
-                matched += length > 0
-    assert matched > 3000
+    cases += [concat_sep(a, b)[0], concat_sep(b, a)[0], a]
+    matched = collections.Counter()
+    for s in cases:
+        h = OracleHandle(s, QueryLedger())
+        fwd, bwd = _RunTokens(h).tables
+        ends, n = s.prefix, s.n
+        for x, y in itertools.permutations(range(n + 1), 2):
+            forward = fwd.lcp(x + 1, y + 1)
+            assert forward == _loop_forward_match(h, ends[x] + 1, h, ends[y] + 1), (s, x, y)
+            backward = bwd.lcp(n + 1 - x, n + 1 - y)
+            assert backward == _loop_backward_match(h, ends[x], h, ends[y]), (s, x, y)
+            assert type(forward) is int and type(backward) is int
+            matched.update(forward=forward > 0, backward=backward > 0)
+    assert min(matched.values()) > 3000
 
 
 def test_finalize_rejects_mismatched_ends():
-    ha, hb, _ = make_handles(encode(b"aab"), encode(b"ccd"))
+    s, sep = concat_sep(encode(b"aab"), encode(b"ccd"))
+    tokens = _RunTokens(OracleHandle(s, QueryLedger()))
     with pytest.raises(InternalInconsistencyError):
-        finalize_answer(2, 2, ha, hb)
+        finalize_answer(2, 2, tokens, sep)
+    s, sep = concat_sep(encode(b"aab"), encode(b"aab"))
+    with pytest.raises(InternalInconsistencyError):  # 1 ends no run of A
+        finalize_answer(1, 2, _RunTokens(OracleHandle(s, QueryLedger())), sep)
+
+
+def test_finalize_lrs_one_run_closed_form():
+    # the LRS one-run fallback hit (l - 1, e - 1, e), a run of l chars against
+    # itself shifted by one, is l - 1 chars from the run's first two positions
+    for data, hit, ans in (
+        (b"aaaaa", (4, 4, 5), LcsAnswer(1, 1, 1, 4, 1, 2)),
+        (b"abccccd", (3, 5, 6), LcsAnswer(3, 3, 1, 3, 3, 4)),
+    ):
+        h = OracleHandle(encode(data), QueryLedger())
+        tokens = _RunTokens(h)
+        assert _small_fallback(tokens.runs, None) == hit
+        assert finalize_answer(*hit[1:], tokens, None) == ans
+        assert solve_lrs(h) == ans and verify_candidate(ans, h, h)
+
+
+def test_verify_rejects_unequal_occurrences():
+    # each answer verifies on its pair and fails on a pair, or after an edit,
+    # that differs in one place: an interior run of the same char but another
+    # length, a first or last run of another char, a first clip off by one, a
+    # B occurrence over another number of runs, an ell one too large, i_B +
+    # ell - 1 past B's last run, and a one-run occurrence longer than B's run
+    import dataclasses
+
+    def handles(a, b):
+        return OracleHandle(encode(a), QueryLedger()), OracleHandle(encode(b), QueryLedger())
+
+    ans = LcsAnswer(2, 2, 3, 5, 2, 2)  # abbbc
+    assert verify_candidate(ans, *handles(b"xabbbcy", b"zabbbcw"))
+    for b in (b"zabbccw", b"zdbbbcw", b"zabbbdw"):
+        assert not verify_candidate(ans, *handles(b"xabbbcy", b))
+    ans, ha_hb = LcsAnswer(1, 1, 3, 7, 2, 1), handles(b"aaabbcccc", b"aabbcccc")  # aabbccc
+    assert verify_candidate(ans, *ha_hb)
+    for start in (1, 3):
+        assert not verify_candidate(dataclasses.replace(ans, decoded_start_A=start), *ha_hb)
+    ans = LcsAnswer(2, 1, 2, 4, 2, 1)  # aabb
+    assert verify_candidate(ans, *handles(b"xaabby", b"aabbcb"))
+    assert not verify_candidate(ans, *handles(b"xaabby", b"aabcb"))
+    ans, ha_hb = LcsAnswer(1, 1, 2, 4, 1, 1), handles(b"aabbcx", b"aabbcy")  # aabb
+    assert verify_candidate(ans, *ha_hb)
+    assert not verify_candidate(dataclasses.replace(ans, ell=3), *ha_hb)
+    ans, ha_hb = LcsAnswer(1, 2, 2, 4, 1, 2), handles(b"aabbc", b"xaabbbbb")  # aabb
+    assert verify_candidate(ans, *ha_hb)
+    assert not verify_candidate(dataclasses.replace(ans, ell=3, d_tilde=5), *ha_hb)
+    ans = LcsAnswer(2, 2, 1, 3, 2, 2)  # aaa
+    assert verify_candidate(ans, *handles(b"xaaay", b"zaaaw"))
+    assert not verify_candidate(ans, *handles(b"xaaay", b"zaaw"))
+
+
+class _RecordingHandle(OracleHandle):
+    """A handle that tallies the runs and prefix entries its reads return."""
+
+    reads = collections.Counter()
+
+    def query_run(self, i):
+        self.reads["run"] += 1
+        return super().query_run(i)
+
+    def query_runs(self, *bounds):
+        runs = super().query_runs(*bounds)
+        self.reads["run"] += len(runs)
+        return runs
+
+    def query_prefix(self, i):
+        self.reads["prefix"] += 1
+        return super().query_prefix(i)
+
+
+def test_ledger_counts_the_handle_reads(monkeypatch):
+    # run_queries is the query_run calls plus the runs of every ranged or
+    # whole query_runs read, prefix_queries the query_prefix calls
+    # (inverse_prefix probes included), for LCS and LRS in every mode and
+    # anchor scheme; a cost-only solve reads no run and no prefix entry
+    monkeypatch.setattr(rlelcs.walk, "OracleHandle", _RecordingHandle)  # A $ B's handle
+    inst = plant_instance(40, 5, 15, 3, verify=False)
+    joined, _ = concat_sep(inst.a, inst.b)
+    for mode, scheme in itertools.product(WalkMode, AnchorScheme):
+        config = SolverConfig(mode=mode, anchors=scheme, seed=1)
+        for solve, strings in ((solve_lcs_rle_p, (inst.a, inst.b)), (solve_lrs, (joined,))):
+            ledger, reads = QueryLedger(), _RecordingHandle.reads
+            reads.clear()
+            ans = solve(*(_RecordingHandle(s, ledger) for s in strings), config)
+            assert (ledger.run_queries, ledger.prefix_queries) == (reads["run"], reads["prefix"])
+            if mode is WalkMode.COSTONLY:
+                assert ans is None and not reads and ledger.charged_cost > 0
+            else:
+                assert ans is not None and reads["run"] > joined.n // 2 and reads["prefix"] > 0
 
 
 def test_benchmark_tracer_installs_and_restores():
