@@ -19,8 +19,10 @@ anchor run, so the forward threshold re-counts it; the rho term compensates
 and makes the certificate exact (t agreed chars, stitched at the shared
 run boundary).  One row scorer, :func:`_score_rows`, evaluates this for a
 flagged anchor against every anchor.  The kernel :func:`best_certificate`
-runs it for the full-set index on all anchors at a scale; a walk vertex
-reads the scale's pair table, one m x m table of certificates filled once.
+runs it for the full-set index on all anchors at a scale, or, when they take
+more than one pass, on the row of highest bound, and then scores only the
+pairs that can reach that row's best; a walk vertex reads the scale's pair
+table, one m x m table of certificates filled once.
 Both read one window order per scale, ranked from the solve's run tokens.
 A search's hit is the run pair of its best (flagged, partner) anchors.
 
@@ -251,7 +253,16 @@ class _TokenRanks:
         del key  # not held through the lifting
         pos = np.empty(m, dtype=np.int64)
         pos[order] = np.arange(m)
-        u, w = starts[order[:-1]], starts[order[1:]]
+        return pos, self.agreement(starts[order[:-1]], starts[order[1:]], width)
+
+    def agreement(self, u: np.ndarray, w: np.ndarray, width: int) -> np.ndarray:
+        """Decoded common prefix of the windows of ``width`` runs from u and from w, pairwise.
+
+        Windows are clamped at run n, as in window_order, and u != w.  Any two
+        windows are compared, not only neighbours in an order: in decoded order
+        this is the minimum of window_order's h between their ranks.
+        """
+        n = self.n
         # equal leading runs by binary lifting, uncapped: equal blocks end before
         # the pad (rank 0, at another offset per start), and a monotone lift clipped
         # once to the shorter window is the capped one; from level tied up none advances
@@ -265,12 +276,13 @@ class _TokenRanks:
         # lengths differ, or only the chars after the run do
         cu, cw = u + same, w + same
         tail = (same < cap) & (self.chars[cu] == self.chars[cw])
-        return pos, h + np.where(tail, np.minimum(self.lens[cu], self.lens[cw]), 0)
+        return h + np.where(tail, np.minimum(self.lens[cu], self.lens[cw]), 0)
 
     def lcp(self, i: int, j: int) -> int:
         """Decoded common prefix of the runs from i and from j (i != j, 1..n + 1).
 
-        window_order's lifting and tail rule for one pair, uncapped, in Python ints.
+        agreement's lifting and tail rule for one pair, uncapped, in Python ints:
+        for finalize_answer's two calls, where numpy's per-call cost would dominate.
         """
         same = 0
         for k in reversed(range(self.tied)):
@@ -341,8 +353,8 @@ class _WalkContext:
         return xs, fwd.window_order(xs, width), bwd.window_order(self.handle.n + 1 - xs, width)
 
     @cached_property
-    def row_bounds(self) -> Optional[np.ndarray]:
-        """Each anchor's bound on its row's certificates (_row_bounds), or None.
+    def row_bounds(self) -> Optional[tuple[np.ndarray, np.ndarray]]:
+        """Each anchor's bound on its row's certificates and its gain (_row_bounds), or None.
 
         Only full-set mode reads it, and only where best_certificate would
         compute it: when the kernel's rows take more than one pass.
@@ -503,8 +515,10 @@ def _agreement(h: np.ndarray, lo: int, hi: int) -> int:
 
 # Pairs the kernel evaluates per numpy pass: large enough to amortize the
 # per-pass overhead, small enough that the pass's temporaries stay near 1 MiB.
-# A pass scores a block of flagged anchors against every anchor, so it holds
-# _PAIR_BATCH // m rows (at least one).
+# A dense pass scores a block of flagged anchors against every anchor, so it
+# holds _PAIR_BATCH // m rows (at least one); when the rows need more than one
+# such pass, the kernel's candidate pass scores blocks of at most _PAIR_BATCH
+# (flagged, partner) cells.
 _PAIR_BATCH = 4096
 
 # An anchor's agreement with itself: above every decoded length, and a
@@ -580,17 +594,21 @@ def _reach(pos: np.ndarray, h: np.ndarray, side: Optional[np.ndarray]) -> np.nda
 
 
 def _row_bounds(xs, fwd_pos, h_f, bwd_pos, h_b, pv, d, side, flagged):
-    """Per-anchor bound on its row's certificates: -1 off flagged and where no span fits.
+    """Per-anchor bound on its row's certificates, and the gain that bound adds to p.
 
     An anchor's largest p is its largest forward agreement with a partner,
     its largest q the same backward (_reach), and the bound is p + gain(q)
-    at those maxima.  O(m) memory, with no range-minimum query.
+    at those maxima: -1 off flagged and where no span fits.  The gain at
+    that q, 0 off flagged, bounds the gain of every pair in the row, so a
+    partner reaches a value t only if its p is at least t - gain.  O(m)
+    memory, with no range-minimum query.
     """
     p, q = (_reach(pos, h, side) for pos, h in ((fwd_pos, h_f), (bwd_pos, h_b)))
     ok, gain = _snap(pv, d, xs[flagged], q[flagged])
-    upper = np.full(len(xs), -1)
+    upper, gains = np.full(len(xs), -1), np.zeros(len(xs), dtype=np.int64)
     upper[flagged] = np.where(ok, p[flagged] + gain, -1)
-    return upper
+    gains[flagged] = gain
+    return upper, gains
 
 
 def _sides(xs: np.ndarray, sep_index: Optional[int]) -> Optional[np.ndarray]:
@@ -625,6 +643,65 @@ def _score_rows(xs, fwd_pos, h_f, bwd_pos, h_b, pv, d, side, rows):
     return np.where(ok, p + gain, 0)
 
 
+def _gallop(rank: np.ndarray, t: np.ndarray, padded: np.ndarray):
+    """Walk both sides of each row's rank while the running minimum of h stays >= t.
+
+    padded is h with -1 before and after it, so padded[s] is the agreement
+    of ranks s - 1 and s, and -1 past either end.  Each side of a row is a
+    line; a round reads the same number of ranks on every line still open,
+    enough to fill one block of _PAIR_BATCH cells and at least twice the
+    last round's, so a line reads at most twice the ranks it keeps besides
+    one block's share.  Yields (row, rank, agreement) of the ranks kept, at
+    most _PAIR_BATCH a chunk of lines.
+    """
+    m = len(padded) - 1
+    row = np.tile(np.arange(len(rank)), 2)
+    left = np.repeat([False, True], len(rank))  # rightward lines, then leftward
+    base = rank[row] + left  # a line reads padded[base + step], or base - step leftward
+    need, run = t[row], np.full(len(row), _SELF)  # and its running minimum
+    done = width = 0
+    while len(row):
+        width = min(max(2 * width, _PAIR_BATCH // len(row), 1), _PAIR_BATCH, m - 1)
+        steps, per = np.arange(done + 1, done + width + 1), max(1, _PAIR_BATCH // width)
+        go = np.zeros(len(row), dtype=bool)
+        for lo in range(0, len(row), per):
+            at = slice(lo, lo + per)
+            idx = base[at, None] + np.where(left[at, None], -steps, steps)
+            agree = np.take(padded, idx, mode="clip")
+            agree[:, 0] = np.minimum(agree[:, 0], run[at])
+            np.minimum.accumulate(agree, axis=1, out=agree)
+            keep = agree >= need[at, None]  # a prefix of each line: agreement only falls
+            go[at], run[at] = keep[:, -1], agree[:, -1]
+            i, j = np.nonzero(keep)
+            yield row[at][i], idx[i, j] - left[at][i], agree[i, j]
+        row, left, base, need, run = row[go], left[go], base[go], need[go], run[go]
+        done += width
+
+
+def _interval_cells(rank: np.ndarray, t: np.ndarray, h: np.ndarray):
+    """The ranks that agree with each row's rank for at least the row's t, in blocks.
+
+    In a decoded order with adjacent agreements h, ranks agree for the
+    minimum of h between them, which only falls with distance, so those
+    ranks form one interval around rank[i], walked by _gallop.  Yields
+    (row, rank, agreement) arrays of at most _PAIR_BATCH cells.  Rows are
+    walked _PAIR_BATCH // 4 at a time, so the lines' state stays
+    O(_PAIR_BATCH) too.
+    """
+    padded = np.concatenate(([-1], h, [-1]))
+    held, size, rows = [], 0, max(1, _PAIR_BATCH // 4)
+    for first in range(0, len(rank), rows):
+        group = slice(first, first + rows)
+        for row, partner, agree in _gallop(rank[group], t[group], padded):
+            if size + len(row) > _PAIR_BATCH:
+                yield tuple(map(np.concatenate, zip(*held)))
+                held, size = [], 0
+            held.append((row + first, partner, agree))
+            size += len(row)
+    if size:
+        yield tuple(map(np.concatenate, zip(*held)))
+
+
 def best_certificate(
     xs: np.ndarray,
     fwd_pos: np.ndarray,
@@ -634,54 +711,71 @@ def best_certificate(
     pv: np.ndarray,
     d: int,
     sep_index: Optional[int],
-    bounds: Optional[np.ndarray] = None,
+    bwd: _TokenRanks,
+    bounds: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> tuple[int, Optional[tuple[int, int]]]:
     """Largest target length any admissible pair of the given anchors certifies.
 
     xs holds the anchors' run indices; fwd_pos/bwd_pos their 0-based ranks
     in the forward and backward decoded orders, h_f/h_b the agreement of
-    adjacent entries in those orders, pv the prefix sums.  A flagged anchor
-    a and an opposite-colour partner (any other anchor for a single string)
-    with forward agreement p and backward agreement q certify
+    adjacent entries in those orders, pv the prefix sums, and bwd the
+    reversed token ranks those backward windows were ordered by.  A flagged
+    anchor a and an opposite-colour partner (any other anchor for a single
+    string) with forward agreement p and backward agreement q certify
     p + max_l - rho: max_l is the longest whole-run backward span ending at
     a's run, at most 2d + 1 runs, that fits in q, and rho is a's run length.
     Returns (best, (a, partner)) with indices into xs, or (0, None).  Pairs
     are scanned by side (red flagged first), then flagged anchor, then
     partner; ties keep the first pair scanned.
 
-    Each flagged anchor's row of pairs comes from cumulative minima, a block
-    of rows per numpy pass.  When the rows take more than one pass, they are
-    scored highest bound (_row_bounds, or the given per-anchor ``bounds``
-    that it returned) first, each pass in scan order, so the first pass
-    holds the row with the highest bound and its exact best.  A row is
-    skipped once its bound is below the best so far, or equal to it and the
-    row comes later in scan order: it could at most tie a pair that is
-    scanned before it.
+    Rows that fit in one numpy pass are scored densely (_score_rows).
+    Otherwise only the row with the highest bound (_row_bounds, or the given
+    ``bounds`` that it returned), the first in scan order among equals, is
+    scored densely; its best LB is a lower bound.  Then one candidate pass
+    scores the rows whose bound beats LB, or ties it earlier in scan order,
+    on only the partners that can reach LB: a pair's certificate is at most
+    p + gain_a, so p is at least LB - gain_a, a forward-rank interval around
+    a (_interval_cells).  There q is the two backward windows' agreement,
+    read from bwd (_TokenRanks.agreement).  Memory stays O(m) besides blocks
+    of at most _PAIR_BATCH cells.
     """
     m = len(xs)
     if m < 2:
         return 0, None
     side, flagged = _flagged(xs, sep_index)
-    rows_per_pass = max(1, _PAIR_BATCH // m)
-    scan = np.arange(len(flagged))  # rows by their place in scan order
-    upper = None
-    if len(scan) > rows_per_pass:
-        if bounds is None:
-            bounds = _row_bounds(xs, fwd_pos, h_f, bwd_pos, h_b, pv, d, side, flagged)
-        upper = bounds[flagged]
-        scan = scan[upper >= 1]
-        scan = scan[np.argsort(-upper[scan], kind="stable")]  # highest bound first
-    best, at = 0, None
-    while len(scan):
-        rows, scan = np.sort(scan[:rows_per_pass]), scan[rows_per_pass:]
-        cert = _score_rows(xs, fwd_pos, h_f, bwd_pos, h_b, pv, d, side, flagged[rows])
+    if len(flagged) <= max(1, _PAIR_BATCH // m):  # one dense pass, rows in scan order
+        cert = _score_rows(xs, fwd_pos, h_f, bwd_pos, h_b, pv, d, side, flagged)
         i, j = divmod(int(np.argmax(cert)), m)
-        value = int(cert[i, j])
-        if value > best or (value == best > 0 and rows[i] < at[0]):
-            best, at = value, (int(rows[i]), j)
-            if upper is not None:  # the rows left that could beat it, or tie it earlier
-                scan = scan[(upper[scan] > best) | ((upper[scan] == best) & (scan < at[0]))]
-    return (0, None) if at is None else (best, (int(flagged[at[0]]), at[1]))
+        return (0, None) if cert[i, j] == 0 else (int(cert[i, j]), (int(flagged[i]), j))
+    upper, gain = bounds or _row_bounds(xs, fwd_pos, h_f, bwd_pos, h_b, pv, d, side, flagged)
+    upper = upper[flagged]  # by scan index
+    top = int(np.argmax(upper))
+    if upper[top] < 1:
+        return 0, None
+    cert = _score_rows(xs, fwd_pos, h_f, bwd_pos, h_b, pv, d, side, flagged[[top]])[0]
+    j = int(np.argmax(cert))
+    lower = int(cert[j])
+    best = (-lower, top, j)  # (-certificate, scan index, partner): the least wins
+    # the rows that could beat it, or tie it earlier in scan order
+    rows = upper > lower
+    rows[:top] |= upper[:top] == lower
+    rows &= upper >= 1
+    rows[top] = False
+    rows = np.flatnonzero(rows)
+    at_rank = np.empty(m, dtype=np.int64)
+    at_rank[fwd_pos] = np.arange(m)
+    threshold = np.maximum(lower - gain[flagged[rows]], 0)
+    for i, s, p in _interval_cells(fwd_pos[flagged[rows]], threshold, h_f):
+        c, a, b = rows[i], flagged[rows[i]], at_rank[s]
+        ok = slice(None) if side is None else side[b] == 1 - side[a]
+        c, a, b, p = c[ok], a[ok], b[ok], p[ok]
+        if len(c):
+            q = bwd.agreement(bwd.n + 1 - xs[a], bwd.n + 1 - xs[b], 2 * d + 1)
+            fits, g = _snap(pv, d, xs[a], q)
+            cert = np.where(fits, p + g, 0)
+            k = np.lexsort((b, c, -cert))[0]
+            best = min(best, (-int(cert[k]), int(c[k]), int(b[k])))
+    return (0, None) if best[0] == 0 else (-best[0], (int(flagged[best[1]]), best[2]))
 
 
 def _pair_table(xs, fwd_pos, h_f, bwd_pos, h_b, pv, d, sep_index):
@@ -717,8 +811,9 @@ class CollisionIndex:
     def __init__(self, ctx: _WalkContext):
         self.ctx = ctx
         self.xs, (fwd_pos, h_f), (bwd_pos, h_b) = ctx.window_order
+        bwd = ctx.tokens.tables[1]
         self.best, self.best_args = best_certificate(
-            self.xs, fwd_pos, h_f, bwd_pos, h_b, ctx.pv, ctx.d, ctx.sep_index, ctx.row_bounds
+            self.xs, fwd_pos, h_f, bwd_pos, h_b, ctx.pv, ctx.d, ctx.sep_index, bwd, ctx.row_bounds
         )
 
     def query(self, d_tilde: int) -> Optional[tuple[int, int]]:
@@ -745,7 +840,7 @@ class _ScaleBound:
 def _scale_bound(ctx: _WalkContext) -> float:
     """Bound on a full-set scale's best certificate: its largest row bound, else inf."""
     bounds = ctx.row_bounds
-    return math.inf if bounds is None else int(bounds.max())
+    return math.inf if bounds is None else int(bounds[0].max())
 
 
 def _ceiling(index_cache: dict[int, CollisionIndex | _ScaleBound], ctx: _WalkContext) -> float:

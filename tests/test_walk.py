@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +50,7 @@ from rlelcs.walk import (
     _dense_ranks,
     _pair_table,
     _reach,
+    _row_agreements,
     _row_bounds,
     _score_rows,
     _sides,
@@ -529,6 +531,36 @@ def test_token_layer_keys_past_int32_match_oracles():
         assert h.max() > 9 * 2**8 or width == 17
 
 
+def test_token_agreement_is_the_range_minimum_of_window_order():
+    # random pairs of starts, not only neighbours in an order: the pairwise
+    # agreement of two windows equals the minimum of window_order's h between
+    # their ranks, forward and reversed, for every odd width 3..33 and the top
+    # scale, on tie-heavy random text, period-7 runs and, at widths 3, 17, 33
+    # and the top scale, the 50 001-run planted A $ B of the int32 test
+    rng = random.Random(233)
+    strings = [random_rle(rng, rng.randint(2, 70), alphabet=b"ab", max_len=3) for _ in range(10)]
+    strings += [RleString.from_pairs(_periodic_runs(rng, 7, k)) for k in (40, 129)]
+    inst = plant_instance(25_000, 3_000, 9_000, 3, verify=False)
+    strings.append(concat_sep(inst.a, inst.b)[0])
+    compared = 0
+    for s in strings:
+        chars, lens = _run_arrays(s)
+        n = len(chars)
+        widths = range(3, 34, 2) if n < 1000 else (3, 17, 33)
+        for c, ln in ((chars, lens), (chars[::-1], lens[::-1])):
+            ranks = _TokenRanks(c, ln)
+            starts = np.arange(1, n + 1)
+            for width in (*widths, 2 * n + 1):
+                pos, h = ranks.window_order(starts, width)
+                i = np.array([rng.randrange(n) for _ in range(300)])
+                j = (i + np.array([rng.randrange(1, n) for _ in range(300)])) % n
+                lo, hi = np.minimum(pos[i], pos[j]), np.maximum(pos[i], pos[j])
+                want = [int(h[a:b].min()) for a, b in zip(lo, hi)]
+                assert ranks.agreement(starts[i], starts[j], width).tolist() == want, (n, width)
+                compared += len(want)
+    assert compared > 100_000
+
+
 # Range minima over sparse tables, independent of the solver's running
 # minima: the oracles' agreement reads and the all-partners row bound.
 
@@ -609,6 +641,11 @@ def _kernel_args(ctx):
     return xs, fwd_pos, h_f, bwd_pos, h_b, ctx.pv, ctx.d, ctx.sep_index
 
 
+def _kernel(ctx):
+    """best_certificate over a context's anchors, with its backward token ranks."""
+    return best_certificate(*_kernel_args(ctx), ctx.tokens.tables[1])
+
+
 def _spy(monkeypatch, name):
     """Record the arguments of every call to a rlelcs.walk function."""
     calls, fn = [], getattr(rlelcs.walk, name)
@@ -619,6 +656,19 @@ def _spy(monkeypatch, name):
 
     monkeypatch.setattr(rlelcs.walk, name, wrapper)
     return calls
+
+
+def _spy_cells(monkeypatch):
+    """Record the size of every block the kernel's candidate pass yields (_interval_cells)."""
+    sizes, fn = [], rlelcs.walk._interval_cells
+
+    def wrapper(*args):
+        for block in fn(*args):
+            sizes.append(len(block[0]))
+            yield block
+
+    monkeypatch.setattr(rlelcs.walk, "_interval_cells", wrapper)
+    return sizes
 
 
 def test_best_certificate_batches_match_per_anchor_loop(monkeypatch):
@@ -632,10 +682,15 @@ def test_best_certificate_batches_match_per_anchor_loop(monkeypatch):
     assert 2 * a.n * b.n > _PAIR_BATCH
     args = _kernel_args(ctx)
     bounds, blocks = _spy(monkeypatch, "_row_bounds"), _spy(monkeypatch, "_row_agreements")
-    best, witness = best_certificate(*args)
+    cells = _spy_cells(monkeypatch)
+    best, witness = _kernel(ctx)
     assert best > 0
     assert (best, witness) == _per_anchor_best_certificate(*args)
-    assert len(bounds) == 1 and max(len(call[2]) for call in blocks) > 1
+    # one dense row (one _row_agreements call per order); a candidate pass
+    # holds far fewer cells than the other flagged rows
+    m = len(args[0])
+    assert len(bounds) == 1 and [len(call[2]) for call in blocks] == [1, 1]
+    assert sum(cells) < (m - 2) * m
     # batch boundaries inside and between flagged anchors, LCS and LRS, subsets
     rng = random.Random(62)
     for batch in (7, 1):
@@ -645,7 +700,7 @@ def test_best_certificate_batches_match_per_anchor_loop(monkeypatch):
             n_runs, d = rng.randint(1, 12), rng.choice([1, 2, 3, 4])
             ctx = _random_context(rng, trial % 2 == 1, n_runs, d, trial % 3 == 0)
             args = _kernel_args(ctx)
-            assert best_certificate(*args) == _per_anchor_best_certificate(*args)
+            assert _kernel(ctx) == _per_anchor_best_certificate(*args)
         # both paths ran: the row bounds, and blocks of several rows when m <= 3
         assert bounds
         assert (max(len(call[2]) for call in blocks) > 1) == (batch == 7)
@@ -705,13 +760,13 @@ def test_best_certificate_row_bounds_match_per_anchor_loop(monkeypatch):
             ctx = _random_context(rng, lrs, rng.randint(1, 20), d, subset, alphabet)
         args = _kernel_args(ctx)
         del scored[:]
-        got = best_certificate(*args)
+        got = _kernel(ctx)
         want = _per_anchor_best_certificate(*args)
         assert got == want, (trial, ctx.handle.string, d)
         xs, fwd_pos, _, bwd_pos = args[:4]
         side = _sides(xs, ctx.sep_index)
         flagged = np.arange(len(xs)) if lrs else np.flatnonzero(side < 2)
-        upper = _row_bounds(*args[:7], side, flagged)
+        upper, _ = _row_bounds(*args[:7], side, flagged)
         assert np.array_equal(upper, _all_partners_row_bounds(*args[:7], side, flagged)), trial
         if not lrs:
             seen["white between partners"] += any(
@@ -732,6 +787,80 @@ def test_best_certificate_row_bounds_match_per_anchor_loop(monkeypatch):
     assert all(seen.values()), seen
 
 
+@pytest.mark.parametrize("batch", [1, 7, 64])
+def test_candidate_pass_matches_per_anchor_loop(monkeypatch, batch):
+    # small batches force several passes, so one dense row, then the
+    # candidate pass: periodic and tie-heavy texts, LCS over "!ab" (the white
+    # anchor can sit between partners) and over "abc", LRS, anchor subsets,
+    # and d from 1 to past 2n; the same pair as the per-anchor loop, every
+    # candidate block within the batch
+    monkeypatch.setattr(rlelcs.walk, "_PAIR_BATCH", batch)
+    cells = _spy_cells(monkeypatch)
+    rng = random.Random(400 + batch)
+    ran = white = 0
+    for trial in range(240):
+        lrs, subset = trial % 2 == 1, trial % 3 == 0
+        d = rng.choice([1, 2, 3, 4, 5, 8, 16, 81])
+        alphabet = b"!ab" if trial % 8 < 4 else b"abc"
+        if trial % 4 >= 2:
+            ctx = _periodic_context(rng, lrs, d, subset, alphabet)
+        else:
+            ctx = _random_context(rng, lrs, rng.randint(1, 20), d, subset, alphabet)
+        del cells[:]
+        assert _kernel(ctx) == _per_anchor_best_certificate(*_kernel_args(ctx)), trial
+        assert max(cells, default=0) <= batch
+        ran += sum(cells) > 0
+        if not lrs and sum(cells):
+            white += any(_white_between_partners(ctx, pos) for pos in (ctx.window_order[1][0],))
+    assert ran >= 50 and white >= 5, (ran, white)
+
+
+def _near_periodic_lrs(n_runs):
+    """A period-7 motif over "abc" with run lengths from random.Random(1) in 1..9,
+    repeated to n_runs runs, its middle run 3 longer."""
+    rng = random.Random(1)
+    motif = [(c, rng.randint(1, 9)) for c in "abcabac"]
+    runs = [motif[i % 7] for i in range(n_runs)]
+    c, length = runs[n_runs // 2]
+    runs[n_runs // 2] = (c, length + 3)
+    return RleString.from_pairs(runs)
+
+
+def test_near_periodic_lrs_solves_exactly(monkeypatch):
+    # periodic text keeps row bounds loose: at 512 runs every scale that
+    # builds an index takes the candidate pass, and the exhaustive full-set
+    # answer is the brute oracle's
+    s = _near_periodic_lrs(512)
+    cells = _spy_cells(monkeypatch)
+    ans, _ = _solve_case(s, None, SolverConfig())
+    assert s.n == 512 and ans.d_tilde == brute_lrs(s).length
+    assert sum(cells) > 0
+
+
+def test_candidate_pass_memory_stays_linear(monkeypatch):
+    # a full-set LRS context of 65 537 anchors over two letters: one row a
+    # pass, then a candidate pass of dozens of blocks.  The traced peak inside
+    # the kernel, given its row bounds as CollisionIndex gives them, stays
+    # within 72 bytes an anchor plus 256 a block cell: 5.8 MB here, where a
+    # sparse table over h alone (8 m log2(m) bytes) takes 8.4 MB and an
+    # m x m block 34 GB
+    s = random_rle(random.Random(0), 65_537, alphabet=b"ab", max_len=3)
+    ctx = make_context(OracleHandle(s, QueryLedger()), build_exhaustive(s, 8), None, MODEL)
+    args, bounds = _kernel_args(ctx), ctx.row_bounds
+    m = len(args[0])
+    assert m == 65_537 and bounds is not None
+    cells = _spy_cells(monkeypatch)
+    tracemalloc.start()
+    try:
+        best, _ = best_certificate(*args, ctx.tokens.tables[1], bounds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < best <= bounds[0].max()
+    assert len(cells) > 20 and max(cells) <= _PAIR_BATCH
+    assert peak < 72 * m + 256 * _PAIR_BATCH < 8 * m * math.log2(m), peak
+
+
 def _bound_case(lens, xs, orders, d, sep_index):
     """_row_bounds on hand-made (pos, h) forward and backward orders, checked against the
     all-partners oracle and against each flagged row's scored best."""
@@ -743,10 +872,14 @@ def _bound_case(lens, xs, orders, d, sep_index):
     side = _sides(xs, sep_index)
     flagged = np.arange(len(xs)) if side is None else np.flatnonzero(side < 2)
     args = (xs, fwd_pos, h_f, bwd_pos, h_b, pv, d, side, flagged)
-    upper = _row_bounds(*args)
+    upper, gain = _row_bounds(*args)
     assert np.array_equal(upper, _all_partners_row_bounds(*args)), args
     for a in flagged:
-        assert max(upper[a], 0) >= _score_rows(*args[:8], np.array([a])).max(), (args, a)
+        cert = _score_rows(*args[:8], np.array([a]))[0]
+        assert max(upper[a], 0) >= cert.max(), (args, a)
+        # every pair of the row gains at most the row's gain over its p
+        assert (cert <= _row_agreements(fwd_pos, h_f, np.array([a]))[0] + gain[a]).all()
+    assert (gain[np.setdiff1d(np.arange(len(xs)), flagged)] == 0).all()
     return upper
 
 
@@ -804,7 +937,10 @@ def _kernel_best(vertex):
     xs = np.array([x for _, x in stored], dtype=np.int64)
     fwd_pos, h_f = _ranked(vertex.fwd_order, vertex.fwd_lcp, slot)
     bwd_pos, h_b = _ranked(vertex.bwd_order, vertex.bwd_lcp, slot)
-    best, args = best_certificate(xs, fwd_pos, h_f, bwd_pos, h_b, ctx.pv, ctx.d, ctx.sep_index)
+    bwd = ctx.tokens.tables[1]
+    best, args = best_certificate(
+        xs, fwd_pos, h_f, bwd_pos, h_b, ctx.pv, ctx.d, ctx.sep_index, bwd
+    )
     if args is None:
         return best, None
     a, b = args
@@ -1428,7 +1564,7 @@ def test_certificates_never_rise_as_scale_falls():
     for s, sep in cases:
         contexts = _scale_contexts(s, sep)
         tables = [_pair_table(*_kernel_args(ctx)) for ctx in contexts]
-        bests = [best_certificate(*_kernel_args(ctx))[0] for ctx in contexts]
+        bests = [_kernel(ctx)[0] for ctx in contexts]
         for ctx, wide, narrow in zip(contexts[1:], tables, tables[1:]):
             assert (narrow <= wide).all(), (s, sep, ctx.d)
             falls += int((narrow < wide).sum())
@@ -1716,7 +1852,7 @@ def test_inner_search_row_bounds_rule_out_only_longer_probes():
                 ctx = make_context(hs, build_exhaustive(s, d), sep, MODEL, tokens)
                 if ctx.row_bounds is None:
                     continue  # the kernel's rows take one pass: it has no bounds
-                bound, fresh, cache = int(ctx.row_bounds.max()), CollisionIndex(ctx), {}
+                bound, fresh, cache = int(ctx.row_bounds[0].max()), CollisionIndex(ctx), {}
                 above = search(ctx, bound + 1, cache)
                 assert above == (None, search(ctx, bound + 1, None)[1]), (s, d)
                 assert type(cache[d]) is _ScaleBound and cache[d].best == bound
