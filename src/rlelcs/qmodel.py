@@ -4,8 +4,8 @@ Every primitive runs an ordinary deterministic procedure but charges the
 idealized quantum cost to a :class:`QueryLedger`.  Success probabilities are
 1 classically; the log factors of probability boosting are folded into the
 cost model's constants.  Charges never depend on where (or whether) a
-satisfying element lies, only on the search-space size, and the walk driver
-charges only the formulas its hooks declare.
+satisfying element lies, only on the search-space size, and a walk search
+charges :func:`walk_search_charge` of its declared costs.
 """
 
 from __future__ import annotations
@@ -178,13 +178,17 @@ class WalkMode(str, Enum):
     COSTONLY = "costonly"
 
 
+def walk_search_charge(s: float, u: float, c: float, r: int, delta_bound: float) -> float:
+    """A walk search's charge from its declared setup, update and check costs s, u and c."""
+    return s + (1.0 / math.sqrt(delta_bound)) * (math.sqrt(r) * u + c)
+
+
 @dataclass
 class WalkHooks:
     """Vertex-state operations for the walk driver, with their declared charges.
 
-    The charges are per call (one setup, one update per swap, one check per
-    round) and are the only charge source in every mode; the no-execution
-    mode needs no operations.
+    walk_search charges only these per-call costs (one setup, one update per
+    swap, one check per round); the cost-only mode needs no operations.
     """
 
     setup_cost: float
@@ -206,12 +210,12 @@ def walk_search(
     model: CostModel,
     rng=None,
 ) -> Any | None:
-    """Walk-search driver over r-subsets of an m-element set.
+    """Walk-search driver over r-subsets of an m-element set: the random walk or cost-only.
 
-    Every mode charges ``s + (1/sqrt(delta)) * (sqrt(r) * u + c)`` from the
-    hooks' declared costs, then runs the hooks if the mode executes them.
-    Returns a marked-vertex report if any check reports one; always returns
-    None when nothing is marked.
+    Both charge walk_search_charge of the hooks' declared costs; the random
+    walk then runs the hooks and returns a check's marked-vertex report, or
+    None when nothing is marked.  The full-set mode is walk.inner_search's
+    own, from its scale's index; here it is rejected before any charge.
 
     The random walk takes a ``random.Random`` (``Random(0)`` if none is
     given).  It samples its subset with ``rng.sample``; each swap then draws
@@ -220,70 +224,63 @@ def walk_search(
     rule, so the draws and the RNG state after a search are those two calls'.
 
     A setup that returns None declares that no vertex is marked.  The
-    full-set mode then returns None without a check; the random walk makes
-    the draws of a walk that never reports (its subset, then each swap's
-    positions) and returns None, calling no update and no check.
+    random walk then makes the draws of a walk that never reports (its
+    subset, then each swap's positions) and returns None, calling no update
+    and no check.
     """
+    if mode is not WalkMode.RANDOMWALK and mode is not WalkMode.COSTONLY:
+        raise ValueError(f"walk_search drives the random walk and cost-only mode, not {mode!r}")
     if not 1 <= r <= m:
         raise ValueError(f"need 1 <= r <= m, got r={r} m={m}")
     if not 0 < delta_bound <= 1:
         raise ValueError("delta_bound must be in (0, 1]")
-    if mode is not WalkMode.COSTONLY and (hooks.setup is None or hooks.check is None):
-        raise ValueError("executed modes need setup and check hooks")
-    if mode is WalkMode.RANDOMWALK and hooks.update is None:
-        raise ValueError("random-walk mode needs an update hook")
+    if mode is WalkMode.RANDOMWALK and None in (hooks.setup, hooks.update, hooks.check):
+        raise ValueError("random-walk mode needs setup, update and check hooks")
 
     s, u, c = hooks.setup_cost, hooks.update_cost, hooks.check_cost
-    ledger.charge(s + (1.0 / math.sqrt(delta_bound)) * (math.sqrt(r) * u + c))
+    ledger.charge(walk_search_charge(s, u, c, r, delta_bound))
 
     if mode is WalkMode.COSTONLY:
         return None
 
-    if mode is WalkMode.FULLSET:
-        state = hooks.setup(range(1, m + 1))
+    rng = rng if rng is not None else random.Random(0)
+    # a swap removes the id at the drawn position, so inside is kept sorted by id
+    inside = sorted(rng.sample(range(1, m + 1), r))
+    outside = sorted(set(range(1, m + 1)).difference(inside))
+    state = hooks.setup(tuple(inside))
+    budget = int(
+        model.step_budget_factor * math.ceil(m / r) * math.ceil(1.0 / math.sqrt(delta_bound))
+    )
+    swaps = ceil_sqrt(r)
+    n_out = len(outside)
+    # with r = m the full set is the only vertex: one check decides
+    if not n_out:
         return None if state is None else hooks.check(state)
-
-    if mode is WalkMode.RANDOMWALK:
-        rng = rng if rng is not None else random.Random(0)
-        # a swap removes the id at the drawn position, so inside is kept sorted by id
-        inside = sorted(rng.sample(range(1, m + 1), r))
-        outside = sorted(set(range(1, m + 1)).difference(inside))
-        state = hooks.setup(tuple(inside))
-        budget = int(
-            model.step_budget_factor * math.ceil(m / r) * math.ceil(1.0 / math.sqrt(delta_bound))
-        )
-        swaps = ceil_sqrt(r)
-        n_out = len(outside)
-        # with r = m the full set is the only vertex: one check decides
-        if not n_out:
-            return None if state is None else hooks.check(state)
-        # randrange(n_out), then choice(inside), inline: both are Random._randbelow(n),
-        # which redraws getrandbits(n.bit_length()) until the draw is below n
-        bits, k_out, k_in = rng.getrandbits, n_out.bit_length(), r.bit_length()
-        if state is None:
-            # nothing is marked: the draws are all that remain
-            for _ in range(max(1, budget) * swaps):
-                while bits(k_out) >= n_out:
-                    pass
-                while bits(k_in) >= r:
-                    pass
-            return None
-        for _ in range(max(1, budget)):
-            report = hooks.check(state)
-            if report is not None:
-                return report
-            for _ in range(swaps):
-                out_pos = bits(k_out)
-                while out_pos >= n_out:
-                    out_pos = bits(k_out)
-                in_pos = bits(k_in)
-                while in_pos >= r:
-                    in_pos = bits(k_in)
-                removed, added = inside[in_pos], outside[out_pos]
-                hooks.update(state, removed, added)
-                del inside[in_pos]
-                insort(inside, added)
-                outside[out_pos] = removed
+    # randrange(n_out), then choice(inside), inline: both are Random._randbelow(n),
+    # which redraws getrandbits(n.bit_length()) until the draw is below n
+    bits, k_out, k_in = rng.getrandbits, n_out.bit_length(), r.bit_length()
+    if state is None:
+        # nothing is marked: the draws are all that remain
+        for _ in range(max(1, budget) * swaps):
+            while bits(k_out) >= n_out:
+                pass
+            while bits(k_in) >= r:
+                pass
         return None
-
-    raise ValueError(f"unknown mode {mode!r}")
+    for _ in range(max(1, budget)):
+        report = hooks.check(state)
+        if report is not None:
+            return report
+        for _ in range(swaps):
+            out_pos = bits(k_out)
+            while out_pos >= n_out:
+                out_pos = bits(k_out)
+            in_pos = bits(k_in)
+            while in_pos >= r:
+                in_pos = bits(k_in)
+            removed, added = inside[in_pos], outside[out_pos]
+            hooks.update(state, removed, added)
+            del inside[in_pos]
+            insort(inside, added)
+            outside[out_pos] = removed
+    return None

@@ -7,8 +7,9 @@ chosen anchor ids, and a check reads the stored anchors' block of the
 scale's pair table, as the declared Grover check models.  Its orders, by id
 and by rank in the order of the text read forward from each anchor and of
 the text read backward into it, with adjacent decoded-common-prefix lengths,
-are views built on read from the scale's window order.  Every mode charges
-the declared formulas below, whether it executes or not.
+are views built on read from the scale's window order.  Every search charges
+the declared formulas below once, executed or not; a full-set search charges
+its scale's cached amount and reads its scale's index, so it skips the driver.
 
 A candidate pair certifies a target length t via two agreement conditions
 anchored at the pair's run ends: the backward windows agree for at least L
@@ -64,6 +65,7 @@ from .qmodel import (
     ceil_sqrt,
     grover_search,  # not called here; perfbench/tracer.py patches rlelcs.walk.grover_search
     walk_search,
+    walk_search_charge,
 )
 from .rle import (
     RleString,
@@ -376,6 +378,13 @@ class _WalkContext:
         xs, (fwd_pos, h_f), (bwd_pos, h_b) = self.window_order
         return _pair_table(xs, fwd_pos, h_f, bwd_pos, h_b, self.pv, self.d, self.sep_index)
 
+    @cached_property
+    def fullset_charge(self) -> float:
+        """A full-set search's charge here: the walk formula over all m anchors, no swap."""
+        model, d, m = self.model, self.d, self.anchors.m
+        setup, check = setup_charge(model, d, m), check_charge(model, d, m)
+        return walk_search_charge(setup, 0.0, check, m, (subset_size(model, m) / m) ** 2)
+
     def charges(self, r: int) -> tuple[float, float, float]:
         """Declared (setup, update, check) charges of a walk search over r-subsets here."""
         if r not in self._charges:
@@ -535,11 +544,12 @@ def _row_agreements(pos: np.ndarray, h: np.ndarray, rows: np.ndarray) -> np.ndar
     row's own column reads _SELF.
     """
     right_side = np.arange(len(h)) >= pos[rows][:, None]
-    right = np.minimum.accumulate(np.where(right_side, h, _SELF), axis=1)
-    left = np.minimum.accumulate(np.where(right_side, _SELF, h)[:, ::-1], axis=1)[:, ::-1]
-    # rank s above the row's rank reads right[s - 1], rank s below it left[s]
-    pad = np.full((len(rows), 1), _SELF)
-    by_rank = np.minimum(np.hstack((pad, right)), np.hstack((left, pad)))
+    # by rank, in place: rank s above the row's reads right[s - 1], below it left[s]
+    by_rank = np.full((len(rows), len(h) + 1), _SELF)
+    np.minimum.accumulate(np.where(right_side, h, _SELF), axis=1, out=by_rank[:, 1:])
+    left = np.where(right_side, _SELF, h)[:, ::-1]
+    np.minimum.accumulate(left, axis=1, out=left)
+    np.minimum(by_rank[:, :-1], left[:, ::-1], out=by_rank[:, :-1])
     return by_rank[:, pos]
 
 
@@ -879,11 +889,12 @@ def inner_search(
     are counted.  A hit is the (flagged, partner) runs of the best pair it
     finds.
 
-    The full-set mode decides the existence question exactly; the random
-    walk samples subsets up to a step budget; the cost-only mode charges
-    the search without executing it.  The random walk and the cost-only
-    mode declare the same setup, update and check charges, so both add the
-    same amount to the ledger.
+    The full-set mode decides the existence question exactly from its
+    scale's cached state, without the walk driver, and makes one charge:
+    the walk formula over all m anchors (_WalkContext.fullset_charge).  The
+    random walk (walk_search) samples subsets up to a step budget; the
+    cost-only mode charges it without executing it.  Both declare the same
+    setup, update and check charges, so both add the same amount.
 
     ``index_cache`` holds one solve's scale bests by scale: the full-set
     mode's indexes, or the largest row bound of a full-set scale that builds
@@ -893,16 +904,12 @@ def inner_search(
     over the same anchors never raises a certificate (see CollisionIndex).
     A full-set scale also builds no index while its row bounds are all below
     d_tilde, and a later probe they admit builds it.  The random walk also
-    builds no vertex when its own table's maximum is below d_tilde.  Either
-    way its setup returns None, so the walk only makes its draws.  Otherwise
-    each check reads the stored anchors' block of the table
-    (WalkVertex.check), and the walk stops at its first hit.  Charges are
-    those of a scale that builds.
+    builds no vertex when its own table's maximum is below d_tilde: its setup
+    returns None, so the walk only makes its draws.  Otherwise each check
+    reads the stored anchors' block of the table (WalkVertex.check), and the
+    walk stops at its first hit.  Charges are those of a scale that builds.
     """
-    m, model, ledger = ctx.anchors.m, ctx.model, ctx.handle.ledger
-    r = subset_size(model, m)
-    d = ctx.d
-    delta = (r / m) ** 2
+    d, ledger = ctx.d, ctx.handle.ledger
     bests = {} if index_cache is None else index_cache
 
     if mode is WalkMode.FULLSET:
@@ -910,16 +917,12 @@ def inner_search(
         if not isinstance(index, CollisionIndex) and _ceiling(bests, ctx) >= d_tilde:
             bound = _scale_bound(ctx)
             index = bests[d] = CollisionIndex(ctx) if bound >= d_tilde else _ScaleBound(ctx, bound)
-        setup_cost, _, check_cost = ctx.charges(m)
-        hooks = WalkHooks(
-            setup_cost=setup_cost,
-            update_cost=0.0,
-            check_cost=check_cost,
-            setup=lambda subset: index if isinstance(index, CollisionIndex) else None,
-            check=lambda state: state.query(d_tilde),
-        )
-        return walk_search(m, m, delta, hooks, mode=mode, ledger=ledger, model=model)
+        ledger.charge(ctx.fullset_charge)
+        return index.query(d_tilde) if isinstance(index, CollisionIndex) else None
 
+    m, model = ctx.anchors.m, ctx.model
+    r = subset_size(model, m)
+    delta = (r / m) ** 2
     setup_cost, update_cost, check_cost = ctx.charges(r)
     hooks = WalkHooks(setup_cost=setup_cost, update_cost=update_cost, check_cost=check_cost)
     if mode is WalkMode.RANDOMWALK:

@@ -12,6 +12,7 @@ from rlelcs.qmodel import (
     grover_search,
     make_handles,
     walk_search,
+    walk_search_charge,
 )
 from rlelcs.rle import RleString, encode
 
@@ -178,8 +179,9 @@ def test_walk_search_costonly_formula():
     )
     assert out is None
     assert ledger.charged_cost == pytest.approx(22.0)
-    # executing modes charge the same declared formula, hit or miss
-    for mode in WalkMode:
+    assert ledger.charged_cost == walk_search_charge(8, 2, 3, 4, 0.25)
+    # the random walk charges the same declared formula, hit or miss
+    for mode in (WalkMode.COSTONLY, WalkMode.RANDOMWALK):
         for marked in (set(), {3}):
             ledger = QueryLedger()
             walk_search(
@@ -195,26 +197,14 @@ def test_walk_search_rejects_bad_parameters():
         walk_search(4, 5, 0.5, WalkHooks(0, 0, 0), mode=WalkMode.COSTONLY, **args)
     with pytest.raises(ValueError):
         walk_search(4, 2, 0.5, WalkHooks(0, 0, 0), mode=WalkMode.FULLSET, **args)
+    # the full-set search is walk.inner_search's own, with or without hooks
+    with pytest.raises(ValueError):
+        walk_search(4, 4, 1.0, _marking_hooks({1}), mode=WalkMode.FULLSET, **args)
     hooks = _marking_hooks(set())
     hooks.update = None
     with pytest.raises(ValueError):
         walk_search(4, 2, 0.5, hooks, mode=WalkMode.RANDOMWALK, **args)
     assert args["ledger"].charged_cost == 0
-
-
-def test_walk_search_fullset_complete_and_sound():
-    # cross-check against exhaustive predicate evaluation at small m
-    for m in (1, 3, 8, 64):
-        for marked in (set(), {1}, {m}, {2, 5} & set(range(1, m + 1))):
-            hooks = _marking_hooks(marked)
-            ledger = QueryLedger()
-            report = walk_search(
-                m, max(1, m // 2), 0.5, hooks, mode=WalkMode.FULLSET, ledger=ledger, model=CostModel()
-            )
-            if marked:
-                assert report == sorted(marked)
-            else:
-                assert report is None
 
 
 def test_walk_search_randomwalk_modes():
@@ -401,19 +391,6 @@ def test_walk_search_swaps_match_oracle_at_power_of_two_sizes(r):
                     assert [x for x in seen if x != "check"] == [setup_subset] + swaps, (m, r)
                     assert seen.count("check") == (1 if gap == 0 else math.ceil(m / r))
                 assert walk_rng.getstate() == oracle_rng.getstate(), (m, r, seed, unmarked)
-
-
-def test_walk_search_fullset_none_setup_skips_check():
-    # full-set mode: a setup that returns None reports None without a check,
-    # at the charge of a search that checks
-    calls = []
-    for state in (None, {1, 2}):
-        ledger = QueryLedger()
-        hooks = WalkHooks(3.0, 0.0, 2.0, setup=lambda subset: state, check=calls.append)
-        mode = WalkMode.FULLSET
-        report = walk_search(4, 4, 1.0, hooks, mode=mode, ledger=ledger, model=CostModel())
-        assert report is None and ledger.charged_cost == 5.0
-    assert calls == [{1, 2}]
 
 
 def test_make_handles_share_ledger():

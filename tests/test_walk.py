@@ -22,6 +22,7 @@ from rlelcs.qmodel import (
     WalkMode,
     make_handles,
     walk_search,
+    walk_search_charge,
 )
 from rlelcs.reference import (
     brute_lcs,
@@ -42,6 +43,7 @@ from rlelcs.rle import (
 )
 from rlelcs.walk import (
     _PAIR_BATCH,
+    _SELF,
     WALK_RUN_BOUND,
     _RunTokens,
     _ScaleBound,
@@ -861,6 +863,31 @@ def test_candidate_pass_memory_stays_linear(monkeypatch):
     assert peak < 72 * m + 256 * _PAIR_BATCH < 8 * m * math.log2(m), peak
 
 
+def test_row_agreements_fill_one_array():
+    # each row reads the minimum of h between its rank and each column's
+    # (_SELF on its own column), and one row over 20 001 anchors peaks below
+    # 32 bytes an anchor under tracemalloc: the by-rank array, one temporary
+    # and the gather, where two padded copies took 41
+    rng = np.random.default_rng(1)
+    for m in (1, 2, 3, 5, 13, 64):
+        pos, h = rng.permutation(m), rng.integers(0, 9, m - 1)
+        rows = rng.choice(m, min(m, 4), replace=False)
+        got = _row_agreements(pos, h, rows)
+        for row, a in zip(got, rows):
+            lo_hi = [sorted((pos[a], pos[b])) for b in range(m)]
+            want = [h[lo:hi].min() if lo < hi else _SELF for lo, hi in lo_hi]
+            assert row.tolist() == want, (m, a)
+    m = 20_001
+    pos, h = rng.permutation(m), rng.integers(0, 1 << 40, m - 1)
+    tracemalloc.start()
+    try:
+        _row_agreements(pos, h, np.array([m // 2]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * m, peak / m
+
+
 def _bound_case(lens, xs, orders, d, sep_index):
     """_row_bounds on hand-made (pos, h) forward and backward orders, checked against the
     all-partners oracle and against each flagged row's scored best."""
@@ -1471,6 +1498,13 @@ def test_inner_search_planted_hit_and_miss():
     assert miss is None
 
 
+def _fullset_charge(ctx):
+    """What a full-set search adds to the ledger: the walk formula over all m anchors."""
+    model, d, m = ctx.model, ctx.d, ctx.anchors.m
+    delta = (subset_size(model, m) / m) ** 2
+    return walk_search_charge(setup_charge(model, d, m), 0.0, check_charge(model, d, m), m, delta)
+
+
 def test_inner_search_charge_identity():
     # the ledger delta matches the walk formula instantiation exactly
     inst = plant_instance(20, 5, 12, 4)
@@ -1491,9 +1525,132 @@ def test_inner_search_charge_identity():
             # the walk declares the cost-only triple, so both charge walk_charge
             assert delta == walk_charge(MODEL, 8, r, m, (r / m) ** 2)
         else:
+            # the walk formula over all m anchors with no swap: setup + (m / r) check
+            assert delta == _fullset_charge(ctx)
             expected = setup_charge(MODEL, 8, m) + (m / r) * check_charge(MODEL, 8, m)
             assert delta == pytest.approx(expected)
     assert deltas[WalkMode.RANDOMWALK] == deltas[WalkMode.COSTONLY]
+
+
+def _fullset_scales(monkeypatch):
+    """Scales 16 and 8 over one planted A $ B's exhaustive anchors, with row bounds."""
+    monkeypatch.setattr(rlelcs.walk, "_PAIR_BATCH", 7)  # the kernel's rows take many passes
+    inst = plant_instance(40, 6, 18, 2)
+    s, sep = concat_sep(inst.a, inst.b)
+    hs = OracleHandle(s, QueryLedger())
+    tokens = _RunTokens(hs)
+    wide, narrow = (make_context(hs, build_exhaustive(s, d), sep, MODEL, tokens) for d in (16, 8))
+    assert wide.row_bounds is not None
+    return wide, narrow
+
+
+def _charged_search(ctx, d_tilde, index_cache):
+    """A full-set search's hit and charge, the charge read from zero, exactly."""
+    ledger = ctx.handle.ledger
+    ledger.charged_cost = 0.0
+    hit = inner_search(ctx, d_tilde, mode=WalkMode.FULLSET, index_cache=index_cache)
+    return hit, ledger.charged_cost
+
+
+def test_inner_search_fullset_charges_its_scale_amount_in_every_state(monkeypatch):
+    # whatever its scale holds, a full-set search adds exactly the walk formula
+    # over all m anchors: a row bound short of the probe (_ScaleBound), a larger
+    # scale's best that rules the scale out, an index that hits, one that misses
+    wide, narrow = _fullset_scales(monkeypatch)
+    cache = {}
+    bound = int(wide.row_bounds[0].max())
+    assert _charged_search(wide, bound + 1, cache) == (None, _fullset_charge(wide))
+    assert isinstance(cache[16], _ScaleBound) and cache[16].best == bound
+    assert _charged_search(narrow, bound + 1, cache) == (None, _fullset_charge(narrow))
+    assert list(cache) == [16]
+    hit, charge = _charged_search(wide, 1, cache)
+    index = cache[16]
+    assert isinstance(index, CollisionIndex) and hit == index.query(1) is not None
+    assert charge == _fullset_charge(wide)
+    assert _charged_search(wide, index.best + 1, cache) == (None, _fullset_charge(wide))
+    assert cache[16] is index and _fullset_charge(wide) != _fullset_charge(narrow)
+
+
+def test_inner_search_fullset_scale_without_index_charges_as_one_with(monkeypatch):
+    # a full-set scale that builds no index, by its row bounds or by a larger
+    # scale's best, reports None at the charge of a search that builds its
+    # index and reads it
+    builds, init = [], CollisionIndex.__init__
+
+    def spy_init(index, ctx):
+        builds.append(ctx)
+        init(index, ctx)
+
+    monkeypatch.setattr(CollisionIndex, "__init__", spy_init)
+    wide, narrow = _fullset_scales(monkeypatch)
+    cache = {}
+    bound = int(wide.row_bounds[0].max())
+    skipped = [_charged_search(wide, bound + 1, cache), _charged_search(narrow, bound + 1, cache)]
+    assert builds == [] and [hit for hit, _ in skipped] == [None, None]
+    built = [_charged_search(wide, 1, None), _charged_search(narrow, 1, None)]
+    assert len(builds) == 2 and None not in [hit for hit, _ in built]
+    assert [charge for _, charge in skipped] == [charge for _, charge in built]
+
+
+@pytest.mark.parametrize("batch", [7, 4096])
+def test_inner_search_fullset_hits_exactly_when_the_scale_best_reaches_the_target(
+    monkeypatch, batch
+):
+    # at every scale of a planted A $ B and of A alone, a full-set search hits
+    # exactly when the scale's pair table (every pair scored densely) holds a
+    # certificate at its target, and its hit is such a pair; each probe runs
+    # on a fresh cache and on one shared cache, so both fresh and cached states
+    # answer it
+    monkeypatch.setattr(rlelcs.walk, "_PAIR_BATCH", batch)
+    inst = plant_instance(40, 6, 18, 2)
+    joined, sep = concat_sep(inst.a, inst.b)
+    for s, sep_index in ((joined, sep), (inst.a, None)):
+        hs = OracleHandle(s, QueryLedger())
+        tokens, cache = _RunTokens(hs), {}
+        for d in _d_values(s.n, MODEL.d_min):
+            ctx = make_context(hs, build_exhaustive(s, d), sep_index, MODEL, tokens)
+            table = _pair_table(*_kernel_args(ctx))
+            runs = list(ctx.window_order[0])
+            best = int(table.max())
+            for d_tilde in sorted({1, best // 2, best - 1, best, best + 1, best + 7} - {0}):
+                for index_cache in (None, cache):
+                    hit = inner_search(ctx, d_tilde, mode=WalkMode.FULLSET, index_cache=index_cache)
+                    assert (hit is not None) == (best >= d_tilde), (d, d_tilde)
+                    if hit is not None:
+                        a, b = (runs.index(x) for x in hit)
+                        assert table[a, b] >= d_tilde, (d, d_tilde, hit)
+
+
+def test_fullset_solves_skip_the_walk_driver(monkeypatch):
+    # full-set LCS and LRS solves, with either anchor scheme, never call
+    # walk_search, and each inner_search call charges the ledger exactly once
+    driven, per_search, inside = [], [], []
+    search, charge = rlelcs.walk.inner_search, QueryLedger.charge
+
+    def spy_search(*args, **kwargs):
+        inside.append(0)
+        try:
+            return search(*args, **kwargs)
+        finally:
+            per_search.append(inside.pop())
+
+    def spy_charge(ledger, amount):
+        if inside:
+            inside[-1] += 1
+        charge(ledger, amount)
+
+    monkeypatch.setattr(rlelcs.walk, "walk_search", lambda *args, **kwargs: driven.append(args))
+    monkeypatch.setattr(rlelcs.walk, "inner_search", spy_search)
+    monkeypatch.setattr(QueryLedger, "charge", spy_charge)
+    inst = plant_instance(64, 8, 24, 1)
+    joined, _ = concat_sep(inst.a, inst.b)
+    for scheme in AnchorScheme:
+        config = SolverConfig(anchors=scheme, seed=1)
+        ha, hb, _ = make_handles(inst.a, inst.b)
+        assert solve_lcs_rle_p(ha, hb, config).d_tilde >= inst.d_tilde
+        ha, _, _ = make_handles(joined, encode(b""))
+        assert solve_lrs(ha, config).d_tilde >= inst.d_tilde
+    assert driven == [] and len(per_search) > 20 and set(per_search) == {1}
 
 
 def test_inner_search_randomwalk_mode():
