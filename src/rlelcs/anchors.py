@@ -4,22 +4,26 @@ An anchor set for target encoded length d must hit every common substring
 of at least d runs at some common shift on both sides of the separator.
 Two schemes: EXHAUSTIVE takes every run index (always valid, size n);
 MINIMIZER selects window minima of a seeded run-content hash, so equal
-run blocks select aligned interior positions on both occurrences.
+run blocks select aligned interior positions on both occurrences.  The
+hashes of every span a solve's scales use come from one pass over run
+arrays (hash_spans), made by its first minimizer build and shared by the
+rest (SpanOrders); the solver passes the arrays of its one counted run
+read, or in cost-only mode, which reads no run, the string's own runs.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-import struct
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from itertools import chain
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .rle import RleString
+from .rle import RleString, Run
 
 
 class AnchorScheme(str, Enum):
@@ -61,17 +65,72 @@ def build_exhaustive(s: RleString, d: int = 1) -> AnchorSet:
     return AnchorSet(range(1, s.n + 1), d, AnchorScheme.EXHAUSTIVE)
 
 
-def _span_hashes(s: RleString, span: int, seed: int) -> np.ndarray:
-    """Seeded hash of the run tuple starting at each position (clamped), as uint64."""
-    body = memoryview(struct.pack("<" + "Bq" * s.n, *chain.from_iterable(s.runs)))  # 9 bytes a run
-    seeded = hashlib.blake2b(struct.pack("<Q", seed & 0xFFFFFFFFFFFFFFFF), digest_size=8)
+_RUN = np.dtype([("char", "u1"), ("length", "<i8")])  # packed: struct's "<Bq", 9 bytes a run
 
-    def digest(i: int) -> bytes:  # blake2b(seed + runs i .. i + span - 1)
-        h = seeded.copy()
-        h.update(body[9 * i : 9 * (i + span)])
-        return h.digest()
 
-    return np.frombuffer(b"".join(map(digest, range(s.n))), dtype="<u8")
+def run_arrays(runs: Sequence[Run]) -> tuple[np.ndarray, np.ndarray]:
+    """Run chars and lengths as contiguous int64 arrays."""
+    flat = np.fromiter(chain.from_iterable(runs), np.int64, count=2 * len(runs))
+    chars, lens = flat.reshape(-1, 2).T.copy()
+    return chars, lens
+
+
+def hash_spans(
+    chars: np.ndarray, lens: np.ndarray, spans: Iterable[int], seed: int
+) -> dict[int, np.ndarray]:
+    """Seeded hash of the runs starting at each position, for each span, as uint64.
+
+    Span k hashes position i as blake2b(seed + runs i .. i + k - 1), clamped
+    at the end.  One pass: the runs are packed once into 9-byte records, and
+    each position copies one seeded state and feeds it its runs in
+    span-ascending increments, reading each span's digest on the way
+    (blake2b streams, and digest() does not finalize).
+    """
+    spans = sorted(set(spans))
+    runs = np.empty(len(chars), _RUN)
+    runs["char"], runs["length"] = chars, lens
+    body = memoryview(runs.tobytes())
+    seeded = hashlib.blake2b((seed & 0xFFFF_FFFF_FFFF_FFFF).to_bytes(8, "little"), digest_size=8)
+    ends = [_RUN.itemsize * span for span in spans]
+    out = bytearray()
+    for i in range(0, len(body), _RUN.itemsize):
+        h, lo = seeded.copy(), i
+        for end in ends:
+            h.update(body[lo : i + end])
+            out += h.digest()
+            lo = i + end
+    table = np.frombuffer(out, dtype="<u8").reshape(-1, len(spans))
+    return {span: table[:, k] for k, span in enumerate(spans)}
+
+
+@dataclass
+class SpanOrders:
+    """One string's positions argsorted by seeded hash, for each of a set of spans.
+
+    The first read hashes every span in one pass (hash_spans) over the run
+    arrays ``runs`` returns; the scales of one solve share the result.
+    """
+
+    runs: Callable[[], tuple[np.ndarray, np.ndarray]]
+    spans: frozenset[int]
+    seed: int
+
+    @cached_property
+    def by_span(self) -> dict[int, np.ndarray]:
+        hashes = hash_spans(*self.runs(), self.spans, self.seed)
+        return {span: np.argsort(h, kind="stable") for span, h in hashes.items()}
+
+
+def _window(d: int) -> tuple[int, int]:
+    """Scale d's window width w = ceil(d/2) and its hashed span min(8, w//2), at least 1."""
+    w = math.ceil(d / 2)
+    return w, min(8, max(1, w // 2))
+
+
+def minimizer_spans(n: int, ds: Iterable[int], d_min: int) -> frozenset[int]:
+    """The spans build_minimizer hashes for a string of n runs at the scales ds."""
+    windows = map(_window, (d for d in ds if d >= d_min))
+    return frozenset(span for w, span in windows if w <= n)
 
 
 def build_minimizer(
@@ -80,7 +139,7 @@ def build_minimizer(
     seed: int,
     *,
     d_min: int,
-    span_hashes: Optional[dict[int, np.ndarray]] = None,
+    orders: Optional[SpanOrders] = None,
 ) -> AnchorSet:
     """Window minima of a seeded hash of short run tuples.
 
@@ -92,21 +151,21 @@ def build_minimizer(
     the same offset in both occurrences: aligned anchors.  Raises for
     d below d_min, where that argument breaks down (callers fall back to
     the exhaustive scheme there).  Calls for one string and seed may share
-    ``span_hashes``, which keeps each span's positions argsorted by hash.
+    ``orders``, which must hold this scale's span under ``seed``; without
+    it the call hashes its one span from ``s``.
     """
     if d < d_min:
         raise ValueError(f"minimizer needs d >= {d_min}, got {d}")
     if s.n < 1:
         raise ValueError("string must have at least one run")
-    w = math.ceil(d / 2)
+    w, span = _window(d)
     if s.n < w:
         return AnchorSet((1,), d, AnchorScheme.MINIMIZER)
-    span = min(8, max(1, w // 2))
-    if span_hashes is None:
-        span_hashes = {}
-    if span not in span_hashes:
-        span_hashes[span] = np.argsort(_span_hashes(s, span, seed), kind="stable")
-    order = span_hashes[span]
+    if orders is None:
+        orders = SpanOrders(lambda: run_arrays(s.runs), frozenset((span,)), seed)
+    elif span not in orders.spans or orders.seed != seed:
+        raise ValueError(f"shared orders hold no span {span} under seed {seed}")
+    order = orders.by_span[span]
     # rank by (hash, position): a window's leftmost minimum has its least rank
     win = np.empty(s.n, dtype=np.int64)
     win[order] = np.arange(s.n)

@@ -38,11 +38,14 @@ best.  A walk search with no pair at its target only makes its random draws.
 A solve reads its n runs once, by one counted bulk read, as arrays: every
 scale's window order and prefix sums, the small-run fallback (answers of
 one or two runs, below the anchor regime, found in one pass over the
-boundaries sorted by char pair and first length) and the final extension,
-two token-rank LCPs, read them.  No fallback hit is longer than the longest
-run or adjacent run pair, so the fallback runs at most once, on the first
-probe within that bound that every scale misses.  The answer's check reads
-its runs again through the handles, one counted ranged read a side.
+boundaries sorted by char pair and first length), the final extension,
+two token-rank LCPs, and minimizer anchors, which hash every span their
+scales use in one pass on the first build, read them.  A cost-only solve
+reads no run; its minimizers hash the string's runs, uncounted.  No
+fallback hit is longer than the longest run or adjacent run pair, so the
+fallback runs at most once, on the first probe within that bound that
+every scale misses.  The answer's check reads its runs again through the
+handles, one counted ranged read a side.
 """
 
 from __future__ import annotations
@@ -51,12 +54,20 @@ import math
 import random
 from dataclasses import asdict, dataclass, field
 from functools import cache, cached_property
-from itertools import chain
 from typing import Optional
 
 import numpy as np
 
-from .anchors import AnchorScheme, AnchorSet, anchor_at, build_exhaustive, build_minimizer
+from .anchors import (
+    AnchorScheme,
+    AnchorSet,
+    SpanOrders,
+    anchor_at,
+    build_exhaustive,
+    build_minimizer,
+    minimizer_spans,
+    run_arrays,
+)
 from .qmodel import (
     CostModel,
     OracleHandle,
@@ -309,8 +320,7 @@ class _RunTokens:
     @cached_property
     def runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Chars, lengths and prefix sums (prefix[0] = 0) as int64 arrays."""
-        runs = chain.from_iterable(self.handle.query_runs())
-        chars, lens = np.fromiter(runs, np.int64, count=2 * self.handle.n).reshape(-1, 2).T.copy()
+        chars, lens = run_arrays(self.handle.query_runs())
         return chars, lens, np.concatenate(([0], np.cumsum(lens)))
 
     @cached_property
@@ -330,7 +340,6 @@ class _WalkContext:
     sep_index: Optional[int]
     model: CostModel
     tokens: _RunTokens
-    _charges: dict[int, tuple[float, float, float]] = field(default_factory=dict, repr=False)
 
     @property
     def d(self) -> int:
@@ -385,16 +394,14 @@ class _WalkContext:
         setup, check = setup_charge(model, d, m), check_charge(model, d, m)
         return walk_search_charge(setup, 0.0, check, m, (subset_size(model, m) / m) ** 2)
 
-    def charges(self, r: int) -> tuple[float, float, float]:
-        """Declared (setup, update, check) charges of a walk search over r-subsets here."""
-        if r not in self._charges:
-            model, d = self.model, self.d
-            self._charges[r] = (
-                setup_charge(model, d, r),
-                update_charge(model, d),
-                check_charge(model, d, r),
-            )
-        return self._charges[r]
+    @cached_property
+    def charges(self) -> tuple[float, float, float]:
+        """Declared (setup, update, check) charges of a walk search here, over r-subsets.
+
+        r = subset_size(model, m), the subsets every walk search here draws.
+        """
+        model, d, r = self.model, self.d, subset_size(self.model, self.anchors.m)
+        return setup_charge(model, d, r), update_charge(model, d), check_charge(model, d, r)
 
 
 def make_context(
@@ -914,8 +921,10 @@ def inner_search(
 
     if mode is WalkMode.FULLSET:
         index = bests.get(d)
-        if not isinstance(index, CollisionIndex) and _ceiling(bests, ctx) >= d_tilde:
-            bound = _scale_bound(ctx)
+        # a row bound cached below d_tilde is a miss as it stands: recomputed, it is the same
+        undecided = index is None or isinstance(index, _ScaleBound) and index.best >= d_tilde
+        if undecided and _ceiling(bests, ctx) >= d_tilde:
+            bound = _scale_bound(ctx) if index is None else index.best
             index = bests[d] = CollisionIndex(ctx) if bound >= d_tilde else _ScaleBound(ctx, bound)
         ledger.charge(ctx.fullset_charge)
         return index.query(d_tilde) if isinstance(index, CollisionIndex) else None
@@ -923,7 +932,7 @@ def inner_search(
     m, model = ctx.anchors.m, ctx.model
     r = subset_size(model, m)
     delta = (r / m) ** 2
-    setup_cost, update_cost, check_cost = ctx.charges(r)
+    setup_cost, update_cost, check_cost = ctx.charges
     hooks = WalkHooks(setup_cost=setup_cost, update_cost=update_cost, check_cost=check_cost)
     if mode is WalkMode.RANDOMWALK:
 
@@ -1149,11 +1158,14 @@ def scale_anchors(
     scheme: AnchorScheme,
     seed: int,
     model: CostModel,
-    span_hashes: Optional[dict[int, np.ndarray]] = None,
+    orders: Optional[SpanOrders] = None,
 ) -> AnchorSet:
-    """Scale d's anchors: minimizers when the scheme asks and d >= d_min, else every run."""
+    """Scale d's anchors: minimizers when the scheme asks and d >= d_min, else every run.
+
+    The scales of one solve share ``orders``, which hashes every span they use.
+    """
     if scheme is AnchorScheme.MINIMIZER and d >= model.d_min:
-        return build_minimizer(s, d, seed, d_min=model.d_min, span_hashes=span_hashes)
+        return build_minimizer(s, d, seed, d_min=model.d_min, orders=orders)
     return build_exhaustive(s, d)
 
 
@@ -1204,11 +1216,13 @@ def _solve(
 
     ctx_cache: dict[int, _WalkContext] = {}
     tokens = _RunTokens(hs)
-    span_hashes: dict[int, np.ndarray] = {}
+    # minimizer spans hash the solve's one run read; cost-only solves read no run
+    runs = (lambda: run_arrays(hs.string.runs)) if cost_only else (lambda: tokens.runs[:2])
+    orders = SpanOrders(runs, minimizer_spans(hs.n, d_values, model.d_min), config.seed)
 
     def ctx_for(d: int) -> _WalkContext:
         if d not in ctx_cache:
-            anchors = scale_anchors(hs.string, d, config.anchors, config.seed, model, span_hashes)
+            anchors = scale_anchors(hs.string, d, config.anchors, config.seed, model, orders)
             ctx_cache[d] = make_context(hs, anchors, sep_index, model, tokens)
         return ctx_cache[d]
 

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 import random
@@ -9,10 +10,13 @@ import pytest
 from rlelcs.anchors import (
     AnchorScheme,
     AnchorSet,
-    _span_hashes,
+    SpanOrders,
     build_exhaustive,
     build_minimizer,
     anchor_at,
+    hash_spans,
+    minimizer_spans,
+    run_arrays,
     validate_anchor_set,
 )
 from rlelcs.qmodel import CostModel
@@ -146,23 +150,40 @@ def test_validate_minimizer_planted_instances():
 
 
 def test_minimizer_shared_span_hashes(monkeypatch):
-    # a solve's scales share one dict of position hashes: span 8 at every
-    # d >= 32 is hashed once, and the anchor sets do not change
+    # a solve's scales share one SpanOrders: the first build hashes spans 2,
+    # 4 and 8 in one pass and the rest hash nothing; the anchor sets do not
+    # change, and a span or a seed the orders do not hold raises
     import rlelcs.anchors as anchors
 
     s = encode(bytes(random.Random(5).choices(b"abcd", k=2000)))
     ds = (8, 16, 32, 64, 128, 256)
     alone = [build_minimizer(s, d, 3, d_min=D_MIN) for d in ds]
-    hashed, real = [], anchors._span_hashes
+    passes, real = [], anchors.hash_spans
 
-    def counted(s, span, seed):
-        hashed.append(span)
-        return real(s, span, seed)
+    def counted(chars, lens, spans, seed):
+        passes.append(sorted(spans))
+        return real(chars, lens, spans, seed)
 
-    monkeypatch.setattr(anchors, "_span_hashes", counted)
-    cache: dict = {}
-    assert [build_minimizer(s, d, 3, d_min=D_MIN, span_hashes=cache) for d in ds] == alone
-    assert hashed == [2, 4, 8] and sorted(cache) == [2, 4, 8]
+    monkeypatch.setattr(anchors, "hash_spans", counted)
+    orders = SpanOrders(functools.partial(run_arrays, s.runs), minimizer_spans(s.n, ds, D_MIN), 3)
+    assert orders.spans == {2, 4, 8}
+    assert [build_minimizer(s, d, 3, d_min=D_MIN, orders=orders) for d in ds] == alone
+    assert passes == [[2, 4, 8]] and sorted(orders.by_span) == [2, 4, 8]
+    with pytest.raises(ValueError):
+        build_minimizer(s, 8, 4, d_min=D_MIN, orders=orders)
+    with pytest.raises(ValueError):
+        build_minimizer(s, 8, 3, d_min=D_MIN, orders=SpanOrders(orders.runs, frozenset({4, 8}), 3))
+    assert passes == [[2, 4, 8]]
+
+
+def test_minimizer_spans_are_the_builds_spans():
+    # a scale hashes span min(8, ceil(d/2) // 2), at least 1; scales below
+    # d_min and scales whose window is longer than the string hash none
+    assert minimizer_spans(2000, (8, 16, 32, 64, 2000), D_MIN) == {2, 4, 8}
+    assert minimizer_spans(2000, (2, 3, 4, 5, 6, 7), D_MIN) == set()
+    assert minimizer_spans(9, (8, 16, 17, 18, 19), D_MIN) == {2, 4}
+    assert minimizer_spans(9, (18, 19), 1) == {4}
+    assert minimizer_spans(1, (1, 2, 3), 1) == {1}
 
 
 def _oracle_span_hashes(s, span, seed):
@@ -205,19 +226,38 @@ def _periodic(rng, p, reps):
     return RleString.from_pairs(runs * reps)
 
 
-def test_minimizer_matches_deque_oracle():
+def _assert_hashes_match_oracle(s, seed):
+    """hash_spans over every span set a solve can hash equals the per-span oracle."""
+    chars, lens = run_arrays(s.runs)
+    for spans in ({1}, {8}, {4, 8}, {2, 4, 8}, {1, 2, 4, 8}):
+        got = hash_spans(chars, lens, spans, seed)
+        assert sorted(got) == sorted(spans)
+        for span in spans:
+            assert got[span].tolist() == _oracle_span_hashes(s, span, seed), (s.n, spans, seed)
+
+
+def test_hash_spans_match_the_per_span_oracle():
+    # one pass over several spans gives each span the oracle's hashes: on
+    # random strings, on tails shorter than a span (n = 1 and n < 8), and on
+    # the packing's edges: byte 255, lengths up to the solver's decoded
+    # bound 2^62 and the seeds 0, -1 and 2^63
     rng = random.Random(23)
-    for span, n in ((1, 5), (2, 40), (4, 9), (8, 300), (8, 3)):
+    for n in (1, 2, 3, 5, 7, 8, 9, 40, 300):
         s = encode(bytes(rng.choices(b"abc", k=4 * n)))
-        assert _span_hashes(s, span, 7).tolist() == _oracle_span_hashes(s, span, 7)
-    # the packing's edges: byte 255, and lengths up to the solver's decoded bound 2^62
+        s = RleString(s.runs[:n])
+        assert s.n == n
+        _assert_hashes_match_oracle(s, 7)
     top = 1 << 62
     edge = RleString.from_pairs(
         [(255, top - 1), (0, 1), (255, rng.randrange(top // 2, top)), (254, top - 2), (255, 1)]
     )
-    for span in (1, 2, 4, 8):
-        for seed in (0, -1, 1 << 63):
-            assert _span_hashes(edge, span, seed).tolist() == _oracle_span_hashes(edge, span, seed)
+    for seed in (0, -1, 1 << 63):
+        for k in (1, 3, edge.n):
+            _assert_hashes_match_oracle(RleString(edge.runs[:k]), seed)
+
+
+def test_minimizer_matches_deque_oracle():
+    rng = random.Random(23)
     cases = []  # (string, d): ties, clamped spans, n < w, n == w, odd d
     for p in range(2, 9):
         s = _periodic(rng, p, rng.randint(8, 40))
@@ -230,13 +270,14 @@ def test_minimizer_matches_deque_oracle():
         cases += [(concat_sep(inst.a, inst.b)[0], d) for d in (8, 11, 17, 25, 33)]
     for k, (s, d) in enumerate(cases):
         assert build_minimizer(s, d, k, d_min=D_MIN) == _oracle_minimizer(s, d, k), (s.n, d)
-    # one cache across a solve's scales, every span shared with odd d
+    # one SpanOrders across a solve's scales, every span shared with odd d
     for s in (_periodic(rng, 7, 300), random_rle(rng, 2000, max_len=5)):
-        cache: dict = {}
-        for d in [2**k for k in range(3, 10)] + [9, 17, 33, 65, 129, 257, 511]:
-            got = build_minimizer(s, d, 11, d_min=D_MIN, span_hashes=cache)
+        ds = [2**k for k in range(3, 10)] + [9, 17, 33, 65, 129, 257, 511]
+        orders = SpanOrders(functools.partial(run_arrays, s.runs), minimizer_spans(s.n, ds, D_MIN), 11)
+        for d in ds:
+            got = build_minimizer(s, d, 11, d_min=D_MIN, orders=orders)
             assert got == _oracle_minimizer(s, d, 11)
-        assert sorted(cache) == [2, 4, 8]
+        assert sorted(orders.by_span) == [2, 4, 8]
 
 
 def test_minimizer_size_reported():

@@ -1571,6 +1571,29 @@ def test_inner_search_fullset_charges_its_scale_amount_in_every_state(monkeypatc
     assert cache[16] is index and _fullset_charge(wide) != _fullset_charge(narrow)
 
 
+def test_inner_search_fullset_reads_a_cached_row_bound(monkeypatch):
+    # a scale's row bound is computed once: a later probe above the cached
+    # _ScaleBound misses on it as it stands, and one it admits builds the
+    # index from it, each at the full charge
+    wide, _ = _fullset_scales(monkeypatch)
+    bounds, scale_bound = [], rlelcs.walk._scale_bound
+
+    def counted(ctx):
+        bounds.append(scale_bound(ctx))
+        return bounds[-1]
+
+    monkeypatch.setattr(rlelcs.walk, "_scale_bound", counted)
+    cache = {}
+    bound = int(wide.row_bounds[0].max())
+    for d_tilde in (bound + 1, bound + 2, bound + 1):
+        assert _charged_search(wide, d_tilde, cache) == (None, _fullset_charge(wide))
+        assert isinstance(cache[16], _ScaleBound) and cache[16].best == bound
+    assert bounds == [bound]
+    hit, charge = _charged_search(wide, 1, cache)
+    assert isinstance(cache[16], CollisionIndex) and hit is not None
+    assert charge == _fullset_charge(wide) and bounds == [bound]
+
+
 def test_inner_search_fullset_scale_without_index_charges_as_one_with(monkeypatch):
     # a full-set scale that builds no index, by its row bounds or by a larger
     # scale's best, reports None at the charge of a search that builds its
@@ -2253,20 +2276,73 @@ def test_separator_is_dollar_unless_an_input_uses_it():
 
 
 def test_solve_hashes_each_minimizer_span_once(monkeypatch):
+    # one hashing pass per solve, made inside its first minimizer build, over
+    # exactly the spans of its minimizer scales; every solve turns runs into
+    # arrays once and hashes those: executed solves their counted run read,
+    # a cost-only solve, which counts no read, the string's own runs
     import rlelcs.anchors as anchors
 
+    walk = rlelcs.walk
     inst = plant_instance(300, 40, 120, 9)
-    spans, real = [], anchors._span_hashes
+    joined, _ = concat_sep(inst.a, inst.b)
+    scales = [d for d in _d_values(joined.n, MODEL.d_min) if d >= MODEL.d_min]
+    spans = sorted({min(8, max(1, math.ceil(d / 2) // 2)) for d in scales})
+    passes, builds, converted = [], [], []
+    hash_spans, build, run_arrays = anchors.hash_spans, walk.build_minimizer, walk.run_arrays
 
-    def counted(s, span, seed):
-        spans.append(span)
-        return real(s, span, seed)
+    def counted_hash(chars, lens, spans, seed):
+        passes.append((sorted(spans), len(builds), chars))
+        return hash_spans(chars, lens, spans, seed)
 
-    monkeypatch.setattr(anchors, "_span_hashes", counted)
-    ha, hb, _ = make_handles(inst.a, inst.b)
-    ans = solve_lcs_rle_p(ha, hb, SolverConfig(anchors=AnchorScheme.MINIMIZER))
-    assert ans.d_tilde == brute_lcs(inst.a, inst.b).length
-    assert len(spans) == len(set(spans)) and 8 in spans
+    def counted_build(s, d, *args, **kwargs):
+        anchor_set = build(s, d, *args, **kwargs)
+        builds.append(d)
+        return anchor_set
+
+    def counted_arrays(runs):
+        converted.append(run_arrays(runs))
+        return converted[-1]
+
+    monkeypatch.setattr(anchors, "hash_spans", counted_hash)
+    monkeypatch.setattr(walk, "build_minimizer", counted_build)
+    monkeypatch.setattr(walk, "run_arrays", counted_arrays)
+    length = brute_lcs(inst.a, inst.b).length
+    for mode in WalkMode:
+        passes.clear(), builds.clear(), converted.clear()
+        ha, hb, ledger = make_handles(inst.a, inst.b)
+        ans = solve_lcs_rle_p(ha, hb, SolverConfig(mode=mode, anchors=AnchorScheme.MINIMIZER))
+        assert spans == [2, 4, 8] and len(builds) > 1, mode
+        assert [p[:2] for p in passes] == [(spans, 0)] and len(converted) == 1, mode
+        assert passes[0][2] is converted[0][0], mode
+        if mode is WalkMode.COSTONLY:
+            assert ans is None and ledger.run_queries == 0
+        else:
+            assert ans.d_tilde == length and ledger.run_queries >= joined.n, mode
+
+
+@pytest.mark.parametrize("mode", [WalkMode.FULLSET, WalkMode.RANDOMWALK])
+def test_solve_minimizer_anchors_equal_the_joined_strings(monkeypatch, mode):
+    # at every scale a planted minimizer solve builds, LCS and LRS, its
+    # anchors, hashed in one pass from its run read, equal build_minimizer's
+    # on the joined string alone
+    built, build = {}, rlelcs.walk.build_minimizer
+
+    def recording(s, d, *args, **kwargs):
+        built[d] = build(s, d, *args, **kwargs)
+        return built[d]
+
+    monkeypatch.setattr(rlelcs.walk, "build_minimizer", recording)
+    for seed in range(3):
+        inst = plant_instance(150, 30, 90, seed)
+        joined, _ = concat_sep(inst.a, inst.b)
+        for solve, strings in ((solve_lcs_rle_p, (inst.a, inst.b)), (solve_lrs, (joined,))):
+            built.clear()
+            ha, hb, _ = make_handles(strings[0], strings[-1])
+            config = SolverConfig(mode=mode, anchors=AnchorScheme.MINIMIZER, seed=seed)
+            assert solve(*(ha, hb)[: len(strings)], config) is not None
+            assert len(built) > 1, (seed, solve.__name__)
+            for d, anchors in built.items():
+                assert anchors == build_minimizer(joined, d, seed, d_min=MODEL.d_min), (seed, d)
 
 
 def test_solve_lrs_examples_and_random():
