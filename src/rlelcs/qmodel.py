@@ -1,11 +1,13 @@
 """Query-counted oracle access and classically-executed search primitives.
 
-Every primitive runs an ordinary deterministic procedure but charges the
-idealized quantum cost to a :class:`QueryLedger`.  Success probabilities are
+A handle counts its oracle reads on a :class:`QueryLedger`; charges go to
+the same ledger at their idealized quantum cost.  Success probabilities are
 1 classically; the log factors of probability boosting are folded into the
 cost model's constants.  Charges never depend on where (or whether) a
-satisfying element lies, only on the search-space size, and a walk search
-charges :func:`walk_search_charge` of its declared costs.
+satisfying element lies, only on the search-space size.  A walk search's
+charge is :func:`walk_search_charge` of its declared costs, which
+``walk.inner_search`` adds once per search; :func:`walk_search` only runs
+the random walk and charges nothing.
 """
 
 from __future__ import annotations
@@ -185,18 +187,11 @@ def walk_search_charge(s: float, u: float, c: float, r: int, delta_bound: float)
 
 @dataclass
 class WalkHooks:
-    """Vertex-state operations for the walk driver, with their declared charges.
+    """The walk driver's vertex operations: one setup, one update a swap, one check a round."""
 
-    walk_search charges only these per-call costs (one setup, one update per
-    swap, one check per round); the cost-only mode needs no operations.
-    """
-
-    setup_cost: float
-    update_cost: float
-    check_cost: float
-    setup: Callable[[Sequence[int]], Any] | None = None
-    update: Callable[[Any, int, int], None] | None = None
-    check: Callable[[Any], Any | None] | None = None
+    setup: Callable[[Sequence[int]], Any]
+    update: Callable[[Any, int, int], None]
+    check: Callable[[Any], Any | None]
 
 
 def walk_search(
@@ -205,43 +200,29 @@ def walk_search(
     delta_bound: float,
     hooks: WalkHooks,
     *,
-    mode: WalkMode,
-    ledger: QueryLedger,
     model: CostModel,
     rng=None,
 ) -> Any | None:
-    """Walk-search driver over r-subsets of an m-element set: the random walk or cost-only.
+    """The random walk over r-subsets of an m-element set, driving the hooks.
 
-    Both charge walk_search_charge of the hooks' declared costs; the random
-    walk then runs the hooks and returns a check's marked-vertex report, or
-    None when nothing is marked.  The full-set mode is walk.inner_search's
-    own, from its scale's index; here it is rejected before any charge.
+    Returns a check's marked-vertex report, or None when nothing is marked.
+    It charges nothing: walk.inner_search charges each search's declared
+    amount itself, walked or not.
 
-    The random walk takes a ``random.Random`` (``Random(0)`` if none is
-    given).  It samples its subset with ``rng.sample``; each swap then draws
+    The walk takes a ``random.Random`` (``Random(0)`` if none is given).  It
+    samples its subset with ``rng.sample``; each swap then draws
     ``rng.randrange(len(outside))`` and ``rng.choice(inside)``, made inline
     through ``rng.getrandbits`` with ``Random._randbelow``'s own rejection
     rule, so the draws and the RNG state after a search are those two calls'.
 
-    A setup that returns None declares that no vertex is marked.  The
-    random walk then makes the draws of a walk that never reports (its
-    subset, then each swap's positions) and returns None, calling no update
-    and no check.
+    A setup that returns None declares that no vertex is marked.  The walk
+    then makes the draws of a walk that never reports (its subset, then each
+    swap's positions) and returns None, calling no update and no check.
     """
-    if mode is not WalkMode.RANDOMWALK and mode is not WalkMode.COSTONLY:
-        raise ValueError(f"walk_search drives the random walk and cost-only mode, not {mode!r}")
     if not 1 <= r <= m:
         raise ValueError(f"need 1 <= r <= m, got r={r} m={m}")
     if not 0 < delta_bound <= 1:
         raise ValueError("delta_bound must be in (0, 1]")
-    if mode is WalkMode.RANDOMWALK and None in (hooks.setup, hooks.update, hooks.check):
-        raise ValueError("random-walk mode needs setup, update and check hooks")
-
-    s, u, c = hooks.setup_cost, hooks.update_cost, hooks.check_cost
-    ledger.charge(walk_search_charge(s, u, c, r, delta_bound))
-
-    if mode is WalkMode.COSTONLY:
-        return None
 
     rng = rng if rng is not None else random.Random(0)
     # a swap removes the id at the drawn position, so inside is kept sorted by id

@@ -48,15 +48,15 @@ class RleString:
     def __post_init__(self):
         prev = -1
         total = 0
-        for r in self.runs:
-            if not 0 <= r.char <= 255:
-                raise ValueError(f"run char outside byte range: {r.char}")
-            if r.length < 1:
-                raise ValueError(f"run length must be positive: {r!r}")
-            if r.char == prev:
+        for char, length in self.runs:
+            if type(char) is not int or not 0 <= char <= 255:
+                raise ValueError(f"run char must be an int in 0..255: {char!r}")
+            if type(length) is not int or length < 1:
+                raise ValueError(f"run length must be a positive int: {length!r}")
+            if char == prev:
                 raise ValueError("adjacent runs must have distinct chars")
-            prev = r.char
-            total += r.length
+            prev = char
+            total += length
         object.__setattr__(self, "_total", total)
 
     @classmethod

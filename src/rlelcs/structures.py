@@ -3,10 +3,11 @@
 Both structures keep a canonical representation: what they serialize to is a
 pure function of their current contents, never of the insert/delete history
 that produced them.  Neither charges the ledger: a walk is charged from the
-declared formulas in :mod:`rlelcs.walk`.  A walk vertex builds DynArrays as
-read-only views of its stored ids in the scale's window order; no solver
-path calls their mutators or the 2D counter, which stay for their tests and
-the benchmark's tracer.
+declared formulas in :mod:`rlelcs.walk`.  No solver code uses either: the
+walk vertex keeps only its stored ids (``walk.WalkVertex``).  Both stay for
+acceptance criterion 4 and the benchmark's tracer, which patches their
+methods, until that tracer stops patching names no solve calls (ROADMAP
+item 1a).
 """
 
 from __future__ import annotations
@@ -27,11 +28,9 @@ class DynArray:
 
     __slots__ = ("_items", "_keys")
 
-    def __init__(self, items=()):
-        self._items: list[tuple[int, int]] = [(int(k), int(v)) for k, v in items]
-        self._keys = {k for k, _ in self._items}
-        if len(self._keys) != len(self._items):
-            raise ValueError("duplicate keys")
+    def __init__(self):
+        self._items: list[tuple[int, int]] = []
+        self._keys: set[int] = set()
 
     def __len__(self) -> int:
         return len(self._items)

@@ -4,12 +4,14 @@ The solver nests a binary search on the decoded answer length inside a
 halving sweep over encoded window scales d.  At each scale it walks over
 r-subsets of an anchor set on the concatenation A $ B; a vertex keeps the
 chosen anchor ids, and a check reads the stored anchors' block of the
-scale's pair table, as the declared Grover check models.  Its orders, by id
-and by rank in the order of the text read forward from each anchor and of
-the text read backward into it, with adjacent decoded-common-prefix lengths,
-are views built on read from the scale's window order.  Every search charges
-the declared formulas below once, executed or not; a full-set search charges
-its scale's cached amount and reads its scale's index, so it skips the driver.
+scale's pair table, as the declared Grover check models.  Its stored ids in
+the order of the text read forward from each anchor and of the text read
+backward into it, with adjacent decoded-common-prefix lengths, are computed
+when read from the scale's window order (WalkVertex.order); no solve reads
+them.  Every search charges the declared formulas below once, executed or
+not, at an amount its scale caches.  Then a full-set search reads its
+scale's index, a cost-only search stops, and a walk runs the walk driver,
+which only walks.
 
 A candidate pair certifies a target length t via two agreement conditions
 anchored at the pair's run ends: the backward windows agree for at least L
@@ -62,7 +64,6 @@ from .anchors import (
     AnchorScheme,
     AnchorSet,
     SpanOrders,
-    anchor_at,
     build_exhaustive,
     build_minimizer,
     minimizer_spans,
@@ -84,7 +85,6 @@ from .rle import (
     ldcp_runs,  # not called here; perfbench/tracer.py patches rlelcs.walk.ldcp_runs
     lex_compare_runs,  # not called here; perfbench/tracer.py patches it likewise
 )
-from .structures import DynArray
 
 
 # Decoded lengths stay below this, so the kernel's sum of two fits int64.
@@ -372,7 +372,7 @@ class _WalkContext:
         """
         xs, (fwd_pos, h_f), (bwd_pos, h_b) = self.window_order
         side, flagged = _flagged(xs, self.sep_index)
-        if len(flagged) <= max(1, _PAIR_BATCH // len(xs)):  # the rows take one pass
+        if _one_pass(flagged, len(xs)):
             return None
         return _row_bounds(xs, fwd_pos, h_f, bwd_pos, h_b, self.pv, self.d, side, flagged)
 
@@ -395,13 +395,12 @@ class _WalkContext:
         return walk_search_charge(setup, 0.0, check, m, (subset_size(model, m) / m) ** 2)
 
     @cached_property
-    def charges(self) -> tuple[float, float, float]:
-        """Declared (setup, update, check) charges of a walk search here, over r-subsets.
-
-        r = subset_size(model, m), the subsets every walk search here draws.
-        """
-        model, d, r = self.model, self.d, subset_size(self.model, self.anchors.m)
-        return setup_charge(model, d, r), update_charge(model, d), check_charge(model, d, r)
+    def walk_charge(self) -> float:
+        """A walk or cost-only search's charge here: the walk formula over its r-subsets."""
+        model, d, m = self.model, self.d, self.anchors.m
+        r = subset_size(model, m)
+        declared = setup_charge(model, d, r), update_charge(model, d), check_charge(model, d, r)
+        return walk_search_charge(*declared, r, (r / m) ** 2)
 
 
 def make_context(
@@ -427,11 +426,8 @@ class WalkVertex:
 
     A check reads the stored anchors' block of the scale's pair table
     (best()), the pairs that the declared check, a Grover search over the
-    stored anchors' windows, searches.  The read-only DynArray views, built
-    when read from the context's window order: by_key, (anchor id, run
-    index) by id; fwd_order/bwd_order, the same in the forward and backward
-    window order; fwd_lcp/bwd_lcp, (anchor id, agreement with the next
-    anchor) along each order, the minimum of h between their ranks.
+    stored anchors' windows, searches.  order() reads the stored ids in
+    either window order; no solve calls it.
     """
 
     def __init__(self, ctx: _WalkContext):
@@ -452,46 +448,19 @@ class WalkVertex:
             raise KeyError(k)
         self._ids.remove(k)
 
-    # read-only views -----------------------------------------------------
+    # reading -------------------------------------------------------------
 
-    @property
-    def by_key(self) -> DynArray:
-        return DynArray(self._entries(sorted(self._ids)))
+    def order(self, side: int) -> tuple[np.ndarray, np.ndarray]:
+        """The stored ids in the forward (0) or backward (1) window order, and their agreements.
 
-    @property
-    def fwd_order(self) -> DynArray:
-        return self._order(self._ranked(0))
-
-    @property
-    def fwd_lcp(self) -> DynArray:
-        return self._lcp(self._ranked(0), 0)
-
-    @property
-    def bwd_order(self) -> DynArray:
-        return self._order(self._ranked(1))
-
-    @property
-    def bwd_lcp(self) -> DynArray:
-        return self._lcp(self._ranked(1), 1)
-
-    def _entries(self, ids: list[int]) -> list[tuple[int, int]]:
-        return [(k, anchor_at(self.ctx.anchors, k)) for k in ids]
-
-    def _ranked(self, side: int) -> list[tuple[int, int]]:
-        """(rank, anchor id) of the stored anchors, sorted by rank in one window order."""
-        ranks = self.ctx.window_order[1 + side][0]
-        return sorted((int(ranks[k - 1]), k) for k in self._ids)
-
-    def _order(self, ranked: list[tuple[int, int]]) -> DynArray:
-        return DynArray(self._entries([k for _, k in ranked]))
-
-    def _lcp(self, ranked: list[tuple[int, int]], side: int) -> DynArray:
-        h = self.ctx.window_order[1 + side][1]
-        return DynArray(
-            (k, _agreement(h, lo, hi)) for (lo, k), (hi, _) in zip(ranked, ranked[1:])
-        )
-
-    # checking ------------------------------------------------------------
+        The order is the context's window order, ties by id.  Entry i of the
+        agreements is that of ids i and i + 1: the minimum of h between
+        their ranks.
+        """
+        pos, h = self.ctx.window_order[1 + side]
+        ids = np.array(sorted(self._ids, key=lambda k: pos[k - 1]), dtype=np.int64)
+        ranks = pos[ids - 1]
+        return ids, np.minimum.reduceat(h[: ranks[-1] if len(ids) else 0], ranks[:-1])
 
     def best(self) -> tuple[int, Optional[tuple[int, int]]]:
         """The stored anchors' best certificate and its (flagged, partner) runs, or (0, None).
@@ -520,11 +489,6 @@ class WalkVertex:
         return hit if best >= d_tilde >= 1 else None
 
 
-def _agreement(h: np.ndarray, lo: int, hi: int) -> int:
-    """Decoded agreement of the anchors at ranks lo < hi: the minimum of h[lo:hi]."""
-    return int(h[lo:hi].min())
-
-
 # ---------------------------------------------------------------------------
 # certificate kernel, shared by the full-set index and the walk vertex
 
@@ -540,6 +504,11 @@ _PAIR_BATCH = 4096
 # An anchor's agreement with itself: above every decoded length, and a
 # decoded length added to it still fits int64.
 _SELF = DECODED_LENGTH_BOUND
+
+
+def _one_pass(flagged: np.ndarray, m: int) -> bool:
+    """Whether the kernel scores the rows of the flagged anchors, of m, in one dense pass."""
+    return len(flagged) <= max(1, _PAIR_BATCH // m)
 
 
 def _row_agreements(pos: np.ndarray, h: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -760,7 +729,7 @@ def best_certificate(
     if m < 2:
         return 0, None
     side, flagged = _flagged(xs, sep_index)
-    if len(flagged) <= max(1, _PAIR_BATCH // m):  # one dense pass, rows in scan order
+    if _one_pass(flagged, m):  # rows in scan order
         cert = _score_rows(xs, fwd_pos, h_f, bwd_pos, h_b, pv, d, side, flagged)
         i, j = divmod(int(np.argmax(cert)), m)
         return (0, None) if cert[i, j] == 0 else (int(cert[i, j]), (int(flagged[i]), j))
@@ -896,12 +865,13 @@ def inner_search(
     are counted.  A hit is the (flagged, partner) runs of the best pair it
     finds.
 
-    The full-set mode decides the existence question exactly from its
-    scale's cached state, without the walk driver, and makes one charge:
-    the walk formula over all m anchors (_WalkContext.fullset_charge).  The
-    random walk (walk_search) samples subsets up to a step budget; the
-    cost-only mode charges it without executing it.  Both declare the same
-    setup, update and check charges, so both add the same amount.
+    Each search makes one charge, an amount its scale caches: the walk
+    formula over all m anchors in full-set mode (_WalkContext.fullset_charge),
+    over r-subsets in walk and cost-only mode (_WalkContext.walk_charge).
+    Then the full-set mode decides the existence question exactly from its
+    scale's cached state, the cost-only mode returns None, and the random
+    walk runs the walk driver (walk_search), which samples subsets up to a
+    step budget.
 
     ``index_cache`` holds one solve's scale bests by scale: the full-set
     mode's indexes, or the largest row bound of a full-set scale that builds
@@ -929,30 +899,27 @@ def inner_search(
         ledger.charge(ctx.fullset_charge)
         return index.query(d_tilde) if isinstance(index, CollisionIndex) else None
 
-    m, model = ctx.anchors.m, ctx.model
-    r = subset_size(model, m)
-    delta = (r / m) ** 2
-    setup_cost, update_cost, check_cost = ctx.charges
-    hooks = WalkHooks(setup_cost=setup_cost, update_cost=update_cost, check_cost=check_cost)
-    if mode is WalkMode.RANDOMWALK:
+    ledger.charge(ctx.walk_charge)
+    if mode is WalkMode.COSTONLY:
+        return None
 
-        def setup(subset):
-            if d not in bests and _ceiling(bests, ctx) >= d_tilde:
-                bests[d] = _ScaleBound(ctx, int(ctx.pair_table.max()))
-            if d not in bests or bests[d].best < d_tilde:
-                return None  # no pair at this scale reaches d_tilde
-            vertex = WalkVertex(ctx)
-            for k in subset:
-                vertex.insert(k)
-            return vertex
+    def setup(subset):
+        if d not in bests and _ceiling(bests, ctx) >= d_tilde:
+            bests[d] = _ScaleBound(ctx, int(ctx.pair_table.max()))
+        if d not in bests or bests[d].best < d_tilde:
+            return None  # no pair at this scale reaches d_tilde
+        vertex = WalkVertex(ctx)
+        for k in subset:
+            vertex.insert(k)
+        return vertex
 
-        def update(vertex, removed, added):
-            vertex.delete(removed)
-            vertex.insert(added)
+    def update(vertex, removed, added):
+        vertex.delete(removed)
+        vertex.insert(added)
 
-        hooks.setup, hooks.update = setup, update
-        hooks.check = lambda vertex: vertex.check(d_tilde)
-    return walk_search(m, r, delta, hooks, mode=mode, ledger=ledger, model=model, rng=rng)
+    hooks = WalkHooks(setup, update, lambda vertex: vertex.check(d_tilde))
+    m, r = ctx.anchors.m, subset_size(ctx.model, ctx.anchors.m)
+    return walk_search(m, r, (r / m) ** 2, hooks, model=ctx.model, rng=rng)
 
 
 # ---------------------------------------------------------------------------

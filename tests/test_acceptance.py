@@ -249,31 +249,25 @@ def test_criterion_5_vertex_coherence():
             vertex.delete(k)
             stored.discard(k)
     plain = ctx.handle.string
+    wins = (
+        lambda k: prefix_window(plain, anchors, k),
+        lambda k: suffix_window(plain, anchors, k),
+    )
+    orders = [vertex.order(side) for side in (0, 1)]  # (ids, adjacent agreements) per side
+    assert all(sorted(keys.tolist()) == sorted(stored) for keys, _ in orders)
     adjacent_bad = 0
-    for order, lcp, win in (
-        (vertex.fwd_order, vertex.fwd_lcp, lambda k: prefix_window(plain, anchors, k)),
-        (vertex.bwd_order, vertex.bwd_lcp, lambda k: suffix_window(plain, anchors, k)),
-    ):
-        keys = [k for k, _ in order.items()]
-        hvals = [h for _, h in lcp.items()]
+    for (keys, hvals), win in zip(orders, wins):
         for i in range(len(keys) - 1):
             if hvals[i] != ldcp_runs(win(keys[i]), win(keys[i + 1])):
                 adjacent_bad += 1
     interval_bad = 0
     for _ in range(1000):
         bwd = rng.random() < 0.5
-        order = vertex.bwd_order if bwd else vertex.fwd_order
-        lcp = vertex.bwd_lcp if bwd else vertex.fwd_lcp
-        win = (
-            (lambda k: suffix_window(plain, anchors, k))
-            if bwd
-            else (lambda k: prefix_window(plain, anchors, k))
-        )
-        t = len(order)
+        (keys, hvals), win = orders[bwd], wins[bwd]
+        t = len(keys)
         a = rng.randint(1, t - 1)
         b = rng.randint(a + 1, t)
-        keys = [k for k, _ in order.items()]
-        if lcp.range_min(a, b - 1) != ldcp_runs(win(keys[a - 1]), win(keys[b - 1])):
+        if hvals[a - 1 : b - 1].min() != ldcp_runs(win(keys[a - 1]), win(keys[b - 1])):
             interval_bad += 1
     _verdict(
         "5 vertex-coherence",

@@ -20,6 +20,16 @@ UNPASSED_DEFAULTS = {
     "qmodel.make_handles.ledger": "make_handles is a test-only export (TEST_ONLY)",
 }
 
+# names no solver code calls, kept only because perfbench/tracer.py patches
+# them, each with the ROADMAP item that deletes it
+TRACER_ONLY = {
+    "DynArray": "criterion 4 checks it; structures.py goes in ROADMAP item 21, after item 1a",
+    "RangeSum2D": "criterion 4 checks it; ROADMAP item 1a deletes it",
+    "grover_search": "walk.py imports it for the tracer; ROADMAP item 1a deletes the import",
+    "ldcp_runs": "walk.py imports it for the tracer; ROADMAP item 1a deletes the import",
+    "lex_compare_runs": "walk.py imports it for the tracer; ROADMAP item 1a deletes the import",
+}
+
 # SolverConfig fields that no caller sets, each with why it stays
 UNSET_FIELDS = {
     "truth_hint": "cost-only mode's trajectory input, which ROADMAP item 13 generalizes",
@@ -123,3 +133,27 @@ def test_every_defaulted_parameter_has_a_caller():
         if not _passed(calls, name, param, position)
     ]
     assert sorted(unpassed) == sorted(UNPASSED_DEFAULTS)
+
+
+def test_tracer_only_names_have_no_solver_caller():
+    # the structures classes occur in no solver module, and walk.py names the
+    # functions it imports for the tracer in its import statement alone
+    structures = {"DynArray", "RangeSum2D"}
+    assert structures | {"grover_search", "ldcp_runs", "lex_compare_runs"} == set(TRACER_ONLY)
+    for path in sorted((ROOT / "src" / "rlelcs").glob("*.py")):
+        if path.name not in ("structures.py", "__init__.py"):
+            text = path.read_text()
+            assert not [n for n in structures if re.search(rf"\b{n}\b", text)], path.name
+    tree = ast.parse((ROOT / "src" / "rlelcs" / "walk.py").read_text())
+    imported = {
+        alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    used |= {
+        node.name for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    names = set(TRACER_ONLY) - structures
+    assert names <= imported and not names & used

@@ -1,4 +1,7 @@
+import dataclasses
+import inspect
 import math
+import random
 
 import pytest
 
@@ -7,7 +10,6 @@ from rlelcs.qmodel import (
     OracleHandle,
     QueryLedger,
     WalkHooks,
-    WalkMode,
     ceil_sqrt,
     grover_search,
     make_handles,
@@ -155,7 +157,7 @@ def test_cost_model_file_roundtrip(tmp_path):
         CostModel.from_items({"bogus": "1"})
 
 
-def _marking_hooks(marked: set[int], setup_cost=1.0, update_cost=1.0, check_cost=1.0):
+def _marking_hooks(marked: set[int]):
     def setup(subset):
         return set(subset)
 
@@ -167,78 +169,37 @@ def _marking_hooks(marked: set[int], setup_cost=1.0, update_cost=1.0, check_cost
         hit = sorted(state & marked)
         return hit if hit else None
 
-    return WalkHooks(setup_cost, update_cost, check_cost, setup=setup, update=update, check=check)
+    return WalkHooks(setup, update, check)
 
 
 def test_walk_search_costonly_formula():
     # declared s=8, u=2, c=3 with delta=1/4, r=4 charges 8 + 2*(2*2+3) = 22
-    ledger = QueryLedger()
-    hooks = WalkHooks(setup_cost=8, update_cost=2, check_cost=3)
-    out = walk_search(
-        16, 4, 0.25, hooks, mode=WalkMode.COSTONLY, ledger=ledger, model=CostModel()
-    )
-    assert out is None
-    assert ledger.charged_cost == pytest.approx(22.0)
-    assert ledger.charged_cost == walk_search_charge(8, 2, 3, 4, 0.25)
-    # the random walk charges the same declared formula, hit or miss
-    for mode in (WalkMode.COSTONLY, WalkMode.RANDOMWALK):
-        for marked in (set(), {3}):
-            ledger = QueryLedger()
-            walk_search(
-                16, 4, 0.25, _marking_hooks(marked, 8, 2, 3), mode=mode, ledger=ledger,
-                model=CostModel(),
-            )
-            assert ledger.charged_cost == pytest.approx(22.0), (mode, marked)
+    assert walk_search_charge(8, 2, 3, 4, 0.25) == pytest.approx(22.0)
+    # walk.inner_search adds that charge in walk and cost-only mode alike: the
+    # walk driver takes no ledger and no mode, and cost-only mode never calls it
+    params = inspect.signature(walk_search).parameters
+    assert list(params) == ["m", "r", "delta_bound", "hooks", "model", "rng"]
 
 
 def test_walk_search_rejects_bad_parameters():
-    args = dict(ledger=QueryLedger(), model=CostModel())
-    with pytest.raises(ValueError):
-        walk_search(4, 5, 0.5, WalkHooks(0, 0, 0), mode=WalkMode.COSTONLY, **args)
-    with pytest.raises(ValueError):
-        walk_search(4, 2, 0.5, WalkHooks(0, 0, 0), mode=WalkMode.FULLSET, **args)
-    # the full-set search is walk.inner_search's own, with or without hooks
-    with pytest.raises(ValueError):
-        walk_search(4, 4, 1.0, _marking_hooks({1}), mode=WalkMode.FULLSET, **args)
     hooks = _marking_hooks(set())
-    hooks.update = None
-    with pytest.raises(ValueError):
-        walk_search(4, 2, 0.5, hooks, mode=WalkMode.RANDOMWALK, **args)
-    assert args["ledger"].charged_cost == 0
+    for m, r, delta in ((4, 5, 0.5), (4, 0, 0.5), (4, 2, 0.0), (4, 2, 1.5)):
+        with pytest.raises(ValueError):
+            walk_search(m, r, delta, hooks, model=CostModel())
+    # the hooks are exactly the walk's three vertex operations
+    assert [f.name for f in dataclasses.fields(WalkHooks)] == ["setup", "update", "check"]
 
 
 def test_walk_search_randomwalk_modes():
-    import random
-
     hooks = _marking_hooks({3})
-    report = walk_search(
-        6,
-        2,
-        (2 / 6) ** 2,
-        hooks,
-        mode=WalkMode.RANDOMWALK,
-        ledger=QueryLedger(),
-        model=CostModel(),
-        rng=random.Random(1),
-    )
+    report = walk_search(6, 2, (2 / 6) ** 2, hooks, model=CostModel(), rng=random.Random(1))
     assert report == [3]
     hooks = _marking_hooks(set())
-    report = walk_search(
-        6,
-        2,
-        (2 / 6) ** 2,
-        hooks,
-        mode=WalkMode.RANDOMWALK,
-        ledger=QueryLedger(),
-        model=CostModel(),
-        rng=random.Random(1),
-    )
+    report = walk_search(6, 2, (2 / 6) ** 2, hooks, model=CostModel(), rng=random.Random(1))
     assert report is None
     # with r = m no swap exists: one check over the whole set decides
-    report = walk_search(
-        3, 3, 1.0, hooks, mode=WalkMode.RANDOMWALK, ledger=QueryLedger(), model=CostModel()
-    )
-    assert report is None
+    assert walk_search(3, 3, 1.0, hooks, model=CostModel()) is None
+    assert walk_search(3, 3, 1.0, _marking_hooks({2}), model=CostModel()) == [2]
 
 
 def _sorted_set_walk(m, r, delta_bound, model, rng):
@@ -272,8 +233,6 @@ def test_walk_search_swaps_match_sorted_set_oracle():
     # same setup subset, same swap stream, so the same RNG state afterwards.
     # A setup that returns None (no vertex is marked) makes the same draws,
     # and calls no update and no check
-    import random
-
     model = CostModel(step_budget_factor=2.0)
     rng = random.Random(17)
     for _ in range(12):
@@ -289,24 +248,12 @@ def test_walk_search_swaps_match_sorted_set_oracle():
                     return None if unmarked else seen
 
                 hooks = WalkHooks(
-                    0.0,
-                    0.0,
-                    0.0,
-                    setup=setup,
-                    update=lambda state, removed, added: seen.append((removed, added)),
-                    check=lambda state: seen.append("check"),
+                    setup,
+                    lambda state, removed, added: seen.append((removed, added)),
+                    lambda state: seen.append("check"),
                 )
                 walk_rng = random.Random(seed)
-                report = walk_search(
-                    m,
-                    r,
-                    delta,
-                    hooks,
-                    mode=WalkMode.RANDOMWALK,
-                    ledger=QueryLedger(),
-                    model=model,
-                    rng=walk_rng,
-                )
+                report = walk_search(m, r, delta, hooks, model=model, rng=walk_rng)
                 assert report is None
                 if unmarked:
                     assert seen == [setup_subset], (m, r, seed)
@@ -334,8 +281,6 @@ def test_inline_draw_matches_randrange_and_choice(seed):
     # the stream contract walk_search's swaps rely on: randrange(n) and
     # choice(seq) of length n are both Random._randbelow(n), rejection over
     # getrandbits(n.bit_length())
-    import random
-
     contract = (
         "stream contract broken: Random.randrange(n) / Random.choice(range(n)) no longer "
         "draw getrandbits(n.bit_length()) until below n; walk_search's inline swap draws "
@@ -355,8 +300,6 @@ def test_walk_search_swaps_match_oracle_at_power_of_two_sizes(r):
     # r = m: the swaps, the setup subset and the RNG state afterwards are those
     # of the randrange/choice oracle, with a marking setup and with one that
     # marks nothing
-    import random
-
     model = CostModel(step_budget_factor=1.0)
     for gap in (0,) + _EDGE_SIZES:
         m = r + gap
@@ -372,18 +315,12 @@ def test_walk_search_swaps_match_oracle_at_power_of_two_sizes(r):
                     return None if unmarked else seen
 
                 hooks = WalkHooks(
-                    0.0,
-                    0.0,
-                    0.0,
-                    setup=setup,
-                    update=lambda state, removed, added: seen.append((removed, added)),
-                    check=lambda state: seen.append("check"),
+                    setup,
+                    lambda state, removed, added: seen.append((removed, added)),
+                    lambda state: seen.append("check"),
                 )
                 walk_rng = random.Random(seed)
-                report = walk_search(
-                    m, r, 1.0, hooks, mode=WalkMode.RANDOMWALK, ledger=QueryLedger(),
-                    model=model, rng=walk_rng,
-                )
+                report = walk_search(m, r, 1.0, hooks, model=model, rng=walk_rng)
                 assert report is None
                 if unmarked:
                     assert seen == [setup_subset], (m, r, seed)

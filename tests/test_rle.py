@@ -74,6 +74,30 @@ def test_invariants_rejected():
         RleString((Run(300, 1),))
 
 
+@pytest.mark.parametrize(
+    "runs",
+    [
+        (Run(97, 2.5), Run(98, 3)),  # a float length prints as text parse_rle rejects
+        (Run(97, 2.0),),
+        (Run(97.0, 2),),
+        (Run(True, 2),),
+        (Run(97, True),),
+        (Run("a", 2),),
+        (Run(97, 2), Run(98, None)),
+    ],
+)
+def test_non_int_runs_rejected(runs):
+    with pytest.raises(ValueError, match="must be"):
+        RleString(runs)
+
+
+def test_non_int_pairs_rejected_before_any_solve():
+    # before the check, a float length reached the solver and was reported
+    # as an internal inconsistency there
+    with pytest.raises(ValueError, match="positive int"):
+        RleString.from_pairs([("a", 2.5), ("b", 3)])
+
+
 def test_prefix_table_examples():
     assert rle(("a", 3), ("b", 1), ("c", 3), ("d", 2)).prefix == (0, 3, 4, 7, 9)
     assert RleString(()).prefix == (0,)

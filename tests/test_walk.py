@@ -83,7 +83,7 @@ MODEL = CostModel()
 def walk_charge(model: CostModel, d: int, r: int, m: int, delta: float) -> float:
     """Full search charge: setup + (1/sqrt(delta)) (sqrt(r) update + check).
 
-    The oracle for what walk_search adds to the ledger in walk and cost-only mode.
+    The oracle for what inner_search adds to the ledger in walk and cost-only mode.
     """
     return setup_charge(model, d, r) + (1.0 / math.sqrt(delta)) * (
         math.sqrt(r) * update_charge(model, d) + check_charge(model, d, r)
@@ -150,8 +150,9 @@ def test_vertex_insert_into_empty_then_orders_match_oracle():
     ctx = _context(b"aabbbc", b"dbbbcc", 2)
     v = WalkVertex(ctx)
     v.insert(3)
-    assert v.by_key.items() == [(3, 3)]
-    assert len(v.fwd_lcp) == 0 and len(v.bwd_lcp) == 0
+    for side in (0, 1):
+        ids, h = v.order(side)
+        assert ids.tolist() == [3] and len(h) == 0
     v.insert(6)
     v.insert(1)
     s = ctx.handle.string
@@ -160,16 +161,14 @@ def test_vertex_insert_into_empty_then_orders_match_oracle():
     def fwd_key(k):
         return decode(prefix_window(s, x, k))
 
-    stored = [k for k, _ in v.by_key.items()]
-    assert stored == [1, 3, 6]
-    expected = sorted(stored, key=lambda k: (fwd_key(k), k))
-    assert [k for k, _ in v.fwd_order.items()] == expected
+    expected = sorted([1, 3, 6], key=lambda k: (fwd_key(k), k))
+    items, h = v.order(0)
+    assert items.tolist() == expected
     # adjacent agreement lengths match the pairwise decoded oracle
-    items = [k for k, _ in v.fwd_order.items()]
     for i in range(len(items) - 1):
         wa, wb = fwd_key(items[i]), fwd_key(items[i + 1])
         expect = len(next(iter([wa[: j] for j in range(min(len(wa), len(wb)), -1, -1) if wa[:j] == wb[:j]])))
-        assert v.fwd_lcp.items()[i][1] == expect
+        assert h[i] == expect
 
 
 def test_vertex_delete_from_singleton():
@@ -177,14 +176,15 @@ def test_vertex_delete_from_singleton():
     v = WalkVertex(ctx)
     v.insert(2)
     v.delete(2)
-    assert len(v.by_key) == 0
-    assert len(v.fwd_order) == 0
+    for side in (0, 1):
+        ids, h = v.order(side)
+        assert len(ids) == 0 and len(h) == 0
 
 
 def test_vertex_coherence_after_random_ops():
-    # the views hold the stored anchors by id and in decoded window order,
-    # ties by id; adjacent stored agreements equal the decoded oracle, and
-    # interval range-min equals the endpoint pair's agreement.  One LCS
+    # order() holds the stored anchors in decoded window order, ties by id;
+    # adjacent stored agreements equal the decoded oracle, and the minimum of
+    # an interval's agreements equals the endpoint pair's agreement.  One LCS
     # context, then random LCS and LRS, periodic motifs and minimizer anchors
     rng = random.Random(11)
     ctx = _context(b"aabbacbbacccab", b"bbacbbacaab", 3)
@@ -196,14 +196,13 @@ def test_vertex_coherence_after_random_ops():
         for step, stored in enumerate(_random_ops(rng, v, 200)):
             if len(stored) < 2 or step % 10 != 9:
                 continue
-            assert v.by_key.items() == [(k, x.entries[k - 1]) for k in sorted(stored)]
-            for order, lcp, win in (
-                (v.fwd_order, v.fwd_lcp, lambda k: prefix_window(s, x, k)),
-                (v.bwd_order, v.bwd_lcp, lambda k: suffix_window(s, x, k)),
+            for side, win in (
+                (0, lambda k: prefix_window(s, x, k)),
+                (1, lambda k: suffix_window(s, x, k)),
             ):
-                assert sorted(order.items()) == v.by_key.items()
-                keys = [k for k, _ in order.items()]
-                hvals = [h for _, h in lcp.items()]
+                keys, hvals = v.order(side)
+                keys = keys.tolist()
+                assert sorted(keys) == sorted(stored) and len(hvals) == len(keys) - 1
                 for i in range(len(keys) - 1):
                     w1, w2 = win(keys[i]), win(keys[i + 1])
                     assert (lex_compare_runs(w1, w2), keys[i]) < (0, keys[i + 1])
@@ -212,7 +211,7 @@ def test_vertex_coherence_after_random_ops():
                 b = rng.randint(a, len(keys))
                 if a < b:
                     want = ldcp_runs(win(keys[a - 1]), win(keys[b - 1]))
-                    assert lcp.range_min(a, b - 1) == want
+                    assert hvals[a - 1 : b - 1].min() == want
 
 
 def test_vertex_check_worked_example():
@@ -945,25 +944,24 @@ def test_row_bounds_edge_cases():
         _bound_case(lens, xs, orders, rng.randint(1, 5), sep)
 
 
-def _ranked(order, lcp, slot):
-    """Each stored anchor's position in a decoded order, and the adjacent agreements."""
-    pos = np.empty(len(slot), dtype=np.int64)
-    pos[[slot[k] for k in order.keys()]] = np.arange(len(slot))
-    h = np.fromiter((h for _, h in lcp.items()), dtype=np.int64, count=len(lcp))
+def _ranked(vertex, side, stored):
+    """Each stored anchor's position in one of the vertex's orders, and the adjacent agreements."""
+    ids, h = vertex.order(side)
+    pos = np.empty(len(stored), dtype=np.int64)
+    pos[np.searchsorted(stored, ids)] = np.arange(len(stored))
     return pos, h
 
 
 def _kernel_best(vertex):
-    """best_certificate on the vertex's stored subset and maintained orders: the
+    """best_certificate on the vertex's stored subset in its two orders: the
     oracle for WalkVertex.best, which reads the scale's pair table instead."""
     ctx = vertex.ctx
-    stored = vertex.by_key.items()
-    if not stored:
+    stored = np.sort(vertex.order(0)[0])
+    if not len(stored):
         return 0, None
-    slot = {k: i for i, (k, _) in enumerate(stored)}
-    xs = np.array([x for _, x in stored], dtype=np.int64)
-    fwd_pos, h_f = _ranked(vertex.fwd_order, vertex.fwd_lcp, slot)
-    bwd_pos, h_b = _ranked(vertex.bwd_order, vertex.bwd_lcp, slot)
+    xs = np.array(ctx.anchors.entries, dtype=np.int64)[stored - 1]
+    fwd_pos, h_f = _ranked(vertex, 0, stored)
+    bwd_pos, h_b = _ranked(vertex, 1, stored)
     bwd = ctx.tokens.tables[1]
     best, args = best_certificate(
         xs, fwd_pos, h_f, bwd_pos, h_b, ctx.pv, ctx.d, ctx.sep_index, bwd
@@ -971,7 +969,7 @@ def _kernel_best(vertex):
     if args is None:
         return best, None
     a, b = args
-    return best, (stored[a][1], stored[b][1])
+    return best, (int(xs[a]), int(xs[b]))
 
 
 def _kernel_check(vertex, d_tilde):
@@ -1097,8 +1095,7 @@ def test_pair_table_only_in_walk_mode(monkeypatch):
 
 
 def _views(v):
-    views = ("by_key", "fwd_order", "fwd_lcp", "bwd_order", "bwd_lcp")
-    return {name: (getattr(v, name).items(), getattr(v, name).serialize()) for name in views}
+    return [[a.tolist() for a in v.order(side)] for side in (0, 1)]
 
 
 def test_vertex_error_contract_leaves_views_unchanged():
@@ -1125,7 +1122,7 @@ def test_vertex_error_contract_leaves_views_unchanged():
     with pytest.raises(KeyError):
         v.delete(5)
     v.insert(3)
-    assert [k for k, _ in v.by_key.items()] == [2, 3, 7]
+    assert sorted(v.order(0)[0].tolist()) == [2, 3, 7]
 
 
 def test_walk_mode_never_builds_range_minimum_rows(monkeypatch):
